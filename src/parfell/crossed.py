@@ -352,16 +352,16 @@ def mf_defect_report(
         vec = np.asarray(vec, dtype=np.complex128)
         image = apply(t, vec)
         starred, ti = dual.star_fiber((vec, t))
-        selfadj.feed(op_norm(image.conj().T - apply(ti, starred)), f"sample {i}")
+        selfadj.feed_diff(image.conj().T - apply(ti, starred), lambda: f"sample {i}")
         gap.feed(abs(op_norm(image) - float(np.abs(vec).max(initial=0.0))), f"sample {i}")
     for i, (s, a) in enumerate(samples):
         s = group.check_element(s)
         for j, (t, b) in enumerate(samples):
             t = group.check_element(t)
             prod, st = dual.mul_fiber((a, s), (b, t))
-            mult.feed(
-                op_norm(apply(s, a) @ apply(t, b) - apply(st, prod)),
-                f"samples {i} , {j}",
+            mult.feed_diff(
+                apply(s, a) @ apply(t, b) - apply(st, prod),
+                lambda: f"samples {i} , {j}",
             )
     return DefectReport(
         entries={

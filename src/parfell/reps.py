@@ -10,7 +10,9 @@ certified distance bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -181,6 +183,11 @@ class DefectReport:
         }
 
 
+# Relative slack on the Frobenius bound, far above the rounding of either
+# norm on the matrix sizes used here, so a skipped SVD could not have won.
+_FRO_MARGIN = 1e-12
+
+
 class _Worst:
     """Tracks a running maximum with its first (hence lex-least) witness."""
 
@@ -193,9 +200,30 @@ class _Worst:
             self.value = float(value)
             self.witness = witness
 
+    def feed_diff(self, d: np.ndarray, label: Callable[[], str]) -> None:
+        """Feed ``op_norm(d)``, computing it only when it could raise the maximum.
 
-def _element_label(group: GroupSpec, g) -> str:
-    return word_to_str(group, g)
+        ``||d||_op <= ||d||_F``, so a difference whose Frobenius norm (with
+        the margin) does not exceed the running worst is skipped without an
+        SVD; the maximum and its first witness are the same as feeding every
+        ``op_norm``.  Exact zeros always skip, non-finite differences always
+        reach ``op_norm``.  ``label`` is called only for a new maximum.
+        """
+        fro = math.sqrt(np.vdot(d, d).real)
+        if math.isfinite(fro) and fro * (1.0 + _FRO_MARGIN) <= self.value:
+            return
+        value = op_norm(d)
+        if value > self.value:
+            self.value = float(value)
+            self.witness = label()
+
+
+def _pair(group: GroupSpec, s, t) -> list[str]:
+    return [word_to_str(group, s), word_to_str(group, t)]
+
+
+def _pair_label(group: GroupSpec, s, t) -> str:
+    return " , ".join(_pair(group, s, t))
 
 
 def _normalize_elements(group: GroupSpec, elements) -> list:
@@ -249,9 +277,9 @@ def partial_rep_defects(
         ti = group.inverse(t)
         vti = get(ti)
         if vti is None:
-            skipped.append({"entry": "selfadjoint", "elements": [_element_label(group, t)]})
+            skipped.append({"entry": "selfadjoint", "elements": [word_to_str(group, t)]})
             continue
-        selfadj.feed(op_norm(mats[t].conj().T - vti), _element_label(group, t))
+        selfadj.feed_diff(mats[t].conj().T - vti, lambda: word_to_str(group, t))
 
     for s in elems:
         si = group.inverse(s)
@@ -259,19 +287,17 @@ def partial_rep_defects(
         for t in elems:
             st = group.multiply(s, t)
             vst = get(st)
-            label = f"{_element_label(group, s)} , {_element_label(group, t)}"
+            label = partial(_pair_label, group, s, t)
             if vsi is None or vst is None:
-                skipped.append({"entry": "triple_product", "elements": label.split(" , ")})
+                skipped.append({"entry": "triple_product", "elements": _pair(group, s, t)})
             else:
-                triple.feed(
-                    op_norm(vsi @ mats[s] @ mats[t] - vsi @ vst), label
-                )
-            ranges.feed(op_norm(proj[s] @ proj[t] - proj[t] @ proj[s]), label)
+                triple.feed_diff(vsi @ mats[s] @ mats[t] - vsi @ vst, label)
+            ranges.feed_diff(proj[s] @ proj[t] - proj[t] @ proj[s], label)
             if vst is None:
-                skipped.append({"entry": "intertwine", "elements": label.split(" , ")})
+                skipped.append({"entry": "intertwine", "elements": _pair(group, s, t)})
             else:
                 est = vst @ vst.conj().T
-                intertwine.feed(op_norm(mats[s] @ proj[t] - est @ mats[s]), label)
+                intertwine.feed_diff(mats[s] @ proj[t] - est @ mats[s], label)
 
     entries = {
         "selfadjoint": selfadj.value,
@@ -303,9 +329,8 @@ def covariance_defects(
         vt = rep.v.matrix(t)
         for z, w in dual.action.element_map(t).pairs:
             lhs = vt @ rep.phi_mats[z] @ vt.conj().T
-            worst.feed(
-                op_norm(lhs - rep.phi_mats[w]),
-                f"{_element_label(group, t)} @ {z}",
+            worst.feed_diff(
+                lhs - rep.phi_mats[w], lambda: f"{word_to_str(group, t)} @ {z}"
             )
     return DefectReport(
         entries={"covariance": worst.value},
@@ -378,7 +403,7 @@ def perturb_to_partial_isometries(
     dist = _Worst()
     pi_worst = _Worst()
     for t in elems:
-        label = _element_label(group, t)
+        label = word_to_str(group, t)
         vt = v.matrix(t)
         if t == ident:
             out[t] = np.eye(v.dim, dtype=np.complex128)
@@ -420,18 +445,20 @@ def perturb_to_partial_isometries(
     for t in elems:
         ti = group.inverse(t)
         if ti in out:
-            selfadj.feed(op_norm(out[t].conj().T - out[ti]), _element_label(group, t))
+            selfadj.feed_diff(out[t].conj().T - out[ti], lambda: word_to_str(group, t))
         else:
-            skipped.append({"entry": "selfadjoint", "elements": [_element_label(group, t)]})
+            skipped.append({"entry": "selfadjoint", "elements": [word_to_str(group, t)]})
     for s in elems:
         si = group.inverse(s)
         for t in elems:
             st = group.multiply(s, t)
-            label = f"{_element_label(group, s)} , {_element_label(group, t)}"
             if si not in out or st not in out:
-                skipped.append({"entry": "triple_product", "elements": label.split(" , ")})
+                skipped.append({"entry": "triple_product", "elements": _pair(group, s, t)})
                 continue
-            triple.feed(op_norm(out[si] @ out[s] @ out[t] - out[si] @ out[st]), label)
+            triple.feed_diff(
+                out[si] @ out[s] @ out[t] - out[si] @ out[st],
+                partial(_pair_label, group, s, t),
+            )
     entries["selfadjoint"] = selfadj.value
     entries["triple_product"] = triple.value
     witnesses["selfadjoint"] = selfadj.witness
@@ -450,9 +477,9 @@ def perturb_to_partial_isometries(
                 continue
             ut = out[t]
             for z, w in rep.dual.action.element_map(t).pairs:
-                cov.feed(
-                    op_norm(ut @ rep.phi_mats[z] @ ut.conj().T - rep.phi_mats[w]),
-                    f"{_element_label(group, t)} @ {z}",
+                cov.feed_diff(
+                    ut @ rep.phi_mats[z] @ ut.conj().T - rep.phi_mats[w],
+                    lambda: f"{word_to_str(group, t)} @ {z}",
                 )
         entries["covariance"] = cov.value
         witnesses["covariance"] = cov.witness
@@ -580,9 +607,10 @@ def extract_finite_system(
     """Recover points, supports, and maps from a covariant representation.
 
     Points of the recovered system are the joint spectral blocks of the
-    commuting family ``phi(indicator)``; supports come from the ideals'
-    images, maps from conjugation by the element matrices.  Works on exact
-    or nearly exact representations; ambiguous spectra raise.
+    commuting family ``phi(indicator)``; supports and maps come from
+    conjugating those blocks by the element matrices.  The declared action
+    only supplies the default element list.  Works on exact or nearly exact
+    representations; ambiguous spectra raise.
     """
     group = rep.group
     n, d = rep.n, rep.dim
@@ -648,19 +676,20 @@ def extract_finite_system(
         elements = rep.dual.action.declared_elements()
     elems = _normalize_elements(group, elements)
 
+    # sources and images come from (phi, v) alone: x is a source of t when
+    # v_t moves its character somewhere, and its image is the nearest one
     maps: dict = {}
     for t in elems:
         if t == group.identity:
             continue
-        src_map = rep.dual.action.element_map(t)
-        sources = [x for x in src_map.source_set() if x in index_of]
-        targets = {x for x in src_map.target_set() if x in index_of}
         vt = rep.v.matrix(t)
         eta: dict[int, int] = {}
-        for x in sorted(sources):
+        for x in order:
             q = vt @ merged[x][0] @ vt.conj().T
+            if op_norm(q) <= match_tol:
+                continue
             best, best_dist = None, np.inf
-            for y in sorted(targets):
+            for y in order:
                 dist_y = op_norm(q - merged[y][0])
                 if dist_y < best_dist:
                     best, best_dist = y, dist_y

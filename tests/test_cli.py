@@ -1,6 +1,7 @@
 """End-to-end command line coverage through in-process main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +189,27 @@ def test_reports_are_byte_identical(capsys, swap_file):
     _, _, first = run(capsys, argv)
     _, _, second = run(capsys, argv)
     assert first == second
+
+
+DATA = Path(__file__).parent / "data"
+
+GOLDEN_ARGS = {
+    "covariant-rep": ["--radius", "2"],
+    "defects": ["--noise", "0.01", "--seed", "3", "--radius", "2"],
+    "perturb": ["--eta", "0.1", "--noise", "0.003", "--radius", "2"],
+    "bundle-axioms": ["--radius", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
+@pytest.mark.parametrize("stem", ["swap", "cyclic6", "free2"])
+def test_reports_match_golden(capsys, monkeypatch, stem, command):
+    """Reports on the fixtures in tests/data stay byte-identical to the
+    checked-in ones; relative paths keep the ``inputs`` keys stable."""
+    monkeypatch.chdir(DATA)
+    monkeypatch.delenv("PARFELL_SEED", raising=False)
+    _, _, text = run(capsys, [command, f"{stem}.json", *GOLDEN_ARGS[command]])
+    assert text == (DATA / "golden" / f"{stem}.{command}.json").read_text(encoding="utf-8")
 
 
 def test_json_out_matches_stdout(capsys, swap_file, tmp_path):

@@ -1,10 +1,14 @@
 """Covariant representations: the standard model, defects, rounding, extraction."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from conftest import random_valid_action, scan_elements
+from conftest import random_cyclic_action, random_free_action, random_valid_action, scan_elements
+from parfell import reps
 
 
 def e(i, j, d=2):
@@ -98,6 +102,195 @@ def test_defects_skip_unavailable_elements():
     report = pf.partial_rep_defects(fam, elements=[(), (1,)])
     assert any(s["entry"] == "selfadjoint" for s in report.skipped)
     assert any(s["entry"] == "triple_product" for s in report.skipped)
+
+
+# ---------------------------------------------------------------------------
+# defect scans against a reference that runs op_norm on every pair
+
+
+class _RefWorst:
+    def __init__(self) -> None:
+        self.value, self.witness = 0.0, ""
+
+    def feed(self, d, label: str) -> None:
+        self.feed_value(pf.op_norm(d), label)
+
+    def feed_value(self, value: float, label: str) -> None:
+        if value > self.value:
+            self.value, self.witness = float(value), label
+
+
+def _ref_report(worst: dict, skipped: list) -> dict:
+    return {
+        "entries": {k: w.value for k, w in worst.items()},
+        "witnesses": {k: w.witness for k, w in worst.items()},
+        "skipped": skipped,
+    }
+
+
+def ref_partial_rep_defects(v, elems) -> dict:
+    group = v.group
+    label = partial(pf.word_to_str, group)
+
+    def get(g):
+        return v.matrix(g) if v.has(g) else None
+
+    worst = {k: _RefWorst() for k in ("selfadjoint", "triple_product", "commuting_ranges", "intertwine")}
+    skipped = []
+    for t in elems:
+        vti = get(group.inverse(t))
+        if vti is None:
+            skipped.append({"entry": "selfadjoint", "elements": [label(t)]})
+        else:
+            worst["selfadjoint"].feed(v.matrix(t).conj().T - vti, label(t))
+    for s in elems:
+        vs, vsi = v.matrix(s), get(group.inverse(s))
+        ps = vs @ vs.conj().T
+        for t in elems:
+            vt, vst = v.matrix(t), get(group.multiply(s, t))
+            pt = vt @ vt.conj().T
+            pair = f"{label(s)} , {label(t)}"
+            if vsi is None or vst is None:
+                skipped.append({"entry": "triple_product", "elements": [label(s), label(t)]})
+            else:
+                worst["triple_product"].feed(vsi @ vs @ vt - vsi @ vst, pair)
+            worst["commuting_ranges"].feed(ps @ pt - pt @ ps, pair)
+            if vst is None:
+                skipped.append({"entry": "intertwine", "elements": [label(s), label(t)]})
+            else:
+                worst["intertwine"].feed(vs @ pt - vst @ vst.conj().T @ vs, pair)
+    return _ref_report(worst, skipped)
+
+
+def ref_covariance(rep, elems) -> _RefWorst:
+    cov = _RefWorst()
+    for t in elems:
+        vt = rep.v.matrix(t)
+        for z, w in rep.dual.action.element_map(t).pairs:
+            cov.feed(vt @ rep.phi_mats[z] @ vt.conj().T - rep.phi_mats[w],
+                     f"{pf.word_to_str(rep.group, t)} @ {z}")
+    return cov
+
+
+def ref_perturb_scans(v, rounded, rep, elems) -> dict:
+    """The certificate's entries, witnesses and skipped pairs, recomputed
+    from the rounded family that perturb_to_partial_isometries returned."""
+    group = v.group
+    ident = group.identity
+    elems = elems if ident in elems else [ident] + elems
+    label = partial(pf.word_to_str, group)
+    out = {t: rounded.matrix(t) for t in elems}
+    worst = {k: _RefWorst() for k in ("distance_bound", "selfadjoint", "triple_product")}
+    pi = _RefWorst()
+    for t in elems:
+        if t != ident:
+            worst["distance_bound"].feed(out[t] - v.matrix(t), label(t))
+            pi.feed_value(pf.is_partial_isometry(out[t])[1], label(t))
+    skipped = []
+    for t in elems:
+        ti = group.inverse(t)
+        if ti in out:
+            worst["selfadjoint"].feed(out[t].conj().T - out[ti], label(t))
+        else:
+            skipped.append({"entry": "selfadjoint", "elements": [label(t)]})
+    for s in elems:
+        si = group.inverse(s)
+        for t in elems:
+            st_ = group.multiply(s, t)
+            if si not in out or st_ not in out:
+                skipped.append({"entry": "triple_product", "elements": [label(s), label(t)]})
+            else:
+                worst["triple_product"].feed(out[si] @ out[s] @ out[t] - out[si] @ out[st_],
+                                             f"{label(s)} , {label(t)}")
+    cov = ref_covariance(
+        pf.CovariantRep(rep.dual, rep.phi_mats, rounded), [t for t in elems if t != ident]
+    )
+    report = _ref_report({**worst, "covariance": cov}, skipped)
+    report["entries"]["pi_defect"] = pi.value
+    report["witnesses"]["pi_defect"] = pi.witness
+    return report
+
+
+@st.composite
+def noisy_families(draw):
+    """A standard model with noise, some elements dropped (so pairs are
+    skipped), and optionally one shared matrix for every non-identity
+    element (so many pairs tie exactly)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cyclic", "free"]))
+    if kind == "cyclic":
+        act = random_cyclic_action(rng, draw(st.integers(2, 6)), draw(st.integers(2, 5)))
+        scan = act.group.ball(1)
+    else:
+        act = random_free_action(rng, draw(st.integers(1, 2)), draw(st.integers(2, 5)))
+        scan = act.group.ball(draw(st.integers(1, 2)))
+    sigma = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    drop = draw(st.sampled_from([0.0, 0.3]))
+    tie = draw(st.booleans())
+    rep = pf.std_covariant_rep(act)
+    ident = act.group.identity
+    mats, shared = {}, None
+    for t in scan:
+        if t != ident and rng.random() < drop:
+            continue
+        m = rep.v.matrix(t)
+        if t != ident:
+            if tie and shared is not None:
+                m = shared
+            elif sigma > 0:
+                m = m + sigma * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)) / np.sqrt(2.0)
+            shared = m
+        mats[t] = m
+    return rep, pf.PartialRepFamily(act.group, rep.dim, mats=mats), list(mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(noisy_families())
+def test_defect_scans_match_every_pair_reference(case):
+    rep, fam, elems = case
+    got = pf.partial_rep_defects(fam, elements=elems).to_json()
+    want = ref_partial_rep_defects(fam, elems)
+    assert got["entries"] == dict(sorted(want["entries"].items()))
+    assert got["witnesses"] == dict(sorted(want["witnesses"].items()))
+    assert got["skipped"] == want["skipped"]
+
+    noisy = pf.CovariantRep(rep.dual, rep.phi_mats, fam)
+    cov = pf.covariance_defects(noisy, elements=elems)
+    ref = ref_covariance(noisy, elems)
+    assert (cov.entries, cov.witnesses, cov.skipped) == (
+        {"covariance": ref.value}, {"covariance": ref.witness}, [])
+
+    try:
+        rounded, cert = pf.perturb_to_partial_isometries(fam, 0.12, rep=rep, elements=elems)
+    except pf.PreconditionError:
+        return  # too noisy to round; the scans above were still compared
+    want = ref_perturb_scans(fam, rounded, rep, elems)
+    assert cert.entries == want["entries"]
+    assert cert.witnesses == want["witnesses"]
+    assert cert.skipped == want["skipped"]
+
+
+def test_feed_diff_skips_only_what_cannot_win(monkeypatch):
+    calls = []
+    monkeypatch.setattr(reps, "op_norm", lambda d: calls.append(d) or pf.op_norm(d))
+    labels = []
+    worst = reps._Worst()
+
+    def label():
+        labels.append(1)
+        return "w"
+
+    worst.feed_diff(np.zeros((2, 2)), label)  # exact zero: no SVD
+    assert (calls, labels, worst.value) == ([], [], 0.0)
+    worst.feed_diff(np.eye(2), label)
+    assert (len(calls), len(labels), worst.value) == (1, 1, 1.0)
+    worst.feed_diff(0.5 * np.eye(2), label)  # Frobenius bound below the worst
+    assert len(calls) == 1
+    worst.feed_diff(np.full((2, 2), 0.6), label)  # bound 1.2 could win, norm 1.2 does
+    assert (len(calls), len(labels), worst.value) == (2, 2, pytest.approx(1.2))
+    worst.value = np.inf
+    worst.feed_diff(np.full((2, 2), np.inf), label)  # non-finite: always the SVD
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +471,14 @@ def test_extract_ignores_kernel_block(swap_action):
     assert ext.action.n == 2
     assert ext.multiplicities == (1, 1)
     assert swap_action.same_data(ext.action)
+
+
+def test_extract_follows_v_not_the_declared_map(fixed_point_action):
+    # the declared map of 1 fixes point 0 and leaves point 1 out; v swaps them
+    rep = pf.std_covariant_rep(fixed_point_action)
+    fam = pf.PartialRepFamily(rep.group, 2, mats={0: np.eye(2), 1: e(0, 1) + e(1, 0)})
+    ext = pf.extract_finite_system(pf.CovariantRep(rep.dual, rep.phi_mats, fam))
+    assert ext.action.element_map(1).as_dict() == {0: 1, 1: 0}
 
 
 def test_extract_rejects_non_commuting(swap_action):

@@ -76,7 +76,6 @@ from .crossed import (
     BundleAxiomReport,
     CrossedProductModel,
     Section,
-    algebra_dimension,
     build_model,
     bundle_axiom_report,
     delta_section,

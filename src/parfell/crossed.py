@@ -137,6 +137,13 @@ def expectation(x: Section) -> np.ndarray:
 # matrix model over a finite group
 
 
+def _svd_rank(mat: np.ndarray) -> int:
+    """Singular values above ``max(shape) * eps`` times the largest."""
+    svals = np.linalg.svd(mat, compute_uv=False)
+    cutoff = max(mat.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    return int(np.sum(svals > cutoff))
+
+
 class CrossedProductModel:
     """Faithful matrix model of the section algebra of a finite-group action.
 
@@ -164,11 +171,10 @@ class CrossedProductModel:
             for t in range(m):
                 lam[group.multiply(s, t), t] = 1.0
             self.lams[s] = lam
-        self.basis: list[tuple[int, int]] = []
-        for z in range(action.n):
-            for t in range(m):
-                if z in set(action.support(t)):
-                    self.basis.append((z, t))
+        supports = [set(action.support(t)) for t in range(m)]
+        self.basis: list[tuple[int, int]] = [
+            (z, t) for z in range(action.n) for t in range(m) if z in supports[t]
+        ]
         self._dimension: int | None = None
 
     @property
@@ -201,29 +207,54 @@ class CrossedProductModel:
             if not imgs:
                 self._dimension = 0
             else:
-                flat = np.stack([b.ravel() for b in imgs])
-                svals = np.linalg.svd(flat, compute_uv=False)
-                cutoff = max(flat.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-                self._dimension = int(np.sum(svals > cutoff))
+                self._dimension = _svd_rank(np.stack([b.ravel() for b in imgs]))
         return self._dimension
 
+    def commutator_coordinates(self) -> np.ndarray:
+        """All commutators ``[b_k, b_j]`` of the basis images, exactly.
+
+        Basis image ``(z, t)`` is the monomial ``E_{z,u} (x) lambda_t``: row
+        ``z`` of ``v_t`` must be a single entry equal to 1, in column ``u``.
+        Products of monomials are monomials,
+        ``b_k b_j = [u_k == z_j] E_{z_k,u_j} (x) lambda_{t_k t_j}``, and
+        distinct monomials have disjoint supports and squared Frobenius norm
+        ``|G|``.  So column ``k`` lists the +-1 coefficients of every
+        ``[b_k, b_j]`` on rows keyed by ``(j, z, u', g)``, and the singular
+        values are the dense commutator stack's divided by ``sqrt(|G|)``.
+        """
+        z, u, t = (np.zeros(len(self.basis), dtype=np.int64) for _ in range(3))
+        for i, (zi, ti) in enumerate(self.basis):
+            row = self.rep.v.matrix(ti)[zi]
+            hits = np.flatnonzero(row)
+            if hits.size != 1 or row[hits[0]] != 1:
+                raise PreconditionError(
+                    f"row {zi} of the matrix of {word_to_str(self.group, ti)} is not a matrix unit"
+                )
+            z[i], u[i], t[i] = zi, hits[0], ti
+        d, n, m = len(self.basis), self.action.n, self.group.order
+        table = np.asarray(self.group.table, dtype=np.int64)
+        k, j = (a.ravel() for a in np.indices((d, d)))
+        left = u[k] == z[j]   # b_k b_j = E_{z_k,u_j} (x) lambda_{t_k t_j}
+        right = u[j] == z[k]  # b_j b_k = E_{z_j,u_k} (x) lambda_{t_j t_k}
+        keys = np.concatenate([
+            (((j * n + z[k]) * n + u[j]) * m + table[t[k], t[j]])[left],
+            (((j * n + z[j]) * n + u[k]) * m + table[t[j], t[k]])[right],
+        ])
+        cols = np.concatenate([k[left], k[right]])
+        vals = np.concatenate([np.ones(left.sum()), -np.ones(right.sum())])
+        rows, row_of = np.unique(keys, return_inverse=True)
+        mat = np.zeros((rows.size, d))
+        np.add.at(mat, (row_of, cols), vals)
+        return mat
+
     def center_dimension(self) -> int:
-        """Dimension of the commutant of the image inside the image span."""
-        imgs = self.basis_images()
-        dim = len(imgs)
-        if dim == 0:
-            return 0
-        cols = []
-        for k in range(dim):
-            stacked = np.concatenate(
-                [(imgs[k] @ b - b @ imgs[k]).ravel() for b in imgs]
-            )
-            cols.append(stacked)
-        mat = np.column_stack(cols)
-        svals = np.linalg.svd(mat, compute_uv=False)
-        cutoff = max(mat.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-        rank = int(np.sum(svals > cutoff))
-        return dim - rank
+        """Dimension of the commutant of the image inside the image span.
+
+        The rank of the commutator map ``x -> ([x, b_j])_j`` on the span,
+        taken from its exact monomial coordinates
+        (``commutator_coordinates``) without forming any model matrix.
+        """
+        return len(self.basis) - _svd_rank(self.commutator_coordinates())
 
 
 def build_model(action: FinitePartialAction) -> CrossedProductModel:
@@ -240,10 +271,6 @@ def build_model(action: FinitePartialAction) -> CrossedProductModel:
 def reduced_norm(model: CrossedProductModel, x: Section) -> float:
     """Operator norm of the section's faithful matrix image."""
     return op_norm(model.image(x))
-
-
-def algebra_dimension(model: CrossedProductModel) -> int:
-    return model.dimension()
 
 
 # ---------------------------------------------------------------------------

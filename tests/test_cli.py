@@ -198,6 +198,7 @@ GOLDEN_ARGS = {
     "defects": ["--noise", "0.01", "--seed", "3", "--radius", "2"],
     "perturb": ["--eta", "0.1", "--noise", "0.003", "--radius", "2"],
     "bundle-axioms": ["--radius", "2"],
+    "crossed-product": ["--radius", "2"],
 }
 
 

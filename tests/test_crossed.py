@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parfell as pf
 from conftest import random_cyclic_action
@@ -99,7 +100,6 @@ def test_swap_model_dimensions(swap_action):
 def test_fixed_point_model_dimension(fixed_point_action):
     model = pf.build_model(fixed_point_action)
     assert model.dimension() == 3
-    assert pf.algebra_dimension(model) == 3
 
 
 def test_random_model_dimension_formula():
@@ -107,6 +107,137 @@ def test_random_model_dimension_formula():
         model = pf.build_model(act)
         expected = sum(len(act.support(t)) for t in range(act.group.order))
         assert model.dimension() == expected
+
+
+def dense_center(model):
+    """The dense commutator-stack centre: (dimension, nonzero singular values)."""
+    imgs = model.basis_images()
+    dim = len(imgs)
+    if dim == 0:
+        return 0, np.zeros(0)
+    cols = []
+    for k in range(dim):
+        stacked = np.concatenate(
+            [(imgs[k] @ b - b @ imgs[k]).ravel() for b in imgs]
+        )
+        cols.append(stacked)
+    mat = np.column_stack(cols)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    cutoff = max(mat.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    rank = int(np.sum(svals > cutoff))
+    return dim - rank, svals[:rank]
+
+
+MODEL_GROUPS = [pf.cyclic_group(m) for m in range(2, 7)] + [pf.symmetric_group(3)]
+
+
+@st.composite
+def partial_injection_systems(draw):
+    """Any partial injection per group element; not necessarily a partial action."""
+    group = draw(st.sampled_from(MODEL_GROUPS))
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["random", "empty", "identity-only"]))
+    maps = {}
+    for t in range(group.order):
+        if kind == "random" or (kind == "identity-only" and t == 0):
+            sources = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if n else []
+            targets = sources if t == 0 and kind == "identity-only" else draw(st.permutations(range(n)))
+            maps[t] = dict(zip(sources, targets))
+        else:
+            maps[t] = {}
+    return pf.FinitePartialAction(group, n, maps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(partial_injection_systems())
+def test_center_dimension_matches_dense_commutator_stack(act):
+    model = pf.build_model(act)
+    center, dense_svals = dense_center(model)
+    assert model.center_dimension() == center
+    if not model.basis:
+        return
+    mat = model.commutator_coordinates()
+    svals = np.linalg.svd(mat, compute_uv=False)
+    cutoff = max(mat.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    nonzero = svals[svals > cutoff]
+    assert nonzero.shape == dense_svals.shape
+    assert np.allclose(nonzero, dense_svals / np.sqrt(act.group.order), rtol=1e-9, atol=0.0)
+
+
+def test_center_dimension_rejects_non_unit_rows():
+    # two points sent to one: row 0 of v_1 holds two entries
+    act = pf.FinitePartialAction(pf.cyclic_group(2), 2, {0: {0: 0, 1: 1}, 1: {0: 0, 1: 0}})
+    with pytest.raises(pf.PreconditionError):
+        pf.CrossedProductModel(act).center_dimension()
+
+
+def _subgroup(group, gens):
+    sub = {group.identity}
+    frontier = list(sub)
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = group.multiply(a, g)
+            if b not in sub:
+                sub.add(b)
+                frontier.append(b)
+    return sub
+
+
+def _coset_action(group, sub):
+    """Left translation on the left cosets of ``sub``, one permutation per element."""
+    cosets = []
+    for a in range(group.order):
+        coset = frozenset(group.multiply(a, h) for h in sub)
+        if coset not in cosets:
+            cosets.append(coset)
+    index = {c: i for i, c in enumerate(cosets)}
+    return {
+        g: [index[frozenset(group.multiply(g, x) for x in c)] for c in cosets]
+        for g in range(group.order)
+    }
+
+
+def random_restricted_action(rng, group):
+    """A global action as a disjoint union of coset actions, restricted to a subset."""
+    global_maps = {g: [] for g in range(group.order)}
+    for _ in range(int(rng.integers(1, 4))):
+        gens = [int(g) for g in rng.integers(group.order, size=int(rng.integers(0, 3)))]
+        offset = len(global_maps[0])
+        for g, perm in _coset_action(group, _subgroup(group, gens)).items():
+            global_maps[g].extend(offset + p for p in perm)
+    n_global = len(global_maps[0])
+    k = int(rng.integers(1, n_global + 1))
+    return pf.restriction_action(group, global_maps, rng.choice(n_global, size=k, replace=False))
+
+
+def groupoid_center_dimension(act):
+    """Sum over orbits of the number of conjugacy classes of the isotropy group."""
+    group = act.group
+    maps = [act.element_map(g).as_dict() for g in range(group.order)]
+    orbits = {}
+    for x in range(act.n):
+        orbit = frozenset(m[x] for m in maps if x in m)
+        orbits.setdefault(orbit, x)
+    total = 0
+    for x in orbits.values():
+        iso = [g for g in range(group.order) if maps[g].get(x) == x]
+        classes = {
+            frozenset(group.multiply(group.multiply(h, g), group.inverse(h)) for h in iso)
+            for g in iso
+        }
+        total += len(classes)
+    return total
+
+
+def test_model_dimensions_match_groupoid_formulas():
+    rng = np.random.default_rng(53)
+    for i in range(42):
+        act = random_restricted_action(rng, MODEL_GROUPS[i % len(MODEL_GROUPS)])
+        assert pf.validate(act).ok
+        model = pf.build_model(act)
+        assert model.dimension() == sum(len(act.support(t)) for t in range(act.group.order))
+        assert model.center_dimension() == groupoid_center_dimension(act)
 
 
 def test_model_is_homomorphism_and_star():

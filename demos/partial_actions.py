@@ -47,7 +47,7 @@ def main() -> None:
 
     # The dual system acts on functions over the points; fibers multiply
     # by pull-multiply-push and the star reverses the arrow.
-    dual = pf.dualize(swap)
+    dual = pf.DualSystem(swap)
     x = np.array([1.0 + 2.0j, 3.0])
     y = np.array([3.0, 4.0])
     coeff, at = dual.mul_fiber((x, 1), (y, 1))

@@ -15,18 +15,13 @@ from .groups import (
     GroupSpec,
     MalformedDataError,
     UndeclaredElementError,
-    ball,
     cyclic_group,
     direct_product,
     group_from_json,
     group_to_json,
-    hom_apply,
     hom_from_json,
     hom_to_json,
-    identity,
-    inverse,
-    multiply,
-    reduce_word,
+    scan_elements,
     symmetric_group,
     trivial_group,
     word_from_str,
@@ -42,8 +37,6 @@ from .actions import (
     action_from_json,
     action_to_json,
     check_equivariance,
-    dualize,
-    element_map,
     restriction_action,
     validate,
 )

@@ -22,6 +22,7 @@ from .groups import (
     UndeclaredElementError,
     group_from_json,
     group_to_json,
+    scan_elements,
     word_key,
     word_from_str,
     word_to_str,
@@ -177,10 +178,6 @@ class FinitePartialAction:
         return all(self.element_map(t) == other.element_map(t) for t in elements)
 
 
-def element_map(action: FinitePartialAction, g) -> PartialMap:
-    return action.element_map(g)
-
-
 def restriction_action(
     group: GroupSpec,
     global_maps: Mapping[object, Sequence[int]],
@@ -240,14 +237,6 @@ class ValidationReport:
             "elements_checked": self.elements_checked,
             "pairs_checked": self.pairs_checked,
         }
-
-
-def _checkset(action: FinitePartialAction, radius: int) -> list:
-    if isinstance(action.group, FiniteGroup):
-        return action.group.ball(1)
-    if radius < 1:
-        raise MalformedDataError("free-group validation needs radius >= 1")
-    return action.group.ball(radius)
 
 
 def validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> ValidationReport:
@@ -312,7 +301,7 @@ def validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> Valid
     if structural:
         return ValidationReport(False, structural, axiom, len(action.declared_elements()), 0)
 
-    elems = _checkset(action, radius)
+    elems = scan_elements(group, radius)
     maps = {}
     for t in elems:
         try:
@@ -430,10 +419,6 @@ class DualSystem:
         return (self.apply(si, np.conjugate(np.asarray(a, dtype=np.complex128))), si)
 
 
-def dualize(action: FinitePartialAction) -> DualSystem:
-    return DualSystem(action)
-
-
 # ---------------------------------------------------------------------------
 # equivariant maps
 
@@ -491,7 +476,7 @@ def check_equivariance(
     metric when one is supplied, else count 1 per failure.
     """
     src, tgt, rho = emap.source, emap.target, emap.rho
-    elems = _checkset(src, radius)
+    elems = scan_elements(src.group, radius)
     violations: list[dict] = []
     max_defect = 0.0
     points_checked = 0

@@ -229,7 +229,20 @@ class QuotientApprox:
         return x
 
 
+# QuotientApprox enumerates 2^(order-1) configurations, so larger quotients
+# cannot finish.
+MAX_QUOTIENT_ORDER = 16
+
+
+def _check_max_order(max_order: int) -> None:
+    if max_order > MAX_QUOTIENT_ORDER:
+        raise MalformedDataError(
+            f"max order {max_order} exceeds the supported {MAX_QUOTIENT_ORDER}"
+        )
+
+
 def quotient_approximation(window: BernoulliWindow, hom: GroupHom, max_order: int = 16) -> QuotientApprox:
+    _check_max_order(max_order)
     if hom.target.order > max_order:
         raise MalformedDataError(
             f"quotient order {hom.target.order} exceeds the supported {max_order}"
@@ -385,8 +398,10 @@ def certify_rfd(
     Picks the window depth with tail weight below ``delta``, finds (or
     checks) a homomorphism separating the window coordinates, verifies
     strict equivariance exactly, and enumerates every window point's density
-    witness.  Raises ``CertificationError`` when no homomorphism works.
+    witness.  Raises ``CertificationError`` when no homomorphism works and
+    ``MalformedDataError`` when ``max_order`` exceeds ``MAX_QUOTIENT_ORDER``.
     """
+    _check_max_order(max_order)
     depth = _required_depth(delta)
     window = BernoulliWindow.build(group, depth)
     chosen: GroupHom | None = None

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .actions import FinitePartialAction, action_from_json, dualize, validate
+from .actions import DualSystem, FinitePartialAction, action_from_json, validate
 from .bernoulli import (
+    MAX_QUOTIENT_ORDER,
     BernoulliWindow,
     CertificationError,
     CylinderFunction,
@@ -32,7 +33,6 @@ from .bernoulli import (
 )
 from .crossed import build_model, bundle_axiom_report
 from .groups import (
-    FiniteGroup,
     FreeGroup,
     GroupSpec,
     MalformedDataError,
@@ -40,9 +40,10 @@ from .groups import (
     cyclic_group,
     group_from_json,
     hom_from_json,
+    scan_elements,
     trivial_group,
 )
-from .matrices import PreconditionError
+from .matrices import AXIOM_TOL, EXACT_TOL, NORM_TOL, PI_TOL, PreconditionError
 from .reps import (
     CovariantRep,
     PartialRepFamily,
@@ -53,10 +54,10 @@ from .reps import (
 )
 
 DEFAULT_TOLERANCES = {
-    "axiom_tol": 1e-9,
-    "exact_tol": 1e-12,
-    "norm_tol": 1e-8,
-    "pi_tol": 1e-10,
+    "axiom_tol": AXIOM_TOL,
+    "exact_tol": EXACT_TOL,
+    "norm_tol": NORM_TOL,
+    "pi_tol": PI_TOL,
 }
 
 # decision tolerance drawn from the set above, per subcommand
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hom", default=None,
                    help="homomorphism JSON file (searched when omitted)")
     p.add_argument("--max-order", type=int, default=16,
-                   help="largest quotient order considered")
+                   help=f"largest quotient order considered, at most {MAX_QUOTIENT_ORDER}")
 
     p = sub.add_parser("measure", parents=[common],
                        help="averaging state values and invariance defects")
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hom", default=None,
                    help="homomorphism JSON file (searched when omitted)")
     p.add_argument("--max-order", type=int, default=16,
-                   help="largest quotient order considered")
+                   help=f"largest quotient order considered, at most {MAX_QUOTIENT_ORDER}")
 
     p = sub.add_parser("bundle-axioms", parents=[common],
                        help="randomized fiber-arithmetic axiom checks")
@@ -181,14 +182,6 @@ def _parse_group(spec: str) -> GroupSpec:
     if spec == "trivial":
         return trivial_group()
     return group_from_json(_load_json(spec))
-
-
-def _scan_elements(group: GroupSpec, radius: int) -> list:
-    if isinstance(group, FiniteGroup):
-        return group.ball(1)
-    if radius < 1:
-        raise MalformedDataError("free-group scans need --radius >= 1")
-    return group.ball(radius)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -257,7 +250,7 @@ def _run_covariant_rep(args, seed, tol):
     if not vr.ok:
         raise MalformedDataError("action fails validation; run validate-action")
     rep = std_covariant_rep(action)
-    elems = _scan_elements(action.group, args.radius)
+    elems = scan_elements(action.group, args.radius)
     rel = partial_rep_defects(rep.v, elements=elems)
     cov = covariance_defects(rep, elements=elems)
     report = {
@@ -274,7 +267,7 @@ def _run_defects(args, seed, tol):
     inputs = {args.action: _sha256(args.action)}
     action = _load_action(args.action)
     rep = std_covariant_rep(action)
-    elems = _scan_elements(action.group, args.radius)
+    elems = scan_elements(action.group, args.radius)
     family = _noised_family(rep, elems, args.noise, seed)
     noisy = CovariantRep(rep.dual, rep.phi_mats, family)
     rel = partial_rep_defects(family, elements=elems)
@@ -292,7 +285,7 @@ def _run_perturb(args, seed, tol):
     inputs = {args.action: _sha256(args.action)}
     action = _load_action(args.action)
     rep = std_covariant_rep(action)
-    elems = _scan_elements(action.group, args.radius)
+    elems = scan_elements(action.group, args.radius)
     family = _noised_family(rep, elems, args.noise, seed)
     rounded, cert = perturb_to_partial_isometries(
         family, args.eta, rep=rep, elements=elems
@@ -363,8 +356,8 @@ def _run_measure(args, seed, tol):
 def _run_bundle_axioms(args, seed, tol):
     inputs = {args.action: _sha256(args.action)}
     action = _load_action(args.action)
-    dual = dualize(action)
-    elems = _scan_elements(action.group, args.radius)
+    dual = DualSystem(action)
+    elems = scan_elements(action.group, args.radius)
     report = bundle_axiom_report(
         dual, trials=args.trials, seed=seed, tol=tol, elements=elems
     )

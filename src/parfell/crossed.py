@@ -30,7 +30,6 @@ from .groups import (
 from .matrices import AXIOM_TOL, PreconditionError, op_norm
 from .reps import CovariantRep, DefectReport, _Worst, std_covariant_rep
 
-NORM_TOL = 1e-8
 MAX_MODEL_ORDER = 64
 MAX_MODEL_SIZE = 512  # n * m guard for dense model matrices
 

@@ -194,26 +194,17 @@ class FiniteGroup:
 GroupSpec = Union[FreeGroup, FiniteGroup]
 
 
-def identity(spec: GroupSpec):
-    return spec.identity
+def scan_elements(group: GroupSpec, radius: int) -> list:
+    """Elements every scan covers, in canonical order.
 
-
-def multiply(spec: GroupSpec, g, h):
-    return spec.multiply(g, h)
-
-
-def inverse(spec: GroupSpec, g):
-    return spec.inverse(g)
-
-
-def reduce_word(spec: FreeGroup, word: Sequence[int]) -> Word:
-    if not isinstance(spec, FreeGroup):
-        raise MalformedDataError("reduce_word applies to free groups")
-    return spec.reduce_word(word)
-
-
-def ball(spec: GroupSpec, radius: int):
-    return spec.ball(radius)
+    A finite group is scanned whole whatever the radius; a free group over
+    its word ball of the given radius, which must be at least 1.
+    """
+    if isinstance(group, FiniteGroup):
+        return list(range(group.order))
+    if radius < 1:
+        raise MalformedDataError("free-group scans need radius >= 1")
+    return group.ball(radius)
 
 
 @dataclass(frozen=True)
@@ -257,10 +248,6 @@ class GroupHom:
                 out = self.target.multiply(out, x)
             return out
         return self.images[self.source.check_element(g)]
-
-
-def hom_apply(hom: GroupHom, g):
-    return hom.apply(g)
 
 
 # ---------------------------------------------------------------------------

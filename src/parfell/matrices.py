@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# The package's named tolerances, each defined only here.
 AXIOM_TOL = 1e-9
 SPECTRAL_TOL = 1e-9
 EXACT_TOL = 1e-12
 GAP_TOL = 1e-6
+NORM_TOL = 1e-8
+PI_TOL = 1e-10
 
 
 class PreconditionError(ValueError):

@@ -21,7 +21,6 @@ from .actions import (
     DualSystem,
     FinitePartialAction,
     PartialMap,
-    dualize,
     validate,
 )
 from .groups import (
@@ -36,6 +35,7 @@ from .groups import (
 from .matrices import (
     AXIOM_TOL,
     EXACT_TOL,
+    PI_TOL,
     PreconditionError,
     corner_inv_sqrt,
     herm_eig,
@@ -43,8 +43,6 @@ from .matrices import (
     nearest_projection,
     op_norm,
 )
-
-PI_TOL = 1e-10
 
 
 class PartialRepFamily:
@@ -154,7 +152,7 @@ def std_covariant_rep(action: FinitePartialAction) -> CovariantRep:
         return m
 
     v = PartialRepFamily(action.group, d, rule=rule)
-    return CovariantRep(dualize(action), phi, v)
+    return CovariantRep(DualSystem(action), phi, v)
 
 
 # ---------------------------------------------------------------------------

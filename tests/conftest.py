@@ -77,12 +77,6 @@ def random_valid_action(rng: np.random.Generator, max_points: int = 8) -> pf.Fin
     return random_free_action(rng, par, n_global)
 
 
-def scan_elements(action: pf.FinitePartialAction, radius: int = 3) -> list:
-    if isinstance(action.group, pf.FiniteGroup):
-        return action.group.ball(1)
-    return action.group.ball(radius)
-
-
 @pytest.fixture
 def swap_action() -> pf.FinitePartialAction:
     return pf.FinitePartialAction(pf.cyclic_group(2), 2, {1: {0: 1, 1: 0}})

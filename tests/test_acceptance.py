@@ -10,7 +10,7 @@ import numpy as np
 
 import parfell as pf
 from parfell.cli import main
-from conftest import random_cyclic_action, random_valid_action, scan_elements
+from conftest import random_cyclic_action, random_valid_action
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -36,7 +36,7 @@ def test_criterion_1_exact_covariant_representations():
     for _ in range(200):
         act = random_valid_action(rng, max_points=8)
         rep = pf.std_covariant_rep(act)
-        elems = scan_elements(act, radius=3)
+        elems = pf.scan_elements(act.group, 3)
         rel = pf.partial_rep_defects(rep.v, elements=elems)
         cov = pf.covariance_defects(rep, elements=elems)
         assert rel.skipped == [] and cov.skipped == []
@@ -71,7 +71,7 @@ def test_criterion_2_perturbation_bounds():
         for _ in range(1000):
             act = random_valid_action(rng, max_points=8)
             rep = pf.std_covariant_rep(act)
-            elems = scan_elements(act, radius=2)
+            elems = pf.scan_elements(act.group, 2)
             fam = _noisy_family(rep, elems, eta, rng)
             rounded, cert = pf.perturb_to_partial_isometries(
                 fam, eta, rep=rep, elements=elems
@@ -174,14 +174,14 @@ def test_criterion_5_fell_bundle_axioms():
         random_cyclic_action(rng, 4, 6),
         random_cyclic_action(rng, 6, 5),
     ):
-        report = pf.bundle_axiom_report(pf.dualize(act), trials=500, seed=11, tol=1e-9)
+        report = pf.bundle_axiom_report(pf.DualSystem(act), trials=500, seed=11, tol=1e-9)
         all_ok = all_ok and report.ok and report.checks == 2000
 
     cycle = {0: 1, 1: 2, 2: 3, 3: 0}
     sq = {0: 2, 1: 3, 2: 0, 3: 1}
     # eta_3 deliberately repeats the forward cycle instead of inverting it
     bad = pf.FinitePartialAction(pf.cyclic_group(4), 4, {1: cycle, 2: sq, 3: dict(cycle)})
-    corrupted = pf.bundle_axiom_report(pf.dualize(bad), trials=200, seed=11, tol=1e-9)
+    corrupted = pf.bundle_axiom_report(pf.DualSystem(bad), trials=200, seed=11, tol=1e-9)
     witnessed = not corrupted.ok and len(corrupted.violations) > 0
     ok = all_ok and witnessed
     _line(5, ok, f"valid systems pass, corrupted yields {len(corrupted.violations)} witnesses")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from conftest import random_valid_action, random_free_action, scan_elements
+from conftest import random_valid_action, random_free_action
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +203,12 @@ def test_report_json_shape(swap_action):
 
 
 def test_dual_projection_and_apply(swap_action, fixed_point_action):
-    dual = pf.dualize(swap_action)
+    dual = pf.DualSystem(swap_action)
     assert np.array_equal(dual.projection(1), np.array([1, 1], dtype=complex))
     out = dual.apply(1, np.array([3.0, 4.0]))
     assert np.array_equal(out, np.array([4, 3], dtype=complex))
 
-    dualf = pf.dualize(fixed_point_action)
+    dualf = pf.DualSystem(fixed_point_action)
     assert np.array_equal(dualf.projection(1), np.array([1, 0], dtype=complex))
     # values off the domain are dropped by the implicit restriction
     out = dualf.apply(1, np.array([3.0, 4.0]))
@@ -216,7 +216,7 @@ def test_dual_projection_and_apply(swap_action, fixed_point_action):
 
 
 def test_dual_fiber_arithmetic(swap_action):
-    dual = pf.dualize(swap_action)
+    dual = pf.DualSystem(swap_action)
     a = np.array([1.0, 2.0], dtype=complex)
     b = np.array([3.0, 4.0], dtype=complex)
     prod, elem = dual.mul_fiber((a, 1), (b, 1))
@@ -233,8 +233,8 @@ def test_dual_star_is_involution():
     rng = np.random.default_rng(5)
     for _ in range(20):
         act = random_valid_action(rng)
-        dual = pf.dualize(act)
-        for t in scan_elements(act, radius=2):
+        dual = pf.DualSystem(act)
+        for t in pf.scan_elements(act.group, 2):
             a = np.zeros(act.n, dtype=complex)
             sup = list(act.support(t))
             if sup:

@@ -161,6 +161,18 @@ def test_bernoulli_certify_budget_failure(capsys):
     assert "error" in env
 
 
+@pytest.mark.parametrize("command", ["bernoulli certify", "measure"], ids=["certify", "measure"])
+def test_max_order_above_limit_exits_two(capsys, command):
+    # depth 100 would otherwise pick a quotient of order 110 and enumerate
+    # 2^109 configurations
+    code, env, _ = run(
+        capsys,
+        [*command.split(), "--group", "free:1", "--delta", "1e-30", "--max-order", "200"],
+    )
+    assert code == 2
+    assert env["error"] == "MalformedDataError: max order 200 exceeds the supported 16"
+
+
 def test_measure_report(capsys):
     code, env, _ = run(capsys, ["measure", "--group", "free:1", "--delta", "0.2"])
     assert code == 0
@@ -211,6 +223,18 @@ def test_reports_match_golden(capsys, monkeypatch, stem, command):
     monkeypatch.delenv("PARFELL_SEED", raising=False)
     _, _, text = run(capsys, [command, f"{stem}.json", *GOLDEN_ARGS[command]])
     assert text == (DATA / "golden" / f"{stem}.{command}.json").read_text(encoding="utf-8")
+
+
+def test_radius_zero_error_is_shared(capsys, monkeypatch):
+    """Every free-group scan rejects radius 0 with one message."""
+    monkeypatch.chdir(DATA)
+    errors = set()
+    for command, *extra in (["validate-action"], ["covariant-rep"], ["defects"],
+                            ["perturb", "--eta", "0.1"], ["bundle-axioms"]):
+        code, env, _ = run(capsys, [command, "free2.json", *extra, "--radius", "0"])
+        assert code == 2
+        errors.add(env["error"])
+    assert errors == {"MalformedDataError: free-group scans need radius >= 1"}
 
 
 def test_json_out_matches_stdout(capsys, swap_file, tmp_path):

@@ -36,7 +36,7 @@ def finite_systems(seed, count, max_points=6):
 
 
 def test_section_support_enforced(fixed_point_action):
-    dual = pf.dualize(fixed_point_action)
+    dual = pf.DualSystem(fixed_point_action)
     with pytest.raises(pf.MalformedDataError):
         pf.Section.build(dual, {1: [0.0, 1.0]})
     ok = pf.Section.build(dual, {1: [1.0, 0.0]})
@@ -59,7 +59,7 @@ def test_section_wrong_length_rejected():
 
 
 def test_delta_section_swap(swap_action):
-    dual = pf.dualize(swap_action)
+    dual = pf.DualSystem(swap_action)
     x = pf.delta_section(dual, 0, 1)
     assert np.array_equal(x.coeff(1), np.array([1, 0], dtype=complex))
     # (delta_0 d_1)(delta_0 d_1) moves the point before multiplying
@@ -71,7 +71,7 @@ def test_delta_section_swap(swap_action):
 
 
 def test_section_star_involution(swap_action):
-    dual = pf.dualize(swap_action)
+    dual = pf.DualSystem(swap_action)
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = random_section(dual, rng)
@@ -81,7 +81,7 @@ def test_section_star_involution(swap_action):
 
 
 def test_expectation_reads_identity_coefficient(swap_action):
-    dual = pf.dualize(swap_action)
+    dual = pf.DualSystem(swap_action)
     x = pf.Section.build(dual, {0: [2.0, 3.0], 1: [1.0, 1.0]})
     assert np.array_equal(pf.expectation(x), np.array([2, 3], dtype=complex))
 
@@ -258,7 +258,7 @@ def test_model_is_homomorphism_and_star():
 def test_product_supports_stay_legal():
     rng = np.random.default_rng(17)
     for act in finite_systems(seed=19, count=5):
-        dual = pf.dualize(act)
+        dual = pf.DualSystem(act)
         x = random_section(dual, rng)
         y = random_section(dual, rng)
         prod = pf.section_mul(x, y, dual)
@@ -281,7 +281,7 @@ def test_cstar_identity_of_reduced_norm():
 def test_expectation_positive_and_faithful():
     rng = np.random.default_rng(31)
     for act in finite_systems(seed=37, count=5):
-        dual = pf.dualize(act)
+        dual = pf.DualSystem(act)
         model = pf.build_model(act)
         for _ in range(20):
             x = random_section(dual, rng)
@@ -312,7 +312,7 @@ def test_model_guards():
 def test_free_word_length_cap():
     f1 = pf.FreeGroup(rank=1)
     act = pf.FinitePartialAction(f1, 3, {(1,): {0: 1, 1: 2}})
-    dual = pf.dualize(act)
+    dual = pf.DualSystem(act)
     x = pf.delta_section(dual, 1, (1,))
     pf.section_mul(x, x, dual)  # uncapped products compose fine
     with pytest.raises(pf.UndeclaredElementError):
@@ -325,7 +325,7 @@ def test_free_word_length_cap():
 
 def test_bundle_axioms_pass_on_valid_systems():
     for act in finite_systems(seed=41, count=4):
-        report = pf.bundle_axiom_report(pf.dualize(act), trials=100, seed=1)
+        report = pf.bundle_axiom_report(pf.DualSystem(act), trials=100, seed=1)
         assert report.ok, report.violations
         assert report.checks == 400
 
@@ -337,7 +337,7 @@ def test_bundle_axioms_pass_free_group():
     )
     assert pf.validate(act, radius=2).ok
     report = pf.bundle_axiom_report(
-        pf.dualize(act), trials=100, seed=2, elements=f2.ball(2)
+        pf.DualSystem(act), trials=100, seed=2, elements=f2.ball(2)
     )
     assert report.ok, report.violations
 
@@ -349,7 +349,7 @@ def test_bundle_axioms_catch_corruption():
     # eta_3 deliberately repeats the forward cycle instead of inverting it
     act = pf.FinitePartialAction(g, 4, {1: cycle, 2: sq, 3: dict(cycle)})
     assert not pf.validate(act).ok
-    report = pf.bundle_axiom_report(pf.dualize(act), trials=200, seed=0)
+    report = pf.bundle_axiom_report(pf.DualSystem(act), trials=200, seed=0)
     assert not report.ok
     assert report.violations
     kinds = {v["axiom"] for v in report.violations}
@@ -374,7 +374,7 @@ def test_mf_defect_report_exact(swap_action):
 
 
 def test_mf_defect_report_missing_fiber(swap_action):
-    dual = pf.dualize(swap_action)
+    dual = pf.DualSystem(swap_action)
     fam = {0: np.zeros((2, 2, 2), dtype=complex)}
     with pytest.raises(pf.UndeclaredElementError):
         pf.mf_defect_report(fam, [(1, np.array([1.0, 1.0]))], dual)
@@ -385,7 +385,7 @@ def test_mf_defect_report_missing_fiber(swap_action):
 
 
 def test_section_json_roundtrip(swap_action):
-    dual = pf.dualize(swap_action)
+    dual = pf.DualSystem(swap_action)
     rng = np.random.default_rng(47)
     x = random_section(dual, rng)
     data = json.loads(json.dumps(pf.section_to_json(x)))

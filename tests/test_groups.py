@@ -17,7 +17,7 @@ from parfell import (
     direct_product,
     group_from_json,
     group_to_json,
-    hom_apply,
+    scan_elements,
     symmetric_group,
     word_from_str,
     word_to_str,
@@ -144,6 +144,17 @@ def test_finite_ball():
     assert z4.ball(5) == [0, 1, 2, 3]
 
 
+def test_scan_elements():
+    s3 = symmetric_group(3)
+    for radius in (0, 1, 3):
+        assert scan_elements(s3, radius) == list(range(6))
+    words = scan_elements(FreeGroup(2), 2)
+    assert len(words) == 17
+    assert words == oracle_ball(2, 2)
+    with pytest.raises(MalformedDataError, match="radius >= 1"):
+        scan_elements(FreeGroup(2), 0)
+
+
 def test_bad_tables_rejected():
     with pytest.raises(MalformedDataError):
         FiniteGroup(((0, 1), (1, 1)))  # not a bijection row
@@ -186,9 +197,9 @@ def test_direct_product():
 def test_hom_free_to_cyclic():
     z4 = cyclic_group(4)
     hom = GroupHom(source=FreeGroup(1), target=z4, images=(1,))
-    assert hom_apply(hom, (1, 1, 1)) == 3
-    assert hom_apply(hom, ()) == 0
-    assert hom_apply(hom, (-1,)) == 3
+    assert hom.apply((1, 1, 1)) == 3
+    assert hom.apply(()) == 0
+    assert hom.apply((-1,)) == 3
 
 
 def test_hom_free_rank2_to_s3():
@@ -196,14 +207,14 @@ def test_hom_free_rank2_to_s3():
     swap01 = s3.labels.index("102")
     cycle = s3.labels.index("120")
     hom = GroupHom(source=FreeGroup(2), target=s3, images=(swap01, cycle))
-    assert hom_apply(hom, (1, 2)) == s3.multiply(swap01, cycle)
-    assert hom_apply(hom, (2, 2, 2)) == 0
+    assert hom.apply((1, 2)) == s3.multiply(swap01, cycle)
+    assert hom.apply((2, 2, 2)) == 0
 
 
 def test_hom_finite_checked():
     z2, z4 = cyclic_group(2), cyclic_group(4)
     hom = GroupHom(source=z2, target=z4, images=(0, 2))
-    assert hom_apply(hom, 1) == 2
+    assert hom.apply(1) == 2
     with pytest.raises(MalformedDataError):
         GroupHom(source=z2, target=z4, images=(0, 1))  # 1+1 != 2 in images
 
@@ -216,7 +227,7 @@ def test_hom_respects_words(w):
     total = 0
     for s in w:
         total += (1 if abs(s) == 1 else 2) * (1 if s > 0 else -1)
-    assert hom_apply(hom, f2.reduce_word(w)) == total % 4
+    assert hom.apply(f2.reduce_word(w)) == total % 4
 
 
 # --- serialization ----------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from conftest import random_cyclic_action, random_free_action, random_valid_action, scan_elements
+from conftest import random_cyclic_action, random_free_action, random_valid_action
 from parfell import reps
 
 
@@ -42,7 +42,7 @@ def test_std_rep_exact_relations_random():
     for _ in range(30):
         act = random_valid_action(rng)
         rep = pf.std_covariant_rep(act)
-        elems = scan_elements(act, radius=3)
+        elems = pf.scan_elements(act.group, 3)
         rel = pf.partial_rep_defects(rep.v, elements=elems)
         cov = pf.covariance_defects(rep, elements=elems)
         assert rel.max_defect() <= 1e-12, rel.to_json()
@@ -337,7 +337,7 @@ def test_perturb_randomized_bounds():
     for _ in range(50):
         act = random_valid_action(rng)
         rep = pf.std_covariant_rep(act)
-        elems = scan_elements(act, radius=2)
+        elems = pf.scan_elements(act.group, 2)
         mats = {}
         for t in elems:
             m = rep.v.matrix(t).copy()
@@ -411,7 +411,7 @@ def test_symmetrize_idempotent(swap_action):
 def test_symmetrize_requires_inverse_closed():
     f1 = pf.FreeGroup(rank=1)
     act = pf.FinitePartialAction(f1, 2, {(1,): {0: 1, 1: 0}})
-    dual = pf.dualize(act)
+    dual = pf.DualSystem(act)
     fam = {(1,): np.zeros((2, 2, 2), dtype=complex)}
     with pytest.raises(pf.MalformedDataError):
         pf.symmetrize(fam, dual)
@@ -427,7 +427,7 @@ def test_bundle_round_trip(swap_action):
 
 
 def test_bundle_rep_needs_identity_fiber(swap_action):
-    dual = pf.dualize(swap_action)
+    dual = pf.DualSystem(swap_action)
     with pytest.raises(pf.MalformedDataError):
         pf.bundle_rep_to_covariant({1: np.zeros((2, 2, 2))}, dual)
 
@@ -466,7 +466,7 @@ def test_extract_ignores_kernel_block(swap_action):
     v1 = np.zeros((3, 3), dtype=complex)
     v1[0, 1] = v1[1, 0] = 1.0
     fam = pf.PartialRepFamily(swap_action.group, 3, mats={0: np.eye(3), 1: v1})
-    rep = pf.CovariantRep(pf.dualize(swap_action), phi, fam)
+    rep = pf.CovariantRep(pf.DualSystem(swap_action), phi, fam)
     ext = pf.extract_finite_system(rep)
     assert ext.action.n == 2
     assert ext.multiplicities == (1, 1)
@@ -484,7 +484,7 @@ def test_extract_follows_v_not_the_declared_map(fixed_point_action):
 def test_extract_rejects_non_commuting(swap_action):
     x = e(0, 1) + e(1, 0)
     rep = pf.CovariantRep(
-        pf.dualize(swap_action),
+        pf.DualSystem(swap_action),
         np.stack([e(0, 0), x]),
         pf.PartialRepFamily(swap_action.group, 2, mats={0: np.eye(2), 1: x}),
     )

@@ -9,7 +9,7 @@ declared data (or a rule) supplies exact maps for longer words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np

@@ -17,14 +17,12 @@ from typing import Callable, Iterable, Sequence
 
 from .actions import EquivarianceReport, FinitePartialAction, PartialMap
 from .groups import (
-    FiniteGroup,
     FreeGroup,
     GroupHom,
     GroupSpec,
     MalformedDataError,
     cyclic_group,
     direct_product,
-    group_from_json,
     group_to_json,
     hom_to_json,
     trivial_group,

@@ -10,7 +10,6 @@ model with left-translation permutations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,10 +27,10 @@ from .groups import (
     word_to_str,
 )
 from .matrices import AXIOM_TOL, PreconditionError, op_norm
-from .reps import CovariantRep, DefectReport, _Worst, std_covariant_rep
+from .reps import DefectReport, _Worst, std_covariant_rep
 
 MAX_MODEL_ORDER = 64
-MAX_MODEL_SIZE = 512  # n * m guard for dense model matrices
+MAX_MODEL_SIZE = 512  # n * m guard: bounds image, reduced_norm and commutator_coordinates' d^2 pairs
 
 
 class Section:
@@ -163,51 +162,36 @@ class CrossedProductModel:
         self.rep = std_covariant_rep(action)
         self.dual = self.rep.dual
         self.group = group
-        m = group.order
-        self.lams: dict[int, np.ndarray] = {}
-        for s in range(m):
-            lam = np.zeros((m, m), dtype=np.complex128)
-            for t in range(m):
-                lam[group.multiply(s, t), t] = 1.0
-            self.lams[s] = lam
-        supports = [set(action.support(t)) for t in range(m)]
+        supports = [set(action.support(t)) for t in range(group.order)]
         self.basis: list[tuple[int, int]] = [
-            (z, t) for z in range(action.n) for t in range(m) if z in supports[t]
+            (z, t) for z in range(action.n) for t in range(group.order) if z in supports[t]
         ]
-        self._dimension: int | None = None
 
     @property
     def model_size(self) -> int:
         return self.action.n * self.group.order
 
-    def image_term(self, t, coeff) -> np.ndarray:
-        key = self.group.check_element(t)
-        block = self.rep.phi(coeff) @ self.rep.v.matrix(key)
-        return np.kron(block, self.lams[key])
-
     def image(self, x: Section) -> np.ndarray:
+        m = self.group.order
+        table = np.asarray(self.group.table, dtype=np.int64)
         total = np.zeros((self.model_size, self.model_size), dtype=np.complex128)
         for t, a in x.terms.items():
-            total = total + self.image_term(t, a)
+            key = self.group.check_element(t)
+            lam = np.zeros((m, m), dtype=np.complex128)
+            lam[table[key], np.arange(m)] = 1.0
+            total = total + np.kron(self.rep.phi(a) @ self.rep.v.matrix(key), lam)
         return total
 
-    def basis_images(self) -> list[np.ndarray]:
-        out = []
-        for z, t in self.basis:
-            vec = np.zeros(self.action.n, dtype=np.complex128)
-            vec[z] = 1.0
-            out.append(self.image_term(t, vec))
-        return out
-
     def dimension(self) -> int:
-        """Linear dimension of the image algebra's spanning basis set."""
-        if self._dimension is None:
-            imgs = self.basis_images()
-            if not imgs:
-                self._dimension = 0
-            else:
-                self._dimension = _svd_rank(np.stack([b.ravel() for b in imgs]))
-        return self._dimension
+        """Linear dimension of the image algebra: the basis count.
+
+        Basis image ``(z, t)`` is row ``z`` of ``v_t``, nonzero because ``z``
+        lies in ``V_t``, tensored with ``lambda_t``.  The images have pairwise
+        disjoint supports: for one ``t`` different ``z`` give different rows,
+        and different ``t`` give different ``lambda_t``.  So they are
+        linearly independent.
+        """
+        return len(self.basis)
 
     def commutator_coordinates(self) -> np.ndarray:
         """All commutators ``[b_k, b_j]`` of the basis images, exactly.
@@ -257,12 +241,18 @@ class CrossedProductModel:
 
 
 def build_model(action: FinitePartialAction) -> CrossedProductModel:
-    """Build the matrix model and verify it is faithful by a rank check."""
+    """Build the matrix model and verify it is faithful.
+
+    The basis images are independent (see ``dimension``), so the rank check
+    is a count.  It fails exactly when some element's map is not injective:
+    its ``V_t`` then lists a point twice, and the section count exceeds the
+    basis.
+    """
     model = CrossedProductModel(action)
     expected = sum(len(action.support(t)) for t in range(action.group.order))
-    if len(model.basis) != expected or model.dimension() != expected:
+    if len(model.basis) != expected:
         raise PreconditionError(
-            f"model rank {model.dimension()} differs from the section count {expected}"
+            f"model rank {len(model.basis)} differs from the section count {expected}"
         )
     return model
 

@@ -14,8 +14,8 @@ given by an explicit multiplication table.  Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 

@@ -11,7 +11,7 @@ certified distance bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -20,7 +20,6 @@ import numpy as np
 from .actions import (
     DualSystem,
     FinitePartialAction,
-    PartialMap,
     validate,
 )
 from .groups import (

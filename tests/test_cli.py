@@ -136,6 +136,21 @@ def test_crossed_product_expected_dimension(capsys, swap_file):
     assert env["ok"] is False
 
 
+def test_crossed_product_rejects_non_injective_map(capsys, tmp_path):
+    # element 1 sends both points to 0; written without "domain" fields,
+    # which action_from_json checks against the set of map values
+    data = {
+        "group": {"kind": "finite", "order": 2, "table": [[0, 1], [1, 0]]},
+        "n": 2,
+        "elements": [{"t": "0", "map": {"0": 0, "1": 1}}, {"t": "1", "map": {"0": 0, "1": 0}}],
+    }
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps(data))
+    code, env, _ = run(capsys, ["crossed-product", str(path)])
+    assert code == 2
+    assert env["error"] == "PreconditionError: model rank 3 differs from the section count 4"
+
+
 def test_bernoulli_certify_report(capsys):
     code, env, _ = run(
         capsys, ["bernoulli", "certify", "--group", "free:1", "--delta", "0.2"]

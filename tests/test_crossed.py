@@ -109,9 +109,21 @@ def test_random_model_dimension_formula():
         assert model.dimension() == expected
 
 
+def nonzero_svals(mat):
+    """Singular values above ``max(shape) * eps`` times the largest."""
+    svals = np.linalg.svd(mat, compute_uv=False)
+    cutoff = max(mat.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    return svals[svals > cutoff]
+
+
+def basis_images(model):
+    """The dense model image of every basis section, in basis order."""
+    return [model.image(pf.delta_section(model.dual, z, t)) for z, t in model.basis]
+
+
 def dense_center(model):
     """The dense commutator-stack centre: (dimension, nonzero singular values)."""
-    imgs = model.basis_images()
+    imgs = basis_images(model)
     dim = len(imgs)
     if dim == 0:
         return 0, np.zeros(0)
@@ -121,27 +133,33 @@ def dense_center(model):
             [(imgs[k] @ b - b @ imgs[k]).ravel() for b in imgs]
         )
         cols.append(stacked)
-    mat = np.column_stack(cols)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    cutoff = max(mat.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > cutoff))
-    return dim - rank, svals[:rank]
+    nonzero = nonzero_svals(np.column_stack(cols))
+    return dim - nonzero.size, nonzero
 
 
 MODEL_GROUPS = [pf.cyclic_group(m) for m in range(2, 7)] + [pf.symmetric_group(3)]
+INJECTIVE_KINDS = ("random", "empty", "identity-only")
 
 
 @st.composite
-def partial_injection_systems(draw):
-    """Any partial injection per group element; not necessarily a partial action."""
+def partial_injection_systems(draw, kinds=INJECTIVE_KINDS):
+    """Any partial injection per group element; not necessarily a partial action.
+
+    The ``"non-injective"`` kind draws each map's targets with repeats allowed.
+    """
     group = draw(st.sampled_from(MODEL_GROUPS))
     n = draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(["random", "empty", "identity-only"]))
+    kind = draw(st.sampled_from(kinds))
     maps = {}
     for t in range(group.order):
-        if kind == "random" or (kind == "identity-only" and t == 0):
+        if kind in ("random", "non-injective") or (kind == "identity-only" and t == 0):
             sources = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if n else []
-            targets = sources if t == 0 and kind == "identity-only" else draw(st.permutations(range(n)))
+            if kind == "non-injective":
+                targets = [draw(st.integers(0, n - 1)) for _ in sources]
+            elif kind == "identity-only":
+                targets = sources
+            else:
+                targets = draw(st.permutations(range(n)))
             maps[t] = dict(zip(sources, targets))
         else:
             maps[t] = {}
@@ -156,12 +174,19 @@ def test_center_dimension_matches_dense_commutator_stack(act):
     assert model.center_dimension() == center
     if not model.basis:
         return
-    mat = model.commutator_coordinates()
-    svals = np.linalg.svd(mat, compute_uv=False)
-    cutoff = max(mat.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    nonzero = svals[svals > cutoff]
+    nonzero = nonzero_svals(model.commutator_coordinates())
     assert nonzero.shape == dense_svals.shape
     assert np.allclose(nonzero, dense_svals / np.sqrt(act.group.order), rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(partial_injection_systems(INJECTIVE_KINDS + ("non-injective",)))
+def test_dimension_matches_dense_rank(act):
+    # built directly: build_model rejects the non-injective systems
+    model = pf.CrossedProductModel(act)
+    imgs = basis_images(model)
+    rank = nonzero_svals(np.stack([b.ravel() for b in imgs])).size if imgs else 0
+    assert model.dimension() == rank
 
 
 def test_center_dimension_rejects_non_unit_rows():
@@ -169,6 +194,14 @@ def test_center_dimension_rejects_non_unit_rows():
     act = pf.FinitePartialAction(pf.cyclic_group(2), 2, {0: {0: 0, 1: 1}, 1: {0: 0, 1: 0}})
     with pytest.raises(pf.PreconditionError):
         pf.CrossedProductModel(act).center_dimension()
+
+
+def test_build_model_rejects_non_injective_map():
+    # element 1 sends both points to 0: its fiber counts 2 but spans 1 basis term
+    act = pf.FinitePartialAction(pf.cyclic_group(2), 2, {0: {0: 0, 1: 1}, 1: {0: 0, 1: 0}})
+    with pytest.raises(pf.PreconditionError) as err:
+        pf.build_model(act)
+    assert str(err.value) == "model rank 3 differs from the section count 4"
 
 
 def _subgroup(group, gens):

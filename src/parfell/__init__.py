@@ -47,7 +47,9 @@ from .matrices import (
     herm_eig,
     is_partial_isometry,
     nearest_projection,
+    norm_bounds,
     op_norm,
+    op_norms,
 )
 from .reps import (
     CovariantRep,

@@ -541,7 +541,7 @@ def action_to_json(action: FinitePartialAction) -> dict:
         elements.append(
             {
                 "t": word_to_str(action.group, t),
-                "domain": list(pm.targets),
+                "domain": list(dict.fromkeys(pm.targets)),
                 "map": {str(z): w for z, w in action.element_map(t).pairs},
             }
         )

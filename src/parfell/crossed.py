@@ -11,6 +11,7 @@ model with left-translation permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,8 +27,8 @@ from .groups import (
     word_from_str,
     word_to_str,
 )
-from .matrices import AXIOM_TOL, PreconditionError, op_norm
-from .reps import DefectReport, _Worst, std_covariant_rep
+from .matrices import AXIOM_TOL, PreconditionError, op_norm, op_norms
+from .reps import DefectReport, _adjoints, _stack, _Worst, std_covariant_rep
 
 MAX_MODEL_ORDER = 64
 MAX_MODEL_SIZE = 512  # n * m guard: bounds image, reduced_norm and commutator_coordinates' d^2 pairs
@@ -338,6 +339,10 @@ def bundle_axiom_report(
     return BundleAxiomReport(ok=not violations, checks=checks, violations=violations)
 
 
+def _sample_pair(i: int, j: int) -> str:
+    return f"samples {i} , {j}"
+
+
 def mf_defect_report(
     family: Mapping,
     samples: Sequence[tuple],
@@ -363,22 +368,28 @@ def mf_defect_report(
     selfadj = _Worst()
     gap = _Worst()
     mult = _Worst()
-    for i, (t, vec) in enumerate(samples):
+    images, adjoints, heights = [], [], []
+    for t, vec in samples:
         t = group.check_element(t)
         vec = np.asarray(vec, dtype=np.complex128)
-        image = apply(t, vec)
+        images.append(apply(t, vec))
         starred, ti = dual.star_fiber((vec, t))
-        selfadj.feed_diff(image.conj().T - apply(ti, starred), lambda: f"sample {i}")
-        gap.feed(abs(op_norm(image) - float(np.abs(vec).max(initial=0.0))), f"sample {i}")
+        adjoints.append(apply(ti, starred))
+        heights.append(float(np.abs(vec).max(initial=0.0)))
+    images = _stack(images, 0)  # with no samples, nothing reads the size
+    selfadj.feed_stack(_adjoints(images) - _stack(adjoints, 0), lambda k: f"sample {k}")
+    for i, (norm, height) in enumerate(zip(op_norms(images).tolist(), heights)):
+        gap.feed(abs(norm - height), f"sample {i}")
     for i, (s, a) in enumerate(samples):
         s = group.check_element(s)
-        for j, (t, b) in enumerate(samples):
+        products = []
+        for t, b in samples:
             t = group.check_element(t)
             prod, st = dual.mul_fiber((a, s), (b, t))
-            mult.feed_diff(
-                apply(s, a) @ apply(t, b) - apply(st, prod),
-                lambda: f"samples {i} , {j}",
-            )
+            products.append(apply(st, prod))
+        mult.feed_stack(
+            images[i] @ images - _stack(products, 0), partial(_sample_pair, i)
+        )
     return DefectReport(
         entries={
             "selfadjoint": selfadj.value,

@@ -7,6 +7,8 @@ across runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # The package's named tolerances, each defined only here.
@@ -33,6 +35,27 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
+def _as_stack(stack) -> np.ndarray:
+    a = np.asarray(stack, dtype=np.complex128)
+    if a.ndim != 3:
+        raise PreconditionError(f"expected a stack of matrices, got shape {a.shape}")
+    return a
+
+
+# Relative slack on a norm bound, far above the rounding of the bound or of
+# an SVD on the matrix sizes used here: a norm whose bound, with this slack,
+# is at most some value is at most that value.
+BOUND_MARGIN = 1e-12
+
+
+def op_norms(stack) -> np.ndarray:
+    """Operator norms of a ``(k, m, n)`` stack, by one stacked SVD."""
+    a = _as_stack(stack)
+    if a.size == 0:
+        return np.zeros(a.shape[0])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def op_norm(m) -> float:
     """Operator (largest singular value) norm."""
     a = np.asarray(m, dtype=np.complex128)
@@ -40,7 +63,55 @@ def op_norm(m) -> float:
         return 0.0
     if a.ndim != 2:
         raise PreconditionError(f"expected a matrix, got shape {a.shape}")
-    return float(np.linalg.norm(a, 2))
+    return float(op_norms(a[None])[0])
+
+
+def norm_bounds(stack) -> np.ndarray:
+    """Upper bounds on the operator norms of a ``(k, m, n)`` stack, no SVD.
+
+    ``||A||^8 <= sum(sigma^8) = ||(A*A)^2||_F^2``.  Each matrix is divided by
+    its largest entry modulus ``s`` first, so the eighth powers neither
+    underflow nor overflow, and the bound is ``s ||(B*B)^2||_F^(1/4)`` with
+    ``B = A / s``.  Exact zeros give 0; non-finite input gives ``inf``, so
+    it always reaches the SVD.  Compare with ``BOUND_MARGIN`` slack.
+    """
+    a = _as_stack(stack)
+    if a.size == 0:
+        return np.zeros(a.shape[0])
+    # an overflow only makes a bound infinite, which sends it to the SVD
+    with np.errstate(over="ignore"):
+        s = np.abs(a).max(axis=(1, 2))
+        out = np.where(np.isfinite(s), 0.0, np.inf)
+        live = (s > 0.0) & (out == 0.0)
+        if live.any():
+            # real division: complex division by a subnormal s overflows
+            b = (a[live].view(np.float64) / s[live][:, None, None]).view(np.complex128)
+            g = b.conj().transpose(0, 2, 1) @ b
+            g = (g @ g).view(np.float64)
+            out[live] = s[live] * (g * g).sum(axis=(1, 2)) ** 0.125
+    return out
+
+
+def norm_unless_below(m, tol: float) -> float:
+    """``op_norm(m)``, or 0.0 when a bound puts it below ``tol``.
+
+    For checks that compare the norm with ``tol > 0`` and show the value
+    only when they fail: every decision is the one ``op_norm`` gives, and
+    most passing checks need no SVD.  The bound is the Frobenius norm, one
+    dot product, while its square is far from underflow and overflow, and
+    ``norm_bounds`` otherwise.
+    """
+    a = np.asarray(m, dtype=np.complex128)
+    fro2 = float(np.vdot(a, a).real)
+    if 1e-280 < fro2 < 1e280:
+        bound = math.sqrt(fro2)
+    elif not a.any():
+        return 0.0
+    else:
+        bound = float(norm_bounds(a[None])[0])
+    if bound * (1.0 + BOUND_MARGIN) < tol:
+        return 0.0
+    return op_norm(a)
 
 
 def herm_eig(m, herm_tol: float = AXIOM_TOL, cluster_tol: float = 1e-8):
@@ -61,7 +132,7 @@ def herm_eig(m, herm_tol: float = AXIOM_TOL, cluster_tol: float = 1e-8):
     (values, vectors) : eigenvalues ascending, eigenvectors as columns.
     """
     a = _as_square(m)
-    if op_norm(a - a.conj().T) > herm_tol:
+    if norm_unless_below(a - a.conj().T, herm_tol) > herm_tol:
         raise PreconditionError("matrix is not Hermitian within tolerance")
     a = 0.5 * (a + a.conj().T)
     vals, vecs = np.linalg.eigh(a)
@@ -106,7 +177,7 @@ def nearest_projection(q, threshold: float = 0.5, gap_tol: float = GAP_TOL) -> n
     ``||P - Q|| <= 2 ||Q^2 - Q||``.
     """
     a = _as_square(q)
-    defect = op_norm(a @ a - a)
+    defect = norm_unless_below(a @ a - a, 0.25)
     if defect >= 0.25:
         raise PreconditionError(f"||Q^2 - Q|| = {defect:.3g} >= 1/4; rounding is unsafe")
     vals, vecs = herm_eig(a)
@@ -128,7 +199,10 @@ def corner_inv_sqrt(w, p, residual_tol: float = SPECTRAL_TOL) -> np.ndarray:
     """
     w = np.asarray(w, dtype=np.complex128)
     p = _as_square(p)
-    if op_norm(p @ p - p) > 1e-8 or op_norm(p - p.conj().T) > 1e-8:
+    if (
+        norm_unless_below(p @ p - p, 1e-8) > 1e-8
+        or norm_unless_below(p - p.conj().T, 1e-8) > 1e-8
+    ):
         raise PreconditionError("p is not a projection")
     gram = w.conj().T @ w
     corner = p @ gram @ p
@@ -146,7 +220,7 @@ def corner_inv_sqrt(w, p, residual_tol: float = SPECTRAL_TOL) -> np.ndarray:
         col = v.reshape(-1, 1)
         x = x + (lam ** -0.5) * (col @ col.conj().T)
     x = 0.5 * (x + x.conj().T)
-    residual = op_norm(x @ corner @ x - p)
+    residual = norm_unless_below(x @ corner @ x - p, residual_tol)
     if residual > residual_tol:
         raise PreconditionError(f"inverse-root residual {residual:.3g} exceeds tolerance")
     return x

@@ -10,7 +10,6 @@ certified distance bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
@@ -33,14 +32,17 @@ from .groups import (
 )
 from .matrices import (
     AXIOM_TOL,
+    BOUND_MARGIN,
     EXACT_TOL,
     PI_TOL,
     PreconditionError,
     corner_inv_sqrt,
     herm_eig,
-    is_partial_isometry,
     nearest_projection,
+    norm_bounds,
+    norm_unless_below,
     op_norm,
+    op_norms,
 )
 
 
@@ -180,11 +182,6 @@ class DefectReport:
         }
 
 
-# Relative slack on the Frobenius bound, far above the rounding of either
-# norm on the matrix sizes used here, so a skipped SVD could not have won.
-_FRO_MARGIN = 1e-12
-
-
 class _Worst:
     """Tracks a running maximum with its first (hence lex-least) witness."""
 
@@ -197,30 +194,47 @@ class _Worst:
             self.value = float(value)
             self.witness = witness
 
-    def feed_diff(self, d: np.ndarray, label: Callable[[], str]) -> None:
-        """Feed ``op_norm(d)``, computing it only when it could raise the maximum.
+    def feed_stack(self, diffs: np.ndarray, label: Callable[[int], str]) -> None:
+        """Feed the operator norms of a ``(k, d, d)`` stack in scan order,
+        computing only those that could raise the maximum.
 
-        ``||d||_op <= ||d||_F``, so a difference whose Frobenius norm (with
-        the margin) does not exceed the running worst is skipped without an
-        SVD; the maximum and its first witness are the same as feeding every
-        ``op_norm``.  Exact zeros always skip, non-finite differences always
-        reach ``op_norm``.  ``label`` is called only for a new maximum.
+        A norm whose ``norm_bounds`` entry (with the margin) does not exceed
+        the running worst is never computed.  The candidate with the largest
+        bound goes first, then every other candidate still above the new
+        maximum in one stacked SVD.  The maximum and its first witness are
+        those of feeding every ``op_norm`` in order; ``label(i)`` is called
+        only for the winning index.  Exact zeros always skip, non-finite
+        differences always reach the SVD.
         """
-        fro = math.sqrt(np.vdot(d, d).real)
-        if math.isfinite(fro) and fro * (1.0 + _FRO_MARGIN) <= self.value:
+        bounds = norm_bounds(diffs) * (1.0 + BOUND_MARGIN)
+        must = ~np.isfinite(bounds)
+        could = (bounds > self.value) | must
+        if not could.any():
             return
-        value = op_norm(d)
-        if value > self.value:
-            self.value = float(value)
-            self.witness = label()
+        norms = np.full(len(bounds), -np.inf)
+        first = int(np.argmax(bounds))
+        norms[first] = op_norms(diffs[first : first + 1])[0]
+        could &= (bounds > max(self.value, norms[first])) | must
+        could[first] = False
+        if could.any():
+            norms[could] = op_norms(diffs[could])
+        norms[np.isnan(norms)] = -np.inf  # a NaN norm never wins
+        i = int(np.argmax(norms))
+        if norms[i] > self.value:
+            self.value = float(norms[i])
+            self.witness = label(i)
 
 
-def _pair(group: GroupSpec, s, t) -> list[str]:
-    return [word_to_str(group, s), word_to_str(group, t)]
+def _stack(mats: list, d: int) -> np.ndarray:
+    return np.stack(mats) if mats else np.zeros((0, d, d), dtype=np.complex128)
 
 
-def _pair_label(group: GroupSpec, s, t) -> str:
-    return " , ".join(_pair(group, s, t))
+def _adjoints(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
+
+
+def _row_label(name: Mapping, s, ts: Sequence, k: int) -> str:
+    return f"{name[s]} , {name[ts[k]]}"
 
 
 def _normalize_elements(group: GroupSpec, elements) -> list:
@@ -248,7 +262,7 @@ def partial_rep_defects(
     ident = group.identity
     if not v.has(ident):
         raise PreconditionError("family lacks the identity element")
-    if op_norm(v.matrix(ident) - np.eye(v.dim)) > EXACT_TOL:
+    if norm_unless_below(v.matrix(ident) - np.eye(v.dim), EXACT_TOL) > EXACT_TOL:
         raise PreconditionError("identity element is not represented by I")
 
     mats: dict = {}
@@ -268,33 +282,41 @@ def partial_rep_defects(
     intertwine = _Worst()
     skipped: list[dict] = []
 
-    proj = {t: mats[t] @ mats[t].conj().T for t in elems}
+    name = {t: word_to_str(group, t) for t in elems}
+    # every scan feeds one stack per row s, over the t that have the data
+    stack = _stack([mats[t] for t in elems], v.dim)
+    proj = stack @ _adjoints(stack)
 
-    for t in elems:
-        ti = group.inverse(t)
-        vti = get(ti)
+    have = []
+    for i, t in enumerate(elems):
+        vti = get(group.inverse(t))
         if vti is None:
-            skipped.append({"entry": "selfadjoint", "elements": [word_to_str(group, t)]})
-            continue
-        selfadj.feed_diff(mats[t].conj().T - vti, lambda: word_to_str(group, t))
+            skipped.append({"entry": "selfadjoint", "elements": [name[t]]})
+        else:
+            have.append((i, vti))
+    diffs = _adjoints(stack[[i for i, _ in have]]) - _stack([m for _, m in have], v.dim)
+    selfadj.feed_stack(diffs, lambda k: name[elems[have[k][0]]])
 
-    for s in elems:
-        si = group.inverse(s)
-        vsi = get(si)
-        for t in elems:
-            st = group.multiply(s, t)
-            vst = get(st)
-            label = partial(_pair_label, group, s, t)
+    for a, s in enumerate(elems):
+        vsi = get(group.inverse(s))
+        have = []
+        for i, t in enumerate(elems):
+            vst = get(group.multiply(s, t))
             if vsi is None or vst is None:
-                skipped.append({"entry": "triple_product", "elements": _pair(group, s, t)})
-            else:
-                triple.feed_diff(vsi @ mats[s] @ mats[t] - vsi @ vst, label)
-            ranges.feed_diff(proj[s] @ proj[t] - proj[t] @ proj[s], label)
+                skipped.append({"entry": "triple_product", "elements": [name[s], name[t]]})
             if vst is None:
-                skipped.append({"entry": "intertwine", "elements": _pair(group, s, t)})
+                skipped.append({"entry": "intertwine", "elements": [name[s], name[t]]})
             else:
-                est = vst @ vst.conj().T
-                intertwine.feed_diff(mats[s] @ proj[t] - est @ mats[s], label)
+                have.append((i, vst))
+        ps = proj[a]
+        ranges.feed_stack(ps @ proj - proj @ ps, partial(_row_label, name, s, elems))
+        idx = [i for i, _ in have]
+        vst = _stack([m for _, m in have], v.dim)
+        label = partial(_row_label, name, s, [elems[i] for i in idx])
+        if vsi is not None:
+            triple.feed_stack((vsi @ stack[a]) @ stack[idx] - vsi @ vst, label)
+        est = vst @ _adjoints(vst)
+        intertwine.feed_stack(stack[a] @ proj[idx] - est @ stack[a], label)
 
     entries = {
         "selfadjoint": selfadj.value,
@@ -323,17 +345,23 @@ def covariance_defects(
     elems = _normalize_elements(group, elements)
     worst = _Worst()
     for t in elems:
-        vt = rep.v.matrix(t)
-        for z, w in dual.action.element_map(t).pairs:
-            lhs = vt @ rep.phi_mats[z] @ vt.conj().T
-            worst.feed_diff(
-                lhs - rep.phi_mats[w], lambda: f"{word_to_str(group, t)} @ {z}"
-            )
+        _feed_covariance(worst, rep, group, t, rep.v.matrix(t))
     return DefectReport(
         entries={"covariance": worst.value},
         witnesses={"covariance": worst.witness},
         skipped=[],
     )
+
+
+def _feed_covariance(
+    worst: _Worst, rep: CovariantRep, group: GroupSpec, t, vt: np.ndarray
+) -> None:
+    """Feed ``v_t phi(z) v_t* - phi(t.z)`` over the source points ``z`` of ``t``."""
+    pairs = rep.dual.action.element_map(t).pairs
+    zs = [z for z, _ in pairs]
+    ws = [w for _, w in pairs]
+    diffs = vt @ rep.phi_mats[zs] @ vt.conj().T - rep.phi_mats[ws]
+    worst.feed_stack(diffs, lambda k: f"{word_to_str(group, t)} @ {zs[k]}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,38 +420,42 @@ def perturb_to_partial_isometries(
     ident = group.identity
     if ident not in elems:
         elems = [ident] + elems
-    if not v.has(ident) or op_norm(v.matrix(ident) - np.eye(v.dim)) > EXACT_TOL:
+    if not v.has(ident):
+        raise PreconditionError("family must represent the identity by I")
+    if norm_unless_below(v.matrix(ident) - np.eye(v.dim), EXACT_TOL) > EXACT_TOL:
         raise PreconditionError("family must represent the identity by I")
 
-    out: dict = {}
-    per_element: dict[str, float] = {}
-    dist = _Worst()
-    pi_worst = _Worst()
-    for t in elems:
-        label = word_to_str(group, t)
+    name = {t: word_to_str(group, t) for t in elems}
+    moved = [t for t in elems if t != ident]
+    labels = [name[t] for t in moved]
+    vs = _stack([v.matrix(t) for t in moved], v.dim)
+    # a non-finite family keeps the per-element order of its SVD errors
+    norms = op_norms(vs) if np.isfinite(vs).all() else None
+    out: dict = {ident: np.eye(v.dim, dtype=np.complex128)}
+    for k, (t, label) in enumerate(zip(moved, labels)):
         vt = v.matrix(t)
-        if t == ident:
-            out[t] = np.eye(v.dim, dtype=np.complex128)
-            per_element[label] = 0.0
-            continue
-        defect = op_norm(vt @ vt.conj().T @ vt - vt)
+        defect = norm_unless_below(vt @ vt.conj().T @ vt - vt, 2.0 * eta)
         if defect >= 2.0 * eta:
             raise PreconditionError(
                 f"partial-isometry defect {defect:.3g} of {label} is not below 2*eta"
             )
-        norm = op_norm(vt)
+        norm = op_norm(vt) if norms is None else float(norms[k])
         if norm > 1.0 + eta + 1e-13:
             raise PreconditionError(f"||v|| = {norm:.6g} of {label} exceeds 1 + eta")
         q = vt.conj().T @ vt
         p = nearest_projection(q)
         w = vt @ p
         x = corner_inv_sqrt(w, p)
-        u = w @ x
-        out[t] = u
-        d = op_norm(u - vt)
-        per_element[label] = float(d)
+        out[t] = w @ x
+
+    us = _stack([out[t] for t in moved], v.dim)
+    dists = op_norms(us - vs)
+    per_element = {name[ident]: 0.0, **dict(zip(labels, dists.tolist()))}
+    dist = _Worst()
+    for label, d in zip(labels, dists.tolist()):
         dist.feed(d, label)
-        pi_worst.feed(is_partial_isometry(u)[1], label)
+    pi_worst = _Worst()
+    pi_worst.feed_stack(us @ _adjoints(us) @ us - us, labels.__getitem__)
 
     family = PartialRepFamily(group, v.dim, mats=out)
     entries: dict[str, float] = {
@@ -439,23 +471,31 @@ def perturb_to_partial_isometries(
     selfadj = _Worst()
     triple = _Worst()
     skipped: list[dict] = []
+    pos = {t: i for i, t in enumerate(elems)}
+    stack = _stack([out[t] for t in elems], v.dim)
+    have = []
     for t in elems:
         ti = group.inverse(t)
         if ti in out:
-            selfadj.feed_diff(out[t].conj().T - out[ti], lambda: word_to_str(group, t))
+            have.append((t, pos[ti]))
         else:
-            skipped.append({"entry": "selfadjoint", "elements": [word_to_str(group, t)]})
+            skipped.append({"entry": "selfadjoint", "elements": [name[t]]})
+    diffs = _adjoints(stack[[pos[t] for t, _ in have]]) - stack[[i for _, i in have]]
+    selfadj.feed_stack(diffs, lambda k: name[have[k][0]])
     for s in elems:
         si = group.inverse(s)
+        have = []
         for t in elems:
             st = group.multiply(s, t)
             if si not in out or st not in out:
-                skipped.append({"entry": "triple_product", "elements": _pair(group, s, t)})
-                continue
-            triple.feed_diff(
-                out[si] @ out[s] @ out[t] - out[si] @ out[st],
-                partial(_pair_label, group, s, t),
-            )
+                skipped.append({"entry": "triple_product", "elements": [name[s], name[t]]})
+            else:
+                have.append((t, pos[st]))
+        if have:
+            ts = [t for t, _ in have]
+            lhs = (out[si] @ out[s]) @ stack[[pos[t] for t in ts]]
+            rhs = out[si] @ stack[[i for _, i in have]]
+            triple.feed_stack(lhs - rhs, partial(_row_label, name, s, ts))
     entries["selfadjoint"] = selfadj.value
     entries["triple_product"] = triple.value
     witnesses["selfadjoint"] = selfadj.witness
@@ -465,19 +505,12 @@ def perturb_to_partial_isometries(
 
     contraction = None
     if rep is not None:
-        contraction = max(
-            (op_norm(rep.phi_mats[z]) for z in range(rep.n)), default=0.0
-        )
+        largest = _Worst()
+        largest.feed_stack(rep.phi_mats, str)
+        contraction = largest.value
         cov = _Worst()
-        for t in elems:
-            if t == ident:
-                continue
-            ut = out[t]
-            for z, w in rep.dual.action.element_map(t).pairs:
-                cov.feed_diff(
-                    ut @ rep.phi_mats[z] @ ut.conj().T - rep.phi_mats[w],
-                    lambda: f"{word_to_str(group, t)} @ {z}",
-                )
+        for t in moved:
+            _feed_covariance(cov, rep, group, t, out[t])
         entries["covariance"] = cov.value
         witnesses["covariance"] = cov.witness
         bounds["covariance"] = 21.0 * eta * (1.0 + contraction)
@@ -613,11 +646,11 @@ def extract_finite_system(
     n, d = rep.n, rep.dim
     P = [np.asarray(rep.phi_mats[x]) for x in range(n)]
     for x in range(n):
-        if op_norm(P[x] - P[x].conj().T) > AXIOM_TOL:
+        if norm_unless_below(P[x] - P[x].conj().T, AXIOM_TOL) > AXIOM_TOL:
             raise PreconditionError(f"phi(indicator {x}) is not Hermitian")
     for x in range(n):
         for y in range(x + 1, n):
-            if op_norm(P[x] @ P[y] - P[y] @ P[x]) > char_tol:
+            if norm_unless_below(P[x] @ P[y] - P[y] @ P[x], char_tol) > char_tol:
                 raise PreconditionError("phi images do not commute; no joint spectrum")
 
     # recursive joint block refinement
@@ -683,7 +716,7 @@ def extract_finite_system(
         eta: dict[int, int] = {}
         for x in order:
             q = vt @ merged[x][0] @ vt.conj().T
-            if op_norm(q) <= match_tol:
+            if norm_unless_below(q, match_tol) <= match_tol:
                 continue
             best, best_dist = None, np.inf
             for y in order:

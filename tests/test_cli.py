@@ -151,6 +151,17 @@ def test_crossed_product_rejects_non_injective_map(capsys, tmp_path):
     assert env["error"] == "PreconditionError: model rank 3 differs from the section count 4"
 
 
+def test_non_injective_action_round_trips_through_json(capsys, tmp_path):
+    # the repeated target 0 is written once, so the file reads back and
+    # crossed-product reaches its own rank check
+    act = pf.FinitePartialAction(pf.cyclic_group(2), 2, {0: {0: 0, 1: 1}, 1: {0: 0, 1: 0}})
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps(pf.action_to_json(act)))
+    code, env, _ = run(capsys, ["crossed-product", str(path)])
+    assert code == 2
+    assert env["error"] == "PreconditionError: model rank 3 differs from the section count 4"
+
+
 def test_bernoulli_certify_report(capsys):
     code, env, _ = run(
         capsys, ["bernoulli", "certify", "--group", "free:1", "--delta", "0.2"]

@@ -406,6 +406,54 @@ def test_mf_defect_report_exact(swap_action):
     assert report.max_defect() <= 1e-12, report.to_json()
 
 
+def ref_mf_defect_report(fam, samples, dual) -> dict:
+    """mf_defect_report one difference at a time, op_norm on every one."""
+    worst = {k: (0.0, "") for k in ("selfadjoint", "triple_product", "isometry_gap")}
+
+    def feed(key, value, label):
+        if value > worst[key][0]:
+            worst[key] = (float(value), label)
+
+    def apply(t, vec):
+        return np.tensordot(np.asarray(vec, dtype=complex), fam[t], axes=1)
+
+    for i, (t, vec) in enumerate(samples):
+        image = apply(t, vec)
+        starred, ti = dual.star_fiber((vec, t))
+        feed("selfadjoint", pf.op_norm(image.conj().T - apply(ti, starred)), f"sample {i}")
+        height = float(np.abs(vec).max(initial=0.0))
+        feed("isometry_gap", abs(pf.op_norm(image) - height), f"sample {i}")
+    for i, (s, a) in enumerate(samples):
+        for j, (t, b) in enumerate(samples):
+            prod, st = dual.mul_fiber((a, s), (b, t))
+            feed("triple_product", pf.op_norm(apply(s, a) @ apply(t, b) - apply(st, prod)),
+                 f"samples {i} , {j}")
+    return worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-170, 1e-3, 0.05]), st.integers(1, 6))
+def test_mf_defect_report_matches_every_pair_reference(seed, sigma, count):
+    rng = np.random.default_rng(seed)
+    act = random_cyclic_action(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)))
+    rep = pf.std_covariant_rep(act)
+    dual = rep.dual
+    fam = pf.exact_bundle_family(rep, elements=list(range(act.group.order)))
+    for arr in fam.values():
+        arr += sigma * (rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape))
+    samples = []
+    for _ in range(count):
+        t = int(rng.integers(act.group.order))
+        vec = np.zeros(dual.n, dtype=complex)
+        for z in dual.support(t):
+            vec[z] = complex(rng.standard_normal(), rng.standard_normal())
+        samples.append((t, vec))
+    report = pf.mf_defect_report(fam, samples, dual)
+    want = ref_mf_defect_report(fam, samples, dual)
+    assert report.entries == {k: v for k, (v, _) in want.items()}
+    assert report.witnesses == {k: w for k, (_, w) in want.items()}
+
+
 def test_mf_defect_report_missing_fiber(swap_action):
     dual = pf.DualSystem(swap_action)
     fam = {0: np.zeros((2, 2, 2), dtype=complex)}

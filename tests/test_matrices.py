@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parfell as pf
+from parfell.matrices import BOUND_MARGIN, norm_unless_below
 
 
 def e(i, j, d=2):
@@ -34,6 +36,63 @@ def test_op_norm_empty_and_bad_shape():
     assert pf.op_norm(np.zeros((0, 0))) == 0.0
     with pytest.raises(pf.PreconditionError):
         pf.op_norm(np.zeros((2, 2, 2)))
+
+
+def test_op_norms_match_op_norm_bit_for_bit():
+    rng = np.random.default_rng(1)
+    for d in (1, 2, 5, 12, 17):
+        a = rng.standard_normal((9, d, d)) + 1j * rng.standard_normal((9, d, d))
+        assert pf.op_norms(a).tolist() == [pf.op_norm(m) for m in a]
+    assert pf.op_norms(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert pf.op_norms(np.zeros((0, 4, 4))).shape == (0,)
+
+
+@st.composite
+def spectra(draw):
+    """A d x d matrix U diag(sigma) V* of a given rank, scale and spread."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 40))
+    rank = draw(st.integers(0, d))
+    scale = 10.0 ** draw(st.integers(-200, 200))
+    spread = draw(st.sampled_from(["random", "equal", "clustered"]))
+    if spread == "random":
+        sigma = rng.random(rank)
+    elif spread == "equal":
+        sigma = np.ones(rank)
+    else:
+        sigma = 1.0 - 1e-14 * rng.random(rank)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return (u[:, :rank] * (scale * sigma)) @ v[:, :rank].conj().T
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra())
+def test_norm_bounds_bound_the_operator_norm(a):
+    bound = pf.norm_bounds(a[None])[0]
+    assert bound * (1.0 + BOUND_MARGIN) >= pf.op_norm(a)
+    # sum(sigma^8)^(1/8) is at most d^(1/8) times the norm
+    assert bound <= 40 ** 0.125 * pf.op_norm(a) * (1.0 + BOUND_MARGIN)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectra(), st.sampled_from([0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 2.0, 1e3]))
+def test_norm_unless_below_decides_as_op_norm(a, factor):
+    norm = pf.op_norm(a)
+    tol = norm * factor if norm > 0 else 1e-300
+    got = norm_unless_below(a, tol)
+    assert got == norm or (got == 0.0 and norm < tol)
+
+
+def test_norm_bounds_zeros_and_non_finite():
+    stack = np.zeros((4, 3, 3), dtype=complex)
+    stack[1, 0, 0] = np.inf
+    stack[2, 1, 2] = np.nan
+    stack[3, 2, 2] = 1e-320  # subnormal: still a positive bound
+    bounds = pf.norm_bounds(stack)
+    assert bounds[0] == 0.0 and bounds[1] == np.inf and bounds[2] == np.inf
+    assert bounds[3] == pytest.approx(1e-320, rel=1e-3)
+    assert pf.norm_bounds(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

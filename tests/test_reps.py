@@ -211,11 +211,60 @@ def ref_perturb_scans(v, rounded, rep, elems) -> dict:
     return report
 
 
+def ref_perturb_elements(v, eta, rep, elems):
+    """The rounded matrices, per-element distances and contraction constant
+    of perturb_to_partial_isometries, one matrix at a time: the loop that
+    function ran before its norms were stacked, kept verbatim."""
+    group = v.group
+    ident = group.identity
+    elems = elems if ident in elems else [ident] + elems
+    out, per_element = {}, {}
+    for t in elems:
+        label = pf.word_to_str(group, t)
+        vt = v.matrix(t)
+        if t == ident:
+            out[t] = np.eye(v.dim, dtype=np.complex128)
+            per_element[label] = 0.0
+            continue
+        defect = pf.op_norm(vt @ vt.conj().T @ vt - vt)
+        if defect >= 2.0 * eta:
+            raise pf.PreconditionError(
+                f"partial-isometry defect {defect:.3g} of {label} is not below 2*eta"
+            )
+        norm = pf.op_norm(vt)
+        if norm > 1.0 + eta + 1e-13:
+            raise pf.PreconditionError(f"||v|| = {norm:.6g} of {label} exceeds 1 + eta")
+        q = vt.conj().T @ vt
+        p = pf.nearest_projection(q)
+        w = vt @ p
+        x = pf.corner_inv_sqrt(w, p)
+        u = w @ x
+        out[t] = u
+        d = pf.op_norm(u - vt)
+        per_element[label] = float(d)
+    contraction = max(
+        (pf.op_norm(rep.phi_mats[z]) for z in range(rep.n)), default=0.0
+    )
+    return out, per_element, contraction
+
+
+def _noise(rng, kind: str, d: int) -> np.ndarray:
+    """Gaussian noise of unit scale, or a random unitary, whose singular
+    values are all 1 (so the top ones cluster)."""
+    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    if kind == "unitary":
+        q, r = np.linalg.qr(g)
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return g
+
+
 @st.composite
 def noisy_families(draw):
     """A standard model with noise, some elements dropped (so pairs are
     skipped), and optionally one shared matrix for every non-identity
-    element (so many pairs tie exactly)."""
+    element (so many pairs tie exactly).  The noise is Gaussian, unitary
+    (clustered top singular values), or Gaussian of scale 1e-170, whose
+    squares underflow."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["cyclic", "free"]))
     if kind == "cyclic":
@@ -224,7 +273,8 @@ def noisy_families(draw):
     else:
         act = random_free_action(rng, draw(st.integers(1, 2)), draw(st.integers(2, 5)))
         scan = act.group.ball(draw(st.integers(1, 2)))
-    sigma = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    noise = draw(st.sampled_from(["gaussian", "unitary", "tiny"]))
+    sigma = 1e-170 if noise == "tiny" else draw(st.sampled_from([0.0, 1e-3, 0.05]))
     drop = draw(st.sampled_from([0.0, 0.3]))
     tie = draw(st.booleans())
     rep = pf.std_covariant_rep(act)
@@ -238,7 +288,7 @@ def noisy_families(draw):
             if tie and shared is not None:
                 m = shared
             elif sigma > 0:
-                m = m + sigma * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)) / np.sqrt(2.0)
+                m = m + sigma * _noise(rng, noise, rep.dim)
             shared = m
         mats[t] = m
     return rep, pf.PartialRepFamily(act.group, rep.dim, mats=mats), list(mats)
@@ -262,35 +312,63 @@ def test_defect_scans_match_every_pair_reference(case):
 
     try:
         rounded, cert = pf.perturb_to_partial_isometries(fam, 0.12, rep=rep, elements=elems)
-    except pf.PreconditionError:
-        return  # too noisy to round; the scans above were still compared
+    except pf.PreconditionError as err:
+        # too noisy to round: the same element fails first, with the same text
+        with pytest.raises(pf.PreconditionError) as want_err:
+            ref_perturb_elements(fam, 0.12, rep, elems)
+        assert (type(want_err.value), str(want_err.value)) == (type(err), str(err))
+        return
     want = ref_perturb_scans(fam, rounded, rep, elems)
     assert cert.entries == want["entries"]
     assert cert.witnesses == want["witnesses"]
     assert cert.skipped == want["skipped"]
+    out, per_element, contraction = ref_perturb_elements(fam, 0.12, rep, elems)
+    assert set(out) == set(rounded.elements())
+    assert all(np.array_equal(rounded.matrix(t), m) for t, m in out.items())
+    assert cert.per_element == per_element
+    assert cert.contraction_constant == contraction
 
 
-def test_feed_diff_skips_only_what_cannot_win(monkeypatch):
-    calls = []
-    monkeypatch.setattr(reps, "op_norm", lambda d: calls.append(d) or pf.op_norm(d))
+def test_feed_stack_skips_only_what_cannot_win(monkeypatch):
+    sizes = []  # matrices per stacked SVD
+    monkeypatch.setattr(reps, "op_norms", lambda a: sizes.append(len(a)) or pf.op_norms(a))
     labels = []
     worst = reps._Worst()
 
-    def label():
-        labels.append(1)
-        return "w"
+    def label(i):
+        labels.append(i)
+        return f"w{i}"
 
-    worst.feed_diff(np.zeros((2, 2)), label)  # exact zero: no SVD
-    assert (calls, labels, worst.value) == ([], [], 0.0)
-    worst.feed_diff(np.eye(2), label)
-    assert (len(calls), len(labels), worst.value) == (1, 1, 1.0)
-    worst.feed_diff(0.5 * np.eye(2), label)  # Frobenius bound below the worst
-    assert len(calls) == 1
-    worst.feed_diff(np.full((2, 2), 0.6), label)  # bound 1.2 could win, norm 1.2 does
-    assert (len(calls), len(labels), worst.value) == (2, 2, pytest.approx(1.2))
+    worst.feed_stack(np.zeros((3, 2, 2)), label)  # exact zeros: no SVD
+    assert (sizes, labels, worst.value) == ([], [], 0.0)
+    worst.feed_stack(np.eye(2)[None], label)
+    assert (sizes, labels, worst.value) == ([1], [0], 1.0)
+    worst.feed_stack(0.5 * np.eye(2)[None], label)  # bound 0.5 * 2^(1/8) below the worst
+    assert sizes == [1]
+    # the bounds 1.2 could win: the first is taken alone, its exact tie in
+    # one more SVD, and the first index keeps the maximum; 0.5 I is skipped
+    stack = np.stack([0.5 * np.eye(2), np.full((2, 2), 0.6), np.full((2, 2), 0.6)])
+    worst.feed_stack(stack, label)
+    assert (sizes, labels, worst.witness) == ([1, 1, 1], [0, 1], "w1")
+    assert worst.value == pytest.approx(1.2, rel=1e-15)
+    # the largest bound goes first and settles the rest: no further SVD
+    stack = np.stack([1.3 * np.eye(2), np.full((2, 2), 1.0), np.full((2, 2), 0.95)])
+    worst.feed_stack(stack, label)
+    assert (sizes, labels, worst.witness) == ([1, 1, 1, 1], [0, 1, 1], "w1")
+    assert worst.value == pytest.approx(2.0, rel=1e-15)
     worst.value = np.inf
-    worst.feed_diff(np.full((2, 2), np.inf), label)  # non-finite: always the SVD
-    assert len(calls) == 3
+    worst.feed_stack(np.full((1, 2, 2), np.inf), label)  # non-finite: always the SVD
+    assert sizes[-1] == 1 and len(sizes) == 5
+
+
+def test_selfadjoint_defect_below_frobenius_underflow():
+    # |1e-170|^2 underflows to 0, so a Frobenius norm of this defect reads 0
+    fam = pf.PartialRepFamily(
+        pf.cyclic_group(2), 2, mats={0: np.eye(2), 1: np.array([[1e-170j, 1], [1, 0]])}
+    )
+    report = pf.partial_rep_defects(fam, elements=[0, 1])
+    assert report.entries["selfadjoint"] == pytest.approx(2e-170, rel=1e-12, abs=0.0)
+    assert report.witnesses["selfadjoint"] == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +407,17 @@ def test_perturb_rejects_bad_input():
     fam = pf.PartialRepFamily(g, 2, mats={0: np.eye(2), 1: 1.2 * (e(0, 1) + e(1, 0))})
     with pytest.raises(pf.PreconditionError):
         pf.perturb_to_partial_isometries(fam, 0.05, elements=[0, 1])
+
+
+def test_perturb_reports_the_first_failing_element():
+    # element 1 fails its defect check before element 2's NaN reaches an SVD
+    g = pf.cyclic_group(3)
+    perm = np.roll(np.eye(3), 1, axis=0)
+    fam = pf.PartialRepFamily(
+        g, 3, mats={0: np.eye(3), 1: 1.5 * perm, 2: np.full((3, 3), np.nan)}
+    )
+    with pytest.raises(pf.PreconditionError, match="defect 1.88 of 1 is not below"):
+        pf.perturb_to_partial_isometries(fam, 0.1, elements=[0, 1, 2])
 
 
 def test_perturb_randomized_bounds():

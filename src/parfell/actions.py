@@ -476,56 +476,69 @@ def check_equivariance(
     metric when one is supplied, else count 1 per failure.
     """
     src, tgt, rho = emap.source, emap.target, emap.rho
-    elems = scan_elements(src.group, radius)
-    violations: list[dict] = []
-    max_defect = 0.0
-    points_checked = 0
 
-    def dist(x: int, y: int) -> float:
-        if point_metric is not None:
-            return float(point_metric(x, y))
-        return 0.0 if x == y else 1.0
-
-    strict_ok = True
-    for t in elems:
-        s_map = src.element_map(t)
+    def inputs(t, s_map: PartialMap):
         t_map = tgt.element_map(t)
         t_image = t_map.target_set()
         t_dict = t_map.as_dict()
-        label = word_to_str(src.group, t)
+        lands = frozenset(x for x in range(src.n) if rho[x] in t_image)
+        wanted = {z: t_dict[rho[z]] for z, _ in s_map.pairs if rho[z] in t_dict}
+        return lands, wanted
+
+    def dist(x: int, y: int) -> float:
+        return 1.0 if point_metric is None else float(point_metric(x, y))
+
+    return _equivariance_report(
+        src, rho, scan_elements(src.group, radius), inputs, dist, strict
+    )
+
+
+def _equivariance_report(
+    source: FinitePartialAction,
+    rho: Sequence[int],
+    elements: Sequence,
+    inputs: Callable[[object, PartialMap], tuple[frozenset, Mapping[int, int]]],
+    dist: Callable[[int, int], float],
+    strict: bool,
+) -> EquivarianceReport:
+    """The one image, pointwise and strict check of a point map ``rho``.
+
+    ``inputs(t, eta_t)`` gives the source points whose ``rho`` lands in
+    ``U_t`` and, keyed by source point ``z`` of ``eta_t``, the wanted value
+    of ``rho(eta_t(z))``; a point with no wanted value is a ``domain``
+    violation.  ``dist`` weighs a pointwise miss, and a miss of weight 0 or
+    any other violation counts 1 in ``max_defect``.
+    """
+    violations: list[dict] = []
+    points_checked = 0
+    for t in elements:
+        s_map = source.element_map(t)
+        lands, wanted = inputs(t, s_map)
+        label = word_to_str(source.group, t)
         for z in s_map.targets:
-            points_checked += 1
-            if rho[z] not in t_image:
+            if z not in lands:
                 violations.append({"kind": "image", "element": label, "point": z})
-                max_defect = max(max_defect, 1.0)
         for z, w in s_map.pairs:
-            points_checked += 1
-            if rho[z] not in t_dict:
+            want = wanted.get(z)
+            if want is None:
                 violations.append({"kind": "domain", "element": label, "point": z})
-                max_defect = max(max_defect, 1.0)
-                continue
-            got, want = rho[w], t_dict[rho[z]]
-            if got != want:
-                d = dist(got, want)
+            elif rho[w] != want:
                 violations.append(
-                    {"kind": "pointwise", "element": label, "point": z, "defect": d}
+                    {"kind": "pointwise", "element": label, "point": z,
+                     "defect": dist(rho[w], want)}
                 )
-                max_defect = max(max_defect, d if d > 0 else 1.0)
+        points_checked += 2 * len(s_map.pairs)
         if strict:
-            s_image = s_map.target_set()
-            for x in range(src.n):
-                points_checked += 1
-                if rho[x] in t_image and x not in s_image:
-                    strict_ok = False
-                    violations.append({"kind": "strict", "element": label, "point": x})
-                    max_defect = max(max_defect, 1.0)
-    ok = not any(v["kind"] in ("image", "domain", "pointwise") for v in violations)
+            points_checked += source.n
+            for x in sorted(lands - s_map.target_set()):
+                violations.append({"kind": "strict", "element": label, "point": x})
+    weights = (v.get("defect", 1.0) for v in violations)
     return EquivarianceReport(
-        ok=ok,
-        strict_ok=strict_ok if strict else True,
-        max_defect=max_defect,
+        ok=all(v["kind"] == "strict" for v in violations),
+        strict_ok=not any(v["kind"] == "strict" for v in violations),
+        max_defect=max((d if d > 0 else 1.0 for d in weights), default=0.0),
         violations=violations,
-        elements_checked=len(elems),
+        elements_checked=len(elements),
         points_checked=points_checked,
     )
 

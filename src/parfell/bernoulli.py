@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .actions import EquivarianceReport, FinitePartialAction, PartialMap
+from .actions import EquivarianceReport, FinitePartialAction, PartialMap, _equivariance_report
 from .groups import (
     FreeGroup,
     GroupHom,
@@ -180,6 +180,8 @@ class QuotientApprox:
     encoded as integers (bit ``gamma-1`` is the value at element gamma).
     The group acts through the homomorphism by exact shifts; ``rho``
     truncates each configuration to the window through the homomorphism.
+    ``images`` holds the quotient image of each window coordinate, taken
+    once; every check of the model reads it instead of the homomorphism.
     """
 
     def __init__(self, window: BernoulliWindow, hom: GroupHom) -> None:
@@ -187,44 +189,37 @@ class QuotientApprox:
             raise MalformedDataError("homomorphism source must be the window group")
         self.window = window
         self.hom = hom
-        self.quotient = hom.target
-        m = self.quotient.order
-        self.num_points = 1 << (m - 1)
+        self.quotient = q = hom.target
+        m = q.order
+        self.num_points = n = 1 << (m - 1)
+        self.images = _window_images(window, hom)
 
+        # the rule must not reach self: a cycle through the action's map
+        # cache would outlive each model until a full garbage collection
         def rule(key) -> PartialMap:
-            gamma = hom.apply(key)
-            gi = self.quotient.inverse(gamma)
+            gi = q.inverse(hom.apply(key))
             # shifted value at gamma' reads the source at gamma^-1 gamma'
-            reads = [self.quotient.multiply(gi, gp) for gp in range(1, m)]
-            pairs = []
-            for z in range(self.num_points):
-                if self._bit(z, gi) != 1:
-                    continue
-                w = 0
-                for pos, src in enumerate(reads):
-                    if self._bit(z, src):
-                        w |= 1 << pos
-                pairs.append((z, w))
-            return PartialMap(tuple(pairs))
+            reads = [q.multiply(gi, gp) for gp in range(1, m)]
+            return PartialMap(tuple((z, _read(z, reads)) for z in range(n) if _bit(z, gi)))
 
-        self.action = FinitePartialAction(window.group, self.num_points, {}, rule=rule)
-        self.rho = tuple(self._truncate(z) for z in range(self.num_points))
+        self.action = FinitePartialAction(window.group, n, {}, rule=rule)
+        self.rho = tuple(_read(z, self.images[1:]) for z in range(n))
 
-    def _bit(self, z: int, gamma: int) -> int:
-        if gamma == 0:
-            return 1
-        return (z >> (gamma - 1)) & 1
 
-    def point_value(self, z: int, g) -> int:
-        """The configuration's value at any group element, via the quotient."""
-        return self._bit(z, self.hom.apply(g))
+def _bit(z: int, gamma: int) -> int:
+    """Configuration z's value at quotient element gamma."""
+    if gamma == 0:
+        return 1
+    return (z >> (gamma - 1)) & 1
 
-    def _truncate(self, z: int) -> int:
-        x = 0
-        for k in range(1, self.window.depth + 1):
-            if self.point_value(z, self.window.coords[k]):
-                x |= 1 << (k - 1)
-        return x
+
+def _read(z: int, gammas: Sequence[int]) -> int:
+    """Configuration z's values at ``gammas``, the i-th one in bit i."""
+    x = 0
+    for i, gamma in enumerate(gammas):
+        if gamma == 0 or (z >> (gamma - 1)) & 1:
+            x |= 1 << i
+    return x
 
 
 # QuotientApprox enumerates 2^(order-1) configurations, so larger quotients
@@ -253,58 +248,30 @@ def strict_equivariance_report(
 ) -> EquivarianceReport:
     """Exact window check of the intertwining identities of ``rho``.
 
-    For every checked element the shifted image of each model point is
-    compared coordinate-by-coordinate with the shift of its truncation,
-    evaluating the true configuration through the homomorphism, so the
-    comparison is exact at all window coordinates.  Both containments
-    (image and strict preimage) are verified as well.
+    For an element with quotient image ``gamma``, a model point lands in
+    the element's window set when its configuration is 1 at ``gamma``, and
+    the truncation of its shift reads the configuration at ``gamma^-1``
+    times each window image.  That is the true shifted configuration, so
+    the comparison with ``rho`` of the shifted model point is exact at all
+    window coordinates.  Both containments (image and strict preimage) are
+    verified as well.
     """
     window = approx.window
-    group = window.group
+    q = approx.quotient
     if elements is None:
         elements = window.coords
-    elems = [group.check_element(t) for t in elements]
-    violations: list[dict] = []
-    max_defect = 0.0
-    points = 0
-    strict_ok = True
-    for t in elems:
-        label = word_to_str(group, t)
-        pm = approx.action.element_map(t)
-        in_set = pm.target_set()
-        for z in sorted(in_set):
-            points += 1
-            if approx.point_value(z, t) != 1:
-                violations.append({"kind": "image", "element": label, "point": z})
-                max_defect = max(max_defect, 1.0)
-        for z, w in pm.pairs:
-            points += 1
-            shifted = 0
-            for k in range(1, window.depth + 1):
-                val = approx.point_value(z, group.multiply(group.inverse(t), window.coords[k]))
-                if val:
-                    shifted |= 1 << (k - 1)
-            got = approx.rho[w]
-            if got != shifted:
-                d = metric(got, shifted, window.depth)
-                violations.append(
-                    {"kind": "pointwise", "element": label, "point": z, "defect": d}
-                )
-                max_defect = max(max_defect, d if d > 0 else 1.0)
-        for z in range(approx.num_points):
-            points += 1
-            if approx.point_value(z, t) == 1 and z not in in_set:
-                strict_ok = False
-                violations.append({"kind": "strict", "element": label, "point": z})
-                max_defect = max(max_defect, 1.0)
-    ok = not any(v["kind"] in ("image", "pointwise") for v in violations)
-    return EquivarianceReport(
-        ok=ok,
-        strict_ok=strict_ok,
-        max_defect=max_defect,
-        violations=violations,
-        elements_checked=len(elems),
-        points_checked=points,
+    elems = [window.group.check_element(t) for t in elements]
+
+    def inputs(t, pm: PartialMap):
+        gamma = approx.hom.apply(t)
+        gi = q.inverse(gamma)
+        reads = [q.multiply(gi, g) for g in approx.images[1:]]
+        lands = frozenset(z for z in range(approx.num_points) if _bit(z, gamma))
+        return lands, {z: _read(z, reads) for z, _ in pm.pairs}
+
+    return _equivariance_report(
+        approx.action, approx.rho, elems, inputs,
+        lambda x, y: metric(x, y, window.depth), strict=True,
     )
 
 
@@ -339,8 +306,8 @@ class RfdCertificate:
 
 
 def _required_depth(delta: float) -> int:
-    if delta <= 0:
-        raise MalformedDataError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise MalformedDataError(f"delta must be positive and finite, got {delta!r}")
     depth = 0
     while 2.0 ** (-depth) >= delta:
         depth += 1
@@ -352,6 +319,9 @@ def _window_images(window: BernoulliWindow, hom: GroupHom) -> list[int]:
 
 
 def _separates_window(window: BernoulliWindow, hom: GroupHom) -> bool:
+    # distinct images need at least as many quotient elements as coordinates
+    if len(window.coords) > hom.target.order:
+        return False
     imgs = _window_images(window, hom)
     if any(g == hom.target.identity for g in imgs[1:]):
         return False
@@ -421,15 +391,9 @@ def certify_rfd(
                 "no homomorphism within the search budget separates the window"
             )
 
-    approx = quotient_approximation(window, chosen, max_order=max_order)
-    eq = strict_equivariance_report(approx)
+    approx, eq, worst = _quotient_checks(window, chosen, max_order)
     if not (eq.ok and eq.strict_ok):
         raise CertificationError("quotient approximation is not strictly equivariant")
-
-    worst = 0.0
-    for x in window.points():
-        z = _density_witness(window, chosen, x)
-        worst = max(worst, metric(approx.rho[z], x, depth))
     bound = 2.0 ** (-depth)
     if worst > bound:
         raise CertificationError("density witnesses exceed the tail bound")
@@ -445,12 +409,25 @@ def certify_rfd(
     )
 
 
-def _density_witness(window: BernoulliWindow, hom: GroupHom, x: int) -> int:
+def _quotient_checks(
+    window: BernoulliWindow, hom: GroupHom, max_order: int
+) -> tuple[QuotientApprox, EquivarianceReport, float]:
+    """The quotient model, its strict report, and the largest window
+    distance from a point to ``rho`` of its density witness."""
+    approx = quotient_approximation(window, hom, max_order=max_order)
+    eq = strict_equivariance_report(approx)
+    worst = 0.0
+    for x in window.points():
+        z = _density_witness(approx.images, x)
+        worst = max(worst, metric(approx.rho[z], x, window.depth))
+    return approx, eq, worst
+
+
+def _density_witness(images: Sequence[int], x: int) -> int:
     """The configuration equal to x on window images and 0 elsewhere."""
     z = 0
-    for k in range(1, window.depth + 1):
-        if window.bit(x, k):
-            gamma = hom.apply(window.coords[k])
+    for i, gamma in enumerate(images[1:]):
+        if (x >> i) & 1:
             z |= 1 << (gamma - 1)
     return z
 
@@ -466,17 +443,14 @@ def verify_certificate(cert: RfdCertificate, max_order: int = 16) -> bool:
         window = BernoulliWindow.build(cert.group, depth)
         if not _separates_window(window, cert.hom):
             return False
-        approx = quotient_approximation(window, cert.hom, max_order=max_order)
-        eq = strict_equivariance_report(approx)
-        if not (eq.ok and eq.strict_ok and eq.max_defect <= cert.equivariance_defect):
-            return False
-        for x in window.points():
-            z = _density_witness(window, cert.hom, x)
-            if metric(approx.rho[z], x, depth) > cert.density_bound:
-                return False
-        if cert.points_checked != {"window": window.num_points, "quotient": approx.num_points}:
-            return False
-        return True
+        approx, eq, worst = _quotient_checks(window, cert.hom, max_order)
+        return (
+            eq.ok
+            and eq.strict_ok
+            and eq.max_defect <= cert.equivariance_defect
+            and worst <= cert.density_bound
+            and cert.points_checked == {"window": window.num_points, "quotient": approx.num_points}
+        )
     except (MalformedDataError, CertificationError):
         return False
 
@@ -501,15 +475,12 @@ class CylinderFunction:
         if len(self.values) != (1 << len(self.coords)):
             raise MalformedDataError("need one value per coordinate assignment")
 
-    def eval_bits(self, bit_at: Callable[[int], int]) -> float:
+    def on_window_point(self, window: BernoulliWindow, point: int) -> float:
         idx = 0
         for i, k in enumerate(self.coords):
-            if bit_at(k):
+            if window.bit(point, k):
                 idx |= 1 << i
         return self.values[idx]
-
-    def on_window_point(self, window: BernoulliWindow, point: int) -> float:
-        return self.eval_bits(lambda k: window.bit(point, k))
 
     @staticmethod
     def constant(c: float) -> "CylinderFunction":
@@ -573,26 +544,27 @@ def invariant_measure_approx(
         values.append({"test": f.label or repr(f.coords), "value": mu})
         if all(v >= 0.0 for v in f.values) and mu < 0.0:
             positive_ok = False
+    # per element: its set's points shifted back (read at gamma times each
+    # window image) and rho of its inverse's set
+    q = approx.quotient
+    rows = []
+    for t in elems:
+        reads = [q.multiply(approx.hom.apply(t), g) for g in approx.images[1:]]
+        back = approx.action.element_map(t).target_set()
+        fwd = approx.action.element_map(group.inverse(t)).target_set()
+        rows.append((
+            word_to_str(group, t),
+            [_read(z, reads) for z in sorted(back)],
+            [approx.rho[z] for z in sorted(fwd)],
+        ))
     defects: list[dict] = []
     max_defect = 0.0
     for f in tests:
-        for t in elems:
-            label = word_to_str(group, t)
-            pm = approx.action.element_map(t)
-            ti = group.inverse(t)
-            shifted = [
-                f.eval_bits(
-                    lambda k, z=z: approx.point_value(
-                        z, group.multiply(t, window.coords[k])
-                    )
-                )
-                for z in sorted(pm.target_set())
-            ]
-            plain = [
-                f.on_window_point(window, approx.rho[z])
-                for z in sorted(approx.action.element_map(ti).target_set())
-            ]
-            defect = abs(math.fsum(shifted) - math.fsum(plain)) / total
+        for label, shifted, plain in rows:
+            defect = abs(
+                math.fsum(f.on_window_point(window, x) for x in shifted)
+                - math.fsum(f.on_window_point(window, x) for x in plain)
+            ) / total
             defects.append({"test": f.label or repr(f.coords), "element": label, "defect": defect})
             max_defect = max(max_defect, defect)
     return MeasureApprox(

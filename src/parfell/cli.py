@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -218,6 +219,8 @@ def _sanitize(obj):
 def _noised_family(
     rep: CovariantRep, elements: list, sigma: float, seed: int
 ) -> PartialRepFamily:
+    if not 0 <= sigma < math.inf:
+        raise MalformedDataError(f"--noise must be finite and >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
     ident = rep.group.identity
     mats = {}
@@ -354,6 +357,8 @@ def _run_measure(args, seed, tol):
 
 
 def _run_bundle_axioms(args, seed, tol):
+    if args.trials < 0:
+        raise MalformedDataError(f"--trials must be >= 0, got {args.trials}")
     inputs = {args.action: _sha256(args.action)}
     action = _load_action(args.action)
     dual = DualSystem(action)
@@ -383,9 +388,11 @@ def _emit(envelope: dict, json_out: str | None) -> None:
         Path(json_out).write_text(text, encoding="utf-8")
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     subcommand = args.subcommand
     if subcommand == "bernoulli":
         subcommand = f"bernoulli {args.bernoulli_cmd}"

@@ -1,6 +1,7 @@
 """Partial actions: map algebra, axiom validation, duals, equivariance."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import parfell as pf
 from conftest import random_valid_action, random_free_action
+from parfell.actions import DEFAULT_RADIUS, EquivarianceReport
+from parfell.groups import scan_elements, word_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +277,127 @@ def test_equivariance_pointwise_failure(swap_action):
     report = pf.check_equivariance(emap)
     assert not report.ok
     assert any(v["kind"] == "pointwise" for v in report.violations)
+
+
+# The parent commit's checker, kept verbatim as the reference for the
+# shared loop behind check_equivariance.
+def ref_check_equivariance(
+    emap,
+    radius=DEFAULT_RADIUS,
+    strict=False,
+    point_metric=None,
+):
+    src, tgt, rho = emap.source, emap.target, emap.rho
+    elems = scan_elements(src.group, radius)
+    violations: list[dict] = []
+    max_defect = 0.0
+    points_checked = 0
+
+    def dist(x: int, y: int) -> float:
+        if point_metric is not None:
+            return float(point_metric(x, y))
+        return 0.0 if x == y else 1.0
+
+    strict_ok = True
+    for t in elems:
+        s_map = src.element_map(t)
+        t_map = tgt.element_map(t)
+        t_image = t_map.target_set()
+        t_dict = t_map.as_dict()
+        label = word_to_str(src.group, t)
+        for z in s_map.targets:
+            points_checked += 1
+            if rho[z] not in t_image:
+                violations.append({"kind": "image", "element": label, "point": z})
+                max_defect = max(max_defect, 1.0)
+        for z, w in s_map.pairs:
+            points_checked += 1
+            if rho[z] not in t_dict:
+                violations.append({"kind": "domain", "element": label, "point": z})
+                max_defect = max(max_defect, 1.0)
+                continue
+            got, want = rho[w], t_dict[rho[z]]
+            if got != want:
+                d = dist(got, want)
+                violations.append(
+                    {"kind": "pointwise", "element": label, "point": z, "defect": d}
+                )
+                max_defect = max(max_defect, d if d > 0 else 1.0)
+        if strict:
+            s_image = s_map.target_set()
+            for x in range(src.n):
+                points_checked += 1
+                if rho[x] in t_image and x not in s_image:
+                    strict_ok = False
+                    violations.append({"kind": "strict", "element": label, "point": x})
+                    max_defect = max(max_defect, 1.0)
+    ok = not any(v["kind"] in ("image", "domain", "pointwise") for v in violations)
+    return EquivarianceReport(
+        ok=ok,
+        strict_ok=strict_ok if strict else True,
+        max_defect=max_defect,
+        violations=violations,
+        elements_checked=len(elems),
+        points_checked=points_checked,
+    )
+
+
+POINT_METRICS = [
+    None,
+    lambda x, y: abs(x - y) / 4,  # weight 0 never arises: x != y
+    lambda x, y: 0.0,  # every miss then counts 1
+    lambda x, y: (x * y) % 3 - 1.0,  # negative, zero and positive weights
+    lambda x, y: math.inf if x > y else 0.5,
+]
+
+
+@st.composite
+def partial_maps(draw, n_src, n_tgt):
+    """A random partial map, often neither injective nor total."""
+    dom = draw(st.lists(st.integers(0, n_src - 1), unique=True, max_size=n_src)) if n_src else []
+    return {z: draw(st.integers(0, n_tgt - 1)) for z in dom}
+
+
+@st.composite
+def random_actions(draw, group, n):
+    if isinstance(group, pf.FreeGroup):
+        keys = [s for i in range(1, group.rank + 1) for s in ((i,), (-i,))]
+    else:
+        keys = list(range(group.order))
+        if draw(st.booleans()):
+            keys = keys[1:]  # identity then acts as the identity
+    return pf.FinitePartialAction(group, n, {t: draw(partial_maps(n, n)) for t in keys})
+
+
+@st.composite
+def equivariance_cases(draw):
+    group = draw(st.sampled_from([
+        pf.cyclic_group(1), pf.cyclic_group(2), pf.cyclic_group(3),
+        pf.cyclic_group(4), pf.symmetric_group(3), pf.FreeGroup(1), pf.FreeGroup(2),
+    ]))
+    n_src = draw(st.integers(0, 5))
+    n_tgt = draw(st.integers(1, 5))
+    src = draw(random_actions(group, n_src))
+    tgt = draw(random_actions(group, n_tgt))
+    rho = draw(st.lists(st.integers(0, n_tgt - 1), min_size=n_src, max_size=n_src))
+    return pf.EquivariantMap(source=src, target=tgt, rho=tuple(rho))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    equivariance_cases(),
+    st.integers(1, 2),
+    st.booleans(),
+    st.sampled_from(range(len(POINT_METRICS))),
+)
+def test_check_equivariance_matches_reference(emap, radius, strict, metric_idx):
+    """Whole reports, violations in order included, equal the reference's on
+    random actions with non-injective and partial maps on both sides."""
+    point_metric = POINT_METRICS[metric_idx]
+    got = pf.check_equivariance(emap, radius=radius, strict=strict, point_metric=point_metric)
+    want = ref_check_equivariance(emap, radius=radius, strict=strict, point_metric=point_metric)
+    assert got == want
+    assert got.to_json() == want.to_json()
 
 
 def test_equivariant_map_validation(swap_action):

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
+from parfell.actions import EquivarianceReport
+from parfell.bernoulli import _bit, _density_witness, _separates_window
+from parfell.groups import word_to_str
 
 
 Z = pf.FreeGroup(rank=1)
@@ -131,6 +134,182 @@ def test_strict_equivariance_detects_tampered_rho():
     assert any(v["kind"] == "pointwise" for v in report.violations)
 
 
+# References from the parent commit.  ``QuotientApprox.point_value`` is gone
+# from the package; ``with_point_value`` puts its body back on an instance so
+# that the reference report below runs verbatim.
+
+
+def with_point_value(approx):
+    def point_value(z, g):
+        return _bit(z, approx.hom.apply(g))
+
+    approx.point_value = point_value
+    return approx
+
+
+def ref_strict_equivariance_report(approx, elements=None):
+    window = approx.window
+    group = window.group
+    if elements is None:
+        elements = window.coords
+    elems = [group.check_element(t) for t in elements]
+    violations: list[dict] = []
+    max_defect = 0.0
+    points = 0
+    strict_ok = True
+    for t in elems:
+        label = word_to_str(group, t)
+        pm = approx.action.element_map(t)
+        in_set = pm.target_set()
+        for z in sorted(in_set):
+            points += 1
+            if approx.point_value(z, t) != 1:
+                violations.append({"kind": "image", "element": label, "point": z})
+                max_defect = max(max_defect, 1.0)
+        for z, w in pm.pairs:
+            points += 1
+            shifted = 0
+            for k in range(1, window.depth + 1):
+                val = approx.point_value(z, group.multiply(group.inverse(t), window.coords[k]))
+                if val:
+                    shifted |= 1 << (k - 1)
+            got = approx.rho[w]
+            if got != shifted:
+                d = pf.metric(got, shifted, window.depth)
+                violations.append(
+                    {"kind": "pointwise", "element": label, "point": z, "defect": d}
+                )
+                max_defect = max(max_defect, d if d > 0 else 1.0)
+        for z in range(approx.num_points):
+            points += 1
+            if approx.point_value(z, t) == 1 and z not in in_set:
+                strict_ok = False
+                violations.append({"kind": "strict", "element": label, "point": z})
+                max_defect = max(max_defect, 1.0)
+    ok = not any(v["kind"] in ("image", "pointwise") for v in violations)
+    return EquivarianceReport(
+        ok=ok,
+        strict_ok=strict_ok,
+        max_defect=max_defect,
+        violations=violations,
+        elements_checked=len(elems),
+        points_checked=points,
+    )
+
+
+def ref_truncate(approx, z):
+    x = 0
+    for k in range(1, approx.window.depth + 1):
+        if approx.point_value(z, approx.window.coords[k]):
+            x |= 1 << (k - 1)
+    return x
+
+
+def ref_rule(approx, key):
+    m = approx.quotient.order
+    gamma = approx.hom.apply(key)
+    gi = approx.quotient.inverse(gamma)
+    reads = [approx.quotient.multiply(gi, gp) for gp in range(1, m)]
+    pairs = []
+    for z in range(approx.num_points):
+        if _bit(z, gi) != 1:
+            continue
+        w = 0
+        for pos, src in enumerate(reads):
+            if _bit(z, src):
+                w |= 1 << pos
+        pairs.append((z, w))
+    return pf.PartialMap(tuple(pairs))
+
+
+def ref_density_witness(window, hom, x):
+    z = 0
+    for k in range(1, window.depth + 1):
+        if window.bit(x, k):
+            gamma = hom.apply(window.coords[k])
+            z |= 1 << (gamma - 1)
+    return z
+
+
+QUOTIENTS = [pf.cyclic_group(m) for m in range(1, 7)] + [
+    pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(2)),
+    pf.symmetric_group(3),
+]
+
+
+@st.composite
+def quotient_models(draw):
+    """A window of free:1 or free:2 of depth at most 5 and a random
+    homomorphism onto a quotient of order at most 6, abelian or not."""
+    group = draw(st.sampled_from([Z, F2]))
+    target = draw(st.sampled_from(QUOTIENTS))
+    images = draw(st.lists(st.integers(0, target.order - 1),
+                           min_size=group.rank, max_size=group.rank))
+    window = pf.BernoulliWindow.build(group, draw(st.integers(0, 5)))
+    hom = pf.GroupHom(source=group, target=target, images=tuple(images))
+    return with_point_value(pf.quotient_approximation(window, hom))
+
+
+@st.composite
+def checked_elements(draw, group):
+    """None (the window) or random words of length at most 4, many of them
+    outside the window."""
+    if draw(st.booleans()):
+        return None
+    letters = st.sampled_from(group.letters())
+    words = st.lists(letters, max_size=4).map(group.reduce_word)
+    return draw(st.lists(words, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_models(), st.data())
+def test_strict_report_matches_reference(approx, data):
+    """The model, rho, density witnesses and whole strict reports equal the
+    parent's, on random homomorphisms, tampered rho and elements outside the
+    window."""
+    window = approx.window
+    assert approx.rho == tuple(ref_truncate(approx, z) for z in range(approx.num_points))
+    elements = data.draw(checked_elements(window.group))
+    for t in window.coords if elements is None else elements:
+        assert approx.action.element_map(t) == ref_rule(approx, t)
+    if _separates_window(window, approx.hom):
+        for x in window.points():
+            assert _density_witness(approx.images, x) == ref_density_witness(window, approx.hom, x)
+    if data.draw(st.booleans()):
+        tampered = list(approx.rho)
+        for z in data.draw(st.lists(st.integers(0, approx.num_points - 1), max_size=4)):
+            tampered[z] = data.draw(st.integers(0, window.num_points - 1))
+        approx.rho = tuple(tampered)
+    got = pf.strict_equivariance_report(approx, elements)
+    want = ref_strict_equivariance_report(approx, elements)
+    assert got == want
+    assert got.to_json() == want.to_json()
+
+
+def test_separation_skips_apply_when_window_outgrows_quotient(monkeypatch):
+    """More window coordinates than quotient elements cannot have distinct
+    images; the answer comes before any homomorphism is applied."""
+    calls = []
+    apply = pf.GroupHom.apply
+
+    def counted(self, g):
+        calls.append(g)
+        return apply(self, g)
+
+    monkeypatch.setattr(pf.GroupHom, "apply", counted)
+    hom = pf.GroupHom(source=F2, target=pf.cyclic_group(16), images=(1, 4))
+    assert not _separates_window(pf.BernoulliWindow.build(F2, 15), hom)  # 16 coords
+    assert len(calls) == 16
+
+    def refuse(self, g):
+        raise AssertionError("GroupHom.apply ran")
+
+    monkeypatch.setattr(pf.GroupHom, "apply", refuse)
+    assert not _separates_window(pf.BernoulliWindow.build(F2, 16), hom)  # 17 coords
+    with pytest.raises(pf.CertificationError):
+        pf.certify_rfd(F2, 1e-300)  # depth 997: no candidate can separate
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -199,6 +378,14 @@ def test_certify_rejects_bad_delta():
         pf.certify_rfd(Z, 0.0)
     with pytest.raises(pf.MalformedDataError):
         pf.certify_rfd(Z, -1.0)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_certify_rejects_non_finite_delta(delta):
+    with pytest.raises(pf.MalformedDataError, match="delta must be positive and finite"):
+        pf.certify_rfd(F2, delta)
+    cert = pf.certify_rfd(Z, 0.2)
+    assert not pf.verify_certificate(pf.RfdCertificate(**{**cert.__dict__, "delta": delta}))
 
 
 def test_verify_rejects_tampered_certificates():
@@ -305,3 +492,86 @@ def test_measure_to_json_shape():
     ma = pf.invariant_measure_approx(approx, [pf.CylinderFunction.constant(1.0)])
     data = ma.to_json()
     assert set(data) == {"values", "defects", "normalization", "positive_ok", "max_defect"}
+
+
+def ref_eval_bits(f, bit_at):
+    """The parent's ``CylinderFunction.eval_bits``, now folded into
+    ``on_window_point``."""
+    idx = 0
+    for i, k in enumerate(f.coords):
+        if bit_at(k):
+            idx |= 1 << i
+    return f.values[idx]
+
+
+def ref_invariant_measure_approx(approx, tests, elements=None):
+    """The parent's measure, verbatim but for ``ref_eval_bits``."""
+    window = approx.window
+    group = window.group
+    if elements is None:
+        elements = window.coords
+    elems = [group.check_element(t) for t in elements]
+    for f in tests:
+        if any(not (0 <= k <= window.depth) for k in f.coords):
+            raise pf.MalformedDataError(
+                f"test {f.label!r} depends on coordinates outside the window"
+            )
+    total = approx.num_points
+    values: list[dict] = []
+    positive_ok = True
+    norm = math.fsum(1.0 for _ in range(total)) / total
+    for f in tests:
+        samples = [f.on_window_point(window, approx.rho[z]) for z in range(total)]
+        mu = math.fsum(samples) / total
+        values.append({"test": f.label or repr(f.coords), "value": mu})
+        if all(v >= 0.0 for v in f.values) and mu < 0.0:
+            positive_ok = False
+    defects: list[dict] = []
+    max_defect = 0.0
+    for f in tests:
+        for t in elems:
+            label = word_to_str(group, t)
+            pm = approx.action.element_map(t)
+            ti = group.inverse(t)
+            shifted = [
+                ref_eval_bits(
+                    f,
+                    lambda k, z=z: approx.point_value(
+                        z, group.multiply(t, window.coords[k])
+                    ),
+                )
+                for z in sorted(pm.target_set())
+            ]
+            plain = [
+                f.on_window_point(window, approx.rho[z])
+                for z in sorted(approx.action.element_map(ti).target_set())
+            ]
+            defect = abs(math.fsum(shifted) - math.fsum(plain)) / total
+            defects.append({"test": f.label or repr(f.coords), "element": label, "defect": defect})
+            max_defect = max(max_defect, defect)
+    return pf.MeasureApprox(
+        values=values,
+        defects=defects,
+        normalization=norm,
+        positive_ok=positive_ok,
+        max_defect=max_defect,
+    )
+
+
+@st.composite
+def cylinder_tests(draw, depth):
+    coords = draw(st.lists(st.integers(0, depth), unique=True, max_size=3))
+    values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]),
+                           min_size=1 << len(coords), max_size=1 << len(coords)))
+    return pf.CylinderFunction(coords=tuple(coords), values=tuple(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotient_models(), st.data())
+def test_measure_matches_reference(approx, data):
+    """Values and per-element defects equal the parent's, for random tests,
+    homomorphisms (separating or not) and checked elements."""
+    tests = data.draw(st.lists(cylinder_tests(approx.window.depth), max_size=3))
+    elements = data.draw(checked_elements(approx.window.group))
+    got = pf.invariant_measure_approx(approx, tests, elements)
+    assert got == ref_invariant_measure_approx(approx, tests, elements)

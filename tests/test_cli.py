@@ -85,6 +85,27 @@ def test_perturb_eta_out_of_range_exits_two(capsys, swap_file):
     assert "error" in env
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bernoulli", "certify", "--group", "free:2", "--delta", "nan"], "delta"),
+        (["measure", "--group", "free:1", "--delta", "nan"], "delta"),
+        (["measure", "--group", "free:1", "--delta", "inf"], "delta"),
+        (["defects", "{action}", "--noise", "nan"], "--noise"),
+        (["defects", "{action}", "--noise", "-0.5"], "--noise"),
+        (["bundle-axioms", "{action}", "--trials", "-3"], "--trials"),
+    ],
+    ids=["certify-delta-nan", "measure-delta-nan", "measure-delta-inf",
+         "defects-noise-nan", "defects-noise-negative", "bundle-trials-negative"],
+)
+def test_out_of_range_options_exit_two(capsys, swap_file, argv, flag):
+    """A non-finite delta or noise, a negative noise and negative trials are
+    refused with an error naming the flag, not run and reported as NaN."""
+    code, env, _ = run(capsys, [a.format(action=swap_file) for a in argv])
+    assert code == 2
+    assert flag in env["error"]
+
+
 # ---------------------------------------------------------------------------
 # subcommand reports
 
@@ -249,6 +270,26 @@ def test_reports_match_golden(capsys, monkeypatch, stem, command):
     monkeypatch.delenv("PARFELL_SEED", raising=False)
     _, _, text = run(capsys, [command, f"{stem}.json", *GOLDEN_ARGS[command]])
     assert text == (DATA / "golden" / f"{stem}.{command}.json").read_text(encoding="utf-8")
+
+
+BERNOULLI_GOLDENS = {
+    "certify-free1": ["bernoulli", "certify", "--group", "free:1", "--delta", "0.01"],
+    "certify-free2": ["bernoulli", "certify", "--group", "free:2", "--delta", "0.01"],
+    "certify-free2-budget": ["bernoulli", "certify", "--group", "free:2", "--delta", "0.05",
+                             "--max-order", "4"],
+    "measure-free1": ["measure", "--group", "free:1", "--delta", "0.01"],
+    "measure-free2": ["measure", "--group", "free:2", "--delta", "0.01"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BERNOULLI_GOLDENS))
+def test_bernoulli_reports_match_golden(capsys, monkeypatch, name):
+    """Certificates and measure reports at window depth 7 (the budget case
+    fails the search and exits 1) stay byte-identical."""
+    monkeypatch.delenv("PARFELL_SEED", raising=False)
+    code, _, text = run(capsys, BERNOULLI_GOLDENS[name])
+    assert code == (1 if name.endswith("budget") else 0)
+    assert text == (DATA / "golden" / f"bernoulli.{name}.json").read_text(encoding="utf-8")
 
 
 def test_radius_zero_error_is_shared(capsys, monkeypatch):

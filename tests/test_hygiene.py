@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parfell"
@@ -29,3 +30,11 @@ def test_no_unused_imports():
         for name in unused_imports(path)
     ]
     assert not found, found
+
+
+def test_sources_parse_at_the_python_floor():
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    floor = (int(major), int(minor))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=floor)

@@ -9,6 +9,7 @@ certifies residual finiteness of truncated Bernoulli systems.
 from __future__ import annotations
 
 from .groups import (
+    MAX_SCAN_PAIRS,
     FiniteGroup,
     FreeGroup,
     GroupHom,
@@ -21,6 +22,7 @@ from .groups import (
     group_to_json,
     hom_from_json,
     hom_to_json,
+    product_table,
     scan_elements,
     symmetric_group,
     trivial_group,

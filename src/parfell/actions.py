@@ -22,6 +22,7 @@ from .groups import (
     UndeclaredElementError,
     group_from_json,
     group_to_json,
+    product_table,
     scan_elements,
     word_key,
     word_from_str,
@@ -104,12 +105,16 @@ class FinitePartialAction:
         self.rule = rule
         self._declared: dict = {}
         self._cache: dict = {}
+        # letter-composition rows of free words, keyed by the word
+        self._suffix_rows: dict = {}
         for g, m in maps.items():
             key = group.check_element(g)
             pm = m if isinstance(m, PartialMap) else PartialMap.from_dict(m)
             for z, w in pm.pairs:
                 if not (0 <= z < n and 0 <= w < n):
                     raise MalformedDataError(f"map for {word_to_str(group, key)} leaves 0..{n-1}")
+            if isinstance(m, PartialMap) and len(set(pm.sources)) != len(pm.pairs):
+                raise MalformedDataError(f"map for {word_to_str(group, key)} sends a point twice")
             if key in self._declared:
                 raise MalformedDataError(f"duplicate data for element {word_to_str(group, key)}")
             self._declared[key] = pm
@@ -158,10 +163,41 @@ class FinitePartialAction:
         raise UndeclaredElementError(f"no data for generator letter {letter}")
 
     def _compose_letters(self, word) -> PartialMap:
-        pm = PartialMap.identity_on(range(self.n))
-        for letter in reversed(word):  # rightmost letter acts first
-            pm = self._letter_map(letter).compose(pm)
-        return pm
+        row = self._composed_row(word).tolist()
+        return PartialMap(tuple((z, w) for z, w in enumerate(row[:-1]) if w >= 0))
+
+    def _composed_row(self, word) -> np.ndarray:
+        """Row of ``word`` by letter composition alone, built from its
+        suffix as ``row(w) = row(w[0])[row(w[1:])]`` and memoised."""
+        memo = self._suffix_rows
+        i = 0
+        while i < len(word) and word[i:] not in memo:
+            i += 1
+        row = memo[word[i:]] if i < len(word) else _identity_row(self.n)
+        for j in reversed(range(i)):
+            letter = word[j : j + 1]
+            if letter not in memo:
+                memo[letter] = _row_of(self._letter_map(word[j]), self.n)
+            row = memo[letter][row]  # the rightmost letters act first
+            memo[word[j:]] = row
+        return row
+
+    def map_rows(self, keys: Sequence) -> np.ndarray:
+        """Element maps as int rows, one per key as ``check_element`` returns it.
+
+        ``rows[i, z]`` is ``eta_{keys[i]}(z)``, or -1 where it is undefined.
+        The last column is all -1, so ``f[g]`` composes row ``f`` after row
+        ``g``.  Rows equal ``element_map`` exactly.
+        """
+        rows = np.empty((len(keys), self.n + 1), dtype=np.intp)
+        for i, key in enumerate(keys):
+            rows[i] = self._row(key)
+        return rows
+
+    def _row(self, key) -> np.ndarray:
+        if isinstance(self.group, FreeGroup) and self.rule is None and key not in self._declared:
+            return self._composed_row(key)
+        return _row_of(self.element_map(key), self.n)
 
     def support(self, g) -> tuple[int, ...]:
         """V_g, the set on which ``g``'s image points live."""
@@ -176,6 +212,19 @@ class FinitePartialAction:
                 return False
             elements = mine
         return all(self.element_map(t) == other.element_map(t) for t in elements)
+
+
+def _identity_row(n: int) -> np.ndarray:
+    return np.append(np.arange(n), -1)
+
+
+def _row_of(pm: PartialMap, n: int) -> np.ndarray:
+    row = np.full(n + 1, -1)
+    for z, w in pm.pairs:
+        if not (0 <= z < n and 0 <= w < n):
+            raise MalformedDataError(f"map pair {(z, w)} leaves 0..{n - 1}")
+        row[z] = w
+    return row
 
 
 def restriction_action(
@@ -244,13 +293,14 @@ def validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> Valid
 
     Finite groups are checked over all element pairs; free groups over the
     ball of the given radius, with longer words obtained by composition or
-    the action's rule.  Witness points are recorded sorted.
+    the action's rule.  Witness points are recorded sorted.  The pair
+    identities run one row ``s`` at a time over int-array element maps;
+    issues are built pair by pair for the pairs that fail.
     """
     group = action.group
     structural: list[Issue] = []
     axiom: list[Issue] = []
 
-    full = frozenset(range(action.n))
     ident = group.identity
     if action.is_declared(ident):
         em = action.element_map(ident)
@@ -302,67 +352,72 @@ def validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> Valid
         return ValidationReport(False, structural, axiom, len(action.declared_elements()), 0)
 
     elems = scan_elements(group, radius)
-    maps = {}
+    table = product_table(group, elems)
+    rows = []
     for t in elems:
         try:
-            maps[t] = action.element_map(t)
+            rows.append(action._row(t))
         except UndeclaredElementError:
             structural.append(
                 Issue("missing_element", word_to_str(group, t), (), "no data to build this element's map")
             )
     if structural:
         return ValidationReport(False, structural, axiom, len(elems), 0)
-    supports = {t: maps[t].target_set() for t in elems}
-    pairs_checked = 0
-    for s in elems:
-        es = maps[s]
-        si = group.inverse(s)
-        for t in elems:
-            pairs_checked += 1
-            et = maps[t]
-            st = group.multiply(s, t)
-            est = maps[st] if st in maps else action.element_map(st)
-            comp = es.compose(et)
-            est_d = est.as_dict()
-            bad = sorted(z for z, w in comp.pairs if est_d.get(z) != w)
-            if bad:
-                axiom.append(
-                    Issue(
-                        "composition",
-                        f"{word_to_str(group, s)} , {word_to_str(group, t)}",
-                        tuple(bad),
-                        "eta_s o eta_t not contained in eta_st",
-                    )
-                )
-            # image identity: eta_s(V_{s^-1} & V_t) = V_s & V_{st}
-            es_dict = es.as_dict()
-            lhs = frozenset(es_dict[z] for z in (es.source_set() & supports[t]))
-            rhs = supports[s] & est.target_set()
-            if lhs != rhs:
-                axiom.append(
-                    Issue(
-                        "range_fact",
-                        f"{word_to_str(group, s)} , {word_to_str(group, t)}",
-                        tuple(sorted(lhs ^ rhs)),
-                        "eta_s(V_s^-1 & V_t) differs from V_s & V_st",
-                    )
-                )
-            # triple identity: eta_{s^-1} eta_s eta_t = eta_{s^-1} eta_st
-            esi = maps[si] if si in maps else action.element_map(si)
-            left = esi.compose(es.compose(et))
-            right = esi.compose(est)
-            if left != right:
-                diff = sorted(set(left.pairs) ^ set(right.pairs))
-                axiom.append(
-                    Issue(
-                        "triple_fact",
-                        f"{word_to_str(group, s)} , {word_to_str(group, t)}",
-                        tuple(z for z, _ in diff),
-                        "triple composition identity fails",
-                    )
-                )
+    rows = np.vstack([*rows, action.map_rows(table.keys[len(elems) :])])
+
+    # each row s checks its pairs (s, t) over (E, n) arrays; only the pairs
+    # flagged there are rechecked pair by pair to build their issues
+    e, n = len(elems), action.n
+    hits = np.zeros((len(rows), n + 1), dtype=bool)
+    hits[np.arange(len(rows))[:, None], rows] = True  # -1 lands in column n
+    ranges = hits[:, :n]
+    eta_t = rows[:e, :n]
+    for a, s in enumerate(elems):
+        es = rows[a]
+        st = table.prod[a]
+        est = rows[st, :n]
+        comp = es[eta_t]  # eta_s o eta_t
+        bad = ((comp >= 0) & (comp != est)).any(axis=1)
+        image = np.zeros((e, n + 1), dtype=bool)
+        image[np.arange(e)[:, None], np.where(ranges[:e], es[:n], -1)] = True
+        bad |= (image[:, :n] != (ranges[a] & ranges[st])).any(axis=1)
+        esi = rows[table.inv[a]]
+        bad |= (esi[comp] != esi[est]).any(axis=1)
+        for b in np.flatnonzero(bad).tolist():
+            axiom += _pair_issues(action, s, elems[b], table.keys[st[b]], table.keys[table.inv[a]])
     ok = not structural and not axiom
-    return ValidationReport(ok, structural, axiom, len(elems), pairs_checked)
+    return ValidationReport(ok, structural, axiom, len(elems), e * e)
+
+
+def _pair_issues(action: FinitePartialAction, s, t, st, si) -> list[Issue]:
+    """The composition, range and triple identities of one pair ``(s, t)``."""
+    group = action.group
+    es, et = action.element_map(s), action.element_map(t)
+    est, esi = action.element_map(st), action.element_map(si)
+    label = f"{word_to_str(group, s)} , {word_to_str(group, t)}"
+    issues = []
+    comp = es.compose(et)
+    est_d = est.as_dict()
+    bad = sorted(z for z, w in comp.pairs if est_d.get(z) != w)
+    if bad:
+        issues.append(Issue("composition", label, tuple(bad), "eta_s o eta_t not contained in eta_st"))
+    # image identity: eta_s(V_{s^-1} & V_t) = V_s & V_{st}
+    es_dict = es.as_dict()
+    lhs = frozenset(es_dict[z] for z in (es.source_set() & et.target_set()))
+    rhs = es.target_set() & est.target_set()
+    if lhs != rhs:
+        issues.append(
+            Issue("range_fact", label, tuple(sorted(lhs ^ rhs)), "eta_s(V_s^-1 & V_t) differs from V_s & V_st")
+        )
+    # triple identity: eta_{s^-1} eta_s eta_t = eta_{s^-1} eta_st
+    left = esi.compose(comp)
+    right = esi.compose(est)
+    if left != right:
+        diff = sorted(set(left.pairs) ^ set(right.pairs))
+        issues.append(
+            Issue("triple_fact", label, tuple(z for z, _ in diff), "triple composition identity fails")
+        )
+    return issues
 
 
 # ---------------------------------------------------------------------------
@@ -569,20 +624,28 @@ def action_from_json(data: dict) -> FinitePartialAction:
             raise MalformedDataError(f"action object needs a {key!r} field")
     group = group_from_json(data["group"])
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise MalformedDataError("'n' must be a nonnegative integer")
+    if not isinstance(data["elements"], list):
+        raise MalformedDataError("'elements' must be a list")
     maps = {}
     for entry in data["elements"]:
         if not isinstance(entry, dict) or "t" not in entry or "map" not in entry:
             raise MalformedDataError("each element entry needs 't' and 'map' fields")
+        if not isinstance(entry["t"], str):
+            raise MalformedDataError(f"element name {entry['t']!r} is not a string")
         t = word_from_str(group, entry["t"])
         try:
-            pairs = {int(k): int(v) for k, v in entry["map"].items()}
+            pairs = {int(k): v for k, v in entry["map"].items()}
         except (TypeError, ValueError, AttributeError) as exc:
             raise MalformedDataError(f"bad map data for element {entry['t']!r}") from exc
+        if set(map(type, pairs.values())) - {int}:
+            raise MalformedDataError(f"map values of {entry['t']!r} must be integers")
         if "domain" in entry:
-            declared_domain = sorted(int(x) for x in entry["domain"])
-            if declared_domain != sorted(set(pairs.values())):
+            domain = entry["domain"]
+            if not isinstance(domain, list) or set(map(type, domain)) - {int}:
+                raise MalformedDataError(f"domain of {entry['t']!r} must be a list of integers")
+            if sorted(domain) != sorted(set(pairs.values())):
                 raise MalformedDataError(
                     f"declared domain of {entry['t']!r} disagrees with its map values"
                 )

@@ -207,6 +207,69 @@ def scan_elements(group: GroupSpec, radius: int) -> list:
     return group.ball(radius)
 
 
+# every finite group the loader accepts fits one scan over all its pairs
+MAX_SCAN_PAIRS = MAX_FINITE_ORDER**2
+
+
+@dataclass(frozen=True)
+class ProductTable:
+    """Products and inverses of a scan's elements as indices into ``keys``.
+
+    ``keys`` lists the scan elements first, then every product or inverse
+    outside them in first-seen order; ``inv[a]`` indexes the inverse of
+    ``keys[a]`` and ``prod[a, b]`` the product ``keys[a] keys[b]``.
+    """
+
+    keys: list
+    inv: np.ndarray
+    prod: np.ndarray
+
+
+def _cancel_junction(g: Word, h: Word) -> Word:
+    """Product of two reduced words: only letters at the junction cancel."""
+    k, m = 0, min(len(g), len(h))
+    while k < m and g[-1 - k] == -h[k]:
+        k += 1
+    return g[: len(g) - k] + h[k:] if k else g + h
+
+
+def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
+    """One product per pair of the distinct, checked ``elements``.
+
+    Refuses scans of more than ``MAX_SCAN_PAIRS`` element pairs.
+    """
+    e = len(elements)
+    if e * e > MAX_SCAN_PAIRS:
+        raise MalformedDataError(
+            f"a scan over {e} elements has {e * e} element pairs, "
+            f"above the limit of {MAX_SCAN_PAIRS}"
+        )
+    if isinstance(group, FiniteGroup):
+        table = group.table
+
+        def mul(g, h):
+            return table[g][h]
+
+        inverse = group.inverse
+    else:
+        mul = _cancel_junction
+
+        def inverse(g):
+            return tuple(-s for s in reversed(g))
+
+    # a new key is appended at index len(index); dicts keep insertion order
+    index = {g: a for a, g in enumerate(elements)}
+    if len(index) != e:
+        raise MalformedDataError("scan elements must be distinct")
+    at = index.setdefault
+    inv = np.array([at(inverse(g), len(index)) for g in elements], dtype=np.int32)
+    prod = np.array(
+        [at(mul(g, h), len(index)) for g in elements for h in elements], dtype=np.int32
+    ).reshape(e, e)
+    keys = list(index)
+    return ProductTable(keys, inv, prod)
+
+
 @dataclass(frozen=True)
 class GroupHom:
     """Homomorphism into a finite group.

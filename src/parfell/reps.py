@@ -27,6 +27,7 @@ from .groups import (
     GroupSpec,
     MalformedDataError,
     UndeclaredElementError,
+    product_table,
     word_key,
     word_to_str,
 )
@@ -86,10 +87,17 @@ class PartialRepFamily:
 
     def matrix(self, g) -> np.ndarray:
         key = self.group.check_element(g)
+        m = self._lookup(key)
+        if m is None:
+            raise UndeclaredElementError(f"no matrix for element {word_to_str(self.group, key)}")
+        return m
+
+    def _lookup(self, key) -> np.ndarray | None:
+        """The matrix of a checked key, or None when the family has none."""
         if key in self._mats:
             return self._mats[key]
         if self.rule is None:
-            raise UndeclaredElementError(f"no matrix for element {word_to_str(self.group, key)}")
+            return None
         if key not in self._cache:
             a = np.asarray(self.rule(key), dtype=np.complex128)
             if a.shape != (self.dim, self.dim):
@@ -265,16 +273,11 @@ def partial_rep_defects(
     if norm_unless_below(v.matrix(ident) - np.eye(v.dim), EXACT_TOL) > EXACT_TOL:
         raise PreconditionError("identity element is not represented by I")
 
-    mats: dict = {}
-    for t in elems:
-        mats[t] = v.matrix(t)
-
-    def get(g):
-        if g in mats:
-            return mats[g]
-        if v.has(g):
-            return v.matrix(g)
-        return None
+    table = product_table(group, elems)
+    e = len(elems)
+    # each key's matrix is fetched once; None where the family has none
+    mats = [v.matrix(t) for t in elems] + [v._lookup(g) for g in table.keys[e:]]
+    lacks = np.array([m is None for m in mats], dtype=bool)
 
     selfadj = _Worst()
     triple = _Worst()
@@ -284,34 +287,29 @@ def partial_rep_defects(
 
     name = {t: word_to_str(group, t) for t in elems}
     # every scan feeds one stack per row s, over the t that have the data
-    stack = _stack([mats[t] for t in elems], v.dim)
+    stack = _stack(mats[:e], v.dim)
     proj = stack @ _adjoints(stack)
 
-    have = []
-    for i, t in enumerate(elems):
-        vti = get(group.inverse(t))
-        if vti is None:
-            skipped.append({"entry": "selfadjoint", "elements": [name[t]]})
-        else:
-            have.append((i, vti))
-    diffs = _adjoints(stack[[i for i, _ in have]]) - _stack([m for _, m in have], v.dim)
-    selfadj.feed_stack(diffs, lambda k: name[elems[have[k][0]]])
+    inv = table.inv
+    for i in np.flatnonzero(lacks[inv]).tolist():
+        skipped.append({"entry": "selfadjoint", "elements": [name[elems[i]]]})
+    paired = np.flatnonzero(~lacks[inv])
+    vti = _stack([mats[k] for k in inv[paired].tolist()], v.dim)
+    selfadj.feed_stack(_adjoints(stack[paired]) - vti, lambda k: name[elems[paired[k]]])
 
     for a, s in enumerate(elems):
-        vsi = get(group.inverse(s))
-        have = []
-        for i, t in enumerate(elems):
-            vst = get(group.multiply(s, t))
-            if vsi is None or vst is None:
-                skipped.append({"entry": "triple_product", "elements": [name[s], name[t]]})
-            if vst is None:
-                skipped.append({"entry": "intertwine", "elements": [name[s], name[t]]})
-            else:
-                have.append((i, vst))
+        st = table.prod[a]
+        vsi = mats[inv[a]]
+        if vsi is None or lacks[st].any():
+            for i, t in enumerate(elems):
+                if vsi is None or lacks[st[i]]:
+                    skipped.append({"entry": "triple_product", "elements": [name[s], name[t]]})
+                if lacks[st[i]]:
+                    skipped.append({"entry": "intertwine", "elements": [name[s], name[t]]})
         ps = proj[a]
         ranges.feed_stack(ps @ proj - proj @ ps, partial(_row_label, name, s, elems))
-        idx = [i for i, _ in have]
-        vst = _stack([m for _, m in have], v.dim)
+        idx = np.flatnonzero(~lacks[st])
+        vst = _stack([mats[k] for k in st[idx].tolist()], v.dim)
         label = partial(_row_label, name, s, [elems[i] for i in idx])
         if vsi is not None:
             triple.feed_stack((vsi @ stack[a]) @ stack[idx] - vsi @ vst, label)
@@ -425,6 +423,7 @@ def perturb_to_partial_isometries(
     if norm_unless_below(v.matrix(ident) - np.eye(v.dim), EXACT_TOL) > EXACT_TOL:
         raise PreconditionError("family must represent the identity by I")
 
+    table = product_table(group, elems)
     name = {t: word_to_str(group, t) for t in elems}
     moved = [t for t in elems if t != ident]
     labels = [name[t] for t in moved]
@@ -471,31 +470,26 @@ def perturb_to_partial_isometries(
     selfadj = _Worst()
     triple = _Worst()
     skipped: list[dict] = []
-    pos = {t: i for i, t in enumerate(elems)}
+    e = len(elems)
     stack = _stack([out[t] for t in elems], v.dim)
-    have = []
-    for t in elems:
-        ti = group.inverse(t)
-        if ti in out:
-            have.append((t, pos[ti]))
-        else:
-            skipped.append({"entry": "selfadjoint", "elements": [name[t]]})
-    diffs = _adjoints(stack[[pos[t] for t, _ in have]]) - stack[[i for _, i in have]]
-    selfadj.feed_stack(diffs, lambda k: name[have[k][0]])
-    for s in elems:
-        si = group.inverse(s)
-        have = []
-        for t in elems:
-            st = group.multiply(s, t)
-            if si not in out or st not in out:
-                skipped.append({"entry": "triple_product", "elements": [name[s], name[t]]})
-            else:
-                have.append((t, pos[st]))
-        if have:
-            ts = [t for t, _ in have]
-            lhs = (out[si] @ out[s]) @ stack[[pos[t] for t in ts]]
-            rhs = out[si] @ stack[[i for _, i in have]]
-            triple.feed_stack(lhs - rhs, partial(_row_label, name, s, ts))
+    inv = table.inv
+    for i in np.flatnonzero(inv >= e).tolist():
+        skipped.append({"entry": "selfadjoint", "elements": [name[elems[i]]]})
+    paired = np.flatnonzero(inv < e)
+    selfadj.feed_stack(
+        _adjoints(stack[paired]) - stack[inv[paired]], lambda k: name[elems[paired[k]]]
+    )
+    for a, s in enumerate(elems):
+        st = table.prod[a]
+        have = st < e if inv[a] < e else np.zeros(e, dtype=bool)
+        for i in np.flatnonzero(~have).tolist():
+            skipped.append({"entry": "triple_product", "elements": [name[s], name[elems[i]]]})
+        idx = np.flatnonzero(have)
+        if idx.size:
+            usi = stack[inv[a]]
+            lhs = (usi @ stack[a]) @ stack[idx]
+            rhs = usi @ stack[st[idx]]
+            triple.feed_stack(lhs - rhs, partial(_row_label, name, s, [elems[i] for i in idx]))
     entries["selfadjoint"] = selfadj.value
     entries["triple_product"] = triple.value
     witnesses["selfadjoint"] = selfadj.witness

@@ -9,8 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 import parfell as pf
 from conftest import random_valid_action, random_free_action
-from parfell.actions import DEFAULT_RADIUS, EquivarianceReport
-from parfell.groups import scan_elements, word_to_str
+from parfell.actions import (
+    DEFAULT_RADIUS,
+    EquivarianceReport,
+    FinitePartialAction,
+    Issue,
+    PartialMap,
+    ValidationReport,
+)
+from parfell.groups import FiniteGroup, UndeclaredElementError, scan_elements, word_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +111,9 @@ def test_partial_map_instances_accepted():
     g = pf.cyclic_group(2)
     act = pf.FinitePartialAction(g, 2, {1: pf.PartialMap.from_dict({0: 1, 1: 0})})
     assert act.element_map(1).as_dict() == {0: 1, 1: 0}
+    # pairs that send one point twice are not a map and have no int row
+    with pytest.raises(pf.MalformedDataError, match="sends a point twice"):
+        pf.FinitePartialAction(g, 2, {1: pf.PartialMap(((0, 1), (0, 0)))})
 
 
 def test_out_of_range_map_rejected():
@@ -191,6 +201,263 @@ def test_validate_free_needs_radius():
     act = pf.FinitePartialAction(f1, 2, {(1,): {0: 1}})
     with pytest.raises(pf.MalformedDataError):
         pf.validate(act, radius=0)
+
+
+# The pair-by-pair validate loop as it stood before the row-vectorised scan,
+# kept verbatim as the reference for the array checks.
+def ref_validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> ValidationReport:
+    """Check the partial-action axioms and their two derived set identities.
+
+    Finite groups are checked over all element pairs; free groups over the
+    ball of the given radius, with longer words obtained by composition or
+    the action's rule.  Witness points are recorded sorted.
+    """
+    group = action.group
+    structural: list[Issue] = []
+    axiom: list[Issue] = []
+
+    full = frozenset(range(action.n))
+    ident = group.identity
+    if action.is_declared(ident):
+        em = action.element_map(ident)
+        if em != PartialMap.identity_on(range(action.n)):
+            structural.append(
+                Issue("identity_map", word_to_str(group, ident), (), "identity element does not act as the identity")
+            )
+
+    if isinstance(group, FiniteGroup):
+        missing = [
+            t
+            for t in group.ball(1)
+            if t != ident and not action.is_declared(t)
+        ]
+        for t in missing:
+            structural.append(
+                Issue("missing_element", word_to_str(group, t), (), "finite-group action lacks data for this element")
+            )
+
+    injective: dict = {}
+    for t in action.declared_elements():
+        pm = action.element_map(t)
+        injective[t] = pm.is_injective()
+        if not injective[t]:
+            dupes = sorted(
+                w for w in pm.target_set() if sum(1 for _, x in pm.pairs if x == w) > 1
+            )
+            structural.append(
+                Issue(
+                    "not_injective",
+                    word_to_str(group, t),
+                    tuple(dupes),
+                    f"eta_{word_to_str(group, t)} not injective",
+                )
+            )
+        ti = group.inverse(t)
+        if injective[t] and action.is_declared(ti):
+            if action.element_map(ti) != pm.inverse():
+                structural.append(
+                    Issue(
+                        "inverse_mismatch",
+                        word_to_str(group, t),
+                        (),
+                        "declared inverse map disagrees with the inverted map",
+                    )
+                )
+
+    if structural:
+        return ValidationReport(False, structural, axiom, len(action.declared_elements()), 0)
+
+    elems = scan_elements(group, radius)
+    maps = {}
+    for t in elems:
+        try:
+            maps[t] = action.element_map(t)
+        except UndeclaredElementError:
+            structural.append(
+                Issue("missing_element", word_to_str(group, t), (), "no data to build this element's map")
+            )
+    if structural:
+        return ValidationReport(False, structural, axiom, len(elems), 0)
+    supports = {t: maps[t].target_set() for t in elems}
+    pairs_checked = 0
+    for s in elems:
+        es = maps[s]
+        si = group.inverse(s)
+        for t in elems:
+            pairs_checked += 1
+            et = maps[t]
+            st = group.multiply(s, t)
+            est = maps[st] if st in maps else action.element_map(st)
+            comp = es.compose(et)
+            est_d = est.as_dict()
+            bad = sorted(z for z, w in comp.pairs if est_d.get(z) != w)
+            if bad:
+                axiom.append(
+                    Issue(
+                        "composition",
+                        f"{word_to_str(group, s)} , {word_to_str(group, t)}",
+                        tuple(bad),
+                        "eta_s o eta_t not contained in eta_st",
+                    )
+                )
+            # image identity: eta_s(V_{s^-1} & V_t) = V_s & V_{st}
+            es_dict = es.as_dict()
+            lhs = frozenset(es_dict[z] for z in (es.source_set() & supports[t]))
+            rhs = supports[s] & est.target_set()
+            if lhs != rhs:
+                axiom.append(
+                    Issue(
+                        "range_fact",
+                        f"{word_to_str(group, s)} , {word_to_str(group, t)}",
+                        tuple(sorted(lhs ^ rhs)),
+                        "eta_s(V_s^-1 & V_t) differs from V_s & V_st",
+                    )
+                )
+            # triple identity: eta_{s^-1} eta_s eta_t = eta_{s^-1} eta_st
+            esi = maps[si] if si in maps else action.element_map(si)
+            left = esi.compose(es.compose(et))
+            right = esi.compose(est)
+            if left != right:
+                diff = sorted(set(left.pairs) ^ set(right.pairs))
+                axiom.append(
+                    Issue(
+                        "triple_fact",
+                        f"{word_to_str(group, s)} , {word_to_str(group, t)}",
+                        tuple(z for z, _ in diff),
+                        "triple composition identity fails",
+                    )
+                )
+    ok = not structural and not axiom
+    return ValidationReport(ok, structural, axiom, len(elems), pairs_checked)
+
+
+@st.composite
+def partial_injections(draw, n):
+    dom = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if n else []
+    img = draw(st.permutations(range(n))) if n else []
+    return dict(zip(dom, img))
+
+
+@st.composite
+def involutions(draw, n):
+    """A partial injection equal to its own inverse: swaps and fixed points."""
+    pts = draw(st.permutations(range(n))) if n else []
+    k = draw(st.integers(0, n))
+    swaps = draw(st.integers(0, k // 2))
+    m = {z: z for z in pts[2 * swaps : k]}
+    for i in range(swaps):
+        m[pts[2 * i]], m[pts[2 * i + 1]] = pts[2 * i + 1], pts[2 * i]
+    return m
+
+
+@st.composite
+def finite_validate_cases(draw):
+    """Random partial injections, one per inverse pair, so that most inputs
+    reach the pair scan; sometimes one entry is replaced or dropped."""
+    group = draw(st.sampled_from([
+        pf.cyclic_group(1), pf.cyclic_group(3), pf.cyclic_group(4),
+        pf.symmetric_group(3), pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(2)),
+    ]))
+    n = draw(st.integers(0, 4))
+    maps = {}
+    for t in range(1, group.order):
+        ti = group.inverse(t)
+        if ti >= t:
+            maps[t] = draw(involutions(n) if ti == t else partial_injections(n))
+    change = draw(st.sampled_from(["none", "replace", "drop"]))
+    t = draw(st.integers(0, group.order - 1))
+    if change == "replace":
+        maps[t] = draw(partial_maps(n, n))
+    elif change == "drop":
+        maps.pop(t, None)
+    return pf.FinitePartialAction(group, n, maps), 1
+
+
+@st.composite
+def free_validate_cases(draw):
+    """Letter maps plus declared longer words that need not agree with
+    letter composition."""
+    group = pf.FreeGroup(draw(st.integers(1, 2)))
+    n = draw(st.integers(0, 4))
+    maps = {(i,): draw(partial_injections(n)) for i in range(1, group.rank + 1)}
+    longer = [w for w in group.ball(3) if len(w) >= 2]
+    for w in draw(st.lists(st.sampled_from(longer), unique=True, max_size=3)):
+        if group.inverse(w) not in maps:
+            maps[w] = draw(partial_injections(n))
+    return pf.FinitePartialAction(group, n, maps), draw(st.integers(1, 3))
+
+
+def table_rule(n, table):
+    """A rule reading arbitrary partial maps from ``table``, empty elsewhere."""
+
+    def rule(key):
+        if key == ():
+            return pf.PartialMap.identity_on(range(n))
+        return pf.PartialMap.from_dict(table.get(key, {}))
+
+    return rule
+
+
+@st.composite
+def rule_validate_cases(draw):
+    """Free actions whose rule gives arbitrary, even non-injective, maps;
+    these are the inputs on which one identity can fail alone."""
+    group = pf.FreeGroup(draw(st.integers(1, 2)))
+    n = draw(st.integers(1, 3))
+    words = [w for w in group.ball(2) if w]
+    table = {w: draw(partial_maps(n, n)) for w in draw(st.lists(st.sampled_from(words), unique=True))}
+    return pf.FinitePartialAction(group, n, {}, rule=table_rule(n, table)), 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(finite_validate_cases(), free_validate_cases(), rule_validate_cases()))
+def test_validate_matches_reference(case):
+    """Whole reports, issue order, texts and points included, equal the
+    pair-by-pair reference's on valid and invalid inputs."""
+    act, radius = case
+    assert pf.validate(act, radius).to_json() == ref_validate(act, radius).to_json()
+
+
+# each input fails one identity at a pair where the other two hold, so
+# dropping that identity's array check loses the pair's issue
+ALONE_CASES = {
+    "composition": (2, {(1,): {0: 0, 1: 0}, (-1,): {0: 1}, (1, 1): {0: 0, 1: 0}}, "a^-1 , a"),
+    "range_fact": (1, {(-1,): {0: 0}, (-1, -1): {0: 0}}, "a^-1 , a"),
+    "triple_fact": (1, {(-1,): {0: 0}, (-1, -1): {0: 0}}, "a , a^-1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ALONE_CASES))
+def test_validate_flags_identity_failing_alone(kind):
+    n, table, pair = ALONE_CASES[kind]
+    act = pf.FinitePartialAction(pf.FreeGroup(1), n, {}, rule=table_rule(n, table))
+    report = pf.validate(act, radius=1)
+    assert [i.kind for i in report.axiom if i.element == pair] == [kind]
+    assert report.to_json() == ref_validate(act, 1).to_json()
+
+
+def test_map_rows_equal_element_maps():
+    """Rows of declared longer words, letter composites, the identity and
+    rule-made maps equal ``element_map``, with -1 off the domain."""
+    f2 = pf.FreeGroup(rank=2)
+    declared = pf.FinitePartialAction(f2, 4, {(1,): {0: 1, 1: 2}, (2,): {2: 3, 3: 0}, (1, 2): {0: 0}})
+    f1 = pf.FreeGroup(rank=1)
+    ruled = pf.FinitePartialAction(f1, 3, {}, rule=table_rule(3, {(1,): {0: 1}, (1, 1): {2: 2, 0: 1}}))
+    fixed = pf.FinitePartialAction(pf.cyclic_group(3), 2, {1: {0: 1}})
+    for act, keys in [(declared, f2.ball(3)), (ruled, [(), (1,), (1, 1), (-1, -1)]), (fixed, [0, 1, 2])]:
+        rows = act.map_rows(keys)
+        assert rows.shape == (len(keys), act.n + 1)
+        for key, row in zip(keys, rows.tolist()):
+            assert row[-1] == -1
+            assert {z: w for z, w in enumerate(row[:-1]) if w >= 0} == act.element_map(key).as_dict()
+    # a declared longer word is not rebuilt from its letters, and words
+    # built on top of it still compose letter by letter
+    assert declared.map_rows([(1, 2)]).tolist() == [[0, -1, -1, -1, -1]]
+    assert declared.element_map((1, 1, 2)).as_dict() == {3: 2}
+    # a rule map leaving the point set is refused, not read as undefined
+    stray = pf.FinitePartialAction(f1, 2, {}, rule=table_rule(2, {(1,): {0: 2}}))
+    with pytest.raises(pf.MalformedDataError, match="leaves 0..1"):
+        stray.map_rows([(1,)])
 
 
 def test_report_json_shape(swap_action):

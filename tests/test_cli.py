@@ -304,6 +304,54 @@ def test_radius_zero_error_is_shared(capsys, monkeypatch):
     assert errors == {"MalformedDataError: free-group scans need radius >= 1"}
 
 
+def _edit_free2(edit):
+    data = json.loads((DATA / "free2.json").read_text(encoding="utf-8"))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(elements=5),
+        lambda d: d["elements"][0].update(domain=5),
+        lambda d: d["elements"][0].update(domain=[0.0, 2, 3]),
+        lambda d: d["elements"][0].update(t=5),
+        lambda d: d["elements"][0]["map"].update({"0": 2.0}),
+        lambda d: (d["elements"][0].pop("domain"), d["elements"][0]["map"].update({"2": True})),
+        lambda d: d.update(n=True, elements=[{"t": "a", "map": {"0": 0}}]),
+    ],
+    ids=["elements-int", "domain-int", "domain-float", "t-int", "map-value-float",
+         "map-value-bool", "n-bool"],
+)
+def test_malformed_action_fields_exit_two(capsys, tmp_path, edit):
+    """Fields of the wrong JSON type are refused as malformed data, not
+    read through int() or left to raise a TypeError.  Each edit keeps the
+    declared domain consistent, so only the type check can catch it."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_edit_free2(edit)))
+    code, env, _ = run(capsys, ["validate-action", str(path)])
+    assert code == 2
+    assert env["error"].startswith("MalformedDataError: ")
+
+
+@pytest.mark.parametrize("radius, code", [(5, 0), (6, 2), (7, 2)])
+def test_scan_pair_limit(capsys, monkeypatch, radius, code):
+    """Radius 5 on free:2 scans 485 words (235225 pairs) and finishes;
+    radius 6 (2.1M pairs) and 7 (19M pairs) are refused at once."""
+    monkeypatch.chdir(DATA)
+    got, env, _ = run(capsys, ["covariant-rep", "free2.json", "--radius", str(radius)])
+    assert got == code
+    if code == 0:
+        assert env["report"]["relations"]["skipped"] == []
+    else:
+        words = {6: 1457, 7: 4373}[radius]
+        assert env["error"] == (
+            f"MalformedDataError: a scan over {words} elements has {words**2} "
+            f"element pairs, above the limit of {pf.MAX_SCAN_PAIRS}"
+        )
+
+
 def test_json_out_matches_stdout(capsys, swap_file, tmp_path):
     out = tmp_path / "report.json"
     _, _, text = run(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parfell import (
+    MAX_SCAN_PAIRS,
     FiniteGroup,
     FreeGroup,
     GroupHom,
@@ -17,6 +18,7 @@ from parfell import (
     direct_product,
     group_from_json,
     group_to_json,
+    product_table,
     scan_elements,
     symmetric_group,
     word_from_str,
@@ -153,6 +155,46 @@ def test_scan_elements():
     assert words == oracle_ball(2, 2)
     with pytest.raises(MalformedDataError, match="radius >= 1"):
         scan_elements(FreeGroup(2), 0)
+
+
+@pytest.mark.parametrize(
+    "group, elements",
+    [
+        (cyclic_group(5), list(range(5))),
+        (cyclic_group(6), [0, 4, 5]),
+        (direct_product(cyclic_group(2), symmetric_group(3)), list(range(12))),
+        (FreeGroup(1), oracle_ball(1, 3)),
+        (FreeGroup(2), oracle_ball(2, 2)),
+        (FreeGroup(3), [(1, -2), (2, 3), (-3, -2, 1), ()]),
+    ],
+    ids=["cyclic5", "cyclic6-subset", "c2xs3", "free1-r3", "free2-r2", "free3-words"],
+)
+def test_product_table_matches_multiply(group, elements):
+    """Scan elements come first, then each new product or inverse once, and
+    every index agrees with ``multiply`` and ``inverse``."""
+    table = product_table(group, elements)
+    keys = table.keys
+    assert keys[: len(elements)] == elements
+    assert len(set(keys)) == len(keys)
+    assert table.prod.shape == (len(elements), len(elements))
+    for a, g in enumerate(elements):
+        assert keys[table.inv[a]] == group.inverse(g)
+        for b, h in enumerate(elements):
+            assert keys[table.prod[a, b]] == group.multiply(g, h)
+    firsts = [group.inverse(g) for g in elements]
+    firsts += [group.multiply(g, h) for g in elements for h in elements]
+    assert keys[len(elements):] == [k for k in dict.fromkeys(firsts) if k not in elements]
+
+
+def test_product_table_pair_limit():
+    """A scan of more than MAX_SCAN_PAIRS pairs is refused before any
+    product is formed; the largest finite group still fits."""
+    assert MAX_SCAN_PAIRS == 512**2
+    with pytest.raises(MalformedDataError, match=f"1457 elements has 2122849 element pairs, above the limit of {MAX_SCAN_PAIRS}"):
+        product_table(FreeGroup(2), FreeGroup(2).ball(6))
+    assert product_table(FreeGroup(2), FreeGroup(2).ball(5)).prod.shape == (485, 485)
+    with pytest.raises(MalformedDataError, match="distinct"):
+        product_table(cyclic_group(3), [1, 1])
 
 
 def test_bad_tables_rejected():

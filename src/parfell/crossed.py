@@ -27,8 +27,8 @@ from .groups import (
     word_from_str,
     word_to_str,
 )
-from .matrices import AXIOM_TOL, PreconditionError, op_norm, op_norms
-from .reps import DefectReport, _adjoints, _stack, _Worst, std_covariant_rep
+from .matrices import AXIOM_TOL, PreconditionError, adjoints, op_norm, op_norms
+from .reps import DefectReport, _stack, _Worst, std_covariant_rep
 
 MAX_MODEL_ORDER = 64
 MAX_MODEL_SIZE = 512  # n * m guard: bounds image, reduced_norm and commutator_coordinates' d^2 pairs
@@ -368,16 +368,16 @@ def mf_defect_report(
     selfadj = _Worst()
     gap = _Worst()
     mult = _Worst()
-    images, adjoints, heights = [], [], []
+    images, stars, heights = [], [], []
     for t, vec in samples:
         t = group.check_element(t)
         vec = np.asarray(vec, dtype=np.complex128)
         images.append(apply(t, vec))
         starred, ti = dual.star_fiber((vec, t))
-        adjoints.append(apply(ti, starred))
+        stars.append(apply(ti, starred))
         heights.append(float(np.abs(vec).max(initial=0.0)))
     images = _stack(images, 0)  # with no samples, nothing reads the size
-    selfadj.feed_stack(_adjoints(images) - _stack(adjoints, 0), lambda k: f"sample {k}")
+    selfadj.feed_stack(adjoints(images) - _stack(stars, 0), lambda k: f"sample {k}")
     for i, (norm, height) in enumerate(zip(op_norms(images).tolist(), heights)):
         gap.feed(abs(norm - height), f"sample {i}")
     for i, (s, a) in enumerate(samples):

@@ -1,13 +1,13 @@
 """Dense-matrix primitives: norms, spectral rounding, corner inverse roots.
 
-All matrices are square complex numpy arrays.  Eigenbases within degenerate
-eigenspaces are canonicalised so downstream constructions are reproducible
-across runs.
+Matrices are square complex arrays, one at a time or as a ``(k, d, d)``
+stack.  Eigenbases within degenerate eigenspaces are canonicalised so
+downstream constructions are reproducible across runs.
 """
 
 from __future__ import annotations
 
-import math
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +66,11 @@ def op_norm(m) -> float:
     return float(op_norms(a[None])[0])
 
 
+def adjoints(stack: np.ndarray) -> np.ndarray:
+    """The conjugate transposes of a ``(k, m, n)`` stack."""
+    return stack.conj().transpose(0, 2, 1)
+
+
 def norm_bounds(stack) -> np.ndarray:
     """Upper bounds on the operator norms of a ``(k, m, n)`` stack, no SVD.
 
@@ -86,66 +91,78 @@ def norm_bounds(stack) -> np.ndarray:
         if live.any():
             # real division: complex division by a subnormal s overflows
             b = (a[live].view(np.float64) / s[live][:, None, None]).view(np.complex128)
-            g = b.conj().transpose(0, 2, 1) @ b
+            g = adjoints(b) @ b
             g = (g @ g).view(np.float64)
             out[live] = s[live] * (g * g).sum(axis=(1, 2)) ** 0.125
     return out
 
 
+def norms_unless_below(stack, tol: float) -> np.ndarray:
+    """``op_norms(stack)``, with 0.0 wherever a bound puts a norm below ``tol``.
+
+    Every decision against ``tol > 0`` is the one ``op_norms`` gives, and
+    most passing checks need no SVD.  The bound is the Frobenius norm while
+    its square is far from underflow and overflow, else ``norm_bounds``;
+    non-finite slices get ``inf`` without an SVD.
+    """
+    a = _as_stack(stack)
+    k = a.shape[0]
+    flat = a.reshape(k, a.shape[1] * a.shape[2]).view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro2 = np.einsum("ki,ki->k", flat, flat)
+    bounds = np.sqrt(fro2)
+    odd = ~((1e-280 < fro2) & (fro2 < 1e280))
+    if odd.any():
+        bounds[odd] = norm_bounds(a[odd])
+    out = np.zeros(k)
+    need = np.flatnonzero(~(bounds * (1.0 + BOUND_MARGIN) < tol))
+    out[need] = np.inf
+    finite = need[np.isfinite(a[need]).all(axis=(1, 2))]
+    out[finite] = op_norms(a[finite])
+    return out
+
+
 def norm_unless_below(m, tol: float) -> float:
-    """``op_norm(m)``, or 0.0 when a bound puts it below ``tol``.
-
-    For checks that compare the norm with ``tol > 0`` and show the value
-    only when they fail: every decision is the one ``op_norm`` gives, and
-    most passing checks need no SVD.  The bound is the Frobenius norm, one
-    dot product, while its square is far from underflow and overflow, and
-    ``norm_bounds`` otherwise.
-    """
-    a = np.asarray(m, dtype=np.complex128)
-    fro2 = float(np.vdot(a, a).real)
-    if 1e-280 < fro2 < 1e280:
-        bound = math.sqrt(fro2)
-    elif not a.any():
-        return 0.0
-    else:
-        bound = float(norm_bounds(a[None])[0])
-    if bound * (1.0 + BOUND_MARGIN) < tol:
-        return 0.0
-    return op_norm(a)
+    """One matrix's ``norms_unless_below``."""
+    return float(norms_unless_below(np.asarray(m, dtype=np.complex128)[None], tol)[0])
 
 
-def herm_eig(m, herm_tol: float = AXIOM_TOL, cluster_tol: float = 1e-8):
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
+class Prefix:
+    """The slices of a stack that passed every check so far, ``[0, n)``, and
+    the error of the first slice that failed one.  Each check runs on the
+    prefix only, so its first failure replaces ``error``: the first failing
+    slice raises its first failing check, as a loop over the slices would.
+    The stack functions below return ``(result, error)``, for the prefix."""
 
-    Parameters
-    ----------
-    m : array_like
-        Hermitian matrix; fails if ``||m - m*||`` exceeds ``herm_tol``.
-    cluster_tol : float
-        Eigenvalues closer than this are treated as one degenerate cluster,
-        whose basis is replaced by Gram-Schmidt of the coordinate projections
-        in coordinate order.  That makes the returned basis depend only on
-        the eigenspaces, not on backend rounding.
+    def __init__(self, k: int) -> None:
+        self.n, self.error = k, None
 
-    Returns
-    -------
-    (values, vectors) : eigenvalues ascending, eigenvectors as columns.
-    """
-    a = _as_square(m)
-    if norm_unless_below(a - a.conj().T, herm_tol) > herm_tol:
-        raise PreconditionError("matrix is not Hermitian within tolerance")
-    a = 0.5 * (a + a.conj().T)
-    vals, vecs = np.linalg.eigh(a)
-    d = a.shape[0]
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and vals[j] - vals[j - 1] <= cluster_tol:
-            j += 1
-        if j - i > 1:
-            vecs[:, i:j] = _canonical_basis(vecs[:, i:j])
-        i = j
-    return vals, vecs
+    def cut(self, bad: np.ndarray, error: Callable[[int], Exception]) -> None:
+        hit = np.flatnonzero(bad[: self.n])
+        if hit.size:
+            self.n = int(hit[0])
+            self.error = error(self.n)
+
+    def take(self, out, error: Exception | None):
+        if error is not None:
+            self.n, self.error = len(out), error
+        return out
+
+
+def clusters(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """``(i, j)`` for each run ``vals[i:j]`` of values within ``tol`` of the last."""
+    cuts = [0, *(np.flatnonzero(~(np.diff(vals) <= tol)) + 1).tolist(), len(vals)]
+    return [(i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
+
+
+def _canonicalise(vals, vecs, cluster_tol: float, first: np.ndarray) -> None:
+    """Canonicalise, in place, each cluster of slice ``k`` reaching column ``first[k]``."""
+    close = np.diff(vals, axis=1) <= cluster_tol
+    reach = close & (np.arange(vals.shape[1] - 1) >= first[:, None] - 1)
+    for k in np.flatnonzero(reach.any(axis=1)).tolist():
+        for i, j in clusters(vals[k], cluster_tol):
+            if j - i > 1 and j > first[k]:
+                vecs[k, :, i:j] = _canonical_basis(vecs[k, :, i:j])
 
 
 def _canonical_basis(block: np.ndarray) -> np.ndarray:
@@ -168,62 +185,117 @@ def _canonical_basis(block: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def nearest_projection(q, threshold: float = 0.5, gap_tol: float = GAP_TOL) -> np.ndarray:
-    """Round an almost-idempotent Hermitian matrix to the nearest projection.
+def herm_eigs(stack, herm_tol: float = AXIOM_TOL, cluster_tol: float = 1e-8):
+    """Eigendecompositions of Hermitian matrices by one ``eigh``, values ascending.
 
-    Eigenvalues are split at ``threshold``; a spectral point within
-    ``gap_tol`` of the threshold raises ``SpectralGapError``.  The output
-    satisfies ``P = P* = P^2`` to machine precision and
-    ``||P - Q|| <= 2 ||Q^2 - Q||``.
+    A slice fails if ``||m - m*||`` exceeds ``herm_tol``.  Eigenvalues closer
+    than ``cluster_tol`` form a cluster, whose basis is Gram-Schmidt of the
+    coordinate projections in coordinate order, so it depends only on the
+    eigenspace.  Returns ``(values, vectors, error)``, vectors as columns.
     """
-    a = _as_square(q)
-    defect = norm_unless_below(a @ a - a, 0.25)
-    if defect >= 0.25:
-        raise PreconditionError(f"||Q^2 - Q|| = {defect:.3g} >= 1/4; rounding is unsafe")
-    vals, vecs = herm_eig(a)
-    if np.any(np.abs(vals - threshold) < gap_tol):
-        raise SpectralGapError("eigenvalue within gap tolerance of the rounding threshold")
-    keep = vecs[:, vals > threshold]
-    p = keep @ keep.conj().T
-    return 0.5 * (p + p.conj().T)
+    a = _as_stack(stack)
+    ok = Prefix(a.shape[0])
+    ok.cut(norms_unless_below(a - adjoints(a), herm_tol) > herm_tol,
+           lambda i: PreconditionError("matrix is not Hermitian within tolerance"))
+    a = a[: ok.n]
+    vals, vecs = np.linalg.eigh(0.5 * (a + adjoints(a)))
+    _canonicalise(vals, vecs, cluster_tol, np.zeros(ok.n, dtype=int))
+    return vals, vecs, ok.error
+
+
+def herm_eig(m, herm_tol: float = AXIOM_TOL, cluster_tol: float = 1e-8):
+    """One matrix's ``herm_eigs``: ``(values, vectors)``."""
+    vals, vecs, error = herm_eigs(_as_square(m)[None], herm_tol, cluster_tol)
+    if error is not None:
+        raise error
+    return vals[0], vecs[0]
+
+
+def nearest_projections(stack, threshold: float = 0.5, gap_tol: float = GAP_TOL):
+    """Round almost-idempotent Hermitian matrices to the nearest projections.
+
+    Eigenvalues are split at ``threshold``; one within ``gap_tol`` of it is
+    a ``SpectralGapError``.  Returns ``(P, error)``; each ``P = P* = P^2`` to
+    machine precision and ``||P - Q|| <= 2 ||Q^2 - Q||``.
+    """
+    a = _as_stack(stack)
+    ok = Prefix(a.shape[0])
+    defect = norms_unless_below(a @ a - a, 0.25)
+    ok.cut(defect >= 0.25, lambda i: PreconditionError(
+        f"||Q^2 - Q|| = {defect[i]:.3g} >= 1/4; rounding is unsafe"))
+    vals, vecs, error = herm_eigs(a[: ok.n])
+    ok.take(vals, error)
+    ok.cut(np.any(np.abs(vals - threshold) < gap_tol, axis=1), lambda i: SpectralGapError(
+        "eigenvalue within gap tolerance of the rounding threshold"))
+    d = a.shape[1]
+    ranks = (vals[: ok.n] > threshold).sum(axis=1)  # the top columns: vals ascend
+    p = np.zeros((ok.n, d, d), dtype=np.complex128)
+    for r in sorted(set(ranks.tolist()) - {0}):
+        g = np.flatnonzero(ranks == r)
+        keep = np.ascontiguousarray(vecs[g, :, d - r :])
+        p[g] = keep @ keep.conj().transpose(0, 2, 1)
+    return 0.5 * (p + adjoints(p)), ok.error
+
+
+def nearest_projection(q, threshold: float = 0.5, gap_tol: float = GAP_TOL) -> np.ndarray:
+    """One matrix's ``nearest_projections``."""
+    p, error = nearest_projections(_as_square(q)[None], threshold, gap_tol)
+    if error is not None:
+        raise error
+    return p[0]
+
+
+def corner_inv_sqrts(w, p, residual_tol: float = SPECTRAL_TOL):
+    """Inverse square roots of ``W*W`` taken inside the corners ``P M P``.
+
+    Each ``p`` must be a projection and ``W*W`` invertible on its range.
+    Gives the positive ``X`` with ``P X P = X`` and ``X (W*W) X = P``, so
+    ``W X`` has ``(WX)*(WX) = P`` whenever ``W = W P``; the residual of that
+    identity is checked against ``residual_tol``.  Returns ``(X, error)``.
+    """
+    w, p = _as_stack(w), _as_stack(p)
+    ok = Prefix(p.shape[0])
+    ok.cut((norms_unless_below(p @ p - p, 1e-8) > 1e-8)
+           | (norms_unless_below(p - adjoints(p), 1e-8) > 1e-8),
+           lambda i: PreconditionError("p is not a projection"))
+    w, p = w[: ok.n], p[: ok.n]
+    corner = p @ (adjoints(w) @ w) @ p
+    corner = 0.5 * (corner + adjoints(corner))
+    d = p.shape[1]
+    ranks = np.rint(np.trace(p, axis1=1, axis2=2).real).astype(int)
+    live = np.flatnonzero(ranks > 0)  # a rank-0 corner has the root 0
+    # the corner is exactly Hermitian, so herm_eigs' check would pass
+    vals, vecs = np.linalg.eigh(0.5 * (corner[live] + adjoints(corner[live])))
+    top = ranks[live]
+    singular = np.zeros(len(p), dtype=bool)
+    singular[live] = vals[np.arange(len(live)), d - top] <= 1e-12 * vals.max(1, initial=1.0)
+    ok.cut(singular, lambda i: PreconditionError("corner operator is singular; no inverse root"))
+    m = np.searchsorted(live, ok.n)
+    live, vals, vecs, top = live[:m], vals[:m], vecs[:m], top[:m]
+    _canonicalise(vals, vecs, 1e-8, d - top)  # the root reads the top columns only
+    x = np.zeros((ok.n, d, d), dtype=np.complex128)
+    for r in sorted(set(top.tolist())):
+        g = np.flatnonzero(top == r)
+        # rank-one terms added column by column: the bits depend on that order
+        xs = np.zeros((len(g), d, d), dtype=np.complex128)
+        for j in range(d - r, d):
+            col = np.ascontiguousarray(vecs[g, :, j : j + 1])
+            c = np.array([lam ** -0.5 for lam in vals[g, j]])
+            xs = xs + c[:, None, None] * (col @ col.conj().reshape(len(g), 1, d))
+        x[live[g]] = 0.5 * (xs + adjoints(xs))
+    n = ok.n
+    residual = norms_unless_below(x @ corner[:n] @ x - p[:n], residual_tol)
+    ok.cut((residual > residual_tol) & (ranks[:n] > 0), lambda i: PreconditionError(
+        f"inverse-root residual {residual[i]:.3g} exceeds tolerance"))
+    return x[: ok.n], ok.error
 
 
 def corner_inv_sqrt(w, p, residual_tol: float = SPECTRAL_TOL) -> np.ndarray:
-    """Inverse square root of ``W*W`` taken inside the corner ``P M P``.
-
-    ``p`` must be a projection and ``W*W`` must be invertible on its range.
-    Returns the positive ``X`` with ``P X P = X`` and ``X (W*W) X = P`` on
-    the corner (the inverse-root identity), so ``W X`` has ``(WX)*(WX) = P``
-    whenever ``W = W P``.  The residual of that identity is checked against
-    ``residual_tol``.
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    p = _as_square(p)
-    if (
-        norm_unless_below(p @ p - p, 1e-8) > 1e-8
-        or norm_unless_below(p - p.conj().T, 1e-8) > 1e-8
-    ):
-        raise PreconditionError("p is not a projection")
-    gram = w.conj().T @ w
-    corner = p @ gram @ p
-    corner = 0.5 * (corner + corner.conj().T)
-    rank = int(round(float(np.real(np.trace(p)))))
-    if rank == 0:
-        return np.zeros_like(p)
-    vals, vecs = herm_eig(corner)
-    top = vals[-rank:]
-    scale = max(1.0, float(top.max()))
-    if top.min() <= 1e-12 * scale:
-        raise PreconditionError("corner operator is singular; no inverse root")
-    x = np.zeros_like(p)
-    for lam, v in zip(top, vecs[:, -rank:].T):
-        col = v.reshape(-1, 1)
-        x = x + (lam ** -0.5) * (col @ col.conj().T)
-    x = 0.5 * (x + x.conj().T)
-    residual = norm_unless_below(x @ corner @ x - p, residual_tol)
-    if residual > residual_tol:
-        raise PreconditionError(f"inverse-root residual {residual:.3g} exceeds tolerance")
-    return x
+    """One matrix's ``corner_inv_sqrts``."""
+    x, error = corner_inv_sqrts(np.asarray(w)[None], _as_square(p)[None], residual_tol)
+    if error is not None:
+        raise error
+    return x[0]
 
 
 def is_partial_isometry(v, tol: float = EXACT_TOL) -> tuple[bool, float]:

@@ -37,11 +37,15 @@ from .matrices import (
     EXACT_TOL,
     PI_TOL,
     PreconditionError,
-    corner_inv_sqrt,
+    Prefix,
+    adjoints,
+    clusters,
+    corner_inv_sqrts,
     herm_eig,
-    nearest_projection,
+    nearest_projections,
     norm_bounds,
     norm_unless_below,
+    norms_unless_below,
     op_norm,
     op_norms,
 )
@@ -233,12 +237,13 @@ class _Worst:
             self.witness = label(i)
 
 
+def _report(worst: Mapping[str, _Worst], skipped: list[dict]) -> DefectReport:
+    return DefectReport({k: w.value for k, w in worst.items()},
+                        {k: w.witness for k, w in worst.items()}, skipped)
+
+
 def _stack(mats: list, d: int) -> np.ndarray:
     return np.stack(mats) if mats else np.zeros((0, d, d), dtype=np.complex128)
-
-
-def _adjoints(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().transpose(0, 2, 1)
 
 
 def _row_label(name: Mapping, s, ts: Sequence, k: int) -> str:
@@ -288,14 +293,14 @@ def partial_rep_defects(
     name = {t: word_to_str(group, t) for t in elems}
     # every scan feeds one stack per row s, over the t that have the data
     stack = _stack(mats[:e], v.dim)
-    proj = stack @ _adjoints(stack)
+    proj = stack @ adjoints(stack)
 
     inv = table.inv
     for i in np.flatnonzero(lacks[inv]).tolist():
         skipped.append({"entry": "selfadjoint", "elements": [name[elems[i]]]})
     paired = np.flatnonzero(~lacks[inv])
     vti = _stack([mats[k] for k in inv[paired].tolist()], v.dim)
-    selfadj.feed_stack(_adjoints(stack[paired]) - vti, lambda k: name[elems[paired[k]]])
+    selfadj.feed_stack(adjoints(stack[paired]) - vti, lambda k: name[elems[paired[k]]])
 
     for a, s in enumerate(elems):
         st = table.prod[a]
@@ -313,22 +318,11 @@ def partial_rep_defects(
         label = partial(_row_label, name, s, [elems[i] for i in idx])
         if vsi is not None:
             triple.feed_stack((vsi @ stack[a]) @ stack[idx] - vsi @ vst, label)
-        est = vst @ _adjoints(vst)
+        est = vst @ adjoints(vst)
         intertwine.feed_stack(stack[a] @ proj[idx] - est @ stack[a], label)
 
-    entries = {
-        "selfadjoint": selfadj.value,
-        "triple_product": triple.value,
-        "commuting_ranges": ranges.value,
-        "intertwine": intertwine.value,
-    }
-    witnesses = {
-        "selfadjoint": selfadj.witness,
-        "triple_product": triple.witness,
-        "commuting_ranges": ranges.witness,
-        "intertwine": intertwine.witness,
-    }
-    return DefectReport(entries=entries, witnesses=witnesses, skipped=skipped)
+    return _report({"selfadjoint": selfadj, "triple_product": triple,
+                    "commuting_ranges": ranges, "intertwine": intertwine}, skipped)
 
 
 def covariance_defects(
@@ -344,11 +338,7 @@ def covariance_defects(
     worst = _Worst()
     for t in elems:
         _feed_covariance(worst, rep, group, t, rep.v.matrix(t))
-    return DefectReport(
-        entries={"covariance": worst.value},
-        witnesses={"covariance": worst.witness},
-        skipped=[],
-    )
+    return _report({"covariance": worst}, [])
 
 
 def _feed_covariance(
@@ -428,45 +418,33 @@ def perturb_to_partial_isometries(
     moved = [t for t in elems if t != ident]
     labels = [name[t] for t in moved]
     vs = _stack([v.matrix(t) for t in moved], v.dim)
-    # a non-finite family keeps the per-element order of its SVD errors
-    norms = op_norms(vs) if np.isfinite(vs).all() else None
-    out: dict = {ident: np.eye(v.dim, dtype=np.complex128)}
-    for k, (t, label) in enumerate(zip(moved, labels)):
-        vt = v.matrix(t)
-        defect = norm_unless_below(vt @ vt.conj().T @ vt - vt, 2.0 * eta)
-        if defect >= 2.0 * eta:
-            raise PreconditionError(
-                f"partial-isometry defect {defect:.3g} of {label} is not below 2*eta"
-            )
-        norm = op_norm(vt) if norms is None else float(norms[k])
-        if norm > 1.0 + eta + 1e-13:
-            raise PreconditionError(f"||v|| = {norm:.6g} of {label} exceeds 1 + eta")
-        q = vt.conj().T @ vt
-        p = nearest_projection(q)
-        w = vt @ p
-        x = corner_inv_sqrt(w, p)
-        out[t] = w @ x
+    # one stack per stage, over the elements that passed every earlier stage
+    passed = Prefix(len(vs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = norms_unless_below(vs @ adjoints(vs) @ vs - vs, 2.0 * eta)
+    passed.cut(defects >= 2.0 * eta, lambda k: PreconditionError(
+        f"partial-isometry defect {defects[k]:.3g} of {labels[k]} is not below 2*eta"))
+    norms = op_norms(vs[: passed.n])
+    passed.cut(norms > 1.0 + eta + 1e-13, lambda k: PreconditionError(
+        f"||v|| = {norms[k]:.6g} of {labels[k]} exceeds 1 + eta"))
+    live = vs[: passed.n]
+    p = passed.take(*nearest_projections(adjoints(live) @ live))
+    w = live[: len(p)] @ p
+    x = passed.take(*corner_inv_sqrts(w, p))
+    if passed.error is not None:
+        raise passed.error
+    us = w @ x
+    out: dict = {ident: np.eye(v.dim, dtype=np.complex128), **dict(zip(moved, us))}
 
-    us = _stack([out[t] for t in moved], v.dim)
     dists = op_norms(us - vs)
     per_element = {name[ident]: 0.0, **dict(zip(labels, dists.tolist()))}
     dist = _Worst()
     for label, d in zip(labels, dists.tolist()):
         dist.feed(d, label)
     pi_worst = _Worst()
-    pi_worst.feed_stack(us @ _adjoints(us) @ us - us, labels.__getitem__)
+    pi_worst.feed_stack(us @ adjoints(us) @ us - us, labels.__getitem__)
 
     family = PartialRepFamily(group, v.dim, mats=out)
-    entries: dict[str, float] = {
-        "distance_bound": dist.value,
-        "pi_defect": pi_worst.value,
-    }
-    witnesses = {"distance_bound": dist.witness, "pi_defect": pi_worst.witness}
-    bounds: dict[str, float] = {
-        "distance_bound": 10.0 * eta,
-        "pi_defect": PI_TOL,
-    }
-
     selfadj = _Worst()
     triple = _Worst()
     skipped: list[dict] = []
@@ -477,7 +455,7 @@ def perturb_to_partial_isometries(
         skipped.append({"entry": "selfadjoint", "elements": [name[elems[i]]]})
     paired = np.flatnonzero(inv < e)
     selfadj.feed_stack(
-        _adjoints(stack[paired]) - stack[inv[paired]], lambda k: name[elems[paired[k]]]
+        adjoints(stack[paired]) - stack[inv[paired]], lambda k: name[elems[paired[k]]]
     )
     for a, s in enumerate(elems):
         st = table.prod[a]
@@ -490,35 +468,31 @@ def perturb_to_partial_isometries(
             lhs = (usi @ stack[a]) @ stack[idx]
             rhs = usi @ stack[st[idx]]
             triple.feed_stack(lhs - rhs, partial(_row_label, name, s, [elems[i] for i in idx]))
-    entries["selfadjoint"] = selfadj.value
-    entries["triple_product"] = triple.value
-    witnesses["selfadjoint"] = selfadj.witness
-    witnesses["triple_product"] = triple.witness
-    bounds["selfadjoint"] = 21.0 * eta
-    bounds["triple_product"] = 51.0 * eta
+    worst = {"distance_bound": dist, "pi_defect": pi_worst, "selfadjoint": selfadj,
+             "triple_product": triple}
+    bounds = {"distance_bound": 10.0 * eta, "pi_defect": PI_TOL, "selfadjoint": 21.0 * eta,
+              "triple_product": 51.0 * eta}
 
     contraction = None
     if rep is not None:
         largest = _Worst()
         largest.feed_stack(rep.phi_mats, str)
         contraction = largest.value
-        cov = _Worst()
+        worst["covariance"] = cov = _Worst()
         for t in moved:
             _feed_covariance(cov, rep, group, t, out[t])
-        entries["covariance"] = cov.value
-        witnesses["covariance"] = cov.witness
         bounds["covariance"] = 21.0 * eta * (1.0 + contraction)
 
-    ok = all(entries[k] <= bounds[k] for k in bounds)
+    entries = {k: w.value for k, w in worst.items()}
     cert = PerturbationCertificate(
         eta=float(eta),
         entries=entries,
         bounds=bounds,
-        witnesses=witnesses,
+        witnesses={k: w.witness for k, w in worst.items()},
         per_element=per_element,
         skipped=skipped,
         contraction_constant=None if contraction is None else float(contraction),
-        ok=ok,
+        ok=all(entries[k] <= bounds[k] for k in bounds),
     )
     return family, cert
 
@@ -656,15 +630,9 @@ def extract_finite_system(
         for basis, tup in zip(blocks, tuples):
             comp = basis.conj().T @ P[x] @ basis
             vals, vecs = herm_eig(comp, herm_tol=1e-6, cluster_tol=char_tol)
-            k = len(vals)
-            i = 0
-            while i < k:
-                j = i + 1
-                while j < k and vals[j] - vals[j - 1] <= char_tol:
-                    j += 1
+            for i, j in clusters(vals, char_tol):
                 new_blocks.append(basis @ vecs[:, i:j])
                 new_tuples.append(tup + [float(np.mean(vals[i:j]))])
-                i = j
         blocks, tuples = new_blocks, new_tuples
 
     # characters: blocks whose tuple is (near) an indicator of a source point

@@ -1,6 +1,7 @@
 """End-to-end command line coverage through in-process main()."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,21 @@ def test_out_of_range_options_exit_two(capsys, swap_file, argv, flag):
     code, env, _ = run(capsys, [a.format(action=swap_file) for a in argv])
     assert code == 2
     assert flag in env["error"]
+
+
+@pytest.mark.parametrize("noise", ["1e200", "1e308"])
+def test_perturb_overflowing_defect_exits_two_quietly(capsys, swap_file, noise):
+    """A family whose ``v v* v`` overflows fails its defect check with the
+    usual text, and no floating-point warning reaches stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["perturb", swap_file, "--eta", "0.1", "--noise", noise])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == (
+        "PreconditionError: partial-isometry defect inf of 1 is not below 2*eta"
+    )
+    assert captured.err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,42 @@ def test_perturb_reports_the_first_failing_element():
         pf.perturb_to_partial_isometries(fam, 0.1, elements=[0, 1, 2])
 
 
+@pytest.mark.parametrize("later", ["defect", "nan"])
+@pytest.mark.parametrize("first_bad", [1, 2])
+def test_perturb_late_stage_failure_precedes_a_later_defect(later, first_bad):
+    # 1.1 * perm passes the defect check (0.231 < 2*eta) and the norm check,
+    # but v*v = 1.21 I has ||Q^2 - Q|| = 0.254 >= 1/4, a check of the
+    # nearest-projection stage; the element after it fails the defect check
+    # or is all NaN.  With eta < 1/8 the defect check leaves no singular
+    # value of v near 1/sqrt(2) and no corner eigenvalue below 1/2, so this
+    # is the latest stage an element can fail.
+    eta = 0.124
+    g = pf.cyclic_group(4)
+    perm = np.roll(np.eye(4), 1, axis=0)
+    mats = {0: np.eye(4)}
+    for t in (1, 2, 3):
+        mats[t] = np.linalg.matrix_power(perm, t)
+    mats[first_bad] = 1.1 * mats[first_bad]
+    mats[first_bad + 1] = 1.5 * mats[first_bad + 1] if later == "defect" else np.full((4, 4), np.nan)
+    fam = pf.PartialRepFamily(g, 4, mats=mats)
+    rep = pf.std_covariant_rep(pf.FinitePartialAction(g, 4, {t: {z: (z + t) % 4 for z in range(4)}
+                                                             for t in range(4)}))
+    with pytest.raises(pf.PreconditionError) as got:
+        pf.perturb_to_partial_isometries(fam, eta, rep=rep, elements=[0, 1, 2, 3])
+    with pytest.raises(pf.PreconditionError) as want:
+        ref_perturb_elements(fam, eta, rep, [0, 1, 2, 3])
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert str(got.value) == "||Q^2 - Q|| = 0.254 >= 1/4; rounding is unsafe"
+
+
+def test_perturb_non_finite_element_fails_its_defect_check():
+    g = pf.cyclic_group(2)
+    fam = pf.PartialRepFamily(g, 2, mats={0: np.eye(2), 1: np.full((2, 2), np.nan)})
+    with pytest.raises(pf.PreconditionError,
+                       match=r"^partial-isometry defect inf of 1 is not below 2\*eta$"):
+        pf.perturb_to_partial_isometries(fam, 0.1, elements=[0, 1])
+
+
 def test_perturb_randomized_bounds():
     rng = np.random.default_rng(29)
     eta = 1e-2

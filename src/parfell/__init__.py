@@ -39,7 +39,6 @@ from .actions import (
     action_from_json,
     action_to_json,
     check_equivariance,
-    restriction_action,
     validate,
 )
 from .matrices import (
@@ -65,7 +64,6 @@ from .reps import (
     extract_finite_system,
     partial_rep_defects,
     perturb_to_partial_isometries,
-    positivity_flag,
     std_covariant_rep,
     symmetrize,
 )
@@ -91,8 +89,6 @@ from .bernoulli import (
     MeasureApprox,
     QuotientApprox,
     RfdCertificate,
-    TruncatedBernoulli,
-    build_truncated_bernoulli,
     certify_rfd,
     invariant_measure_approx,
     metric,

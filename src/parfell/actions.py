@@ -22,6 +22,8 @@ from .groups import (
     UndeclaredElementError,
     group_from_json,
     group_to_json,
+    ProductTable,
+    WordTrie,
     product_table,
     scan_elements,
     word_key,
@@ -105,8 +107,7 @@ class FinitePartialAction:
         self.rule = rule
         self._declared: dict = {}
         self._cache: dict = {}
-        # letter-composition rows of free words, keyed by the word
-        self._suffix_rows: dict = {}
+        self._scans: dict = {}
         for g, m in maps.items():
             key = group.check_element(g)
             pm = m if isinstance(m, PartialMap) else PartialMap.from_dict(m)
@@ -146,7 +147,10 @@ class FinitePartialAction:
         if self.rule is not None:
             pm = self.rule(key)
         elif isinstance(self.group, FreeGroup):
-            pm = self._compose_letters(key)
+            # letter composition, the rightmost letter acting first
+            pm = PartialMap.identity_on(range(self.n))
+            for letter in reversed(key):
+                pm = self._letter_map(letter).compose(pm)
         else:
             raise UndeclaredElementError(
                 f"no data for element {word_to_str(self.group, key)}"
@@ -162,26 +166,6 @@ class FinitePartialAction:
             return self.rule(key)
         raise UndeclaredElementError(f"no data for generator letter {letter}")
 
-    def _compose_letters(self, word) -> PartialMap:
-        row = self._composed_row(word).tolist()
-        return PartialMap(tuple((z, w) for z, w in enumerate(row[:-1]) if w >= 0))
-
-    def _composed_row(self, word) -> np.ndarray:
-        """Row of ``word`` by letter composition alone, built from its
-        suffix as ``row(w) = row(w[0])[row(w[1:])]`` and memoised."""
-        memo = self._suffix_rows
-        i = 0
-        while i < len(word) and word[i:] not in memo:
-            i += 1
-        row = memo[word[i:]] if i < len(word) else _identity_row(self.n)
-        for j in reversed(range(i)):
-            letter = word[j : j + 1]
-            if letter not in memo:
-                memo[letter] = _row_of(self._letter_map(word[j]), self.n)
-            row = memo[letter][row]  # the rightmost letters act first
-            memo[word[j:]] = row
-        return row
-
     def map_rows(self, keys: Sequence) -> np.ndarray:
         """Element maps as int rows, one per key as ``check_element`` returns it.
 
@@ -189,15 +173,64 @@ class FinitePartialAction:
         The last column is all -1, so ``f[g]`` composes row ``f`` after row
         ``g``.  Rows equal ``element_map`` exactly.
         """
-        rows = np.empty((len(keys), self.n + 1), dtype=np.intp)
-        for i, key in enumerate(keys):
-            rows[i] = self._row(key)
+        if isinstance(self.group, FiniteGroup):
+            trie, ids = None, np.array(keys, dtype=np.intp).reshape(len(keys))
+        else:
+            trie = WordTrie(self.group.rank)
+            ids = trie.walk(np.zeros(len(keys), dtype=np.intp), keys)
+        rows, lacks = self._rows(trie, ids)
+        if lacks.any():
+            self.element_map(keys[int(np.argmax(lacks))])  # raises its error
         return rows
 
-    def _row(self, key) -> np.ndarray:
-        if isinstance(self.group, FreeGroup) and self.rule is None and key not in self._declared:
-            return self._composed_row(key)
-        return _row_of(self.element_map(key), self.n)
+    def scan(self, elements: Sequence) -> tuple:
+        """The product table of the checked ``elements``, the rows of its
+        keys, a mask of the keys without data (rows of -1) and the rows'
+        ``row_identities``.  Built once per element list and kept, so the
+        scans of one command share them.
+        """
+        memo = tuple(elements)
+        if memo not in self._scans:
+            table = product_table(self.group, elements)
+            rows, lacks = self._rows(table.trie, table.ids)
+            self._scans[memo] = (table, rows, lacks, row_identities(rows, table, len(elements)))
+        return self._scans[memo]
+
+    def _rows(self, trie: WordTrie | None, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of the words ``ids`` of ``trie``, or of the finite-group
+        elements ``ids`` when ``trie`` is None, and a mask of those without
+        data."""
+        n = self.n
+        if trie is None or self.rule is not None:
+            keys = ids.tolist() if trie is None else trie.words(ids)
+            rows = np.full((len(keys), n + 1), -1, dtype=np.intp)
+            lacks = np.zeros(len(keys), dtype=bool)
+            for i, key in enumerate(keys):
+                try:
+                    rows[i] = _row_of(self.element_map(key), n)
+                except UndeclaredElementError:
+                    lacks[i] = True
+            return rows, lacks
+        # letter composites, one gather per trie level: row(p a) = row(p)[row(a)]
+        declared = list(self._declared)
+        at = trie.walk(np.zeros(len(declared), dtype=np.intp), declared)
+        letters = [(a,) for a in self.group.letters()]
+        letter_rows = np.array([_row_of(self._declared.get(a, PartialMap(())), n) for a in letters])
+        no_letter = np.array([a not in self._declared for a in letters])
+        comp = np.full((trie.size, n + 1), -1, dtype=np.intp)
+        comp[0, :n] = np.arange(n)
+        lacks = np.zeros(trie.size, dtype=bool)
+        depth = trie.depth[: trie.size]
+        for d in range(1, depth.max() + 1):
+            w = np.flatnonzero(depth == d)
+            p, a = trie.parent[w], trie.last[w]
+            comp[w] = np.take_along_axis(comp[p], letter_rows[a], axis=1)
+            lacks[w] = lacks[p] | no_letter[a]
+        # declared maps replace composites only now, so that a declared
+        # longer word never serves as a prefix
+        for w, pm in zip(at.tolist(), self._declared.values()):
+            comp[w], lacks[w] = _row_of(pm, n), False
+        return comp[ids], lacks[ids]
 
     def support(self, g) -> tuple[int, ...]:
         """V_g, the set on which ``g``'s image points live."""
@@ -214,10 +247,6 @@ class FinitePartialAction:
         return all(self.element_map(t) == other.element_map(t) for t in elements)
 
 
-def _identity_row(n: int) -> np.ndarray:
-    return np.append(np.arange(n), -1)
-
-
 def _row_of(pm: PartialMap, n: int) -> np.ndarray:
     row = np.full(n + 1, -1)
     for z, w in pm.pairs:
@@ -225,28 +254,6 @@ def _row_of(pm: PartialMap, n: int) -> np.ndarray:
             raise MalformedDataError(f"map pair {(z, w)} leaves 0..{n - 1}")
         row[z] = w
     return row
-
-
-def restriction_action(
-    group: GroupSpec,
-    global_maps: Mapping[object, Sequence[int]],
-    subset: Sequence[int],
-) -> FinitePartialAction:
-    """Restrict a global permutation action to a subset, relabelled 0..k-1.
-
-    ``global_maps`` sends declared elements to full permutations; generators
-    suffice for free groups, every element is expected for finite groups.
-    """
-    sub = sorted(set(int(z) for z in subset))
-    index = {z: i for i, z in enumerate(sub)}
-    maps = {}
-    for g, perm in global_maps.items():
-        perm = list(perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise MalformedDataError("global map is not a permutation")
-        pairs = {index[z]: index[perm[z]] for z in sub if perm[z] in index}
-        maps[g] = pairs
-    return FinitePartialAction(group, len(sub), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +301,7 @@ def validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> Valid
     Finite groups are checked over all element pairs; free groups over the
     ball of the given radius, with longer words obtained by composition or
     the action's rule.  Witness points are recorded sorted.  The pair
-    identities run one row ``s`` at a time over int-array element maps;
+    identities run over int-array element maps (``row_identities``);
     issues are built pair by pair for the pairs that fail.
     """
     group = action.group
@@ -302,91 +309,76 @@ def validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> Valid
     axiom: list[Issue] = []
 
     ident = group.identity
-    if action.is_declared(ident):
-        em = action.element_map(ident)
-        if em != PartialMap.identity_on(range(action.n)):
-            structural.append(
-                Issue("identity_map", word_to_str(group, ident), (), "identity element does not act as the identity")
-            )
-
+    if action.is_declared(ident) and action.element_map(ident) != PartialMap.identity_on(range(action.n)):
+        structural.append(Issue("identity_map", word_to_str(group, ident), (),
+                                "identity element does not act as the identity"))
     if isinstance(group, FiniteGroup):
-        missing = [
-            t
-            for t in group.ball(1)
-            if t != ident and not action.is_declared(t)
-        ]
-        for t in missing:
-            structural.append(
-                Issue("missing_element", word_to_str(group, t), (), "finite-group action lacks data for this element")
-            )
-
-    injective: dict = {}
+        for t in group.ball(1):
+            if t != ident and not action.is_declared(t):
+                structural.append(Issue("missing_element", word_to_str(group, t), (),
+                                        "finite-group action lacks data for this element"))
     for t in action.declared_elements():
         pm = action.element_map(t)
-        injective[t] = pm.is_injective()
-        if not injective[t]:
-            dupes = sorted(
-                w for w in pm.target_set() if sum(1 for _, x in pm.pairs if x == w) > 1
-            )
-            structural.append(
-                Issue(
-                    "not_injective",
-                    word_to_str(group, t),
-                    tuple(dupes),
-                    f"eta_{word_to_str(group, t)} not injective",
-                )
-            )
-        ti = group.inverse(t)
-        if injective[t] and action.is_declared(ti):
-            if action.element_map(ti) != pm.inverse():
-                structural.append(
-                    Issue(
-                        "inverse_mismatch",
-                        word_to_str(group, t),
-                        (),
-                        "declared inverse map disagrees with the inverted map",
-                    )
-                )
+        label = word_to_str(group, t)
+        if not pm.is_injective():
+            dupes = sorted(w for w in pm.target_set() if sum(1 for _, x in pm.pairs if x == w) > 1)
+            structural.append(Issue("not_injective", label, tuple(dupes), f"eta_{label} not injective"))
+        elif action.is_declared(group.inverse(t)) and action.element_map(group.inverse(t)) != pm.inverse():
+            structural.append(Issue("inverse_mismatch", label, (),
+                                    "declared inverse map disagrees with the inverted map"))
 
     if structural:
         return ValidationReport(False, structural, axiom, len(action.declared_elements()), 0)
 
     elems = scan_elements(group, radius)
-    table = product_table(group, elems)
-    rows = []
-    for t in elems:
-        try:
-            rows.append(action._row(t))
-        except UndeclaredElementError:
-            structural.append(
-                Issue("missing_element", word_to_str(group, t), (), "no data to build this element's map")
-            )
+    table, rows, lacks, (compose, ranges, triple) = action.scan(elems)
+    e = len(elems)
+    for i in np.flatnonzero(lacks[:e]).tolist():
+        structural.append(Issue("missing_element", word_to_str(group, elems[i]), (),
+                                "no data to build this element's map"))
     if structural:
-        return ValidationReport(False, structural, axiom, len(elems), 0)
-    rows = np.vstack([*rows, action.map_rows(table.keys[len(elems) :])])
+        return ValidationReport(False, structural, axiom, e, 0)
+    if lacks.any():
+        action.element_map(table.keys[int(np.argmax(lacks))])  # raises its error
 
-    # each row s checks its pairs (s, t) over (E, n) arrays; only the pairs
-    # flagged there are rechecked pair by pair to build their issues
-    e, n = len(elems), action.n
-    hits = np.zeros((len(rows), n + 1), dtype=bool)
-    hits[np.arange(len(rows))[:, None], rows] = True  # -1 lands in column n
-    ranges = hits[:, :n]
-    eta_t = rows[:e, :n]
-    for a, s in enumerate(elems):
-        es = rows[a]
-        st = table.prod[a]
-        est = rows[st, :n]
-        comp = es[eta_t]  # eta_s o eta_t
-        bad = ((comp >= 0) & (comp != est)).any(axis=1)
-        image = np.zeros((e, n + 1), dtype=bool)
-        image[np.arange(e)[:, None], np.where(ranges[:e], es[:n], -1)] = True
-        bad |= (image[:, :n] != (ranges[a] & ranges[st])).any(axis=1)
-        esi = rows[table.inv[a]]
-        bad |= (esi[comp] != esi[est]).any(axis=1)
-        for b in np.flatnonzero(bad).tolist():
-            axiom += _pair_issues(action, s, elems[b], table.keys[st[b]], table.keys[table.inv[a]])
+    # the pairs flagged by the row masks are rechecked pair by pair to
+    # build their issues
+    for a, b in zip(*np.nonzero(compose | ranges | triple)):
+        axiom += _pair_issues(action, elems[a], elems[b], table.keys[table.prod[a, b]], table.keys[table.inv[a]])
     ok = not structural and not axiom
-    return ValidationReport(ok, structural, axiom, len(elems), e * e)
+    return ValidationReport(ok, structural, axiom, e, e * e)
+
+
+def row_identities(rows: np.ndarray, table: ProductTable, e: int) -> tuple[np.ndarray, ...]:
+    """``(E, E)`` masks of the scan pairs ``(s, t) = (keys[a], keys[b])``
+    where an identity fails, from int rows alone.  ``compose`` marks ``eta_s o eta_t`` not contained in ``eta_st``;
+    ``ranges`` some ``z`` in the domain of ``eta_s`` that ``eta_t`` hits a
+    different number of times than ``eta_st`` hits ``eta_s(z)``;
+    ``triple`` ``eta_{s^-1} eta_s eta_t != eta_{s^-1} eta_st``.  Where
+    ``ranges`` holds, ``eta_s(V_{s^-1} & V_t) = V_s & V_st``, and
+    ``v_s v_t v_t* = v_st v_st* v_s`` in the standard model.  Each row
+    ``s`` checks its pairs over ``(E, n)`` arrays, a block of rows at a
+    time.
+    """
+    n = rows.shape[1] - 1
+    hits = np.zeros(rows.shape, dtype=np.intp)  # points sent to each point
+    np.add.at(hits, (np.arange(len(rows))[:, None], rows), 1)  # -1 lands in column n
+    hits[:, n] = 0
+    eta_t = rows[:e, :n]
+    out = np.zeros((3, e, e), dtype=bool)
+    block = max(1, 2**16 // max(1, e * n))  # rows per block of (rows, E, n) arrays
+    for lo in range(0, e, block):
+        a = np.arange(lo, min(e, lo + block))[:, None, None]
+        es = rows[a, np.arange(n)]  # (k, 1, n)
+        st = table.prod[a[:, 0, 0]]  # (k, E)
+        est = rows[st, :n]
+        comp = rows[a, eta_t]  # eta_s o eta_t
+        out[0, lo : lo + len(a)] = ((comp >= 0) & (comp != est)).any(axis=2)
+        moved = hits[st[:, :, None], es]  # at eta_s(z) under eta_st
+        out[1, lo : lo + len(a)] = ((es >= 0) & (hits[:e, :n] != moved)).any(axis=2)
+        esi = table.inv[a]
+        out[2, lo : lo + len(a)] = (rows[esi, comp] != rows[esi, est]).any(axis=2)
+    return out[0], out[1], out[2]
 
 
 def _pair_issues(action: FinitePartialAction, s, t, st, si) -> list[Issue]:

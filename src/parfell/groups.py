@@ -13,6 +13,7 @@ given by an explicit multiplication table.  Conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -91,10 +92,7 @@ class FreeGroup:
 
     def letters(self) -> list[int]:
         """Generator letters in canonical order ``+1, -1, +2, -2, ...``."""
-        out = []
-        for i in range(1, self.rank + 1):
-            out.extend((i, -i))
-        return out
+        return [x for i in range(1, self.rank + 1) for x in (i, -i)]
 
     def ball(self, radius: int) -> list[Word]:
         """All reduced words of length <= radius, canonically ordered."""
@@ -102,14 +100,7 @@ class FreeGroup:
             raise MalformedDataError("radius must be >= 0")
         levels: list[list[Word]] = [[()]]
         for _ in range(radius):
-            prev = levels[-1]
-            nxt: list[Word] = []
-            for w in prev:
-                for s in self.letters():
-                    if w and w[-1] == -s:
-                        continue
-                    nxt.append(w + (s,))
-            levels.append(nxt)
+            levels.append([w + (s,) for w in levels[-1] for s in self.letters() if not (w and w[-1] == -s)])
         return [w for level in levels for w in level]
 
     def enumerate_elements(self, count: int) -> list[Word]:
@@ -211,32 +202,97 @@ def scan_elements(group: GroupSpec, radius: int) -> list:
 MAX_SCAN_PAIRS = MAX_FINITE_ORDER**2
 
 
+class WordTrie:
+    """Reduced words of a free group as int ids, paths from the root ``0``.
+
+    ``parent[w]`` is ``w`` without its last letter, ``last[w]`` that
+    letter's index in ``FreeGroup.letters()`` (-1 at the root; the inverse
+    letter's index is ``a ^ 1``), ``depth[w]`` the length of ``w`` and
+    ``child[w, a]`` the id of ``w`` followed by letter ``a``, or -1.  Ids
+    follow creation order, so a parent's id is below its children's.
+    """
+
+    def __init__(self, rank: int) -> None:
+        self.rank, self.size = rank, 1
+        self.parent, self.last, self.depth = np.full(1, -1), np.full(1, -1), np.zeros(1, dtype=np.intp)
+        self.child = np.full((1, 2 * rank), -1, dtype=np.intp)
+
+    def step(self, w: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Ids of the reduced words ``w a``, for ids ``w`` and letter
+        indices ``a``, adding those not yet in the trie."""
+        out = np.where(self.last[w] == a ^ 1, self.parent[w], self.child[w, a])
+        new = np.flatnonzero(out < 0)
+        if new.size:
+            wn, an = w[new], a[new]
+            # a scatter of positions elects one of the pairs that make a word
+            tags = -2 - np.arange(new.size)
+            self.child[wn, an] = tags
+            won = self.child[wn, an] == tags
+            wn, an = wn[won], an[won]
+            ids = np.arange(self.size, self.size + wn.size)
+            if ids[-1] >= len(self.parent):
+                more = max(ids[-1] + 1, 2 * len(self.parent)) - len(self.parent)
+                self.parent, self.last, self.depth, self.child = (
+                    np.concatenate([x, np.full((more, *x.shape[1:]), -1, dtype=np.intp)])
+                    for x in (self.parent, self.last, self.depth, self.child))
+            self.child[wn, an] = ids
+            self.parent[ids], self.last[ids], self.depth[ids] = wn, an, self.depth[wn] + 1
+            self.size += wn.size
+            out[new] = self.child[w[new], a[new]]
+        return out
+
+    def walk(self, start, words: Sequence[Word]) -> np.ndarray:
+        """Ids of ``s w`` for start ids ``s`` (an array whose last axis runs
+        over ``words``, or broadcasts to one) and reduced ``words``: one
+        gather per letter position."""
+        cur = np.array(np.broadcast_to(start, np.broadcast_shapes(np.shape(start), (len(words),))))
+        letters = np.full((len(words), max(map(len, words), default=0)), -1, dtype=np.intp)
+        for i, w in enumerate(words):
+            letters[i, : len(w)] = [2 * abs(x) - 1 - (x > 0) for x in w]
+        for col in letters.T:
+            at = np.flatnonzero(col >= 0)
+            here = cur[..., at]
+            a = np.broadcast_to(col[at], here.shape)
+            cur[..., at] = self.step(here.ravel(), a.ravel()).reshape(here.shape)
+        return cur
+
+    def words(self, ids: np.ndarray) -> list[Word]:
+        """The words of ``ids``."""
+        letters, out = FreeGroup(self.rank).letters(), [()]
+        for p, a in zip(self.parent[1 : self.size].tolist(), self.last[1 : self.size].tolist()):
+            out.append(out[p] + (letters[a],))
+        return [out[i] for i in ids.tolist()]
+
+
 @dataclass(frozen=True)
 class ProductTable:
     """Products and inverses of a scan's elements as indices into ``keys``.
 
     ``keys`` lists the scan elements first, then every product or inverse
     outside them in first-seen order; ``inv[a]`` indexes the inverse of
-    ``keys[a]`` and ``prod[a, b]`` the product ``keys[a] keys[b]``.
+    ``keys[a]`` and ``prod[a, b]`` the product ``keys[a] keys[b]``.  For a
+    free group ``ids[k]`` is the ``trie`` id of ``keys[k]``, and ``keys``
+    is spelled out when first read; for a finite group ``trie`` is None and
+    ``ids`` holds the elements.
     """
 
-    keys: list
     inv: np.ndarray
     prod: np.ndarray
+    ids: np.ndarray
+    trie: WordTrie | None
 
-
-def _cancel_junction(g: Word, h: Word) -> Word:
-    """Product of two reduced words: only letters at the junction cancel."""
-    k, m = 0, min(len(g), len(h))
-    while k < m and g[-1 - k] == -h[k]:
-        k += 1
-    return g[: len(g) - k] + h[k:] if k else g + h
+    @functools.cached_property
+    def keys(self) -> list:
+        return self.ids.tolist() if self.trie is None else self.trie.words(self.ids)
 
 
 def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
     """One product per pair of the distinct, checked ``elements``.
 
-    Refuses scans of more than ``MAX_SCAN_PAIRS`` element pairs.
+    Free-group products are walks in a ``WordTrie`` grown on demand, so a
+    ball of radius ``r`` costs the words of the ball of radius ``2r`` and a
+    list of sparse long words only the words its walks reach.  Refuses
+    scans of more than ``MAX_SCAN_PAIRS`` element pairs.
     """
     e = len(elements)
     if e * e > MAX_SCAN_PAIRS:
@@ -244,30 +300,31 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
             f"a scan over {e} elements has {e * e} element pairs, "
             f"above the limit of {MAX_SCAN_PAIRS}"
         )
+    trie = None
     if isinstance(group, FiniteGroup):
-        table = group.table
-
-        def mul(g, h):
-            return table[g][h]
-
-        inverse = group.inverse
+        el = np.asarray(elements, dtype=np.intp).reshape(e)
+        inv = np.asarray(group._inv, dtype=np.intp)[el]
+        prod = np.asarray(group.table, dtype=np.intp)[el[:, None], el]
+        size = group.order
     else:
-        mul = _cancel_junction
-
-        def inverse(g):
-            return tuple(-s for s in reversed(g))
-
-    # a new key is appended at index len(index); dicts keep insertion order
-    index = {g: a for a, g in enumerate(elements)}
-    if len(index) != e:
+        trie = WordTrie(group.rank)
+        el = trie.walk(np.zeros(e, dtype=np.intp), elements)
+        inv = trie.walk(np.zeros(e, dtype=np.intp), [tuple(-x for x in reversed(g)) for g in elements])
+        prod = trie.walk(el[:, None], elements)
+        size = trie.size
+    # keys in first-seen order: the first position of each id, by a scatter
+    seen = np.concatenate([el, inv, prod.ravel()])
+    first = np.full(size, seen.size)
+    np.minimum.at(first, seen, np.arange(seen.size))
+    order = np.full(seen.size, -1)
+    hit = np.flatnonzero(first < seen.size)
+    order[first[hit]] = hit
+    ids = order[order >= 0]
+    key_of = np.empty(size, dtype=np.intp)
+    key_of[ids] = np.arange(ids.size)
+    if not np.array_equal(key_of[el], np.arange(e)):
         raise MalformedDataError("scan elements must be distinct")
-    at = index.setdefault
-    inv = np.array([at(inverse(g), len(index)) for g in elements], dtype=np.int32)
-    prod = np.array(
-        [at(mul(g, h), len(index)) for g in elements for h in elements], dtype=np.int32
-    ).reshape(e, e)
-    keys = list(index)
-    return ProductTable(keys, inv, prod)
+    return ProductTable(key_of[inv].astype(np.int32), key_of[prod].astype(np.int32), ids, trie)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ certified distance bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -54,9 +54,9 @@ from .matrices import (
 class PartialRepFamily:
     """Matrices indexed by group elements; the identity must map to I.
 
-    Families are either declared (a finite dict of matrices) or backed by a
-    rule that produces the matrix of any element on demand, which is how the
-    standard model covers whole balls of a free group.
+    Families are declared (a finite dict of matrices), backed by a rule
+    that produces the matrix of any element on demand, or the standard
+    model of an ``action``: each element's partial permutation matrix.
     """
 
     def __init__(
@@ -65,10 +65,12 @@ class PartialRepFamily:
         dim: int,
         mats: Mapping | None = None,
         rule: Callable | None = None,
+        action: FinitePartialAction | None = None,
     ) -> None:
         self.group = group
         self.dim = dim
         self.rule = rule
+        self.action = action
         self._mats: dict = {}
         self._cache: dict = {}
         for g, m in (mats or {}).items():
@@ -87,7 +89,7 @@ class PartialRepFamily:
 
     def has(self, g) -> bool:
         key = self.group.check_element(g)
-        return key in self._mats or self.rule is not None
+        return key in self._mats or self.rule is not None or self.action is not None
 
     def matrix(self, g) -> np.ndarray:
         key = self.group.check_element(g)
@@ -96,18 +98,41 @@ class PartialRepFamily:
             raise UndeclaredElementError(f"no matrix for element {word_to_str(self.group, key)}")
         return m
 
+    def gather(self, keys: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """The matrices of checked ``keys`` that the family has, as one
+        ``(k, dim, dim)`` stack, and each key's index into it (-1 where the
+        family has none)."""
+        found = [self._lookup(key) for key in keys]
+        have = np.array([m is not None for m in found], dtype=bool)
+        return _stack([m for m in found if m is not None], self.dim), np.where(have, np.cumsum(have) - 1, -1)
+
     def _lookup(self, key) -> np.ndarray | None:
         """The matrix of a checked key, or None when the family has none."""
         if key in self._mats:
             return self._mats[key]
-        if self.rule is None:
+        if self.rule is None and self.action is None:
             return None
         if key not in self._cache:
-            a = np.asarray(self.rule(key), dtype=np.complex128)
+            if self.action is not None:
+                a = np.zeros((self.dim, self.dim), dtype=np.complex128)
+                for z, w in self.action.element_map(key).pairs:
+                    a[w, z] = 1.0
+            else:
+                a = np.asarray(self.rule(key), dtype=np.complex128)
             if a.shape != (self.dim, self.dim):
                 raise MalformedDataError("rule produced a matrix of the wrong shape")
             self._cache[key] = a
         return self._cache[key]
+
+
+def partial_permutations(rows: np.ndarray) -> np.ndarray:
+    """The 0/1 matrices of int rows by one scatter: ``m[k, w, z] = 1`` where
+    ``rows[k, z] = w >= 0``."""
+    k, n = rows.shape[0], rows.shape[1] - 1
+    out = np.zeros((k, n, n), dtype=np.complex128)
+    at, z = np.nonzero(rows[:, :n] >= 0)
+    out[at, rows[at, z], z] = 1.0
+    return out
 
 
 class CovariantRep:
@@ -153,19 +178,14 @@ class CovariantRep:
 def std_covariant_rep(action: FinitePartialAction) -> CovariantRep:
     """The canonical model on C^n: points to diagonal units, elements to
     partial permutation matrices of their maps."""
-    d = action.n
-    phi = np.zeros((d, d, d), dtype=np.complex128)
-    for z in range(d):
-        phi[z, z, z] = 1.0
+    v = PartialRepFamily(action.group, action.n, action=action)
+    return CovariantRep(DualSystem(action), _standard_phi(action.n), v)
 
-    def rule(key):
-        m = np.zeros((d, d), dtype=np.complex128)
-        for z, w in action.element_map(key).pairs:
-            m[w, z] = 1.0
-        return m
 
-    v = PartialRepFamily(action.group, d, rule=rule)
-    return CovariantRep(DualSystem(action), phi, v)
+def _standard_phi(n: int) -> np.ndarray:
+    phi, ar = np.zeros((n, n, n), dtype=np.complex128), np.arange(n)
+    phi[ar, ar, ar] = 1.0
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +235,26 @@ class _Worst:
         bound goes first, then every other candidate still above the new
         maximum in one stacked SVD.  The maximum and its first witness are
         those of feeding every ``op_norm`` in order; ``label(i)`` is called
-        only for the winning index.  Exact zeros always skip, non-finite
-        differences always reach the SVD.
+        only for the winning index.  Exact zeros always skip, and a stack
+        with a non-finite difference runs no SVD: its first such difference
+        has norm inf and wins unless the maximum already is inf.
         """
         bounds = norm_bounds(diffs) * (1.0 + BOUND_MARGIN)
-        must = ~np.isfinite(bounds)
-        could = (bounds > self.value) | must
+        could = bounds > self.value
         if not could.any():
             return
-        norms = np.full(len(bounds), -np.inf)
         first = int(np.argmax(bounds))
+        if bounds[first] == np.inf and not np.isfinite(diffs).all():
+            # a non-finite difference has norm inf, and the first one wins
+            self.value = np.inf
+            self.witness = label(int(np.argmin(np.isfinite(diffs).all(axis=(1, 2)))))
+            return
+        norms = np.full(len(bounds), -np.inf)
         norms[first] = op_norms(diffs[first : first + 1])[0]
-        could &= (bounds > max(self.value, norms[first])) | must
+        could &= bounds > max(self.value, norms[first])
         could[first] = False
         if could.any():
             norms[could] = op_norms(diffs[could])
-        norms[np.isnan(norms)] = -np.inf  # a NaN norm never wins
         i = int(np.argmax(norms))
         if norms[i] > self.value:
             self.value = float(norms[i])
@@ -246,16 +270,8 @@ def _stack(mats: list, d: int) -> np.ndarray:
     return np.stack(mats) if mats else np.zeros((0, d, d), dtype=np.complex128)
 
 
-def _row_label(name: Mapping, s, ts: Sequence, k: int) -> str:
-    return f"{name[s]} , {name[ts[k]]}"
-
-
 def _normalize_elements(group: GroupSpec, elements) -> list:
-    keys = [group.check_element(g) for g in elements]
-    seen: dict = {}
-    for k in keys:
-        seen.setdefault(k, None)
-    return list(seen)
+    return list(dict.fromkeys(group.check_element(g) for g in elements))
 
 
 def partial_rep_defects(
@@ -267,6 +283,13 @@ def partial_rep_defects(
     commutation of range projections, and the range/product intertwining law
     over the given elements.  Pairs whose product (or inverse) has no matrix
     in the family are skipped and recorded.
+
+    The standard model of an action is settled on the action's int rows:
+    its matrices are 0/1 partial permutations, so a product of them is the
+    matrix of the composed map and a pair's defect is exactly zero where
+    the matching row identity holds (``row_identities``; range projections
+    are diagonal).  Only the other pairs form matrices, in scan order, so
+    values and witnesses are those of the full scan.
     """
     group = v.group
     if elements is None:
@@ -278,66 +301,125 @@ def partial_rep_defects(
     if norm_unless_below(v.matrix(ident) - np.eye(v.dim), EXACT_TOL) > EXACT_TOL:
         raise PreconditionError("identity element is not represented by I")
 
-    table = product_table(group, elems)
     e = len(elems)
-    # each key's matrix is fetched once; None where the family has none
-    mats = [v.matrix(t) for t in elems] + [v._lookup(g) for g in table.keys[e:]]
-    lacks = np.array([m is None for m in mats], dtype=bool)
+    if v.action is None:
+        table = product_table(group, elems)
+        mats, at, lacks, masks = _full_scan(v, table, e)
+        if lacks[:e].any():
+            v.matrix(elems[int(np.argmax(lacks[:e]))])
+    else:
+        table, rows, lacks, identities = v.action.scan(elems)
+        if lacks.any():
+            v.action.element_map(table.keys[int(np.argmax(lacks))])  # raises its error
+        masks = _row_settled_pairs(rows, table, identities)
+        # the matrices that the open pairs read, by one scatter from the rows
+        need = np.zeros(len(rows), dtype=bool)
+        need[table.inv[masks["selfadjoint"] | masks["triple_product"].any(axis=1)]] = True
+        need[table.prod[masks["triple_product"] | masks["intertwine"]]] = True
+        need[:e] = need.any()
+        at = np.full(len(rows), -1)
+        at[need] = np.arange(int(need.sum()))
+        mats = partial_permutations(rows[need])
+    return _report(*_scan_relations(cache(partial(word_to_str, group)), elems, table, mats, at, lacks, masks))
 
-    selfadj = _Worst()
-    triple = _Worst()
-    ranges = _Worst()
-    intertwine = _Worst()
-    skipped: list[dict] = []
 
-    name = {t: word_to_str(group, t) for t in elems}
-    # every scan feeds one stack per row s, over the t that have the data
-    stack = _stack(mats[:e], v.dim)
-    proj = stack @ adjoints(stack)
+def _full_scan(v: PartialRepFamily, table, e: int) -> tuple:
+    """The family's matrices of the table keys, their index, the keys it
+    lacks, and masks of every element and pair whose defect has the data."""
+    mats, at = v.gather(table.keys)
+    lacks = at < 0
+    return mats, at, lacks, {
+        "selfadjoint": ~lacks[table.inv], "commuting_ranges": np.ones((e, e), dtype=bool),
+        "triple_product": ~lacks[table.prod] & ~lacks[table.inv][:, None],
+        "intertwine": ~lacks[table.prod]}
 
+
+def _scan_relations(
+    name: Callable, elems: list, table, mats: np.ndarray, at: np.ndarray, lacks: np.ndarray, masks: dict
+) -> tuple[dict[str, _Worst], list[dict]]:
+    """Feed each relation in ``masks`` over its masked elements or pairs.
+
+    ``mats[at[k]]`` is the matrix of ``table.keys[k]``, which every masked
+    defect reads.  Pairs that read a key in ``lacks`` are recorded as
+    skipped.  Every relation feeds one stack per row ``s``, in scan order.
+    """
+    worst = {k: _Worst() for k in masks}
     inv = table.inv
-    for i in np.flatnonzero(lacks[inv]).tolist():
-        skipped.append({"entry": "selfadjoint", "elements": [name[elems[i]]]})
-    paired = np.flatnonzero(~lacks[inv])
-    vti = _stack([mats[k] for k in inv[paired].tolist()], v.dim)
-    selfadj.feed_stack(adjoints(stack[paired]) - vti, lambda k: name[elems[paired[k]]])
+    skipped = [{"entry": "selfadjoint", "elements": [name(elems[i])]} for i in np.flatnonzero(lacks[inv]).tolist()]
+    if not (lacks.any() or any(m.any() for m in masks.values())):
+        return worst, skipped
+    stack = mats[at[: len(elems)]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = stack @ adjoints(stack) if "intertwine" in masks else None
+        paired = np.flatnonzero(masks["selfadjoint"])
+        worst["selfadjoint"].feed_stack(adjoints(stack[paired]) - mats[at[inv[paired]]],
+                                        lambda k: name(elems[paired[k]]))
+        for a, s in enumerate(elems):
+            st = table.prod[a]
+            for i in np.flatnonzero(lacks[inv[a]] | lacks[st]).tolist():
+                skipped.append({"entry": "triple_product", "elements": [name(s), name(elems[i])]})
+                if lacks[st[i]] and "intertwine" in masks:
+                    skipped.append({"entry": "intertwine", "elements": [name(s), name(elems[i])]})
+            for key, mask in masks.items():
+                idx = np.flatnonzero(mask[a]) if mask.ndim == 2 else []
+                if len(idx) == 0:
+                    continue
+                if key == "commuting_ranges":
+                    diffs = proj[a] @ proj[idx] - proj[idx] @ proj[a]
+                elif key == "triple_product":
+                    vsi = mats[at[inv[a]]]
+                    diffs = (vsi @ stack[a]) @ stack[idx] - vsi @ mats[at[st[idx]]]
+                else:
+                    vst = mats[at[st[idx]]]
+                    diffs = stack[a] @ proj[idx] - (vst @ adjoints(vst)) @ stack[a]
+                worst[key].feed_stack(diffs, lambda k: f"{name(s)} , {name(elems[idx[k]])}")
+    return worst, skipped
 
-    for a, s in enumerate(elems):
-        st = table.prod[a]
-        vsi = mats[inv[a]]
-        if vsi is None or lacks[st].any():
-            for i, t in enumerate(elems):
-                if vsi is None or lacks[st[i]]:
-                    skipped.append({"entry": "triple_product", "elements": [name[s], name[t]]})
-                if lacks[st[i]]:
-                    skipped.append({"entry": "intertwine", "elements": [name[s], name[t]]})
-        ps = proj[a]
-        ranges.feed_stack(ps @ proj - proj @ ps, partial(_row_label, name, s, elems))
-        idx = np.flatnonzero(~lacks[st])
-        vst = _stack([mats[k] for k in st[idx].tolist()], v.dim)
-        label = partial(_row_label, name, s, [elems[i] for i in idx])
-        if vsi is not None:
-            triple.feed_stack((vsi @ stack[a]) @ stack[idx] - vsi @ vst, label)
-        est = vst @ adjoints(vst)
-        intertwine.feed_stack(stack[a] @ proj[idx] - est @ stack[a], label)
 
-    return _report({"selfadjoint": selfadj, "triple_product": triple,
-                    "commuting_ranges": ranges, "intertwine": intertwine}, skipped)
+def _row_settled_pairs(rows: np.ndarray, table, identities: tuple) -> dict[str, np.ndarray]:
+    """Masks of the standard-model defects that row identities leave open,
+    over the elements for selfadjointness and over the pairs otherwise.
+
+    ``v_t v_t*`` is diagonal, holding the number of points ``eta_t`` sends
+    to each point, so range projections commute and the intertwining law
+    is ``row_identities``' range identity.
+    """
+    (_, ranges, triple), e, n = identities, len(table.inv), rows.shape[1] - 1
+    ar = np.arange(n)
+    # v_t* = v_{t^-1} exactly when each row inverts the other on its domain
+    r, q = rows[:e], rows[table.inv]
+    fwd = np.take_along_axis(q, r[:, :n], axis=1)
+    bwd = np.take_along_axis(r, q[:, :n], axis=1)
+    return {
+        "selfadjoint": ~(((fwd == ar) | (r[:, :n] < 0)).all(axis=1) & ((bwd == ar) | (q[:, :n] < 0)).all(axis=1)),
+        "commuting_ranges": np.zeros((e, e), dtype=bool),
+        "triple_product": triple,
+        "intertwine": ranges,
+    }
 
 
 def covariance_defects(
     rep: CovariantRep, elements: Sequence | None = None
 ) -> DefectReport:
     """Worst deviation of ``v_t phi(f) v_t*`` from ``phi`` of the moved
-    function, over indicators of points in each element's source set."""
+    function, over indicators of points in each element's source set.
+
+    In the standard model ``v_t`` sends the unit at ``z`` to the unit at
+    ``eta_t(z)``, so every defect is exactly zero and only the element maps
+    are built; any other ``v`` or ``phi`` takes the full scan."""
     dual = rep.dual
     group = rep.group
     if elements is None:
         elements = dual.action.declared_elements()
     elems = _normalize_elements(group, elements)
     worst = _Worst()
-    for t in elems:
-        _feed_covariance(worst, rep, group, t, rep.v.matrix(t))
+    if rep.v.action is dual.action and np.array_equal(rep.phi_mats, _standard_phi(rep.n)):
+        lacks = dual.action.scan(elems)[2][: len(elems)]
+        if lacks.any():
+            dual.action.element_map(elems[int(np.argmax(lacks))])  # raises its error
+    else:
+        for t in elems:
+            _feed_covariance(worst, rep, group, t, rep.v.matrix(t))
     return _report({"covariance": worst}, [])
 
 
@@ -348,7 +430,8 @@ def _feed_covariance(
     pairs = rep.dual.action.element_map(t).pairs
     zs = [z for z, _ in pairs]
     ws = [w for _, w in pairs]
-    diffs = vt @ rep.phi_mats[zs] @ vt.conj().T - rep.phi_mats[ws]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = vt @ rep.phi_mats[zs] @ vt.conj().T - rep.phi_mats[ws]
     worst.feed_stack(diffs, lambda k: f"{word_to_str(group, t)} @ {zs[k]}")
 
 
@@ -445,31 +528,10 @@ def perturb_to_partial_isometries(
     pi_worst.feed_stack(us @ adjoints(us) @ us - us, labels.__getitem__)
 
     family = PartialRepFamily(group, v.dim, mats=out)
-    selfadj = _Worst()
-    triple = _Worst()
-    skipped: list[dict] = []
-    e = len(elems)
-    stack = _stack([out[t] for t in elems], v.dim)
-    inv = table.inv
-    for i in np.flatnonzero(inv >= e).tolist():
-        skipped.append({"entry": "selfadjoint", "elements": [name[elems[i]]]})
-    paired = np.flatnonzero(inv < e)
-    selfadj.feed_stack(
-        adjoints(stack[paired]) - stack[inv[paired]], lambda k: name[elems[paired[k]]]
-    )
-    for a, s in enumerate(elems):
-        st = table.prod[a]
-        have = st < e if inv[a] < e else np.zeros(e, dtype=bool)
-        for i in np.flatnonzero(~have).tolist():
-            skipped.append({"entry": "triple_product", "elements": [name[s], name[elems[i]]]})
-        idx = np.flatnonzero(have)
-        if idx.size:
-            usi = stack[inv[a]]
-            lhs = (usi @ stack[a]) @ stack[idx]
-            rhs = usi @ stack[st[idx]]
-            triple.feed_stack(lhs - rhs, partial(_row_label, name, s, [elems[i] for i in idx]))
-    worst = {"distance_bound": dist, "pi_defect": pi_worst, "selfadjoint": selfadj,
-             "triple_product": triple}
+    mats, at, lacks, masks = _full_scan(family, table, len(elems))
+    scans, skipped = _scan_relations(name.__getitem__, elems, table, mats, at, lacks,
+                                     {k: masks[k] for k in ("selfadjoint", "triple_product")})
+    worst = {"distance_bound": dist, "pi_defect": pi_worst, **scans}
     bounds = {"distance_bound": 10.0 * eta, "pi_defect": PI_TOL, "selfadjoint": 21.0 * eta,
               "triple_product": 51.0 * eta}
 
@@ -562,24 +624,6 @@ def bundle_rep_to_covariant(family: Mapping, dual: DualSystem) -> CovariantRep:
             m = m + arr[z]
         mats[t] = m
     return CovariantRep(dual, phi_mats, PartialRepFamily(group, d, mats=mats))
-
-
-def positivity_flag(rep: CovariantRep, trials: int = 8, seed: int = 0, tol: float = AXIOM_TOL) -> bool:
-    """Whether phi sends sampled nonnegative functions to PSD matrices."""
-    rng = np.random.default_rng(seed)
-    tests = [np.ones(rep.n)]
-    tests.extend(rng.random(rep.n) for _ in range(trials))
-    for z in range(rep.n):
-        f = np.zeros(rep.n)
-        f[z] = 1.0
-        tests.append(f)
-    for f in tests:
-        m = rep.phi(f)
-        m = 0.5 * (m + m.conj().T)
-        vals = np.linalg.eigvalsh(m)
-        if vals.min() < -tol:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

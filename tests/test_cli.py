@@ -153,6 +153,20 @@ def test_defects_noise_fails(capsys, swap_file):
     assert env["report"]["noise"] == 0.5
 
 
+@pytest.mark.parametrize("noise", ["1e200", "1e308"])
+def test_defects_overflowing_noise_reports_inf(capsys, swap_file, noise):
+    """Defects that overflow are reported as inf: exit 1, quietly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["defects", swap_file, "--noise", noise])
+    captured = capsys.readouterr()
+    env = json.loads(captured.out)
+    assert code == 1 and env["ok"] is False
+    assert env["report"]["covariance"]["entries"]["covariance"] == float("inf")
+    assert float("inf") in env["report"]["relations"]["entries"].values()
+    assert captured.err == ""
+
+
 def test_perturb_clean_certificate(capsys, swap_file):
     code, env, _ = run(capsys, ["perturb", swap_file, "--eta", "0.01"])
     assert code == 0

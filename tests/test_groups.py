@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,31 @@ def test_product_table_matches_multiply(group, elements):
     firsts = [group.inverse(g) for g in elements]
     firsts += [group.multiply(g, h) for g in elements for h in elements]
     assert keys[len(elements):] == [k for k in dict.fromkeys(firsts) if k not in elements]
+
+
+def test_product_table_on_sparse_long_words():
+    """Long words far apart cost only the words their walks reach: the
+    trie stays within one node per letter of each element, inverse and
+    product walk, and every index agrees with ``multiply`` and ``inverse``."""
+    group = FreeGroup(3)
+    rng = np.random.default_rng(12)
+    elements = []
+    while len(elements) < 9:
+        w = group.reduce_word([int(x) for x in rng.choice([1, -1, 2, -2, 3, -3], size=int(rng.integers(0, 13)))])
+        if w not in elements:
+            elements.append(w)
+    table = product_table(group, elements)
+    keys, e, longest = table.keys, len(elements), max(map(len, elements))
+    assert longest >= 10
+    assert table.trie.size <= 1 + e * e * longest + 2 * e * longest
+    assert keys[:e] == elements and len(set(keys)) == len(keys)
+    for a, g in enumerate(elements):
+        assert keys[table.inv[a]] == group.inverse(g)
+        for b, h in enumerate(elements):
+            assert keys[table.prod[a, b]] == group.multiply(g, h)
+    firsts = [group.inverse(g) for g in elements]
+    firsts += [group.multiply(g, h) for g in elements for h in elements]
+    assert keys[e:] == [k for k in dict.fromkeys(firsts) if k not in elements]
 
 
 def test_product_table_pair_limit():

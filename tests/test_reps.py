@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import parfell as pf
 from conftest import random_cyclic_action, random_free_action, random_valid_action
 from parfell import reps
+from test_actions import partial_maps, table_rule
 
 
 def e(i, j, d=2):
@@ -48,13 +49,6 @@ def test_std_rep_exact_relations_random():
         assert rel.max_defect() <= 1e-12, rel.to_json()
         assert cov.max_defect() <= 1e-12, cov.to_json()
         assert not rel.skipped
-
-
-def test_positivity_flag(swap_action):
-    rep = pf.std_covariant_rep(swap_action)
-    assert pf.positivity_flag(rep)
-    bad = pf.CovariantRep(rep.dual, [-e(0, 0), e(1, 1)], rep.v)
-    assert not pf.positivity_flag(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +323,77 @@ def test_defect_scans_match_every_pair_reference(case):
     assert cert.contraction_constant == contraction
 
 
+@st.composite
+def invalid_std_models(draw):
+    """Standard models of actions that mostly fail validation: free actions
+    with arbitrary letter maps and declared longer words that disagree
+    with their letters, rule-made maps, and finite groups with arbitrary
+    maps; with the scan elements."""
+    kind = draw(st.sampled_from(["free", "rule", "finite"]))
+    n = draw(st.integers(1, 3))
+    if kind == "finite":
+        group = draw(st.sampled_from([pf.cyclic_group(3), pf.cyclic_group(4), pf.symmetric_group(3)]))
+        maps = {g: draw(partial_maps(n, n)) for g in range(1, group.order)}
+        return pf.FinitePartialAction(group, n, maps), list(range(group.order))
+    group = pf.FreeGroup(draw(st.integers(1, 2)))
+    words = [w for w in group.ball(2) if w]
+    elems = group.ball(draw(st.integers(1, 2)))
+    if kind == "rule":
+        table = {w: draw(partial_maps(n, n)) for w in draw(st.lists(st.sampled_from(words), unique=True))}
+        return pf.FinitePartialAction(group, n, {}, rule=table_rule(n, table)), elems
+    maps = {w: draw(partial_maps(n, n)) for w in group.ball(1) if w}
+    for w in draw(st.lists(st.sampled_from([w for w in words if len(w) == 2]), unique=True, max_size=3)):
+        if group.inverse(w) not in maps:
+            maps[w] = draw(partial_maps(n, n))
+    return pf.FinitePartialAction(group, n, maps), elems
+
+
+@settings(max_examples=150, deadline=None)
+@given(invalid_std_models(), st.data())
+def test_std_model_scans_match_every_pair_reference(case, data):
+    """The row-settled scans of the standard model report the entries,
+    witnesses and skipped pairs of the every-pair reference, also where
+    rows are not injective and defects are nonzero; a custom phi over the
+    standard v takes the full scan."""
+    act, elems = case
+    rep = pf.std_covariant_rep(act)
+    got = pf.partial_rep_defects(rep.v, elements=elems).to_json()
+    want = ref_partial_rep_defects(rep.v, elems)
+    assert got["entries"] == dict(sorted(want["entries"].items()))
+    assert got["witnesses"] == dict(sorted(want["witnesses"].items()))
+    assert got["skipped"] == want["skipped"] == []
+    cov = pf.covariance_defects(rep, elements=elems)
+    ref = ref_covariance(rep, elems)
+    assert (cov.entries, cov.witnesses, cov.skipped) == (
+        {"covariance": ref.value}, {"covariance": ref.witness}, [])
+    assert ref.value == 0.0
+    weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=act.n, max_size=act.n))
+    custom = pf.CovariantRep(rep.dual, rep.phi_mats * np.array(weights)[:, None, None], rep.v)
+    cov = pf.covariance_defects(custom, elements=elems)
+    ref = ref_covariance(custom, elems)
+    assert (cov.entries, cov.witnesses) == ({"covariance": ref.value}, {"covariance": ref.witness})
+
+
+def test_std_model_scans_of_a_valid_action_feed_no_stack(monkeypatch):
+    """On a valid action every standard-model defect is settled on rows:
+    no matrix stack reaches the norms."""
+    act = random_free_action(np.random.default_rng(3), 2, 6)
+    rep = pf.std_covariant_rep(act)
+    elems = pf.scan_elements(act.group, 3)
+    assert pf.validate(act, 3).ok
+    fed = []
+    feed = reps._Worst.feed_stack
+    monkeypatch.setattr(reps._Worst, "feed_stack", lambda self, d, label: fed.append(len(d)) or feed(self, d, label))
+    rel = pf.partial_rep_defects(rep.v, elements=elems)
+    cov = pf.covariance_defects(rep, elements=elems)
+    assert fed == []
+    assert rel.max_defect() == cov.max_defect() == 0.0
+    # the same scan of a rule-backed copy, which no row settles, feeds stacks
+    copy = pf.PartialRepFamily(act.group, rep.dim, rule=rep.v.matrix)
+    assert pf.partial_rep_defects(copy, elements=elems).to_json() == rel.to_json()
+    assert fed
+
+
 def test_feed_stack_skips_only_what_cannot_win(monkeypatch):
     sizes = []  # matrices per stacked SVD
     monkeypatch.setattr(reps, "op_norms", lambda a: sizes.append(len(a)) or pf.op_norms(a))
@@ -356,9 +421,13 @@ def test_feed_stack_skips_only_what_cannot_win(monkeypatch):
     worst.feed_stack(stack, label)
     assert (sizes, labels, worst.witness) == ([1, 1, 1, 1], [0, 1, 1], "w1")
     assert worst.value == pytest.approx(2.0, rel=1e-15)
-    worst.value = np.inf
-    worst.feed_stack(np.full((1, 2, 2), np.inf), label)  # non-finite: always the SVD
-    assert sizes[-1] == 1 and len(sizes) == 5
+    # a non-finite difference is inf without an SVD; the first one wins
+    fresh = reps._Worst()
+    stack = np.stack([np.eye(2), np.full((2, 2), np.nan), np.full((2, 2), np.inf)])
+    fresh.feed_stack(stack, label)
+    assert (sizes, labels[-1], fresh.value, fresh.witness) == ([1, 1, 1, 1], 1, np.inf, "w1")
+    fresh.feed_stack(stack[2:], label)
+    assert (sizes, fresh.witness) == ([1, 1, 1, 1], "w1")
 
 
 def test_selfadjoint_defect_below_frobenius_underflow():

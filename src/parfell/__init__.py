@@ -39,6 +39,7 @@ from .actions import (
     action_from_json,
     action_to_json,
     check_equivariance,
+    restriction_action,
     validate,
 )
 from .matrices import (
@@ -64,6 +65,7 @@ from .reps import (
     extract_finite_system,
     partial_rep_defects,
     perturb_to_partial_isometries,
+    positivity_flag,
     std_covariant_rep,
     symmetrize,
 )
@@ -89,6 +91,8 @@ from .bernoulli import (
     MeasureApprox,
     QuotientApprox,
     RfdCertificate,
+    TruncatedBernoulli,
+    build_truncated_bernoulli,
     certify_rfd,
     invariant_measure_approx,
     metric,

@@ -256,6 +256,28 @@ def _row_of(pm: PartialMap, n: int) -> np.ndarray:
     return row
 
 
+def restriction_action(
+    group: GroupSpec,
+    global_maps: Mapping[object, Sequence[int]],
+    subset: Sequence[int],
+) -> FinitePartialAction:
+    """Restrict a global permutation action to a subset, relabelled 0..k-1.
+
+    ``global_maps`` sends declared elements to full permutations; generators
+    suffice for free groups, every element is expected for finite groups.
+    """
+    sub = sorted(set(int(z) for z in subset))
+    index = {z: i for i, z in enumerate(sub)}
+    maps = {}
+    for g, perm in global_maps.items():
+        perm = list(perm)
+        if sorted(perm) != list(range(len(perm))):
+            raise MalformedDataError("global map is not a permutation")
+        pairs = {index[z]: index[perm[z]] for z in sub if perm[z] in index}
+        maps[g] = pairs
+    return FinitePartialAction(group, len(sub), maps)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -309,23 +331,51 @@ def validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> Valid
     axiom: list[Issue] = []
 
     ident = group.identity
-    if action.is_declared(ident) and action.element_map(ident) != PartialMap.identity_on(range(action.n)):
-        structural.append(Issue("identity_map", word_to_str(group, ident), (),
-                                "identity element does not act as the identity"))
+    if action.is_declared(ident):
+        em = action.element_map(ident)
+        if em != PartialMap.identity_on(range(action.n)):
+            structural.append(
+                Issue("identity_map", word_to_str(group, ident), (), "identity element does not act as the identity")
+            )
+
     if isinstance(group, FiniteGroup):
-        for t in group.ball(1):
-            if t != ident and not action.is_declared(t):
-                structural.append(Issue("missing_element", word_to_str(group, t), (),
-                                        "finite-group action lacks data for this element"))
+        missing = [
+            t
+            for t in group.ball(1)
+            if t != ident and not action.is_declared(t)
+        ]
+        for t in missing:
+            structural.append(
+                Issue("missing_element", word_to_str(group, t), (), "finite-group action lacks data for this element")
+            )
+
+    injective: dict = {}
     for t in action.declared_elements():
         pm = action.element_map(t)
-        label = word_to_str(group, t)
-        if not pm.is_injective():
-            dupes = sorted(w for w in pm.target_set() if sum(1 for _, x in pm.pairs if x == w) > 1)
-            structural.append(Issue("not_injective", label, tuple(dupes), f"eta_{label} not injective"))
-        elif action.is_declared(group.inverse(t)) and action.element_map(group.inverse(t)) != pm.inverse():
-            structural.append(Issue("inverse_mismatch", label, (),
-                                    "declared inverse map disagrees with the inverted map"))
+        injective[t] = pm.is_injective()
+        if not injective[t]:
+            dupes = sorted(
+                w for w in pm.target_set() if sum(1 for _, x in pm.pairs if x == w) > 1
+            )
+            structural.append(
+                Issue(
+                    "not_injective",
+                    word_to_str(group, t),
+                    tuple(dupes),
+                    f"eta_{word_to_str(group, t)} not injective",
+                )
+            )
+        ti = group.inverse(t)
+        if injective[t] and action.is_declared(ti):
+            if action.element_map(ti) != pm.inverse():
+                structural.append(
+                    Issue(
+                        "inverse_mismatch",
+                        word_to_str(group, t),
+                        (),
+                        "declared inverse map disagrees with the inverted map",
+                    )
+                )
 
     if structural:
         return ValidationReport(False, structural, axiom, len(action.declared_elements()), 0)

@@ -65,6 +65,15 @@ class BernoulliWindow:
             return 1
         return (point >> (k - 1)) & 1
 
+    def coord_index(self, t) -> int:
+        key = self.group.check_element(t)
+        try:
+            return self.coords.index(key)
+        except ValueError:
+            raise MalformedDataError(
+                f"element {word_to_str(self.group, key)} is outside the window"
+            ) from None
+
 
 def metric(x: int, y: int, depth: int) -> float:
     """Weighted coordinate disagreement, 2^-k at window coordinate k."""
@@ -74,6 +83,90 @@ def metric(x: int, y: int, depth: int) -> float:
         if (diff >> (k - 1)) & 1:
             total += 2.0 ** (-k)
     return total
+
+
+class TruncatedBernoulli:
+    """Window fragment of the shift system.
+
+    An element is representable when it and its inverse are window
+    coordinates; its point set is cut out by the coordinate pin, and its
+    shift is known on exactly those coordinates whose translate stays in the
+    window.  The known fragments are checked for consistency at build time.
+    """
+
+    def __init__(self, window: BernoulliWindow) -> None:
+        self.window = window
+        g = window.group
+        index = {t: k for k, t in enumerate(window.coords)}
+        self.representable: tuple = tuple(
+            t for t in window.coords if g.inverse(t) in index
+        )
+        # per element: list of (k, j) with t^-1 t_k = t_j, i.e. shifted
+        # coordinate k reads source coordinate j
+        self._shift_coords: dict = {}
+        for t in self.representable:
+            ti = g.inverse(t)
+            pairs = []
+            for k, tk in enumerate(window.coords):
+                src = g.multiply(ti, tk)
+                if src in index:
+                    pairs.append((k, index[src]))
+            self._shift_coords[t] = tuple(pairs)
+        self._fragment_ok = self._check_fragment()
+
+    def require_representable(self, t) -> None:
+        key = self.window.group.check_element(t)
+        if key not in self._shift_coords:
+            raise MalformedDataError(
+                f"window depth {self.window.depth} cannot represent "
+                f"{word_to_str(self.window.group, key)}"
+            )
+
+    def domain(self, t) -> list[int]:
+        """Window points belonging to the element's set: pinned at t."""
+        self.require_representable(t)
+        k = self.window.coord_index(t)
+        return [p for p in self.window.points() if self.window.bit(p, k) == 1]
+
+    def shift_known(self, t, point: int) -> dict[int, int]:
+        """Shifted values on the determined coordinates only."""
+        self.require_representable(t)
+        key = self.window.group.check_element(t)
+        return {k: self.window.bit(point, j) for k, j in self._shift_coords[key]}
+
+    @property
+    def fragment_ok(self) -> bool:
+        return self._fragment_ok
+
+    def _check_fragment(self) -> bool:
+        g = self.window.group
+        index = {t: k for k, t in enumerate(self.window.coords)}
+        ident = g.identity
+        if ident not in self._shift_coords:
+            return False
+        if any(k != j for k, j in self._shift_coords[ident]):
+            return False
+        # composition consistency on determined coordinates
+        for s in self.representable:
+            for t in self.representable:
+                st = g.multiply(s, t)
+                if st not in self._shift_coords:
+                    continue
+                s_pairs = dict(self._shift_coords[s])
+                t_pairs = dict(self._shift_coords[t])
+                st_pairs = dict(self._shift_coords[st])
+                for k, mid in s_pairs.items():
+                    if mid in t_pairs and k in st_pairs:
+                        if t_pairs[mid] != st_pairs[k]:
+                            return False
+        return True
+
+
+def build_truncated_bernoulli(group: GroupSpec, depth: int) -> TruncatedBernoulli:
+    frag = TruncatedBernoulli(BernoulliWindow.build(group, depth))
+    if not frag.fragment_ok:
+        raise MalformedDataError("window fragment fails the shift consistency checks")
+    return frag
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,10 @@ class FreeGroup:
 
     def letters(self) -> list[int]:
         """Generator letters in canonical order ``+1, -1, +2, -2, ...``."""
-        return [x for i in range(1, self.rank + 1) for x in (i, -i)]
+        out = []
+        for i in range(1, self.rank + 1):
+            out.extend((i, -i))
+        return out
 
     def ball(self, radius: int) -> list[Word]:
         """All reduced words of length <= radius, canonically ordered."""
@@ -100,7 +103,14 @@ class FreeGroup:
             raise MalformedDataError("radius must be >= 0")
         levels: list[list[Word]] = [[()]]
         for _ in range(radius):
-            levels.append([w + (s,) for w in levels[-1] for s in self.letters() if not (w and w[-1] == -s)])
+            prev = levels[-1]
+            nxt: list[Word] = []
+            for w in prev:
+                for s in self.letters():
+                    if w and w[-1] == -s:
+                        continue
+                    nxt.append(w + (s,))
+            levels.append(nxt)
         return [w for level in levels for w in level]
 
     def enumerate_elements(self, count: int) -> list[Word]:

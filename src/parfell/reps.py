@@ -271,7 +271,11 @@ def _stack(mats: list, d: int) -> np.ndarray:
 
 
 def _normalize_elements(group: GroupSpec, elements) -> list:
-    return list(dict.fromkeys(group.check_element(g) for g in elements))
+    keys = [group.check_element(g) for g in elements]
+    seen: dict = {}
+    for k in keys:
+        seen.setdefault(k, None)
+    return list(seen)
 
 
 def partial_rep_defects(
@@ -414,9 +418,7 @@ def covariance_defects(
     elems = _normalize_elements(group, elements)
     worst = _Worst()
     if rep.v.action is dual.action and np.array_equal(rep.phi_mats, _standard_phi(rep.n)):
-        lacks = dual.action.scan(elems)[2][: len(elems)]
-        if lacks.any():
-            dual.action.element_map(elems[int(np.argmax(lacks))])  # raises its error
+        dual.action.map_rows(elems)  # raises the error of an element without data
     else:
         for t in elems:
             _feed_covariance(worst, rep, group, t, rep.v.matrix(t))
@@ -624,6 +626,24 @@ def bundle_rep_to_covariant(family: Mapping, dual: DualSystem) -> CovariantRep:
             m = m + arr[z]
         mats[t] = m
     return CovariantRep(dual, phi_mats, PartialRepFamily(group, d, mats=mats))
+
+
+def positivity_flag(rep: CovariantRep, trials: int = 8, seed: int = 0, tol: float = AXIOM_TOL) -> bool:
+    """Whether phi sends sampled nonnegative functions to PSD matrices."""
+    rng = np.random.default_rng(seed)
+    tests = [np.ones(rep.n)]
+    tests.extend(rng.random(rep.n) for _ in range(trials))
+    for z in range(rep.n):
+        f = np.zeros(rep.n)
+        f[z] = 1.0
+        tests.append(f)
+    for f in tests:
+        m = rep.phi(f)
+        m = 0.5 * (m + m.conj().T)
+        vals = np.linalg.eigvalsh(m)
+        if vals.min() < -tol:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -7,34 +7,10 @@ permutation whose cycle lengths divide the order; free groups through
 arbitrary permutations per generator.
 """
 
-from typing import Mapping, Sequence
-
 import numpy as np
 import pytest
 
 import parfell as pf
-
-
-def restriction_action(
-    group: pf.GroupSpec,
-    global_maps: Mapping[object, Sequence[int]],
-    subset: Sequence[int],
-) -> pf.FinitePartialAction:
-    """Restrict a global permutation action to a subset, relabelled 0..k-1.
-
-    ``global_maps`` sends declared elements to full permutations; generators
-    suffice for free groups, every element is expected for finite groups.
-    """
-    sub = sorted(set(int(z) for z in subset))
-    index = {z: i for i, z in enumerate(sub)}
-    maps = {}
-    for g, perm in global_maps.items():
-        perm = list(perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise pf.MalformedDataError("global map is not a permutation")
-        pairs = {index[z]: index[perm[z]] for z in sub if perm[z] in index}
-        maps[g] = pairs
-    return pf.FinitePartialAction(group, len(sub), maps)
 
 
 def _divisor_cycles(rng: np.random.Generator, m: int, n: int) -> list[int]:
@@ -71,7 +47,7 @@ def random_cyclic_action(rng: np.random.Generator, m: int, n_global: int) -> pf.
         power = [perm[z] for z in power]
     k = int(rng.integers(1, n_global + 1))
     subset = rng.choice(n_global, size=k, replace=False)
-    return restriction_action(group, global_maps, subset)
+    return pf.restriction_action(group, global_maps, subset)
 
 
 def random_free_action(rng: np.random.Generator, rank: int, n_global: int) -> pf.FinitePartialAction:
@@ -86,7 +62,7 @@ def random_free_action(rng: np.random.Generator, rank: int, n_global: int) -> pf
         global_maps[(-i,)] = inv
     k = int(rng.integers(1, n_global + 1))
     subset = rng.choice(n_global, size=k, replace=False)
-    return restriction_action(group, global_maps, subset)
+    return pf.restriction_action(group, global_maps, subset)
 
 
 GROUP_MENU = [("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("cyclic", 5),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from conftest import random_valid_action, random_free_action, restriction_action
+from conftest import random_valid_action, random_free_action
 from parfell.actions import (
     DEFAULT_RADIUS,
     EquivarianceReport,
@@ -711,4 +711,4 @@ def test_action_json_malformed():
 def test_restriction_rejects_non_permutation():
     g = pf.cyclic_group(2)
     with pytest.raises(pf.MalformedDataError):
-        restriction_action(g, {0: [0, 1], 1: [0, 0]}, [0, 1])
+        pf.restriction_action(g, {0: [0, 1], 1: [0, 0]}, [0, 1])

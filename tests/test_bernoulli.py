@@ -56,6 +56,27 @@ def test_metric_properties(x, y, z, depth):
 
 
 # ---------------------------------------------------------------------------
+# truncated fragments
+
+
+def test_fragment_representable_and_domain():
+    frag = pf.build_truncated_bernoulli(Z, 3)
+    assert frag.representable == ((), (1,), (-1,))
+    assert frag.domain((1,)) == [1, 3, 5, 7]
+    assert frag.domain(()) == list(range(8))
+    assert frag.shift_known((1,), 5) == {0: 0, 1: 1, 3: 1}
+    with pytest.raises(pf.MalformedDataError):
+        frag.domain((1, 1))  # inverse of a^2 leaves the window
+
+
+def test_fragment_finite_group_window():
+    g4 = pf.cyclic_group(4)
+    frag = pf.build_truncated_bernoulli(g4, 2)
+    # coords 0,1,2; inverses 0,3,2: only 0 and 2 are representable
+    assert frag.representable == (0, 2)
+
+
+# ---------------------------------------------------------------------------
 # quotient approximations
 
 

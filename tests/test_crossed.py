@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from conftest import random_cyclic_action, restriction_action
+from conftest import random_cyclic_action
 
 
 def random_section(dual, rng, num_terms=2):
@@ -241,7 +241,7 @@ def random_restricted_action(rng, group):
             global_maps[g].extend(offset + p for p in perm)
     n_global = len(global_maps[0])
     k = int(rng.integers(1, n_global + 1))
-    return restriction_action(group, global_maps, rng.choice(n_global, size=k, replace=False))
+    return pf.restriction_action(group, global_maps, rng.choice(n_global, size=k, replace=False))
 
 
 def groupoid_center_dimension(act):

@@ -51,6 +51,13 @@ def test_std_rep_exact_relations_random():
         assert not rel.skipped
 
 
+def test_positivity_flag(swap_action):
+    rep = pf.std_covariant_rep(swap_action)
+    assert pf.positivity_flag(rep)
+    bad = pf.CovariantRep(rep.dual, [-e(0, 0), e(1, 1)], rep.v)
+    assert not pf.positivity_flag(bad)
+
+
 # ---------------------------------------------------------------------------
 # defect reports on corrupted families
 
@@ -392,6 +399,33 @@ def test_std_model_scans_of_a_valid_action_feed_no_stack(monkeypatch):
     copy = pf.PartialRepFamily(act.group, rep.dim, rule=rep.v.matrix)
     assert pf.partial_rep_defects(copy, elements=elems).to_json() == rel.to_json()
     assert fed
+
+
+def test_std_model_covariance_reads_only_the_elements():
+    """Standard-model covariance builds only the elements' own maps: it
+    runs over more elements than a product table allows, and a rule that
+    fails on a product of two elements does not reach it."""
+    act = random_free_action(np.random.default_rng(5), 2, 4)
+    elems = act.group.ball(6)
+    assert len(elems) ** 2 > pf.MAX_SCAN_PAIRS
+    rep = pf.std_covariant_rep(act)
+    cov = pf.covariance_defects(rep, elements=elems)
+    ref = ref_covariance(rep, elems)
+    assert (cov.entries, cov.witnesses, cov.skipped) == (
+        {"covariance": ref.value}, {"covariance": ref.witness}, [])
+
+    def rule(key):
+        if len(key) > 1:
+            raise pf.MalformedDataError(f"no rule for {key}")
+        return table_rule(2, {(1,): {0: 1, 1: 0}, (-1,): {0: 1, 1: 0}})(key)
+
+    ruled = pf.std_covariant_rep(pf.FinitePartialAction(pf.FreeGroup(1), 2, {}, rule=rule))
+    assert pf.covariance_defects(ruled, elements=[(), (1,), (-1,)]).max_defect() == 0.0
+    with pytest.raises(pf.MalformedDataError):
+        pf.covariance_defects(ruled, elements=[(1, 1)])
+    with pytest.raises(pf.UndeclaredElementError):
+        pf.covariance_defects(pf.std_covariant_rep(pf.FinitePartialAction(pf.FreeGroup(2), 2, {(1,): {0: 1}})),
+                              elements=[(1,), (2,)])
 
 
 def test_feed_stack_skips_only_what_cannot_win(monkeypatch):

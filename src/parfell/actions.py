@@ -9,6 +9,7 @@ declared data (or a rule) supplies exact maps for longer words.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -171,14 +172,17 @@ class FinitePartialAction:
 
         ``rows[i, z]`` is ``eta_{keys[i]}(z)``, or -1 where it is undefined.
         The last column is all -1, so ``f[g]`` composes row ``f`` after row
-        ``g``.  Rows equal ``element_map`` exactly.
+        ``g``.  Rows equal ``element_map`` exactly.  When ``scan`` has run
+        on ``keys``, its memo answers: its first rows are the keys' own.
         """
-        if isinstance(self.group, FiniteGroup):
-            trie, ids = None, np.array(keys, dtype=np.intp).reshape(len(keys))
+        memo = self._scans.get(tuple(keys))
+        if memo is not None:
+            rows, lacks = memo[1][: len(keys)].copy(), memo[2][: len(keys)]
+        elif isinstance(self.group, FiniteGroup) or self.rule is not None:
+            rows, lacks = self._rows(None, keys)
         else:
             trie = WordTrie(self.group.rank)
-            ids = trie.walk(np.zeros(len(keys), dtype=np.intp), keys)
-        rows, lacks = self._rows(trie, ids)
+            rows, lacks = self._rows(trie, trie.walk(np.zeros(len(keys), dtype=np.intp), keys))
         if lacks.any():
             self.element_map(keys[int(np.argmax(lacks))])  # raises its error
         return rows
@@ -196,13 +200,12 @@ class FinitePartialAction:
             self._scans[memo] = (table, rows, lacks, row_identities(rows, table, len(elements)))
         return self._scans[memo]
 
-    def _rows(self, trie: WordTrie | None, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of the words ``ids`` of ``trie``, or of the finite-group
-        elements ``ids`` when ``trie`` is None, and a mask of those without
-        data."""
+    def _rows(self, trie: WordTrie | None, ids: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of the words ``ids`` of ``trie``, or of the keys ``ids`` when
+        ``trie`` is None, and a mask of those without data."""
         n = self.n
         if trie is None or self.rule is not None:
-            keys = ids.tolist() if trie is None else trie.words(ids)
+            keys = ids if trie is None else trie.words(ids)
             rows = np.full((len(keys), n + 1), -1, dtype=np.intp)
             lacks = np.zeros(len(keys), dtype=bool)
             for i, key in enumerate(keys):
@@ -249,10 +252,11 @@ class FinitePartialAction:
 
 def _row_of(pm: PartialMap, n: int) -> np.ndarray:
     row = np.full(n + 1, -1)
-    for z, w in pm.pairs:
-        if not (0 <= z < n and 0 <= w < n):
-            raise MalformedDataError(f"map pair {(z, w)} leaves 0..{n - 1}")
-        row[z] = w
+    zw = np.fromiter(itertools.chain.from_iterable(pm.pairs), dtype=np.intp, count=2 * len(pm.pairs))
+    out = ((zw < 0) | (zw >= n)).reshape(-1, 2).any(axis=1)
+    if out.any():
+        raise MalformedDataError(f"map pair {pm.pairs[int(np.argmax(out))]} leaves 0..{n - 1}")
+    row[zw[0::2]] = zw[1::2]
     return row
 
 
@@ -411,9 +415,7 @@ def row_identities(rows: np.ndarray, table: ProductTable, e: int) -> tuple[np.nd
     time.
     """
     n = rows.shape[1] - 1
-    hits = np.zeros(rows.shape, dtype=np.intp)  # points sent to each point
-    np.add.at(hits, (np.arange(len(rows))[:, None], rows), 1)  # -1 lands in column n
-    hits[:, n] = 0
+    hits = _hits(rows)
     eta_t = rows[:e, :n]
     out = np.zeros((3, e, e), dtype=bool)
     block = max(1, 2**16 // max(1, e * n))  # rows per block of (rows, E, n) arrays
@@ -429,6 +431,16 @@ def row_identities(rows: np.ndarray, table: ProductTable, e: int) -> tuple[np.nd
         esi = table.inv[a]
         out[2, lo : lo + len(a)] = (rows[esi, comp] != rows[esi, est]).any(axis=2)
     return out[0], out[1], out[2]
+
+
+def _hits(rows: np.ndarray) -> np.ndarray:
+    """``hits[i, x]``, the number of points that row ``i`` sends to ``x``,
+    for rows that end in their -1 column; that column's count is 0."""
+    k, width = rows.shape
+    hits = np.bincount((rows % width + width * np.arange(k)[:, None]).ravel(), minlength=k * width)
+    hits = hits.reshape(k, width)
+    hits[:, -1] = 0
+    return hits
 
 
 def _pair_issues(action: FinitePartialAction, s, t, st, si) -> list[Issue]:
@@ -572,63 +584,57 @@ def check_equivariance(
     containment ``rho^-1(U_t) <= V_t``.  Violation magnitudes use the target
     metric when one is supplied, else count 1 per failure.
     """
-    src, tgt, rho = emap.source, emap.target, emap.rho
-
-    def inputs(t, s_map: PartialMap):
-        t_map = tgt.element_map(t)
-        t_image = t_map.target_set()
-        t_dict = t_map.as_dict()
-        lands = frozenset(x for x in range(src.n) if rho[x] in t_image)
-        wanted = {z: t_dict[rho[z]] for z, _ in s_map.pairs if rho[z] in t_dict}
-        return lands, wanted
-
-    def dist(x: int, y: int) -> float:
-        return 1.0 if point_metric is None else float(point_metric(x, y))
+    src, tgt = emap.source, emap.target
+    elems = scan_elements(src.group, radius)
+    rows, t_rows = src.map_rows(elems), tgt.map_rows(elems)
+    rho = np.asarray(emap.rho, dtype=np.intp)
 
     return _equivariance_report(
-        src, rho, scan_elements(src.group, radius), inputs, dist, strict
+        src.group, elems, rows, rho, _hits(t_rows)[:, rho] > 0, t_rows[:, rho],
+        lambda x, y: 1.0 if point_metric is None else float(point_metric(x, y)), strict,
     )
 
 
 def _equivariance_report(
-    source: FinitePartialAction,
-    rho: Sequence[int],
+    group: GroupSpec,
     elements: Sequence,
-    inputs: Callable[[object, PartialMap], tuple[frozenset, Mapping[int, int]]],
+    rows: np.ndarray,
+    rho: np.ndarray,
+    lands: np.ndarray,
+    wanted: np.ndarray,
     dist: Callable[[int, int], float],
     strict: bool,
 ) -> EquivarianceReport:
     """The one image, pointwise and strict check of a point map ``rho``.
 
-    ``inputs(t, eta_t)`` gives the source points whose ``rho`` lands in
-    ``U_t`` and, keyed by source point ``z`` of ``eta_t``, the wanted value
-    of ``rho(eta_t(z))``; a point with no wanted value is a ``domain``
-    violation.  ``dist`` weighs a pointwise miss, and a miss of weight 0 or
-    any other violation counts 1 in ``max_defect``.
+    Row ``i`` of each int array belongs to ``t = elements[i]``: ``rows`` are
+    the source maps ``eta_t`` from ``map_rows``, ``lands`` marks the source
+    points whose ``rho`` lands in ``U_t`` and ``wanted[i, z]`` is the wanted
+    ``rho(eta_t(z))``, or -1 for none (a ``domain`` violation).  Violation
+    dicts are built only at failing points, per element in the order image
+    (one per point sent there), domain or pointwise, strict.  ``dist``
+    weighs a pointwise miss; a miss of weight 0 or any other violation
+    counts 1 in ``max_defect``.
     """
+    n = len(rho)
+    hits = _hits(rows)[:, :n]
+    rows = rows[:, :n]
+    defined = rows >= 0
+    got = rho[rows]
+    miss = defined & ((wanted < 0) | (got != wanted))
+    image = (hits > 0) & ~lands
+    extra = lands & (hits == 0) & strict
     violations: list[dict] = []
-    points_checked = 0
-    for t in elements:
-        s_map = source.element_map(t)
-        lands, wanted = inputs(t, s_map)
-        label = word_to_str(source.group, t)
-        for z in s_map.targets:
-            if z not in lands:
-                violations.append({"kind": "image", "element": label, "point": z})
-        for z, w in s_map.pairs:
-            want = wanted.get(z)
-            if want is None:
-                violations.append({"kind": "domain", "element": label, "point": z})
-            elif rho[w] != want:
-                violations.append(
-                    {"kind": "pointwise", "element": label, "point": z,
-                     "defect": dist(rho[w], want)}
-                )
-        points_checked += 2 * len(s_map.pairs)
-        if strict:
-            points_checked += source.n
-            for x in sorted(lands - s_map.target_set()):
-                violations.append({"kind": "strict", "element": label, "point": x})
+    for i in np.flatnonzero((image | miss | extra).any(axis=1)).tolist():
+        label = word_to_str(group, elements[i])
+        for z in np.flatnonzero(image[i]).tolist():
+            violations += [{"kind": "image", "element": label, "point": z} for _ in range(hits[i, z])]
+        for z in np.flatnonzero(miss[i]).tolist():
+            x, want = int(got[i, z]), int(wanted[i, z])
+            v = {"kind": "domain" if want < 0 else "pointwise", "element": label, "point": z}
+            violations.append(v if want < 0 else {**v, "defect": dist(x, want)})
+        violations += [{"kind": "strict", "element": label, "point": x}
+                       for x in np.flatnonzero(extra[i]).tolist()]
     weights = (v.get("defect", 1.0) for v in violations)
     return EquivarianceReport(
         ok=all(v["kind"] == "strict" for v in violations),
@@ -636,7 +642,7 @@ def _equivariance_report(
         max_defect=max((d if d > 0 else 1.0 for d in weights), default=0.0),
         violations=violations,
         elements_checked=len(elements),
-        points_checked=points_checked,
+        points_checked=2 * int(defined.sum()) + (len(elements) * n if strict else 0),
     )
 
 

@@ -10,13 +10,15 @@ the resulting point map is strictly equivariant with explicit density bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .actions import EquivarianceReport, FinitePartialAction, PartialMap, _equivariance_report
+import numpy as np
+
+from .actions import EquivarianceReport, FinitePartialAction, PartialMap, _equivariance_report, _hits
 from .groups import (
+    FiniteGroup,
     FreeGroup,
     GroupHom,
     GroupSpec,
@@ -75,14 +77,12 @@ class BernoulliWindow:
             ) from None
 
 
-def metric(x: int, y: int, depth: int) -> float:
-    """Weighted coordinate disagreement, 2^-k at window coordinate k."""
-    total = 0.0
+def metric(x, y, depth: int):
+    """Weighted coordinate disagreement, 2^-k at window coordinate k, of two
+    points or elementwise of two int arrays of points.  The terms are
+    distinct powers of two, so the float sum is exact."""
     diff = x ^ y
-    for k in range(1, depth + 1):
-        if (diff >> (k - 1)) & 1:
-            total += 2.0 ** (-k)
-    return total
+    return sum((((diff >> (k - 1)) & 1) * 2.0 ** (-k) for k in range(1, depth + 1)), 0.0)
 
 
 class TruncatedBernoulli:
@@ -112,7 +112,7 @@ class TruncatedBernoulli:
                 if src in index:
                     pairs.append((k, index[src]))
             self._shift_coords[t] = tuple(pairs)
-        self._fragment_ok = self._check_fragment()
+        self.fragment_ok = self._check_fragment()
 
     def require_representable(self, t) -> None:
         key = self.window.group.check_element(t)
@@ -134,13 +134,8 @@ class TruncatedBernoulli:
         key = self.window.group.check_element(t)
         return {k: self.window.bit(point, j) for k, j in self._shift_coords[key]}
 
-    @property
-    def fragment_ok(self) -> bool:
-        return self._fragment_ok
-
     def _check_fragment(self) -> bool:
         g = self.window.group
-        index = {t: k for k, t in enumerate(self.window.coords)}
         ident = g.identity
         if ident not in self._shift_coords:
             return False
@@ -177,11 +172,12 @@ class QuotientApprox:
     """Finite model: configurations on a finite quotient group.
 
     Points are 0/1 rows over the quotient, pinned to 1 at its identity,
-    encoded as integers (bit ``gamma-1`` is the value at element gamma).
-    The group acts through the homomorphism by exact shifts; ``rho``
-    truncates each configuration to the window through the homomorphism.
-    ``images`` holds the quotient image of each window coordinate, taken
-    once; every check of the model reads it instead of the homomorphism.
+    encoded as integers (bit ``gamma-1`` is the value at element gamma),
+    and ``bits[gamma, z]`` is z's value at gamma.  The group acts through
+    the homomorphism by exact shifts; ``rho`` truncates each configuration
+    to the window through the homomorphism.  ``images`` holds the quotient
+    image of each window coordinate, taken once; every check of the model
+    reads it instead of the homomorphism.
     """
 
     def __init__(self, window: BernoulliWindow, hom: GroupHom) -> None:
@@ -192,34 +188,27 @@ class QuotientApprox:
         self.quotient = q = hom.target
         m = q.order
         self.num_points = n = 1 << (m - 1)
-        self.images = _window_images(window, hom)
+        self.images = [hom.apply(t) for t in window.coords]
+        self.bits = bits = np.ones((m, n), dtype=np.intp)
+        bits[1:] = (np.arange(n) >> np.arange(m - 1)[:, None]) & 1
 
         # the rule must not reach self: a cycle through the action's map
         # cache would outlive each model until a full garbage collection
         def rule(key) -> PartialMap:
             gi = q.inverse(hom.apply(key))
             # shifted value at gamma' reads the source at gamma^-1 gamma'
-            reads = [q.multiply(gi, gp) for gp in range(1, m)]
-            return PartialMap(tuple((z, _read(z, reads)) for z in range(n) if _bit(z, gi)))
+            shifted = _read(bits, q.table[gi][1:])
+            sources = np.flatnonzero(bits[gi])
+            return PartialMap(tuple(zip(sources.tolist(), shifted[sources].tolist())))
 
         self.action = FinitePartialAction(window.group, n, {}, rule=rule)
-        self.rho = tuple(_read(z, self.images[1:]) for z in range(n))
+        self.rho = tuple(_read(bits, self.images[1:]).tolist())
 
 
-def _bit(z: int, gamma: int) -> int:
-    """Configuration z's value at quotient element gamma."""
-    if gamma == 0:
-        return 1
-    return (z >> (gamma - 1)) & 1
-
-
-def _read(z: int, gammas: Sequence[int]) -> int:
-    """Configuration z's values at ``gammas``, the i-th one in bit i."""
-    x = 0
-    for i, gamma in enumerate(gammas):
-        if gamma == 0 or (z >> (gamma - 1)) & 1:
-            x |= 1 << i
-    return x
+def _read(bits: np.ndarray, gammas: Sequence[int]) -> np.ndarray:
+    """Every configuration's values at ``gammas``, the i-th one in bit i:
+    one weighted sum of table rows."""
+    return (1 << np.arange(len(gammas))) @ bits[np.asarray(gammas, dtype=np.intp)]
 
 
 # QuotientApprox enumerates 2^(order-1) configurations, so larger quotients
@@ -258,19 +247,13 @@ def strict_equivariance_report(
     """
     window = approx.window
     q = approx.quotient
-    if elements is None:
-        elements = window.coords
-    elems = [window.group.check_element(t) for t in elements]
-
-    def inputs(t, pm: PartialMap):
-        gamma = approx.hom.apply(t)
-        gi = q.inverse(gamma)
-        reads = [q.multiply(gi, g) for g in approx.images[1:]]
-        lands = frozenset(z for z in range(approx.num_points) if _bit(z, gamma))
-        return lands, {z: _read(z, reads) for z, _ in pm.pairs}
-
+    elems = [window.group.check_element(t) for t in (window.coords if elements is None else elements)]
+    gammas = [approx.hom.apply(t) for t in elems]
+    table = np.asarray(q.table)
+    wanted = [_read(approx.bits, table[q.inverse(g), approx.images[1:]]) for g in gammas]
     return _equivariance_report(
-        approx.action, approx.rho, elems, inputs,
+        window.group, elems, approx.action.map_rows(elems), np.asarray(approx.rho, dtype=np.intp),
+        approx.bits[gammas] == 1, np.reshape(wanted, (len(elems), approx.num_points)),
         lambda x, y: metric(x, y, window.depth), strict=True,
     )
 
@@ -314,44 +297,70 @@ def _required_depth(delta: float) -> int:
     return depth
 
 
-def _window_images(window: BernoulliWindow, hom: GroupHom) -> list[int]:
-    return [hom.apply(t) for t in window.coords]
-
-
 def _separates_window(window: BernoulliWindow, hom: GroupHom) -> bool:
     # distinct images need at least as many quotient elements as coordinates
     if len(window.coords) > hom.target.order:
         return False
-    imgs = _window_images(window, hom)
-    if any(g == hom.target.identity for g in imgs[1:]):
-        return False
-    return len(set(imgs)) == len(imgs)
+    imgs = [hom.apply(t) for t in window.coords]
+    return len(set(imgs)) == len(imgs)  # so none but the first is the identity
 
 
-def _candidate_homs(
+def _search_hom(
     group: GroupSpec, window: BernoulliWindow, max_order: int, max_cyclic: int
-) -> Iterable[GroupHom]:
+) -> GroupHom | None:
+    """The first homomorphism that separates the window, or None.
+
+    Targets run cyclic first, then products of two cyclic groups, each with
+    its generator images in ``itertools.product`` order.  Targets smaller
+    than the window are skipped unbuilt.  Generators that no window word
+    uses go to 0, as they do in the first separating tuple.
+    """
     if not isinstance(group, FreeGroup):
         raise MalformedDataError(
             "certificate search supports free groups; supply a homomorphism otherwise"
         )
-    rank = group.rank
     if window.depth == 0:
-        yield GroupHom(source=group, target=trivial_group(), images=(0,) * rank)
-        return
-    for m in range(2, max_cyclic + 1):
-        if m > max_order:
-            break
-        target = cyclic_group(m)
-        for images in itertools.product(range(m), repeat=rank):
-            yield GroupHom(source=group, target=target, images=images)
-    for a in range(2, max_cyclic + 1):
-        for b in range(a, max_cyclic + 1):
-            if a * b > max_order:
-                continue
-            target = direct_product(cyclic_group(a), cyclic_group(b))
-            for images in itertools.product(range(a * b), repeat=rank):
-                yield GroupHom(source=group, target=target, images=images)
+        return GroupHom(source=group, target=trivial_group(), images=(0,) * group.rank)
+    used = sorted({abs(s) for w in window.coords for s in w})
+    targets = [(m,) for m in range(2, min(max_cyclic, max_order) + 1)] + [
+        (a, b) for a in range(2, max_cyclic + 1) for b in range(a, max_cyclic + 1) if a * b <= max_order
+    ]
+    for factors in targets:
+        if math.prod(factors) < len(window.coords):
+            continue
+        target = direct_product(*map(cyclic_group, factors)) if len(factors) == 2 else cyclic_group(*factors)
+        found = _first_separating(target, window.coords, used)
+        if found is not None:
+            images = dict(zip(used, found))
+            return GroupHom(source=group, target=target,
+                            images=tuple(images.get(g, 0) for g in range(1, group.rank + 1)))
+    return None
+
+
+def _first_separating(target: FiniteGroup, words: Sequence, used: list[int]) -> list[int] | None:
+    """The first tuple of images of the ``used`` generators, in
+    ``itertools.product`` order, under which the prefix-closed ``words``
+    (identity first) have distinct images; None if there is none.  Tuples
+    are evaluated a block at a time, one table gather per word."""
+    m, r = target.order, len(used)
+    table = np.asarray(target.table, dtype=np.intp)
+    inv = np.array([target.inverse(g) for g in range(m)])
+    col = {g: j for j, g in enumerate(used)}
+    place = m ** np.arange(r - 1, -1, -1)
+    block = 1 << 14  # tuples per pass: a few MiB of arrays
+    for lo in range(0, m**r, block):
+        tuples = np.arange(lo, min(m**r, lo + block))[:, None] // place % m
+        imgs = {(): np.zeros(len(tuples), dtype=np.intp)}
+        seen = np.ones(len(tuples), dtype=np.intp)  # a bit per image so far
+        ok = np.ones(len(tuples), dtype=bool)
+        for w in words[1:]:
+            x = tuples[:, col[abs(w[-1])]]
+            imgs[w] = table[imgs[w[:-1]], x if w[-1] > 0 else inv[x]]
+            ok &= (seen >> imgs[w]) & 1 == 0
+            seen |= 1 << imgs[w]
+        if ok.any():
+            return tuples[int(np.argmax(ok))].tolist()
+    return None
 
 
 def certify_rfd(
@@ -372,7 +381,6 @@ def certify_rfd(
     _check_max_order(max_order)
     depth = _required_depth(delta)
     window = BernoulliWindow.build(group, depth)
-    chosen: GroupHom | None = None
     if hom is not None:
         if hom.source != group:
             raise MalformedDataError("homomorphism source must match the group")
@@ -380,18 +388,14 @@ def certify_rfd(
             raise CertificationError(
                 "supplied homomorphism does not separate the window coordinates"
             )
-        chosen = hom
     else:
-        for cand in _candidate_homs(group, window, max_order, max_cyclic):
-            if _separates_window(window, cand):
-                chosen = cand
-                break
-        if chosen is None:
+        hom = _search_hom(group, window, max_order, max_cyclic)
+        if hom is None:
             raise CertificationError(
                 "no homomorphism within the search budget separates the window"
             )
 
-    approx, eq, worst = _quotient_checks(window, chosen, max_order)
+    approx, eq, worst = _quotient_checks(window, hom, max_order)
     if not (eq.ok and eq.strict_ok):
         raise CertificationError("quotient approximation is not strictly equivariant")
     bound = 2.0 ** (-depth)
@@ -401,7 +405,7 @@ def certify_rfd(
         group=group,
         delta=float(delta),
         depth=depth,
-        hom=chosen,
+        hom=hom,
         density_bound=bound,
         max_window_distance=worst,
         equivariance_defect=eq.max_defect,
@@ -416,19 +420,18 @@ def _quotient_checks(
     distance from a point to ``rho`` of its density witness."""
     approx = quotient_approximation(window, hom, max_order=max_order)
     eq = strict_equivariance_report(approx)
-    worst = 0.0
-    for x in window.points():
-        z = _density_witness(approx.images, x)
-        worst = max(worst, metric(approx.rho[z], x, window.depth))
+    x = np.arange(window.num_points)
+    z = _density_witness(approx.images, x)
+    worst = float(np.max(metric(np.asarray(approx.rho)[z], x, window.depth)))
     return approx, eq, worst
 
 
-def _density_witness(images: Sequence[int], x: int) -> int:
-    """The configuration equal to x on window images and 0 elsewhere."""
+def _density_witness(images: Sequence[int], x):
+    """The configuration equal to x on window images and 0 elsewhere, of a
+    window point or elementwise of an int array of them."""
     z = 0
     for i, gamma in enumerate(images[1:]):
-        if (x >> i) & 1:
-            z |= 1 << (gamma - 1)
+        z = z | ((x >> i) & 1) << (gamma - 1)
     return z
 
 
@@ -475,12 +478,11 @@ class CylinderFunction:
         if len(self.values) != (1 << len(self.coords)):
             raise MalformedDataError("need one value per coordinate assignment")
 
-    def on_window_point(self, window: BernoulliWindow, point: int) -> float:
-        idx = 0
-        for i, k in enumerate(self.coords):
-            if window.bit(point, k):
-                idx |= 1 << i
-        return self.values[idx]
+    def on_window_point(self, window: BernoulliWindow, point):
+        """The value at a window point, or the list of values at each of an
+        int array of points."""
+        idx = sum((window.bit(point, k) << i for i, k in enumerate(self.coords)), np.zeros_like(point))
+        return np.asarray(self.values)[idx].tolist()
 
     @staticmethod
     def constant(c: float) -> "CylinderFunction":
@@ -526,9 +528,7 @@ def invariant_measure_approx(
     """
     window = approx.window
     group = window.group
-    if elements is None:
-        elements = window.coords
-    elems = [group.check_element(t) for t in elements]
+    elems = [group.check_element(t) for t in (window.coords if elements is None else elements)]
     for f in tests:
         if any(not (0 <= k <= window.depth) for k in f.coords):
             raise MalformedDataError(
@@ -538,32 +538,29 @@ def invariant_measure_approx(
     values: list[dict] = []
     positive_ok = True
     norm = math.fsum(1.0 for _ in range(total)) / total
+    rho = np.asarray(approx.rho)
     for f in tests:
-        samples = [f.on_window_point(window, approx.rho[z]) for z in range(total)]
-        mu = math.fsum(samples) / total
+        mu = math.fsum(f.on_window_point(window, rho)) / total
         values.append({"test": f.label or repr(f.coords), "value": mu})
         if all(v >= 0.0 for v in f.values) and mu < 0.0:
             positive_ok = False
     # per element: its set's points shifted back (read at gamma times each
     # window image) and rho of its inverse's set
-    q = approx.quotient
-    rows = []
-    for t in elems:
-        reads = [q.multiply(approx.hom.apply(t), g) for g in approx.images[1:]]
-        back = approx.action.element_map(t).target_set()
-        fwd = approx.action.element_map(group.inverse(t)).target_set()
-        rows.append((
-            word_to_str(group, t),
-            [_read(z, reads) for z in sorted(back)],
-            [approx.rho[z] for z in sorted(fwd)],
-        ))
+    table = np.asarray(approx.quotient.table)
+    sets = _hits(approx.action.map_rows(elems + [group.inverse(t) for t in elems]))[:, :-1] > 0
+    rows = [
+        (word_to_str(group, t),
+         _read(approx.bits, table[approx.hom.apply(t), approx.images[1:]])[sets[i]],
+         rho[sets[len(elems) + i]])
+        for i, t in enumerate(elems)
+    ]
     defects: list[dict] = []
     max_defect = 0.0
     for f in tests:
         for label, shifted, plain in rows:
             defect = abs(
-                math.fsum(f.on_window_point(window, x) for x in shifted)
-                - math.fsum(f.on_window_point(window, x) for x in plain)
+                math.fsum(f.on_window_point(window, shifted))
+                - math.fsum(f.on_window_point(window, plain))
             ) / total
             defects.append({"test": f.label or repr(f.coords), "element": label, "defect": defect})
             max_defect = max(max_defect, defect)

@@ -312,30 +312,27 @@ def _run_crossed(args, seed, tol):
     return report, ok, inputs
 
 
-def _certificate_inputs(args):
+def _certificate(args):
+    """The input hashes, group and certificate of a certificate command."""
     inputs = {}
     if not (args.group.startswith(("free:", "cyclic:")) or args.group == "trivial"):
         inputs[args.group] = _sha256(args.group)
     if args.hom is not None:
         inputs[args.hom] = _sha256(args.hom)
-    return inputs
+    group = _parse_group(args.group)
+    hom = hom_from_json(_load_json(args.hom)) if args.hom else None
+    return inputs, group, certify_rfd(group, args.delta, hom=hom, max_order=args.max_order)
 
 
 def _run_certify(args, seed, tol):
-    inputs = _certificate_inputs(args)
-    group = _parse_group(args.group)
-    hom = hom_from_json(_load_json(args.hom)) if args.hom else None
-    cert = certify_rfd(group, args.delta, hom=hom, max_order=args.max_order)
+    inputs, _, cert = _certificate(args)
     verified = verify_certificate(cert, max_order=args.max_order)
     report = {"certificate": cert.to_json(), "verified": verified}
     return report, verified, inputs
 
 
 def _run_measure(args, seed, tol):
-    inputs = _certificate_inputs(args)
-    group = _parse_group(args.group)
-    hom = hom_from_json(_load_json(args.hom)) if args.hom else None
-    cert = certify_rfd(group, args.delta, hom=hom, max_order=args.max_order)
+    inputs, group, cert = _certificate(args)
     window = BernoulliWindow.build(group, cert.depth)
     approx = quotient_approximation(window, cert.hom, max_order=args.max_order)
     tests = [CylinderFunction.constant(1.0)]

@@ -450,6 +450,17 @@ def test_map_rows_equal_element_maps():
         for key, row in zip(keys, rows.tolist()):
             assert row[-1] == -1
             assert {z: w for z, w in enumerate(row[:-1]) if w >= 0} == act.element_map(key).as_dict()
+        # after a scan of the same keys, its memo answers with a copy
+        act.scan(keys)
+        memo = act.map_rows(keys)
+        assert memo.tolist() == rows.tolist()
+        memo[:] = 0
+        assert act.map_rows(keys).tolist() == rows.tolist()
+    # a key without data raises from the memo too
+    partial = pf.FinitePartialAction(f2, 2, {(1,): {0: 1}})
+    partial.scan(f2.ball(1))
+    with pytest.raises(pf.UndeclaredElementError):
+        partial.map_rows(f2.ball(1))
     # a declared longer word is not rebuilt from its letters, and words
     # built on top of it still compose letter by letter
     assert declared.map_rows([(1, 2)]).tolist() == [[0, -1, -1, -1, -1]]

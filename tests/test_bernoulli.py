@@ -1,5 +1,6 @@
 """Truncated shift windows, finite quotients, certificates, measures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import parfell as pf
 from parfell.actions import EquivarianceReport
-from parfell.bernoulli import _bit, _density_witness, _separates_window
+from parfell.bernoulli import _density_witness, _separates_window
 from parfell.groups import word_to_str
 
 
@@ -53,6 +54,9 @@ def test_metric_properties(x, y, z, depth):
     assert pf.metric(x, y, depth) == oracle_metric(x, y, depth)
     assert pf.metric(x, y, depth) == pf.metric(y, x, depth)
     assert pf.metric(x, z, depth) <= pf.metric(x, y, depth) + pf.metric(y, z, depth) + 1e-15
+    pairs = [(x, y), (y, z), (z, x)]
+    got = pf.metric(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), depth)
+    assert np.broadcast_to(got, 3).tolist() == [oracle_metric(a, b, depth) for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +136,15 @@ def test_strict_equivariance_detects_tampered_rho():
     assert not report.ok
     assert report.max_defect == 0.5
     assert any(v["kind"] == "pointwise" for v in report.violations)
+
+
+# ``bernoulli._bit`` of the parent commit, verbatim; the package now reads
+# configurations from its bit table.
+def _bit(z: int, gamma: int) -> int:
+    """Configuration z's value at quotient element gamma."""
+    if gamma == 0:
+        return 1
+    return (z >> (gamma - 1)) & 1
 
 
 # References from the parent commit.  ``QuotientApprox.point_value`` is gone
@@ -231,7 +244,7 @@ def ref_density_witness(window, hom, x):
     return z
 
 
-QUOTIENTS = [pf.cyclic_group(m) for m in range(1, 7)] + [
+QUOTIENTS = [pf.cyclic_group(m) for m in range(1, 13)] + [
     pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(2)),
     pf.symmetric_group(3),
 ]
@@ -240,7 +253,8 @@ QUOTIENTS = [pf.cyclic_group(m) for m in range(1, 7)] + [
 @st.composite
 def quotient_models(draw):
     """A window of free:1 or free:2 of depth at most 5 and a random
-    homomorphism onto a quotient of order at most 6, abelian or not."""
+    homomorphism onto a quotient of order at most 12, abelian or not; from
+    order 10 on, a configuration reads more than 8 bits."""
     group = draw(st.sampled_from([Z, F2]))
     target = draw(st.sampled_from(QUOTIENTS))
     images = draw(st.lists(st.integers(0, target.order - 1),
@@ -273,8 +287,10 @@ def test_strict_report_matches_reference(approx, data):
     for t in window.coords if elements is None else elements:
         assert approx.action.element_map(t) == ref_rule(approx, t)
     if _separates_window(window, approx.hom):
-        for x in window.points():
-            assert _density_witness(approx.images, x) == ref_density_witness(window, approx.hom, x)
+        want = [ref_density_witness(window, approx.hom, x) for x in window.points()]
+        assert [_density_witness(approx.images, x) for x in window.points()] == want
+        at_once = _density_witness(approx.images, np.arange(window.num_points))
+        assert np.broadcast_to(at_once, window.num_points).tolist() == want
     if data.draw(st.booleans()):
         tampered = list(approx.rho)
         for z in data.draw(st.lists(st.integers(0, approx.num_points - 1), max_size=4)):
@@ -324,6 +340,117 @@ def test_certify_integers_frozen():
     assert cert.equivariance_defect == 0.0
     assert cert.points_checked == {"window": 8, "quotient": 8}
     assert pf.verify_certificate(cert)
+
+
+def eval_hom(hom, word):
+    """The image of a reduced word, read off the target's table alone."""
+    table = hom.target.table
+    out = 0
+    for s in word:
+        x = hom.images[abs(s) - 1]
+        if s < 0:
+            x = table[x].index(0)
+        out = table[out][x]
+    return out
+
+
+def free_words(rank, count):
+    """The first ``count`` reduced words, by length then +1 < -1 < +2 < ..."""
+    letters = [s for i in range(1, rank + 1) for s in (i, -i)]
+    words, level = [()], [()]
+    while len(words) < count:
+        level = [w + (s,) for w in level for s in letters if not (w and w[-1] == -s)]
+        words.extend(level)
+    return words[:count]
+
+
+def test_certify_free_one_at_depth_fourteen():
+    """Quotient order 15: 16384 window points and as many configurations."""
+    cert = pf.certify_rfd(Z, 1e-4)
+    assert cert.depth == 14
+    assert cert.hom.target.order == 15
+    assert cert.points_checked == {"window": 16384, "quotient": 16384}
+    assert cert.max_window_distance == 0.0 and cert.equivariance_defect == 0.0
+    images = [eval_hom(cert.hom, w) for w in free_words(1, cert.depth + 1)]
+    assert len(set(images)) == len(images) and 0 not in images[1:]
+    assert pf.verify_certificate(cert)
+
+
+def test_certify_free_thirty_ignores_unused_generators():
+    """The window of depth 7 uses a, b, c and d only; the other 26
+    generators go to 0, as the first separating tuple has them."""
+    f30 = pf.FreeGroup(30)
+    cert = pf.certify_rfd(f30, 0.01)
+    assert cert.hom.target.order == 8
+    assert cert.hom.images == (1, 2, 3, 4) + (0,) * 26
+    assert pf.verify_certificate(cert)
+
+
+def ref_candidate_homs(group, window, max_order, max_cyclic):
+    """The parent's search order: every image tuple of every target."""
+    if window.depth == 0:
+        yield pf.GroupHom(source=group, target=pf.trivial_group(), images=(0,) * group.rank)
+        return
+    for m in range(2, max_cyclic + 1):
+        if m > max_order:
+            break
+        target = pf.cyclic_group(m)
+        for images in itertools.product(range(m), repeat=group.rank):
+            yield pf.GroupHom(source=group, target=target, images=images)
+    for a in range(2, max_cyclic + 1):
+        for b in range(a, max_cyclic + 1):
+            if a * b > max_order:
+                continue
+            target = pf.direct_product(pf.cyclic_group(a), pf.cyclic_group(b))
+            for images in itertools.product(range(a * b), repeat=group.rank):
+                yield pf.GroupHom(source=group, target=target, images=images)
+
+
+@pytest.mark.parametrize("rank,depth,max_order,max_cyclic", [
+    (1, 1, 16, 12), (1, 5, 16, 12), (1, 9, 16, 12), (1, 12, 16, 12), (1, 13, 16, 6),
+    (2, 3, 16, 12), (2, 6, 16, 12), (2, 8, 16, 12), (2, 9, 12, 4), (3, 4, 16, 12),
+    (3, 6, 16, 12), (3, 7, 9, 3), (4, 8, 16, 12),
+])
+def test_search_picks_the_first_separating_candidate(rank, depth, max_order, max_cyclic):
+    group = pf.FreeGroup(rank)
+    window = pf.BernoulliWindow.build(group, depth)
+    want = next((h for h in ref_candidate_homs(group, window, max_order, max_cyclic)
+                 if _separates_window(window, h)), None)
+    if want is None:
+        with pytest.raises(pf.CertificationError):
+            pf.certify_rfd(group, 2.0 ** -depth * 1.5, max_order=max_order, max_cyclic=max_cyclic)
+    else:
+        got = pf.certify_rfd(group, 2.0 ** -depth * 1.5, max_order=max_order, max_cyclic=max_cyclic)
+        assert got.depth == depth
+        assert got.hom == want
+
+
+def test_supplied_order_16_hom_with_tampered_rho():
+    """A tampered truncation breaks exactly the pointwise identities whose
+    shifted point it moved, weighted by the window metric."""
+    target = pf.direct_product(pf.cyclic_group(4), pf.cyclic_group(4))
+    hom = pf.GroupHom(source=F2, target=target, images=(1, 4))
+    cert = pf.certify_rfd(F2, 0.01, hom=hom)
+    assert cert.points_checked == {"window": 128, "quotient": 32768}
+    assert pf.verify_certificate(cert)
+    window = pf.BernoulliWindow.build(F2, cert.depth)
+    approx = pf.quotient_approximation(window, hom)
+    clean = approx.rho
+    moved = {0: 0b101, 5: 0b1000000, 32767: 0b1}
+    approx.rho = tuple(x ^ moved.get(w, 0) for w, x in enumerate(clean))
+    report = pf.strict_equivariance_report(approx)
+    want, pairs = [], 0
+    for t in window.coords:
+        pm = approx.action.element_map(t)
+        pairs += len(pm.pairs)
+        want += [{"kind": "pointwise", "element": word_to_str(F2, t), "point": z,
+                  "defect": oracle_metric(approx.rho[w], clean[w], window.depth)}
+                 for z, w in pm.pairs if w in moved]
+    assert {v["kind"] for v in report.violations} == {"pointwise"}
+    assert report.violations == want
+    assert not report.ok and report.strict_ok
+    assert report.max_defect == 0.625  # coordinates 1 and 3 of point 0
+    assert report.points_checked == 2 * pairs + len(window.coords) * approx.num_points
 
 
 def test_certify_free_two_frozen():

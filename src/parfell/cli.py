@@ -49,6 +49,7 @@ from .reps import (
     CovariantRep,
     PartialRepFamily,
     covariance_defects,
+    partial_permutations,
     partial_rep_defects,
     perturb_to_partial_isometries,
     std_covariant_rep,
@@ -221,18 +222,13 @@ def _noised_family(
 ) -> PartialRepFamily:
     if not 0 <= sigma < math.inf:
         raise MalformedDataError(f"--noise must be finite and >= 0, got {sigma!r}")
-    rng = np.random.default_rng(seed)
-    ident = rep.group.identity
-    mats = {}
-    for t in elements:
-        m = rep.v.matrix(t)
-        if sigma > 0 and t != ident:
-            shape = m.shape
-            m = m + sigma * (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            ) / np.sqrt(2.0)
-        mats[t] = m
-    return PartialRepFamily(rep.group, rep.dim, mats=mats)
+    mats = partial_permutations(rep.dual.action.map_rows(elements))
+    moved = np.array([t != rep.group.identity for t in elements], dtype=bool)
+    if sigma > 0 and moved.any():
+        # one draw in the order of per-element real then imaginary parts
+        noise = np.random.default_rng(seed).standard_normal((int(moved.sum()), 2, rep.dim, rep.dim))
+        mats[moved] = mats[moved] + sigma * (noise[:, 0] + 1j * noise[:, 1]) / np.sqrt(2.0)
+    return PartialRepFamily(rep.group, rep.dim, mats=dict(zip(elements, mats)))
 
 
 # ---------------------------------------------------------------------------

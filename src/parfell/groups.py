@@ -139,17 +139,19 @@ class FiniteGroup:
             raise MalformedDataError("multiplication table must be n x n with entries in 0..n-1")
         if not (np.array_equal(tbl[0], np.arange(n)) and np.array_equal(tbl[:, 0], np.arange(n))):
             raise MalformedDataError("element 0 must be the identity")
-        # associativity, one row at a time to bound memory
-        for a in range(n):
-            if not np.array_equal(tbl[tbl[a]], tbl[a][tbl]):
-                raise MalformedDataError(f"table not associative (row {a})")
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.flatnonzero(tbl[a] == 0)
-            if hits.size != 1 or tbl[hits[0], a] != 0:
-                raise MalformedDataError(f"element {a} lacks a two-sided inverse")
-            inv[a] = hits[0]
-        object.__setattr__(self, "_inv", tuple(int(i) for i in inv))
+        # associativity, (ab)c == a(bc), a block of rows a at a time to bound memory
+        rows = max(1, (1 << 14) // (n * n))
+        for lo in range(0, n, rows):
+            a = tbl[lo : lo + rows]
+            bad = (tbl[a] != a[:, tbl]).any(axis=(1, 2))
+            if bad.any():
+                raise MalformedDataError(f"table not associative (row {lo + int(np.argmax(bad))})")
+        unit = tbl == 0
+        inv = unit.argmax(axis=1)
+        ok = (unit.sum(axis=1) == 1) & (tbl[inv, np.arange(n)] == 0)
+        if not ok.all():
+            raise MalformedDataError(f"element {int(np.argmin(ok))} lacks a two-sided inverse")
+        object.__setattr__(self, "_inv", tuple(inv.tolist()))
         if self.labels:
             if len(self.labels) != n or len(set(self.labels)) != n:
                 raise MalformedDataError("labels must be distinct, one per element")
@@ -195,17 +197,32 @@ class FiniteGroup:
 GroupSpec = Union[FreeGroup, FiniteGroup]
 
 
+class CheckedElements(list):
+    """Distinct elements of ``group``, each as ``check_element`` returns it,
+    so scans over them skip the checks."""
+
+    def __init__(self, group: GroupSpec, elements) -> None:
+        super().__init__(elements)
+        self.group = group
+
+
 def scan_elements(group: GroupSpec, radius: int) -> list:
     """Elements every scan covers, in canonical order.
 
     A finite group is scanned whole whatever the radius; a free group over
-    its word ball of the given radius, which must be at least 1.
+    its word ball of the given radius, which must be at least 1.  The last
+    few balls are kept, so the scans of one command build theirs once.
     """
     if isinstance(group, FiniteGroup):
-        return list(range(group.order))
+        return CheckedElements(group, range(group.order))
     if radius < 1:
         raise MalformedDataError("free-group scans need radius >= 1")
-    return group.ball(radius)
+    return CheckedElements(group, _ball(group, radius))
+
+
+@functools.lru_cache(maxsize=8)
+def _ball(group: FreeGroup, radius: int) -> tuple:
+    return tuple(group.ball(radius))
 
 
 # every finite group the loader accepts fits one scan over all its pairs

@@ -74,15 +74,23 @@ def adjoints(stack: np.ndarray) -> np.ndarray:
 def norm_bounds(stack) -> np.ndarray:
     """Upper bounds on the operator norms of a ``(k, m, n)`` stack, no SVD.
 
-    ``||A||^8 <= sum(sigma^8) = ||(A*A)^2||_F^2``.  Each matrix is divided by
-    its largest entry modulus ``s`` first, so the eighth powers neither
-    underflow nor overflow, and the bound is ``s ||(B*B)^2||_F^(1/4)`` with
-    ``B = A / s``.  Exact zeros give 0; non-finite input gives ``inf``, so
-    it always reaches the SVD.  Compare with ``BOUND_MARGIN`` slack.
+    ``||A||^8 <= sum(sigma^8) = ||(A*A)^2||_F^2``.  When every slice's largest
+    real or imaginary part is 0 or within ``(1e-30, 1e30)``, the eighth
+    powers neither overflow nor lose the bound to underflow, and the bound
+    is ``||(A*A)^2||_F^(1/4)`` as it stands.  Otherwise each matrix is
+    divided by its largest entry modulus ``s`` first, and the bound is
+    ``s ||(B*B)^2||_F^(1/4)`` with ``B = A / s``.  Exact zeros give 0;
+    non-finite input gives ``inf``, so it always reaches the SVD.  Compare
+    with ``BOUND_MARGIN`` slack.
     """
-    a = _as_stack(stack)
-    if a.size == 0:
+    a = np.ascontiguousarray(_as_stack(stack))
+    top = np.abs(a.view(np.float64)).max(axis=(1, 2), initial=0.0)
+    if not top.any():
         return np.zeros(a.shape[0])
+    if ((top == 0.0) | ((1e-30 < top) & (top < 1e30))).all():
+        g = adjoints(a) @ a
+        g = (g @ g).view(np.float64)
+        return (g * g).sum(axis=(1, 2)) ** 0.125
     # an overflow only makes a bound infinite, which sends it to the SVD
     with np.errstate(over="ignore"):
         s = np.abs(a).max(axis=(1, 2))
@@ -97,24 +105,29 @@ def norm_bounds(stack) -> np.ndarray:
     return out
 
 
+def frobenius_norms(stack) -> np.ndarray:
+    """Frobenius norms of a ``(k, m, n)`` stack, upper bounds on the operator
+    norms; ``inf`` on overflow, and 0 where every square underflows."""
+    a = _as_stack(stack)
+    flat = a.reshape(a.shape[0], a.shape[1] * a.shape[2]).view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.einsum("ki,ki->k", flat, flat))
+
+
 def norms_unless_below(stack, tol: float) -> np.ndarray:
     """``op_norms(stack)``, with 0.0 wherever a bound puts a norm below ``tol``.
 
     Every decision against ``tol > 0`` is the one ``op_norms`` gives, and
     most passing checks need no SVD.  The bound is the Frobenius norm while
-    its square is far from underflow and overflow, else ``norm_bounds``;
-    non-finite slices get ``inf`` without an SVD.
+    it is far from underflow and overflow, else ``norm_bounds``; non-finite
+    slices get ``inf`` without an SVD.
     """
     a = _as_stack(stack)
-    k = a.shape[0]
-    flat = a.reshape(k, a.shape[1] * a.shape[2]).view(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fro2 = np.einsum("ki,ki->k", flat, flat)
-    bounds = np.sqrt(fro2)
-    odd = ~((1e-280 < fro2) & (fro2 < 1e280))
+    bounds = frobenius_norms(a)
+    odd = ~((1e-140 < bounds) & (bounds < 1e140))
     if odd.any():
         bounds[odd] = norm_bounds(a[odd])
-    out = np.zeros(k)
+    out = np.zeros(a.shape[0])
     need = np.flatnonzero(~(bounds * (1.0 + BOUND_MARGIN) < tol))
     out[need] = np.inf
     finite = need[np.isfinite(a[need]).all(axis=(1, 2))]
@@ -273,16 +286,15 @@ def corner_inv_sqrts(w, p, residual_tol: float = SPECTRAL_TOL):
     m = np.searchsorted(live, ok.n)
     live, vals, vecs, top = live[:m], vals[:m], vecs[:m], top[:m]
     _canonicalise(vals, vecs, 1e-8, d - top)  # the root reads the top columns only
+    # rank-one terms added column by column, on which the bits depend; a
+    # column below a slice's rank adds 0 before its first term
+    xs = np.zeros((len(live), d, d), dtype=np.complex128)
+    for j in range(d - top.max(initial=0), d):
+        col = np.ascontiguousarray(vecs[:, :, j : j + 1])
+        c = np.array([lam ** -0.5 if j >= d - r else 0.0 for lam, r in zip(vals[:, j], top.tolist())])
+        xs = xs + c[:, None, None] * (col @ col.conj().reshape(len(live), 1, d))
     x = np.zeros((ok.n, d, d), dtype=np.complex128)
-    for r in sorted(set(top.tolist())):
-        g = np.flatnonzero(top == r)
-        # rank-one terms added column by column: the bits depend on that order
-        xs = np.zeros((len(g), d, d), dtype=np.complex128)
-        for j in range(d - r, d):
-            col = np.ascontiguousarray(vecs[g, :, j : j + 1])
-            c = np.array([lam ** -0.5 for lam in vals[g, j]])
-            xs = xs + c[:, None, None] * (col @ col.conj().reshape(len(g), 1, d))
-        x[live[g]] = 0.5 * (xs + adjoints(xs))
+    x[live] = 0.5 * (xs + adjoints(xs))
     n = ok.n
     residual = norms_unless_below(x @ corner[:n] @ x - p[:n], residual_tol)
     ok.cut((residual > residual_tol) & (ranks[:n] > 0), lambda i: PreconditionError(

@@ -22,6 +22,7 @@ from .actions import (
     validate,
 )
 from .groups import (
+    CheckedElements,
     FiniteGroup,
     FreeGroup,
     GroupSpec,
@@ -41,6 +42,7 @@ from .matrices import (
     adjoints,
     clusters,
     corner_inv_sqrts,
+    frobenius_norms,
     herm_eig,
     nearest_projections,
     norm_bounds,
@@ -228,33 +230,37 @@ class _Worst:
 
     def feed_stack(self, diffs: np.ndarray, label: Callable[[int], str]) -> None:
         """Feed the operator norms of a ``(k, d, d)`` stack in scan order,
-        computing only those that could raise the maximum.
+        computing only those that ``norm_bounds`` says could raise the maximum."""
+        self.feed_bounded(norm_bounds(diffs) * (1.0 + BOUND_MARGIN), diffs.__getitem__, label)
 
-        A norm whose ``norm_bounds`` entry (with the margin) does not exceed
-        the running worst is never computed.  The candidate with the largest
-        bound goes first, then every other candidate still above the new
-        maximum in one stacked SVD.  The maximum and its first witness are
-        those of feeding every ``op_norm`` in order; ``label(i)`` is called
-        only for the winning index.  Exact zeros always skip, and a stack
-        with a non-finite difference runs no SVD: its first such difference
-        has norm inf and wins unless the maximum already is inf.
+    def feed_bounded(self, bounds: np.ndarray, build: Callable, label: Callable[[int], str]) -> None:
+        """Feed the operator norms of differences in scan order, given upper
+        bounds on them (margin applied); ``build(idx)`` forms those at ``idx``.
+
+        A difference whose bound does not exceed the running worst is never
+        formed.  The one with the largest bound goes first, then every other
+        one still above the new maximum in one stacked SVD.  The maximum and
+        its first witness are those of feeding every ``op_norm`` in order;
+        ``label(i)`` is called only for the winner.  A non-finite difference
+        must have an infinite bound; it runs no SVD, and the first one has
+        norm inf and wins unless the maximum already is inf.
         """
-        bounds = norm_bounds(diffs) * (1.0 + BOUND_MARGIN)
-        could = bounds > self.value
-        if not could.any():
+        if not (bounds > self.value).any():
             return
         first = int(np.argmax(bounds))
-        if bounds[first] == np.inf and not np.isfinite(diffs).all():
-            # a non-finite difference has norm inf, and the first one wins
-            self.value = np.inf
-            self.witness = label(int(np.argmin(np.isfinite(diffs).all(axis=(1, 2)))))
-            return
+        if bounds[first] == np.inf:
+            top = np.flatnonzero(bounds == np.inf)
+            bad = ~np.isfinite(build(top)).all(axis=(1, 2))
+            if bad.any():
+                self.value = np.inf
+                self.witness = label(int(top[np.argmax(bad)]))
+                return
         norms = np.full(len(bounds), -np.inf)
-        norms[first] = op_norms(diffs[first : first + 1])[0]
-        could &= bounds > max(self.value, norms[first])
-        could[first] = False
-        if could.any():
-            norms[could] = op_norms(diffs[could])
+        norms[first] = op_norms(build(np.array([first])))[0]
+        rest = np.flatnonzero(bounds > max(self.value, norms[first]))
+        rest = rest[rest != first]
+        if rest.size:
+            norms[rest] = op_norms(build(rest))
         i = int(np.argmax(norms))
         if norms[i] > self.value:
             self.value = float(norms[i])
@@ -271,6 +277,8 @@ def _stack(mats: list, d: int) -> np.ndarray:
 
 
 def _normalize_elements(group: GroupSpec, elements) -> list:
+    if isinstance(elements, CheckedElements) and elements.group == group:
+        return elements
     keys = [group.check_element(g) for g in elements]
     seen: dict = {}
     for k in keys:
@@ -417,24 +425,72 @@ def covariance_defects(
         elements = dual.action.declared_elements()
     elems = _normalize_elements(group, elements)
     worst = _Worst()
-    if rep.v.action is dual.action and np.array_equal(rep.phi_mats, _standard_phi(rep.n)):
+    if rep.v.action is dual.action and _has_standard_phi(rep):
         dual.action.map_rows(elems)  # raises the error of an element without data
     else:
-        for t in elems:
-            _feed_covariance(worst, rep, group, t, rep.v.matrix(t))
+        _feed_covariance(worst, rep, elems, rep.v.matrix)
     return _report({"covariance": worst}, [])
 
 
-def _feed_covariance(
-    worst: _Worst, rep: CovariantRep, group: GroupSpec, t, vt: np.ndarray
-) -> None:
-    """Feed ``v_t phi(z) v_t* - phi(t.z)`` over the source points ``z`` of ``t``."""
-    pairs = rep.dual.action.element_map(t).pairs
-    zs = [z for z, _ in pairs]
-    ws = [w for _, w in pairs]
+def _has_standard_phi(rep: CovariantRep) -> bool:
+    phi, ar = rep.phi_mats, np.arange(rep.n)
+    return phi.shape == (rep.n,) * 3 and bool((phi[ar, ar, ar] == 1.0).all()) and np.count_nonzero(phi) == rep.n
+
+
+def _feed_covariance(worst: _Worst, rep: CovariantRep, elems: list, matrix: Callable) -> None:
+    """Feed ``v_t phi(z) v_t* - phi(t.z)`` over the source points ``z`` of
+    each ``t`` in ``elems``, in scan order.  Under the standard phi only the
+    candidates of the closed-form bounds form their dense defect."""
+    mats, pairs = [], []
+    for i, t in enumerate(elems):
+        mats.append(matrix(t))
+        pairs += [(i, z, w) for z, w in rep.dual.action.element_map(t).pairs]
+    vs, phi = _stack(mats, rep.dim), rep.phi_mats
+    at, zs, ws = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+
+    def build(idx: np.ndarray) -> np.ndarray:
+        v = vs[at[idx]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return v @ phi[zs[idx]] @ adjoints(v) - phi[ws[idx]]
+
+    name = cache(partial(word_to_str, rep.group))
+
+    def label(k: int) -> str:
+        return f"{name(elems[at[k]])} @ {zs[k]}"
+
+    if not _has_standard_phi(rep):
+        for i in range(len(elems)):  # one stack per element bounds the memory
+            idx = np.flatnonzero(at == i)
+            worst.feed_stack(build(idx), lambda k: label(idx[k]))
+        return
+    bounds = _rank_two_bounds(vs[at, :, zs], ws)
+    bounds[~np.isfinite(vs).all(axis=(1, 2))[at]] = np.inf
+    worst.feed_bounded(bounds, build, label)
+
+
+def _rank_two_bounds(us: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Bounds, margin applied, on the SVD norms of the dense ``u u* - e_w e_w*``
+    for the rows ``u`` of ``us`` and ``w`` in ``ws``.
+
+    The difference is Hermitian of rank two, with trace ``a - 1`` and
+    determinant ``-off`` for ``a = |u|^2`` and ``off = sum_{j != w} |u_j|^2``,
+    so its norm is ``(|a - 1| + sqrt((a - 1)^2 + 4 off)) / 2``.  ``a - 1`` is
+    ``(|u_w| - 1)(|u_w| + 1) + off``, so nothing cancels.  The slack adds 8
+    ulps of ``a + 1``, the dense defect's rounding.  An exact unit gives 0.
+    Bounds from ``1e150`` up, where a dense entry could overflow, read inf.
+    """
+    ar = np.arange(len(ws))
     with np.errstate(over="ignore", invalid="ignore"):
-        diffs = vt @ rep.phi_mats[zs] @ vt.conj().T - rep.phi_mats[ws]
-    worst.feed_stack(diffs, lambda k: f"{word_to_str(group, t)} @ {zs[k]}")
+        sq = us.real * us.real + us.imag * us.imag
+        uw = np.abs(us[ar, ws])
+        sq[ar, ws] = 0.0
+        off = sq.sum(axis=1)
+        am1 = (uw - 1.0) * (uw + 1.0) + off
+        bounds = 0.5 * (np.abs(am1) + np.sqrt(am1 * am1 + 4.0 * off))
+        bounds = bounds * (1.0 + BOUND_MARGIN) + 8.0 * np.finfo(float).eps * (am1 + 2.0)
+    bounds[(us[ar, ws] == 1.0) & (np.count_nonzero(us, axis=1) == 1)] = 0.0
+    bounds[~(bounds < 1e150)] = np.inf
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +562,19 @@ def perturb_to_partial_isometries(
     # one stack per stage, over the elements that passed every earlier stage
     passed = Prefix(len(vs))
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = norms_unless_below(vs @ adjoints(vs) @ vs - vs, 2.0 * eta)
+        triple = vs @ adjoints(vs) @ vs - vs
+    defects = norms_unless_below(triple, 2.0 * eta)
     passed.cut(defects >= 2.0 * eta, lambda k: PreconditionError(
         f"partial-isometry defect {defects[k]:.3g} of {labels[k]} is not below 2*eta"))
-    norms = op_norms(vs[: passed.n])
+    # the defect is the largest |s^3 - s| over v's singular values s, and
+    # s^3 - s grows past 1 to 2 eta + 3 eta^2 + eta^3 at 1 + eta: a defect
+    # bound below that, with slack for the triple product's rounding, puts
+    # ||v|| below 1 + eta without an SVD
+    upper = np.where(defects > 0.0, defects, frobenius_norms(triple))[: passed.n]
+    slack = 8.0 * (v.dim + 2) * np.finfo(float).eps * (1.0 + frobenius_norms(vs[: passed.n])) ** 3
+    norms = np.zeros(passed.n)
+    need = np.flatnonzero(~(upper * (1.0 + BOUND_MARGIN) + slack < eta * (2.0 + eta * (3.0 + eta))))
+    norms[need] = op_norms(vs[need])
     passed.cut(norms > 1.0 + eta + 1e-13, lambda k: PreconditionError(
         f"||v|| = {norms[k]:.6g} of {labels[k]} exceeds 1 + eta"))
     live = vs[: passed.n]
@@ -539,12 +604,14 @@ def perturb_to_partial_isometries(
 
     contraction = None
     if rep is not None:
-        largest = _Worst()
-        largest.feed_stack(rep.phi_mats, str)
-        contraction = largest.value
+        if _has_standard_phi(rep):
+            contraction = float(rep.n > 0)  # the norm of a diagonal unit
+        else:
+            largest = _Worst()
+            largest.feed_stack(rep.phi_mats, str)
+            contraction = largest.value
         worst["covariance"] = cov = _Worst()
-        for t in moved:
-            _feed_covariance(cov, rep, group, t, out[t])
+        _feed_covariance(cov, rep, moved, out.__getitem__)
         bounds["covariance"] = 21.0 * eta * (1.0 + contraction)
 
     entries = {k: w.value for k, w in worst.items()}

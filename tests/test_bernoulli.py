@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
+from parfell import bernoulli
 from parfell.actions import EquivarianceReport
 from parfell.bernoulli import _density_witness, _separates_window
 from parfell.groups import word_to_str
@@ -384,6 +385,25 @@ def test_certify_free_thirty_ignores_unused_generators():
     assert cert.hom.target.order == 8
     assert cert.hom.images == (1, 2, 3, 4) + (0,) * 26
     assert pf.verify_certificate(cert)
+
+
+def test_search_stops_after_its_tuple_budget(monkeypatch):
+    """The window of depth 6 on free:3 uses all three generators; on Z/7
+    its first separating tuple is (1, 2, 3), tuple 66 of 343.  A budget
+    that covers it finds it; one that stops short raises, naming the
+    limit; a search that ends within the budget finds nothing as before."""
+    coords = pf.BernoulliWindow.build(pf.FreeGroup(3), 6).coords
+    z7 = pf.cyclic_group(7)
+    monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 67)
+    assert bernoulli._first_separating(z7, coords, [1, 2, 3]) == [1, 2, 3]
+    monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 66)
+    with pytest.raises(pf.MalformedDataError, match=r"stopped after 66 image tuples \(MAX_SEARCH_TUPLES\)"):
+        bernoulli._first_separating(z7, coords, [1, 2, 3])
+    # Z/6 is smaller than the 7 coordinates: none of its 216 tuples separates
+    with pytest.raises(pf.MalformedDataError, match="out of 216"):
+        bernoulli._first_separating(pf.cyclic_group(6), coords, [1, 2, 3])
+    monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 216)
+    assert bernoulli._first_separating(pf.cyclic_group(6), coords, [1, 2, 3]) is None
 
 
 def ref_candidate_homs(group, window, max_order, max_cyclic):

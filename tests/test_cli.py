@@ -4,6 +4,7 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import parfell as pf
@@ -167,6 +168,27 @@ def test_defects_overflowing_noise_reports_inf(capsys, swap_file, noise):
     assert captured.err == ""
 
 
+def test_noised_family_matches_per_element_draws():
+    """One stacked draw gives each element the real and imaginary noise
+    that per-element draws in scan order gave, bit for bit."""
+    from parfell.cli import _noised_family
+
+    for act, radius in [(pf.FinitePartialAction(pf.cyclic_group(3), 3, {1: {0: 1, 1: 2}, 2: {1: 0, 2: 1}}), 1),
+                        (pf.FinitePartialAction(pf.FreeGroup(2), 2, {(1,): {0: 1}, (-1,): {1: 0}, (2,): {0: 0, 1: 1},
+                                                                      (-2,): {0: 0, 1: 1}}), 2)]:
+        rep = pf.std_covariant_rep(act)
+        elems = pf.scan_elements(act.group, radius)
+        for sigma in (0.0, 0.003):
+            fam = _noised_family(rep, elems, sigma, 7)
+            rng = np.random.default_rng(7)
+            for t in elems:
+                m = rep.v.matrix(t)
+                if sigma > 0 and t != act.group.identity:
+                    m = m + sigma * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)) / np.sqrt(2.0)
+                assert np.array_equal(fam.matrix(t), m)
+            assert sorted(fam.elements(), key=elems.index) == elems
+
+
 def test_perturb_clean_certificate(capsys, swap_file):
     code, env, _ = run(capsys, ["perturb", swap_file, "--eta", "0.01"])
     assert code == 0
@@ -236,6 +258,15 @@ def test_bernoulli_certify_budget_failure(capsys):
     )
     assert code == 1
     assert "error" in env
+
+
+def test_bernoulli_certify_search_budget_exits_two(capsys):
+    """Depth 15 on free:8 uses all 8 generators: 16^8 image tuples per
+    target of order 16, so the search stops at its tuple budget."""
+    code, env, _ = run(capsys, ["bernoulli", "certify", "--group", "free:8", "--delta", "4e-5"])
+    assert code == 2
+    assert "MalformedDataError: certificate search stopped after 2097152 image tuples" in env["error"]
+    assert "MAX_SEARCH_TUPLES" in env["error"]
 
 
 @pytest.mark.parametrize("command", ["bernoulli certify", "measure"], ids=["certify", "measure"])

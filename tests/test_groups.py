@@ -323,3 +323,18 @@ def test_group_json_rejects_garbage():
         group_from_json({"kind": "ring"})
     with pytest.raises(MalformedDataError):
         group_from_json({"kind": "finite", "order": 3, "table": [[0, 1], [1, 0]]})
+
+
+def test_bad_tables_name_the_first_failing_row():
+    # Z/6 with rows 2 and 4 broken: a swap of two entries of row 4 breaks
+    # associativity at row 1 already (1 * (1 * 3) uses row 4)
+    table = [list(r) for r in cyclic_group(6).table]
+    table[4][1], table[4][2] = table[4][2], table[4][1]
+    with pytest.raises(MalformedDataError, match=r"^table not associative \(row 1\)$"):
+        FiniteGroup(tuple(map(tuple, table)))
+    # the monoid Z/2 x {1, 0} under multiplication is associative; element
+    # 1 = (1, 1) has an inverse and elements 2 and 3, times 0, have none
+    elems = [(a, b) for b in (1, 0) for a in (0, 1)]
+    monoid = tuple(tuple(elems.index(((a + c) % 2, b * d)) for c, d in elems) for a, b in elems)
+    with pytest.raises(MalformedDataError, match=r"^element 2 lacks a two-sided inverse$"):
+        FiniteGroup(monoid)

@@ -93,6 +93,19 @@ def test_norm_unless_below_decides_as_op_norm(a, factor):
     assert got == norm or (got == 0.0 and norm < tol)
 
 
+def test_norm_bounds_direct_and_scaled_paths_agree():
+    # every slice in range takes the direct path; one slice of 1e-100 sends
+    # the whole stack through the scaled one
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((5, 7, 7)) + 1j * rng.standard_normal((5, 7, 7))
+    a[1] = 0.0
+    direct = pf.norm_bounds(a)
+    scaled = pf.norm_bounds(np.concatenate([a, 1e-100 * a[:1]]))
+    assert direct[1] == scaled[1] == 0.0
+    np.testing.assert_allclose(direct, scaled[:5], rtol=1e-13, atol=0.0)
+    assert (direct * (1.0 + BOUND_MARGIN) >= pf.op_norms(a)).all()
+
+
 def test_norm_bounds_zeros_and_non_finite():
     stack = np.zeros((4, 3, 3), dtype=complex)
     stack[1, 0, 0] = np.inf

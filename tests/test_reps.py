@@ -428,6 +428,19 @@ def test_std_model_covariance_reads_only_the_elements():
                               elements=[(1,), (2,)])
 
 
+def test_scan_elements_skip_the_element_checks(monkeypatch):
+    f2 = pf.FreeGroup(2)
+    checked = []
+    monkeypatch.setattr(pf.FreeGroup, "check_element", lambda self, g: checked.append(g) or tuple(g))
+    elems = pf.scan_elements(f2, 2)
+    assert elems == f2.ball(2) and elems is not pf.scan_elements(f2, 2)
+    assert reps._normalize_elements(f2, elems) == elems and checked == []
+    assert reps._normalize_elements(f2, list(elems)) == elems and len(checked) == len(elems)
+    # elements checked for another group are checked again
+    reps._normalize_elements(pf.FreeGroup(1), pf.scan_elements(f2, 1))
+    assert checked[len(elems):] == pf.scan_elements(f2, 1)
+
+
 def test_feed_stack_skips_only_what_cannot_win(monkeypatch):
     sizes = []  # matrices per stacked SVD
     monkeypatch.setattr(reps, "op_norms", lambda a: sizes.append(len(a)) or pf.op_norms(a))
@@ -462,6 +475,101 @@ def test_feed_stack_skips_only_what_cannot_win(monkeypatch):
     assert (sizes, labels[-1], fresh.value, fresh.witness) == ([1, 1, 1, 1], 1, np.inf, "w1")
     fresh.feed_stack(stack[2:], label)
     assert (sizes, fresh.witness) == ([1, 1, 1, 1], "w1")
+
+
+def test_feed_bounded_forms_only_candidates(monkeypatch):
+    diffs = np.stack([0.5 * np.eye(2), 2.0 * np.eye(2), np.eye(2), 2.0 * np.eye(2)])
+    built = []
+
+    def build(idx):
+        built.append(idx.tolist())
+        return diffs[idx]
+
+    worst = reps._Worst()
+    worst.feed(1.5, "before")
+    # exact norms as bounds: the largest goes first, and its tie is formed
+    worst.feed_bounded(np.array([0.5, 2.0, 1.0, 2.0]) * (1.0 + reps.BOUND_MARGIN), build, str)
+    assert built == [[1], [3]]
+    assert (worst.value, worst.witness) == (2.0, "1")
+    worst.feed_bounded(np.array([1.0, 2.0]), build, str)  # nothing above 2 (no margin)
+    assert built == [[1], [3]]
+
+
+@st.composite
+def covariance_columns(draw):
+    """Columns ``u`` of ``v_t`` with the targets ``w``: exact units, units
+    with noise of 1e-3 or 1e-170 (whose squares underflow) or 1e200 (whose
+    squares overflow), one noisy column repeated (exact ties), and Gaussian
+    columns of any scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, k = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["unit", "noise", "tiny", "huge", "tie", "scaled"]))
+    ws = rng.integers(0, d, size=k)
+    u = np.zeros((k, d), dtype=complex)
+    u[np.arange(k), ws] = 1.0
+    g = (rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))) / np.sqrt(2.0)
+    scale = {"unit": 0.0, "noise": 1e-3, "tiny": 1e-170, "huge": 1e200, "tie": 1e-3, "scaled": 0.0}[kind]
+    u = u + scale * g
+    if kind == "tie":
+        u, ws = np.repeat(u[:1], k, axis=0), np.repeat(ws[:1], k)
+    if kind == "scaled":
+        u = 10.0 ** draw(st.integers(-30, 30)) * g
+    return kind, u, ws
+
+
+@settings(max_examples=300, deadline=None)
+@given(covariance_columns())
+def test_covariance_rank_two_bound_covers_the_dense_defect(case):
+    """The closed-form bound on ``u u* - e_w e_w*`` is at least the SVD norm
+    of the dense defect that the scan forms, and tight; overflow reads inf."""
+    kind, u, ws = case
+    k, d = u.shape
+    bounds = reps._rank_two_bounds(u, ws)
+    phi = reps._standard_phi(d)
+    for i in range(k):
+        vt = np.zeros((d, d), dtype=complex)
+        vt[:, 0] = u[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dense = vt @ phi[0] @ vt.conj().T - phi[ws[i]]
+        if kind == "huge":
+            assert bounds[i] == np.inf and not np.isfinite(dense).all()
+            continue
+        norm = pf.op_norm(dense)
+        assert norm <= bounds[i] <= norm * (1.0 + 1e-9) + 1e-14
+        if kind == "unit":
+            assert bounds[i] == norm == 0.0
+    if kind == "tie":
+        assert (bounds == bounds[0]).all()
+
+
+def test_covariance_of_a_standard_phi_matches_the_reference_with_ties():
+    """Two generators with one map and one noisy matrix: each defect of
+    the second ties with the first's, which keeps the witness."""
+    f2 = pf.FreeGroup(2)
+    cycle, back = {0: 1, 1: 2, 2: 0}, {1: 0, 2: 1, 0: 2}
+    act = pf.FinitePartialAction(f2, 3, {(1,): cycle, (-1,): back, (2,): cycle, (-2,): back})
+    rep = pf.std_covariant_rep(act)
+    rng = np.random.default_rng(4)
+    fwd, inv = (rep.v.matrix(w) + 1e-3 * _noise(rng, "gaussian", 3) for w in [(1,), (-1,)])
+    elems = f2.ball(1)
+    fam = pf.PartialRepFamily(f2, 3, mats={(): np.eye(3), (1,): fwd, (-1,): inv, (2,): fwd, (-2,): inv})
+    noisy = pf.CovariantRep(rep.dual, rep.phi_mats, fam)
+    cov = pf.covariance_defects(noisy, elements=elems)
+    ref = ref_covariance(noisy, elems)
+    assert (cov.entries, cov.witnesses) == ({"covariance": ref.value}, {"covariance": ref.witness})
+    assert ref.value > 0 and ref.witness.split(" @ ")[0] in (pf.word_to_str(f2, (1,)), pf.word_to_str(f2, (-1,)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_covariance_reads_inf_for_a_non_finite_entry_off_the_column(bad):
+    """The defect of ``v_1`` at point 0 reads column 0 only in exact
+    arithmetic; zeros of ``phi`` times the non-finite column 1 make the
+    scanned product non-finite, so it reads inf at the first point."""
+    act = pf.FinitePartialAction(pf.cyclic_group(2), 2, {1: {0: 1, 1: 0}})
+    rep = pf.std_covariant_rep(act)
+    fam = pf.PartialRepFamily(act.group, 2, mats={0: np.eye(2), 1: np.array([[0, bad], [1, 0]])})
+    cov = pf.covariance_defects(pf.CovariantRep(rep.dual, rep.phi_mats, fam), elements=[0, 1])
+    assert (cov.entries, cov.witnesses) == ({"covariance": np.inf}, {"covariance": "1 @ 0"})
 
 
 def test_selfadjoint_defect_below_frobenius_underflow():
@@ -585,6 +693,54 @@ def test_perturb_randomized_bounds():
         for t in elems:
             flag, _ = pf.is_partial_isometry(rounded.matrix(t), tol=1e-10)
             assert flag
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(1e-12, 0.125, exclude_max=True))
+def test_defect_below_two_eta_bounds_the_norm(sigma, eta):
+    # ||v v* v - v|| < 2 eta bounds every singular value sigma of v
+    if sigma**3 - sigma < 2.0 * eta:
+        assert sigma < 1.0 + eta + 1e-13
+
+
+def noisy_round_family(seed: int):
+    """``perturb``'s input on Z/16 acting on 12 of 16 points, noise 0.003."""
+    rng = np.random.default_rng(seed)
+    cycle = np.roll(np.arange(16), 1)
+    maps, power = {}, np.arange(16)
+    for j in range(16):
+        maps[j], power = power.tolist(), cycle[power]
+    act = pf.restriction_action(pf.cyclic_group(16), maps, rng.choice(16, size=12, replace=False))
+    rep = pf.std_covariant_rep(act)
+    mats = {t: rep.v.matrix(t) + (0.003 * _noise(rng, "gaussian", 12) if t else 0) for t in range(16)}
+    return rep, pf.PartialRepFamily(act.group, 12, mats=mats)
+
+
+def test_perturb_norm_check_takes_no_svd_of_v(monkeypatch):
+    rep, fam = noisy_round_family(1)
+    vs = [fam.matrix(t) for t in range(1, 16)]
+    seen = []
+    monkeypatch.setattr(reps, "op_norms", lambda a: seen.append(a) or pf.op_norms(a))
+    _, cert = pf.perturb_to_partial_isometries(fam, 0.1, rep=rep, elements=list(range(16)))
+    assert cert.ok and seen
+    assert not any(np.array_equal(m, v) for a in seen for m in a for v in vs)
+
+
+def test_perturb_svd_count(monkeypatch):
+    svd, mats = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        mats.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    for seed in (1, 2, 3):
+        rep, fam = noisy_round_family(seed)
+        mats.clear()
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        _, cert = pf.perturb_to_partial_isometries(fam, 0.1, rep=rep, elements=list(range(16)))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert cert.ok and cert.contraction_constant == 1.0
+        assert 0 < sum(mats) <= 35, mats
 
 
 def test_perturb_covariance_entry_needs_rep(swap_action):

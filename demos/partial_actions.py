@@ -1,4 +1,5 @@
-"""Tour of finite partial actions: construction, validation, duals.
+"""Tour of finite partial actions: construction, validation, duals,
+equivariant maps.
 
 Run from the repository root after installing the package:
 
@@ -58,6 +59,30 @@ def main() -> None:
     data = pf.action_to_json(act)
     again = pf.action_from_json(data)
     print("\nJSON round trip equal:", act.same_data(again))
+
+    # Equivariant point maps, the finite form of Kerr and Nowak's
+    # approximately equivariant maps. Two copies of the swap fold onto one:
+    # rho commutes with the action and pulls U_t back onto V_t exactly.
+    double = pf.FinitePartialAction(pf.cyclic_group(2), 4, {1: {0: 1, 1: 0, 2: 3, 3: 2}})
+    fold = pf.check_equivariance(
+        pf.EquivariantMap(source=double, target=swap, rho=(0, 1, 0, 1)), strict=True)
+    print("\ndoubled swap onto swap: ok", fold.ok, "strict_ok", fold.strict_ok)
+
+    # If the second copy does not move, its points land in U_1 from outside
+    # V_1: the map still commutes where eta_1 is defined, but is not strict.
+    half = pf.FinitePartialAction(pf.cyclic_group(2), 4, {1: {0: 1, 1: 0}})
+    loose = pf.check_equivariance(
+        pf.EquivariantMap(source=half, target=swap, rho=(0, 1, 0, 1)), strict=True)
+    print("half-moving source: ok", loose.ok, "strict_ok", loose.strict_ok)
+    for v in loose.violations:
+        print("  violation:", v)
+
+    # Sending 3 to 0 breaks the intertwining identity at points 2 and 3.
+    bent = pf.check_equivariance(
+        pf.EquivariantMap(source=double, target=swap, rho=(0, 1, 0, 0)))
+    print("rho = (0, 1, 0, 0): ok", bent.ok, "max defect", bent.max_defect)
+    for v in bent.violations:
+        print("  violation:", v)
 
 
 if __name__ == "__main__":

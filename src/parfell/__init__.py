@@ -24,7 +24,6 @@ from .groups import (
     hom_to_json,
     product_table,
     scan_elements,
-    symmetric_group,
     trivial_group,
     word_from_str,
     word_to_str,
@@ -39,7 +38,6 @@ from .actions import (
     action_from_json,
     action_to_json,
     check_equivariance,
-    restriction_action,
     validate,
 )
 from .matrices import (
@@ -59,15 +57,12 @@ from .reps import (
     ExtractedSystem,
     PartialRepFamily,
     PerturbationCertificate,
-    bundle_rep_to_covariant,
     covariance_defects,
     exact_bundle_family,
     extract_finite_system,
     partial_rep_defects,
     perturb_to_partial_isometries,
-    positivity_flag,
     std_covariant_rep,
-    symmetrize,
 )
 from .crossed import (
     BundleAxiomReport,
@@ -75,14 +70,11 @@ from .crossed import (
     Section,
     build_model,
     bundle_axiom_report,
-    delta_section,
     expectation,
     mf_defect_report,
     reduced_norm,
-    section_from_json,
     section_mul,
     section_star,
-    section_to_json,
 )
 from .bernoulli import (
     BernoulliWindow,
@@ -91,8 +83,6 @@ from .bernoulli import (
     MeasureApprox,
     QuotientApprox,
     RfdCertificate,
-    TruncatedBernoulli,
-    build_truncated_bernoulli,
     certify_rfd,
     invariant_measure_approx,
     metric,

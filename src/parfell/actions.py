@@ -259,28 +259,6 @@ def _row_of(pm: PartialMap, n: int) -> list[int]:
     return row
 
 
-def restriction_action(
-    group: GroupSpec,
-    global_maps: Mapping[object, Sequence[int]],
-    subset: Sequence[int],
-) -> FinitePartialAction:
-    """Restrict a global permutation action to a subset, relabelled 0..k-1.
-
-    ``global_maps`` sends declared elements to full permutations; generators
-    suffice for free groups, every element is expected for finite groups.
-    """
-    sub = sorted(set(int(z) for z in subset))
-    index = {z: i for i, z in enumerate(sub)}
-    maps = {}
-    for g, perm in global_maps.items():
-        perm = list(perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise MalformedDataError("global map is not a permutation")
-        pairs = {index[z]: index[perm[z]] for z in sub if perm[z] in index}
-        maps[g] = pairs
-    return FinitePartialAction(group, len(sub), maps)
-
-
 # ---------------------------------------------------------------------------
 # validation
 

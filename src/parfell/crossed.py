@@ -24,7 +24,6 @@ from .groups import (
     MalformedDataError,
     UndeclaredElementError,
     word_key,
-    word_from_str,
     word_to_str,
 )
 from .matrices import AXIOM_TOL, PreconditionError, adjoints, op_norm, op_norms
@@ -79,13 +78,6 @@ class Section:
         for v in self.terms.values():
             best = max(best, float(np.abs(v).max(initial=0.0)))
         return best
-
-
-def delta_section(dual: DualSystem, z: int, t) -> Section:
-    """The basis section: indicator of z in the fiber of t."""
-    vec = np.zeros(dual.n, dtype=np.complex128)
-    vec[z] = 1.0
-    return Section.build(dual, {t: vec})
 
 
 def section_mul(x: Section, y: Section, dual: DualSystem, max_word_length: int | None = None) -> Section:
@@ -403,39 +395,3 @@ def mf_defect_report(
         },
         skipped=[],
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def section_to_json(x: Section) -> dict:
-    terms = []
-    for t in x.elements():
-        vec = x.terms[t]
-        terms.append(
-            {
-                "t": word_to_str(x.group, t),
-                "coeffs": [[float(c.real), float(c.imag)] for c in vec],
-            }
-        )
-    return {"terms": terms}
-
-
-def section_from_json(data: dict, group: GroupSpec, n: int) -> Section:
-    if not isinstance(data, dict) or "terms" not in data:
-        raise MalformedDataError("section object needs a 'terms' field")
-    terms: dict = {}
-    for entry in data["terms"]:
-        if not isinstance(entry, dict) or "t" not in entry or "coeffs" not in entry:
-            raise MalformedDataError("each term needs 't' and 'coeffs'")
-        t = word_from_str(group, entry["t"])
-        coeffs = entry["coeffs"]
-        if len(coeffs) != n:
-            raise MalformedDataError(f"coefficients of {entry['t']!r} must have length {n}")
-        vec = np.array([complex(c[0], c[1]) for c in coeffs], dtype=np.complex128)
-        if t in terms:
-            terms[t] = terms[t] + vec
-        else:
-            terms[t] = vec
-    return Section(group, n, terms)

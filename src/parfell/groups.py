@@ -14,7 +14,6 @@ given by an explicit multiplication table.  Conventions:
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -411,18 +410,6 @@ def cyclic_group(m: int) -> FiniteGroup:
 
 def trivial_group() -> FiniteGroup:
     return cyclic_group(1)
-
-
-def symmetric_group(n: int) -> FiniteGroup:
-    """Permutations of n points; identity first, then lexicographic."""
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # compose(p, q)(i) = p(q(i))
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
-    labels = tuple("".join(map(str, p)) for p in perms)
-    return FiniteGroup(table, labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

@@ -632,28 +632,6 @@ def perturb_to_partial_isometries(
 # fiber-map families
 
 
-def symmetrize(family: Mapping, dual: DualSystem) -> dict:
-    """Average a fiber-map family with its adjoint-reflected counterpart.
-
-    Output satisfies ``out_t(b)* = out_{t^-1}(b*)`` exactly and the map is
-    idempotent.  The element set must be closed under inverses.
-    """
-    group = dual.group
-    fam = {group.check_element(g): np.asarray(m, dtype=np.complex128) for g, m in family.items()}
-    for t in fam:
-        if group.inverse(t) not in fam:
-            raise MalformedDataError("fiber family element set must be inverse-closed")
-    out: dict = {}
-    for t, arr in fam.items():
-        ti = group.inverse(t)
-        back = dual.action.element_map(ti).as_dict()  # V_t -> V_{t^-1}
-        res = np.zeros_like(arr)
-        for z in dual.support(t):
-            res[z] = 0.5 * (arr[z] + fam[ti][back[z]].conj().T)
-        out[t] = res
-    return out
-
-
 def exact_bundle_family(rep: CovariantRep, elements: Sequence | None = None) -> dict:
     """Fiber maps of the model: indicator at ``z`` in fiber ``t`` goes to
     ``phi(indicator) v_t``; zero outside the fiber's support."""
@@ -672,45 +650,6 @@ def exact_bundle_family(rep: CovariantRep, elements: Sequence | None = None) -> 
             arr[z] = rep.phi_mats[z] @ vt
         out[t] = arr
     return out
-
-
-def bundle_rep_to_covariant(family: Mapping, dual: DualSystem) -> CovariantRep:
-    """Repackage a fiber-map family as (phi, v): phi is the identity fiber's
-    map, v_t the image of the fiber's unit indicator."""
-    group = dual.group
-    fam = {group.check_element(g): np.asarray(m, dtype=np.complex128) for g, m in family.items()}
-    ident = group.identity
-    if ident not in fam:
-        raise MalformedDataError("family needs the identity fiber")
-    phi_mats = fam[ident]
-    if phi_mats.ndim != 3 or phi_mats.shape[0] != dual.n:
-        raise MalformedDataError("identity fiber map has the wrong shape")
-    d = phi_mats.shape[1]
-    mats = {}
-    for t, arr in fam.items():
-        m = np.zeros((d, d), dtype=np.complex128)
-        for z in dual.support(t):
-            m = m + arr[z]
-        mats[t] = m
-    return CovariantRep(dual, phi_mats, PartialRepFamily(group, d, mats=mats))
-
-
-def positivity_flag(rep: CovariantRep, trials: int = 8, seed: int = 0, tol: float = AXIOM_TOL) -> bool:
-    """Whether phi sends sampled nonnegative functions to PSD matrices."""
-    rng = np.random.default_rng(seed)
-    tests = [np.ones(rep.n)]
-    tests.extend(rng.random(rep.n) for _ in range(trials))
-    for z in range(rep.n):
-        f = np.zeros(rep.n)
-        f[z] = 1.0
-        tests.append(f)
-    for f in tests:
-        m = rep.phi(f)
-        m = 0.5 * (m + m.conj().T)
-        vals = np.linalg.eigvalsh(m)
-        if vals.min() < -tol:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared generators: random valid partial actions built by restriction.
+"""Shared generators: random valid partial actions built by restriction,
+the restriction itself, and the symmetric groups used as non-abelian cases.
 
 Restricting a global permutation action to an arbitrary subset always yields
 a valid partial action, so these generators produce axioms-by-construction
@@ -7,10 +8,48 @@ permutation whose cycle lengths divide the order; free groups through
 arbitrary permutations per generator.
 """
 
+import itertools
+from typing import Mapping, Sequence
+
 import numpy as np
 import pytest
 
 import parfell as pf
+from parfell import FiniteGroup, FinitePartialAction, GroupSpec, MalformedDataError
+
+
+def restriction_action(
+    group: GroupSpec,
+    global_maps: Mapping[object, Sequence[int]],
+    subset: Sequence[int],
+) -> FinitePartialAction:
+    """Restrict a global permutation action to a subset, relabelled 0..k-1.
+
+    ``global_maps`` sends declared elements to full permutations; generators
+    suffice for free groups, every element is expected for finite groups.
+    """
+    sub = sorted(set(int(z) for z in subset))
+    index = {z: i for i, z in enumerate(sub)}
+    maps = {}
+    for g, perm in global_maps.items():
+        perm = list(perm)
+        if sorted(perm) != list(range(len(perm))):
+            raise MalformedDataError("global map is not a permutation")
+        pairs = {index[z]: index[perm[z]] for z in sub if perm[z] in index}
+        maps[g] = pairs
+    return FinitePartialAction(group, len(sub), maps)
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    """Permutations of n points; identity first, then lexicographic."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    # compose(p, q)(i) = p(q(i))
+    table = tuple(
+        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
+    )
+    labels = tuple("".join(map(str, p)) for p in perms)
+    return FiniteGroup(table, labels)
 
 
 def _divisor_cycles(rng: np.random.Generator, m: int, n: int) -> list[int]:
@@ -47,7 +86,7 @@ def random_cyclic_action(rng: np.random.Generator, m: int, n_global: int) -> pf.
         power = [perm[z] for z in power]
     k = int(rng.integers(1, n_global + 1))
     subset = rng.choice(n_global, size=k, replace=False)
-    return pf.restriction_action(group, global_maps, subset)
+    return restriction_action(group, global_maps, subset)
 
 
 def random_free_action(rng: np.random.Generator, rank: int, n_global: int) -> pf.FinitePartialAction:
@@ -62,7 +101,7 @@ def random_free_action(rng: np.random.Generator, rank: int, n_global: int) -> pf
         global_maps[(-i,)] = inv
     k = int(rng.integers(1, n_global + 1))
     subset = rng.choice(n_global, size=k, replace=False)
-    return pf.restriction_action(group, global_maps, subset)
+    return restriction_action(group, global_maps, subset)
 
 
 GROUP_MENU = [("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("cyclic", 5),

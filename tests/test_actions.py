@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from conftest import random_valid_action, random_free_action
+from conftest import random_free_action, random_valid_action, restriction_action, symmetric_group
 from parfell.actions import (
     DEFAULT_RADIUS,
     EquivarianceReport,
@@ -356,7 +356,7 @@ def finite_validate_cases(draw):
     reach the pair scan; sometimes one entry is replaced or dropped."""
     group = draw(st.sampled_from([
         pf.cyclic_group(1), pf.cyclic_group(3), pf.cyclic_group(4),
-        pf.symmetric_group(3), pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(2)),
+        symmetric_group(3), pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(2)),
     ]))
     n = draw(st.integers(0, 4))
     maps = {}
@@ -651,7 +651,7 @@ def random_actions(draw, group, n):
 def equivariance_cases(draw):
     group = draw(st.sampled_from([
         pf.cyclic_group(1), pf.cyclic_group(2), pf.cyclic_group(3),
-        pf.cyclic_group(4), pf.symmetric_group(3), pf.FreeGroup(1), pf.FreeGroup(2),
+        pf.cyclic_group(4), symmetric_group(3), pf.FreeGroup(1), pf.FreeGroup(2),
     ]))
     n_src = draw(st.integers(0, 5))
     n_tgt = draw(st.integers(1, 5))
@@ -722,4 +722,4 @@ def test_action_json_malformed():
 def test_restriction_rejects_non_permutation():
     g = pf.cyclic_group(2)
     with pytest.raises(pf.MalformedDataError):
-        pf.restriction_action(g, {0: [0, 1], 1: [0, 0]}, [0, 1])
+        restriction_action(g, {0: [0, 1], 1: [0, 0]}, [0, 1])

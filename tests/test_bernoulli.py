@@ -12,6 +12,7 @@ from parfell import bernoulli
 from parfell.actions import EquivarianceReport
 from parfell.bernoulli import _density_witness, _separates_window
 from parfell.groups import word_to_str
+from conftest import symmetric_group
 
 
 Z = pf.FreeGroup(rank=1)
@@ -58,27 +59,6 @@ def test_metric_properties(x, y, z, depth):
     pairs = [(x, y), (y, z), (z, x)]
     got = pf.metric(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), depth)
     assert np.broadcast_to(got, 3).tolist() == [oracle_metric(a, b, depth) for a, b in pairs]
-
-
-# ---------------------------------------------------------------------------
-# truncated fragments
-
-
-def test_fragment_representable_and_domain():
-    frag = pf.build_truncated_bernoulli(Z, 3)
-    assert frag.representable == ((), (1,), (-1,))
-    assert frag.domain((1,)) == [1, 3, 5, 7]
-    assert frag.domain(()) == list(range(8))
-    assert frag.shift_known((1,), 5) == {0: 0, 1: 1, 3: 1}
-    with pytest.raises(pf.MalformedDataError):
-        frag.domain((1, 1))  # inverse of a^2 leaves the window
-
-
-def test_fragment_finite_group_window():
-    g4 = pf.cyclic_group(4)
-    frag = pf.build_truncated_bernoulli(g4, 2)
-    # coords 0,1,2; inverses 0,3,2: only 0 and 2 are representable
-    assert frag.representable == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +227,7 @@ def ref_density_witness(window, hom, x):
 
 QUOTIENTS = [pf.cyclic_group(m) for m in range(1, 13)] + [
     pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(2)),
-    pf.symmetric_group(3),
+    symmetric_group(3),
 ]
 
 

@@ -96,13 +96,25 @@ def test_perturb_eta_out_of_range_exits_two(capsys, swap_file):
         (["defects", "{action}", "--noise", "nan"], "--noise"),
         (["defects", "{action}", "--noise", "-0.5"], "--noise"),
         (["bundle-axioms", "{action}", "--trials", "-3"], "--trials"),
+        (["bernoulli", "certify", "--group", "free:2", "--delta", "0.1", "--max-order", "0"],
+         "max order"),
+        (["bernoulli", "certify", "--group", "free:2", "--delta", "1.5", "--max-order", "0"],
+         "max order"),
+        (["bernoulli", "certify", "--group", "free:2", "--delta", "0.1", "--max-order", "-3"],
+         "max order"),
+        (["measure", "--group", "free:1", "--delta", "0.1", "--max-order", "0"], "max order"),
+        (["measure", "--group", "free:1", "--delta", "1.5", "--max-order", "-3"], "max order"),
     ],
     ids=["certify-delta-nan", "measure-delta-nan", "measure-delta-inf",
-         "defects-noise-nan", "defects-noise-negative", "bundle-trials-negative"],
+         "defects-noise-nan", "defects-noise-negative", "bundle-trials-negative",
+         "certify-max-order-zero", "certify-max-order-zero-depth-zero",
+         "certify-max-order-negative", "measure-max-order-zero",
+         "measure-max-order-negative-depth-zero"],
 )
 def test_out_of_range_options_exit_two(capsys, swap_file, argv, flag):
-    """A non-finite delta or noise, a negative noise and negative trials are
-    refused with an error naming the flag, not run and reported as NaN."""
+    """A non-finite delta or noise, a negative noise, negative trials and a
+    max order below 1 are refused with an error naming the flag, not run
+    and reported as NaN or as a failed search."""
     code, env, _ = run(capsys, [a.format(action=swap_file) for a in argv])
     assert code == 2
     assert flag in env["error"]

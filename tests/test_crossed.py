@@ -1,13 +1,12 @@
 """Section algebra, the finite-group matrix model, and fiber axiom suites."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from conftest import random_cyclic_action
+from parfell import DualSystem, Section
+from conftest import random_cyclic_action, restriction_action, symmetric_group
 
 
 def random_section(dual, rng, num_terms=2):
@@ -60,12 +59,12 @@ def test_section_wrong_length_rejected():
 
 def test_delta_section_swap(swap_action):
     dual = pf.DualSystem(swap_action)
-    x = pf.delta_section(dual, 0, 1)
+    x = delta_section(dual, 0, 1)
     assert np.array_equal(x.coeff(1), np.array([1, 0], dtype=complex))
     # (delta_0 d_1)(delta_0 d_1) moves the point before multiplying
     sq = pf.section_mul(x, x, dual)
     assert np.array_equal(sq.coeff(0), np.array([0, 0], dtype=complex))
-    y = pf.delta_section(dual, 1, 1)
+    y = delta_section(dual, 1, 1)
     prod = pf.section_mul(x, y, dual)
     assert np.array_equal(prod.coeff(0), np.array([1, 0], dtype=complex))
 
@@ -116,9 +115,16 @@ def nonzero_svals(mat):
     return svals[svals > cutoff]
 
 
+def delta_section(dual: DualSystem, z: int, t) -> Section:
+    """The basis section: indicator of z in the fiber of t."""
+    vec = np.zeros(dual.n, dtype=np.complex128)
+    vec[z] = 1.0
+    return Section.build(dual, {t: vec})
+
+
 def basis_images(model):
     """The dense model image of every basis section, in basis order."""
-    return [model.image(pf.delta_section(model.dual, z, t)) for z, t in model.basis]
+    return [model.image(delta_section(model.dual, z, t)) for z, t in model.basis]
 
 
 def dense_center(model):
@@ -137,7 +143,7 @@ def dense_center(model):
     return dim - nonzero.size, nonzero
 
 
-MODEL_GROUPS = [pf.cyclic_group(m) for m in range(2, 7)] + [pf.symmetric_group(3)]
+MODEL_GROUPS = [pf.cyclic_group(m) for m in range(2, 7)] + [symmetric_group(3)]
 INJECTIVE_KINDS = ("random", "empty", "identity-only")
 
 
@@ -241,7 +247,7 @@ def random_restricted_action(rng, group):
             global_maps[g].extend(offset + p for p in perm)
     n_global = len(global_maps[0])
     k = int(rng.integers(1, n_global + 1))
-    return pf.restriction_action(group, global_maps, rng.choice(n_global, size=k, replace=False))
+    return restriction_action(group, global_maps, rng.choice(n_global, size=k, replace=False))
 
 
 def groupoid_center_dimension(act):
@@ -346,7 +352,7 @@ def test_free_word_length_cap():
     f1 = pf.FreeGroup(rank=1)
     act = pf.FinitePartialAction(f1, 3, {(1,): {0: 1, 1: 2}})
     dual = pf.DualSystem(act)
-    x = pf.delta_section(dual, 1, (1,))
+    x = delta_section(dual, 1, (1,))
     pf.section_mul(x, x, dual)  # uncapped products compose fine
     with pytest.raises(pf.UndeclaredElementError):
         pf.section_mul(x, x, dual, max_word_length=1)
@@ -459,34 +465,3 @@ def test_mf_defect_report_missing_fiber(swap_action):
     fam = {0: np.zeros((2, 2, 2), dtype=complex)}
     with pytest.raises(pf.UndeclaredElementError):
         pf.mf_defect_report(fam, [(1, np.array([1.0, 1.0]))], dual)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_section_json_roundtrip(swap_action):
-    dual = pf.DualSystem(swap_action)
-    rng = np.random.default_rng(47)
-    x = random_section(dual, rng)
-    data = json.loads(json.dumps(pf.section_to_json(x)))
-    back = pf.section_from_json(data, swap_action.group, 2)
-    for t in x.terms:
-        assert np.allclose(back.coeff(t), x.coeff(t), atol=1e-15)
-
-
-def test_section_json_duplicate_terms_sum(swap_action):
-    data = {"terms": [
-        {"t": "1", "coeffs": [[1.0, 0.0], [0.0, 0.0]]},
-        {"t": "1", "coeffs": [[2.0, 0.0], [0.0, 1.0]]},
-    ]}
-    x = pf.section_from_json(data, swap_action.group, 2)
-    assert np.array_equal(x.coeff(1), np.array([3.0, 1.0j]))
-
-
-def test_section_json_malformed(swap_action):
-    with pytest.raises(pf.MalformedDataError):
-        pf.section_from_json({"nope": []}, swap_action.group, 2)
-    with pytest.raises(pf.MalformedDataError):
-        pf.section_from_json({"terms": [{"t": "1", "coeffs": [[1.0, 0.0]]}]},
-                             swap_action.group, 2)

@@ -21,10 +21,10 @@ from parfell import (
     group_to_json,
     product_table,
     scan_elements,
-    symmetric_group,
     word_from_str,
     word_to_str,
 )
+from conftest import symmetric_group
 
 
 # --- oracles ---------------------------------------------------------------

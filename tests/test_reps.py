@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from conftest import random_cyclic_action, random_free_action, random_valid_action
+from conftest import (
+    random_cyclic_action,
+    random_free_action,
+    random_valid_action,
+    restriction_action,
+    symmetric_group,
+)
 from parfell import reps
 from test_actions import partial_maps, table_rule
 
@@ -49,13 +55,6 @@ def test_std_rep_exact_relations_random():
         assert rel.max_defect() <= 1e-12, rel.to_json()
         assert cov.max_defect() <= 1e-12, cov.to_json()
         assert not rel.skipped
-
-
-def test_positivity_flag(swap_action):
-    rep = pf.std_covariant_rep(swap_action)
-    assert pf.positivity_flag(rep)
-    bad = pf.CovariantRep(rep.dual, [-e(0, 0), e(1, 1)], rep.v)
-    assert not pf.positivity_flag(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +338,7 @@ def invalid_std_models(draw):
     kind = draw(st.sampled_from(["free", "rule", "finite"]))
     n = draw(st.integers(1, 3))
     if kind == "finite":
-        group = draw(st.sampled_from([pf.cyclic_group(3), pf.cyclic_group(4), pf.symmetric_group(3)]))
+        group = draw(st.sampled_from([pf.cyclic_group(3), pf.cyclic_group(4), symmetric_group(3)]))
         maps = {g: draw(partial_maps(n, n)) for g in range(1, group.order)}
         return pf.FinitePartialAction(group, n, maps), list(range(group.order))
     group = pf.FreeGroup(draw(st.integers(1, 2)))
@@ -710,7 +709,7 @@ def noisy_round_family(seed: int):
     maps, power = {}, np.arange(16)
     for j in range(16):
         maps[j], power = power.tolist(), cycle[power]
-    act = pf.restriction_action(pf.cyclic_group(16), maps, rng.choice(16, size=12, replace=False))
+    act = restriction_action(pf.cyclic_group(16), maps, rng.choice(16, size=12, replace=False))
     rep = pf.std_covariant_rep(act)
     mats = {t: rep.v.matrix(t) + (0.003 * _noise(rng, "gaussian", 12) if t else 0) for t in range(16)}
     return rep, pf.PartialRepFamily(act.group, 12, mats=mats)
@@ -759,61 +758,35 @@ def test_perturb_covariance_entry_needs_rep(swap_action):
 # fiber-map families
 
 
-def test_exact_bundle_family_is_star_symmetric(swap_action):
-    rep = pf.std_covariant_rep(swap_action)
-    dual = rep.dual
-    fam = pf.exact_bundle_family(rep, elements=[0, 1])
-    sym = pf.symmetrize(fam, dual)
-    for t in fam:
-        assert np.array_equal(sym[t], fam[t])
-
-
-def test_symmetrize_idempotent(swap_action):
-    rep = pf.std_covariant_rep(swap_action)
-    dual = rep.dual
-    rng = np.random.default_rng(31)
-    fam = pf.exact_bundle_family(rep, elements=[0, 1])
-    noisy = {}
-    for t, arr in fam.items():
-        pert = arr.copy()
-        for z in dual.support(t):
-            pert[z] = pert[z] + 0.1 * (
-                rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            )
-        noisy[t] = pert
-    once = pf.symmetrize(noisy, dual)
-    twice = pf.symmetrize(once, dual)
-    for t in once:
-        assert np.array_equal(once[t], twice[t])
-    # the fixed point satisfies the reflection identity exactly
-    ti = dual.group.inverse(1)
-    back = dual.action.element_map(ti).as_dict()
-    for z in dual.support(1):
-        assert np.array_equal(once[1][z].conj().T, once[ti][back[z]])
-
-
-def test_symmetrize_requires_inverse_closed():
-    f1 = pf.FreeGroup(rank=1)
-    act = pf.FinitePartialAction(f1, 2, {(1,): {0: 1, 1: 0}})
-    dual = pf.DualSystem(act)
-    fam = {(1,): np.zeros((2, 2, 2), dtype=complex)}
-    with pytest.raises(pf.MalformedDataError):
-        pf.symmetrize(fam, dual)
+def test_exact_bundle_family_is_star_symmetric(swap_action, fixed_point_action):
+    """``fam[t][z]* = fam[t^-1][eta_{t^-1}(z)]`` on ``V_t``, zero off it."""
+    for act in (swap_action, fixed_point_action):
+        rep = pf.std_covariant_rep(act)
+        dual = rep.dual
+        fam = pf.exact_bundle_family(rep, elements=[0, 1])
+        for t in fam:
+            ti = dual.group.inverse(t)
+            back = dual.action.element_map(ti).as_dict()  # V_t -> V_{t^-1}
+            support = set(dual.support(t))
+            for z in range(dual.n):
+                if z in support:
+                    assert np.array_equal(fam[t][z].conj().T, fam[ti][back[z]])
+                else:
+                    assert not np.any(fam[t][z])
 
 
 def test_bundle_round_trip(swap_action):
+    """Fiber ``t`` sends the indicator at ``z`` to ``phi(e_z) v_t``, and
+    these sum to ``v_t`` over ``V_t``."""
     rep = pf.std_covariant_rep(swap_action)
     fam = pf.exact_bundle_family(rep, elements=[0, 1])
-    back = pf.bundle_rep_to_covariant(fam, rep.dual)
-    assert np.array_equal(back.phi_mats, rep.phi_mats)
+    assert np.array_equal(fam[swap_action.group.identity], rep.phi_mats)
     for t in (0, 1):
-        assert np.array_equal(back.v.matrix(t), rep.v.matrix(t))
-
-
-def test_bundle_rep_needs_identity_fiber(swap_action):
-    dual = pf.DualSystem(swap_action)
-    with pytest.raises(pf.MalformedDataError):
-        pf.bundle_rep_to_covariant({1: np.zeros((2, 2, 2))}, dual)
+        vt = rep.v.matrix(t)
+        support = rep.dual.support(t)
+        for z in support:
+            assert np.array_equal(fam[t][z], rep.phi_mats[z] @ vt)
+        assert np.array_equal(sum(fam[t][z] for z in support), vt)
 
 
 # ---------------------------------------------------------------------------

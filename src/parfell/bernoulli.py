@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import EquivarianceReport, FinitePartialAction, PartialMap, _equivariance_report, _hits
+from .actions import EquivarianceReport, _equivariance_report
 from .groups import (
     FiniteGroup,
     FreeGroup,
@@ -86,10 +86,10 @@ class QuotientApprox:
     Points are 0/1 rows over the quotient, pinned to 1 at its identity,
     encoded as integers (bit ``gamma-1`` is the value at element gamma),
     and ``bits[gamma, z]`` is z's value at gamma.  The group acts through
-    the homomorphism by exact shifts; ``rho`` truncates each configuration
-    to the window through the homomorphism.  ``images`` holds the quotient
-    image of each window coordinate, taken once; every check of the model
-    reads it instead of the homomorphism.
+    the homomorphism by exact shifts (``map_rows``); ``rho`` truncates each
+    configuration to the window through the homomorphism.  ``images`` holds
+    the quotient image of each window coordinate, taken once; every check
+    of the model reads it instead of the homomorphism.
     """
 
     def __init__(self, window: BernoulliWindow, hom: GroupHom) -> None:
@@ -103,18 +103,20 @@ class QuotientApprox:
         self.images = [hom.apply(t) for t in window.coords]
         self.bits = bits = np.ones((m, n), dtype=np.intp)
         bits[1:] = (np.arange(n) >> np.arange(m - 1)[:, None]) & 1
-
-        # the rule must not reach self: a cycle through the action's map
-        # cache would outlive each model until a full garbage collection
-        def rule(key) -> PartialMap:
-            gi = q.inverse(hom.apply(key))
-            # shifted value at gamma' reads the source at gamma^-1 gamma'
-            shifted = _read(bits, q.table[gi][1:])
-            sources = np.flatnonzero(bits[gi])
-            return PartialMap(tuple(zip(sources.tolist(), shifted[sources].tolist())))
-
-        self.action = FinitePartialAction(window.group, n, {}, rule=rule)
         self.rho = tuple(_read(bits, self.images[1:]).tolist())
+
+    def map_rows(self, elements: Sequence) -> np.ndarray:
+        """The shifts of ``elements`` as int rows, one per element, in the
+        layout of ``FinitePartialAction.map_rows``.  With ``g = hom(t)^-1``,
+        row ``t`` sends each configuration that is 1 at ``g`` to its shift,
+        whose value at ``gamma`` reads the configuration at ``g gamma``;
+        every other entry and the last column are -1."""
+        q = self.quotient
+        rows = np.full((len(elements), self.num_points + 1), -1, dtype=np.intp)
+        for row, t in zip(rows, elements):
+            g = q.inverse(self.hom.apply(t))
+            row[:-1] = np.where(self.bits[g] == 1, _read(self.bits, q.table[g][1:]), -1)
+        return rows
 
 
 def _read(bits: np.ndarray, gammas: Sequence[int]) -> np.ndarray:
@@ -166,7 +168,7 @@ def strict_equivariance_report(
     table = np.asarray(q.table)
     wanted = [_read(approx.bits, table[q.inverse(g), approx.images[1:]]) for g in gammas]
     return _equivariance_report(
-        window.group, elems, approx.action.map_rows(elems), np.asarray(approx.rho, dtype=np.intp),
+        window.group, elems, approx.map_rows(elems), np.asarray(approx.rho, dtype=np.intp),
         approx.bits[gammas] == 1, np.reshape(wanted, (len(elems), approx.num_points)),
         lambda x, y: metric(x, y, window.depth), strict=True,
     )
@@ -306,6 +308,13 @@ def certify_rfd(
     ``MalformedDataError`` when ``max_order`` is outside
     ``1..MAX_QUOTIENT_ORDER``.
     """
+    return _certify(group, delta, hom, max_order, max_cyclic)[0]
+
+
+def _certify(
+    group: GroupSpec, delta: float, hom: GroupHom | None, max_order: int, max_cyclic: int = 12
+) -> tuple[RfdCertificate, QuotientApprox]:
+    """``certify_rfd``'s certificate and the quotient model it checked."""
     _check_max_order(max_order)
     depth = _required_depth(delta)
     window = BernoulliWindow.build(group, depth)
@@ -329,7 +338,7 @@ def certify_rfd(
     bound = 2.0 ** (-depth)
     if worst > bound:
         raise CertificationError("density witnesses exceed the tail bound")
-    return RfdCertificate(
+    cert = RfdCertificate(
         group=group,
         delta=float(delta),
         depth=depth,
@@ -339,6 +348,7 @@ def certify_rfd(
         equivariance_defect=eq.max_defect,
         points_checked={"window": window.num_points, "quotient": approx.num_points},
     )
+    return cert, approx
 
 
 def _quotient_checks(
@@ -472,15 +482,16 @@ def invariant_measure_approx(
         values.append({"test": f.label or repr(f.coords), "value": mu})
         if all(v >= 0.0 for v in f.values) and mu < 0.0:
             positive_ok = False
-    # per element: its set's points shifted back (read at gamma times each
-    # window image) and rho of its inverse's set
-    table = np.asarray(approx.quotient.table)
-    sets = _hits(approx.action.map_rows(elems + [group.inverse(t) for t in elems]))[:, :-1] > 0
+    # per element t with image gamma: its set, the points that are 1 at
+    # gamma, shifted back (read at gamma times each window image), and rho
+    # of its inverse's set, the points that are 1 at gamma^-1
+    q, bits = approx.quotient, approx.bits
+    table = np.asarray(q.table)
     rows = [
         (word_to_str(group, t),
-         _read(approx.bits, table[approx.hom.apply(t), approx.images[1:]])[sets[i]],
-         rho[sets[len(elems) + i]])
-        for i, t in enumerate(elems)
+         _read(bits, table[g, approx.images[1:]])[bits[g] == 1],
+         rho[bits[q.inverse(g)] == 1])
+        for t, g in zip(elems, map(approx.hom.apply, elems))
     ]
     defects: list[dict] = []
     max_defect = 0.0

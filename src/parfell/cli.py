@@ -24,12 +24,11 @@ from . import __version__
 from .actions import DualSystem, FinitePartialAction, action_from_json, validate
 from .bernoulli import (
     MAX_QUOTIENT_ORDER,
-    BernoulliWindow,
     CertificationError,
     CylinderFunction,
+    _certify,
     certify_rfd,
     invariant_measure_approx,
-    quotient_approximation,
     verify_certificate,
 )
 from .crossed import build_model, bundle_axiom_report
@@ -308,8 +307,9 @@ def _run_crossed(args, seed, tol):
     return report, ok, inputs
 
 
-def _certificate(args):
-    """The input hashes, group and certificate of a certificate command."""
+def _certificate_inputs(args):
+    """The input hashes, group and supplied homomorphism (or None) of a
+    certificate command."""
     inputs = {}
     if not (args.group.startswith(("free:", "cyclic:")) or args.group == "trivial"):
         inputs[args.group] = _sha256(args.group)
@@ -317,20 +317,21 @@ def _certificate(args):
         inputs[args.hom] = _sha256(args.hom)
     group = _parse_group(args.group)
     hom = hom_from_json(_load_json(args.hom)) if args.hom else None
-    return inputs, group, certify_rfd(group, args.delta, hom=hom, max_order=args.max_order)
+    return inputs, group, hom
 
 
 def _run_certify(args, seed, tol):
-    inputs, _, cert = _certificate(args)
+    inputs, group, hom = _certificate_inputs(args)
+    cert = certify_rfd(group, args.delta, hom=hom, max_order=args.max_order)
     verified = verify_certificate(cert, max_order=args.max_order)
     report = {"certificate": cert.to_json(), "verified": verified}
     return report, verified, inputs
 
 
 def _run_measure(args, seed, tol):
-    inputs, group, cert = _certificate(args)
-    window = BernoulliWindow.build(group, cert.depth)
-    approx = quotient_approximation(window, cert.hom, max_order=args.max_order)
+    inputs, group, hom = _certificate_inputs(args)
+    # the quotient model the certificate checked is the one averaged over
+    cert, approx = _certify(group, args.delta, hom, args.max_order)
     tests = [CylinderFunction.constant(1.0)]
     tests.extend(
         CylinderFunction.coordinate_indicator(k) for k in range(1, cert.depth + 1)

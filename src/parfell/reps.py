@@ -56,8 +56,7 @@ from .matrices import (
 class PartialRepFamily:
     """Matrices indexed by group elements; the identity must map to I.
 
-    Families are declared (a finite dict of matrices), backed by a rule
-    that produces the matrix of any element on demand, or the standard
+    Families are declared (a finite dict of matrices) or the standard
     model of an ``action``: each element's partial permutation matrix.
     """
 
@@ -66,12 +65,10 @@ class PartialRepFamily:
         group: GroupSpec,
         dim: int,
         mats: Mapping | None = None,
-        rule: Callable | None = None,
         action: FinitePartialAction | None = None,
     ) -> None:
         self.group = group
         self.dim = dim
-        self.rule = rule
         self.action = action
         self._mats: dict = {}
         self._cache: dict = {}
@@ -91,7 +88,7 @@ class PartialRepFamily:
 
     def has(self, g) -> bool:
         key = self.group.check_element(g)
-        return key in self._mats or self.rule is not None or self.action is not None
+        return key in self._mats or self.action is not None
 
     def matrix(self, g) -> np.ndarray:
         key = self.group.check_element(g)
@@ -112,17 +109,12 @@ class PartialRepFamily:
         """The matrix of a checked key, or None when the family has none."""
         if key in self._mats:
             return self._mats[key]
-        if self.rule is None and self.action is None:
+        if self.action is None:
             return None
         if key not in self._cache:
-            if self.action is not None:
-                a = np.zeros((self.dim, self.dim), dtype=np.complex128)
-                for z, w in self.action.element_map(key).pairs:
-                    a[w, z] = 1.0
-            else:
-                a = np.asarray(self.rule(key), dtype=np.complex128)
-            if a.shape != (self.dim, self.dim):
-                raise MalformedDataError("rule produced a matrix of the wrong shape")
+            a = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            for z, w in self.action.element_map(key).pairs:
+                a[w, z] = 1.0
             self._cache[key] = a
         return self._cache[key]
 

@@ -16,6 +16,7 @@ from parfell.actions import (
     Issue,
     PartialMap,
     ValidationReport,
+    _pair_issues,
 )
 from parfell.groups import FiniteGroup, UndeclaredElementError, scan_elements, word_to_str
 
@@ -120,22 +121,6 @@ def test_out_of_range_map_rejected():
     g = pf.cyclic_group(2)
     with pytest.raises(pf.MalformedDataError):
         pf.FinitePartialAction(g, 2, {1: {0: 5}})
-
-
-def test_rule_takes_precedence_over_composition():
-    # rule declares a strictly larger domain for a^2 than letter composition
-    f1 = pf.FreeGroup(rank=1)
-
-    def rule(key):
-        if key == (1, 1):
-            return pf.PartialMap.from_dict({0: 2, 2: 0})
-        k = len(key) if all(s > 0 for s in key) else -len(key)
-        shift = {z: z + k for z in range(3) if 0 <= z + k < 3}
-        return pf.PartialMap.from_dict(shift)
-
-    act = pf.FinitePartialAction(f1, 3, {}, rule=rule)
-    assert act.element_map((1, 1)).as_dict() == {0: 2, 2: 0}
-    assert act.element_map((1,)).as_dict() == {0: 1, 1: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -387,30 +372,26 @@ def free_validate_cases(draw):
     return pf.FinitePartialAction(group, n, maps), draw(st.integers(1, 3))
 
 
-def table_rule(n, table):
-    """A rule reading arbitrary partial maps from ``table``, empty elsewhere."""
-
-    def rule(key):
-        if key == ():
-            return pf.PartialMap.identity_on(range(n))
-        return pf.PartialMap.from_dict(table.get(key, {}))
-
-    return rule
+def table_action(group, n, table, radius):
+    """A free action declaring every word of the ball of ``radius`` but the
+    identity: its map in ``table``, which need not be injective, or an
+    empty map."""
+    return pf.FinitePartialAction(group, n, {w: table.get(w, {}) for w in group.ball(radius) if w})
 
 
 @st.composite
-def rule_validate_cases(draw):
-    """Free actions whose rule gives arbitrary, even non-injective, maps;
-    these are the inputs on which one identity can fail alone."""
+def table_validate_cases(draw):
+    """Free actions with arbitrary, even non-injective, maps on every word
+    that a radius-1 scan reads."""
     group = pf.FreeGroup(draw(st.integers(1, 2)))
     n = draw(st.integers(1, 3))
     words = [w for w in group.ball(2) if w]
     table = {w: draw(partial_maps(n, n)) for w in draw(st.lists(st.sampled_from(words), unique=True))}
-    return pf.FinitePartialAction(group, n, {}, rule=table_rule(n, table)), 1
+    return table_action(group, n, table, 2), 1
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(finite_validate_cases(), free_validate_cases(), rule_validate_cases()))
+@given(st.one_of(finite_validate_cases(), free_validate_cases(), table_validate_cases()))
 def test_validate_matches_reference(case):
     """Whole reports, issue order, texts and points included, equal the
     pair-by-pair reference's on valid and invalid inputs."""
@@ -419,9 +400,11 @@ def test_validate_matches_reference(case):
 
 
 # each input fails one identity at a pair where the other two hold, so
-# dropping that identity's array check loses the pair's issue
+# dropping that identity's array check loses the pair; the declared maps
+# of a and a^-1 are not inverse to each other, so validate stops at its
+# structural checks, and the row masks are asserted on directly
 ALONE_CASES = {
-    "composition": (2, {(1,): {0: 0, 1: 0}, (-1,): {0: 1}, (1, 1): {0: 0, 1: 0}}, "a^-1 , a"),
+    "composition": (2, {(-1,): {0: 0}, (-1, -1): {1: 0}}, "a^-1 , a^-1"),
     "range_fact": (1, {(-1,): {0: 0}, (-1, -1): {0: 0}}, "a^-1 , a"),
     "triple_fact": (1, {(-1,): {0: 0}, (-1, -1): {0: 0}}, "a , a^-1"),
 }
@@ -430,21 +413,30 @@ ALONE_CASES = {
 @pytest.mark.parametrize("kind", sorted(ALONE_CASES))
 def test_validate_flags_identity_failing_alone(kind):
     n, table, pair = ALONE_CASES[kind]
-    act = pf.FinitePartialAction(pf.FreeGroup(1), n, {}, rule=table_rule(n, table))
+    act = table_action(pf.FreeGroup(1), n, table, 2)
+    elems = scan_elements(act.group, 1)
+    labels = [word_to_str(act.group, t) for t in elems]
+    a, b = (labels.index(label) for label in pair.split(" , "))
+    prods, _, _, masks = act.scan(elems)
+    flagged = zip(["composition", "range_fact", "triple_fact"], masks)
+    assert [k for k, mask in flagged if mask[a, b]] == [kind]
+    # the issues validate builds for a flagged pair
+    issues = _pair_issues(act, elems[a], elems[b], prods.keys[prods.prod[a, b]], prods.keys[prods.inv[a]])
+    assert [i.kind for i in issues] == [kind]
     report = pf.validate(act, radius=1)
-    assert [i.kind for i in report.axiom if i.element == pair] == [kind]
     assert report.to_json() == ref_validate(act, 1).to_json()
 
 
 def test_map_rows_equal_element_maps():
     """Rows of declared longer words, letter composites, the identity and
-    rule-made maps equal ``element_map``, with -1 off the domain."""
+    declared maps of a whole ball equal ``element_map``, with -1 off the
+    domain."""
     f2 = pf.FreeGroup(rank=2)
     declared = pf.FinitePartialAction(f2, 4, {(1,): {0: 1, 1: 2}, (2,): {2: 3, 3: 0}, (1, 2): {0: 0}})
     f1 = pf.FreeGroup(rank=1)
-    ruled = pf.FinitePartialAction(f1, 3, {}, rule=table_rule(3, {(1,): {0: 1}, (1, 1): {2: 2, 0: 1}}))
+    ball = table_action(f1, 3, {(1,): {0: 1}, (1, 1): {2: 2, 0: 1}}, 2)
     fixed = pf.FinitePartialAction(pf.cyclic_group(3), 2, {1: {0: 1}})
-    for act, keys in [(declared, f2.ball(3)), (ruled, [(), (1,), (1, 1), (-1, -1)]), (fixed, [0, 1, 2])]:
+    for act, keys in [(declared, f2.ball(3)), (ball, [(), (1,), (1, 1), (-1, -1)]), (fixed, [0, 1, 2])]:
         rows = act.map_rows(keys)
         assert rows.shape == (len(keys), act.n + 1)
         for key, row in zip(keys, rows.tolist()):
@@ -465,10 +457,9 @@ def test_map_rows_equal_element_maps():
     # built on top of it still compose letter by letter
     assert declared.map_rows([(1, 2)]).tolist() == [[0, -1, -1, -1, -1]]
     assert declared.element_map((1, 1, 2)).as_dict() == {3: 2}
-    # a rule map leaving the point set is refused, not read as undefined
-    stray = pf.FinitePartialAction(f1, 2, {}, rule=table_rule(2, {(1,): {0: 2}}))
+    # a map leaving the point set is refused, not read as undefined
     with pytest.raises(pf.MalformedDataError, match="leaves 0..1"):
-        stray.map_rows([(1,)])
+        pf.FinitePartialAction(f1, 2, {(1,): {0: 2}})
 
 
 def test_report_json_shape(swap_action):

@@ -76,13 +76,18 @@ def test_quotient_rho_frozen():
     assert approx.rho == (0, 1, 4, 5, 2, 3, 6, 7)
 
 
-def test_quotient_action_is_valid_and_rule_backed():
+def test_quotient_rows_declare_a_valid_action():
     w = pf.BernoulliWindow.build(Z, 3)
     approx = pf.quotient_approximation(w, hom_z_mod4())
-    assert pf.validate(approx.action, radius=3).ok
+    # a radius-3 scan reads the products of the ball of radius 6
+    words = [t for t in Z.ball(6) if t]
+    maps = {t: {z: x for z, x in enumerate(row[:-1]) if x >= 0}
+            for t, row in zip(words, approx.map_rows(words).tolist())}
+    act = pf.FinitePartialAction(Z, approx.num_points, maps)
+    assert pf.validate(act, radius=3).ok
     # words reduce through the quotient: a^5 acts exactly like a
-    assert approx.action.element_map((1,) * 5) == approx.action.element_map((1,))
-    sup = approx.action.support((1,))
+    assert approx.map_rows([(1,) * 5]).tolist() == approx.map_rows([(1,)]).tolist()
+    sup = act.support((1,))
     assert sup == (1, 3, 5, 7)
 
 
@@ -153,7 +158,7 @@ def ref_strict_equivariance_report(approx, elements=None):
     strict_ok = True
     for t in elems:
         label = word_to_str(group, t)
-        pm = approx.action.element_map(t)
+        pm = ref_rule(approx, t)
         in_set = pm.target_set()
         for z in sorted(in_set):
             points += 1
@@ -259,14 +264,16 @@ def checked_elements(draw, group):
 @settings(max_examples=150, deadline=None)
 @given(quotient_models(), st.data())
 def test_strict_report_matches_reference(approx, data):
-    """The model, rho, density witnesses and whole strict reports equal the
-    parent's, on random homomorphisms, tampered rho and elements outside the
-    window."""
+    """The model's rows, rho, density witnesses and whole strict reports
+    equal the parent's, on random homomorphisms, tampered rho and elements
+    outside the window."""
     window = approx.window
     assert approx.rho == tuple(ref_truncate(approx, z) for z in range(approx.num_points))
     elements = data.draw(checked_elements(window.group))
-    for t in window.coords if elements is None else elements:
-        assert approx.action.element_map(t) == ref_rule(approx, t)
+    drawn = list(window.coords if elements is None else elements)
+    for t, row in zip(drawn, approx.map_rows(drawn).tolist()):
+        assert row[-1] == -1
+        assert tuple((z, x) for z, x in enumerate(row[:-1]) if x >= 0) == ref_rule(approx, t).pairs
     if _separates_window(window, approx.hom):
         want = [ref_density_witness(window, approx.hom, x) for x in window.points()]
         assert [_density_witness(approx.images, x) for x in window.points()] == want
@@ -441,7 +448,7 @@ def test_supplied_order_16_hom_with_tampered_rho():
     report = pf.strict_equivariance_report(approx)
     want, pairs = [], 0
     for t in window.coords:
-        pm = approx.action.element_map(t)
+        pm = ref_rule(approx, t)
         pairs += len(pm.pairs)
         want += [{"kind": "pointwise", "element": word_to_str(F2, t), "point": z,
                   "defect": oracle_metric(approx.rho[w], clean[w], window.depth)}
@@ -451,6 +458,25 @@ def test_supplied_order_16_hom_with_tampered_rho():
     assert not report.ok and report.strict_ok
     assert report.max_defect == 0.625  # coordinates 1 and 3 of point 0
     assert report.points_checked == 2 * pairs + len(window.coords) * approx.num_points
+
+
+def test_certificate_path_reads_rows_without_an_action(monkeypatch):
+    """Certifying, re-verifying and measuring read the model's rows and
+    bit table alone: no action object is built and no element map read."""
+    calls = []
+    init, element_map = pf.FinitePartialAction.__init__, pf.FinitePartialAction.element_map
+    monkeypatch.setattr(pf.FinitePartialAction, "__init__",
+                        lambda self, *a, **k: calls.append("init") or init(self, *a, **k))
+    monkeypatch.setattr(pf.FinitePartialAction, "element_map",
+                        lambda self, g: calls.append("element_map") or element_map(self, g))
+    cert = pf.certify_rfd(F2, 0.01)
+    assert cert.depth == 7
+    assert pf.verify_certificate(cert)
+    window = pf.BernoulliWindow.build(F2, cert.depth)
+    tests = [pf.CylinderFunction.coordinate_indicator(k) for k in range(1, cert.depth + 1)]
+    ma = pf.invariant_measure_approx(pf.quotient_approximation(window, cert.hom), tests)
+    assert ma.max_defect == 0.0
+    assert calls == []
 
 
 def test_certify_free_two_frozen():
@@ -658,7 +684,7 @@ def ref_invariant_measure_approx(approx, tests, elements=None):
     for f in tests:
         for t in elems:
             label = word_to_str(group, t)
-            pm = approx.action.element_map(t)
+            pm = ref_rule(approx, t)
             ti = group.inverse(t)
             shifted = [
                 ref_eval_bits(
@@ -671,7 +697,7 @@ def ref_invariant_measure_approx(approx, tests, elements=None):
             ]
             plain = [
                 f.on_window_point(window, approx.rho[z])
-                for z in sorted(approx.action.element_map(ti).target_set())
+                for z in sorted(ref_rule(approx, ti).target_set())
             ]
             defect = abs(math.fsum(shifted) - math.fsum(plain)) / total
             defects.append({"test": f.label or repr(f.coords), "element": label, "defect": defect})

@@ -305,6 +305,18 @@ def test_measure_report(capsys):
     assert vals["x[1] = 1"] == 0.5
 
 
+def test_measure_builds_one_quotient_model(capsys, monkeypatch):
+    """``measure`` averages over the model its certificate checked, not
+    over a second build of it."""
+    builds = []
+    init = pf.QuotientApprox.__init__
+    monkeypatch.setattr(pf.QuotientApprox, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    code, env, _ = run(capsys, ["measure", "--group", "free:1", "--delta", "0.01"])
+    assert code == 0 and env["report"]["quotient_order"] == 8
+    assert len(builds) == 1
+
+
 def test_bundle_axioms_counts(capsys, swap_file):
     code, env, _ = run(capsys, ["bundle-axioms", swap_file, "--trials", "50"])
     assert code == 0

@@ -15,7 +15,7 @@ from conftest import (
     symmetric_group,
 )
 from parfell import reps
-from test_actions import partial_maps, table_rule
+from test_actions import partial_maps, table_action
 
 
 def e(i, j, d=2):
@@ -333,9 +333,9 @@ def test_defect_scans_match_every_pair_reference(case):
 def invalid_std_models(draw):
     """Standard models of actions that mostly fail validation: free actions
     with arbitrary letter maps and declared longer words that disagree
-    with their letters, rule-made maps, and finite groups with arbitrary
-    maps; with the scan elements."""
-    kind = draw(st.sampled_from(["free", "rule", "finite"]))
+    with their letters, arbitrary maps declared on every word a scan
+    reads, and finite groups with arbitrary maps; with the scan elements."""
+    kind = draw(st.sampled_from(["free", "table", "finite"]))
     n = draw(st.integers(1, 3))
     if kind == "finite":
         group = draw(st.sampled_from([pf.cyclic_group(3), pf.cyclic_group(4), symmetric_group(3)]))
@@ -343,10 +343,11 @@ def invalid_std_models(draw):
         return pf.FinitePartialAction(group, n, maps), list(range(group.order))
     group = pf.FreeGroup(draw(st.integers(1, 2)))
     words = [w for w in group.ball(2) if w]
-    elems = group.ball(draw(st.integers(1, 2)))
-    if kind == "rule":
+    radius = draw(st.integers(1, 2))
+    elems = group.ball(radius)
+    if kind == "table":
         table = {w: draw(partial_maps(n, n)) for w in draw(st.lists(st.sampled_from(words), unique=True))}
-        return pf.FinitePartialAction(group, n, {}, rule=table_rule(n, table)), elems
+        return table_action(group, n, table, 2 * radius), elems
     maps = {w: draw(partial_maps(n, n)) for w in group.ball(1) if w}
     for w in draw(st.lists(st.sampled_from([w for w in words if len(w) == 2]), unique=True, max_size=3)):
         if group.inverse(w) not in maps:
@@ -394,16 +395,16 @@ def test_std_model_scans_of_a_valid_action_feed_no_stack(monkeypatch):
     cov = pf.covariance_defects(rep, elements=elems)
     assert fed == []
     assert rel.max_defect() == cov.max_defect() == 0.0
-    # the same scan of a rule-backed copy, which no row settles, feeds stacks
-    copy = pf.PartialRepFamily(act.group, rep.dim, rule=rep.v.matrix)
+    # the same scan of a declared copy, which no row settles, feeds stacks
+    copy = pf.PartialRepFamily(act.group, rep.dim, mats={k: rep.v.matrix(k) for k in act.scan(elems)[0].keys})
     assert pf.partial_rep_defects(copy, elements=elems).to_json() == rel.to_json()
     assert fed
 
 
 def test_std_model_covariance_reads_only_the_elements():
     """Standard-model covariance builds only the elements' own maps: it
-    runs over more elements than a product table allows, and a rule that
-    fails on a product of two elements does not reach it."""
+    runs over more elements than a product table allows, and elements
+    whose products have no data do not reach them."""
     act = random_free_action(np.random.default_rng(5), 2, 4)
     elems = act.group.ball(6)
     assert len(elems) ** 2 > pf.MAX_SCAN_PAIRS
@@ -413,15 +414,14 @@ def test_std_model_covariance_reads_only_the_elements():
     assert (cov.entries, cov.witnesses, cov.skipped) == (
         {"covariance": ref.value}, {"covariance": ref.witness}, [])
 
-    def rule(key):
-        if len(key) > 1:
-            raise pf.MalformedDataError(f"no rule for {key}")
-        return table_rule(2, {(1,): {0: 1, 1: 0}, (-1,): {0: 1, 1: 0}})(key)
-
-    ruled = pf.std_covariant_rep(pf.FinitePartialAction(pf.FreeGroup(1), 2, {}, rule=rule))
-    assert pf.covariance_defects(ruled, elements=[(), (1,), (-1,)]).max_defect() == 0.0
-    with pytest.raises(pf.MalformedDataError):
-        pf.covariance_defects(ruled, elements=[(1, 1)])
+    # b a and its inverse are declared but b is not, so a b a has no map
+    partial = pf.FinitePartialAction(pf.FreeGroup(2), 2, {(1,): {0: 1, 1: 0}, (2, 1): {0: 1}})
+    with pytest.raises(pf.UndeclaredElementError):
+        partial.element_map((1, 2, 1))
+    elems = [(), (1,), (-1,), (2, 1), (-1, -2)]
+    assert pf.covariance_defects(pf.std_covariant_rep(partial), elements=elems).max_defect() == 0.0
+    with pytest.raises(pf.UndeclaredElementError):
+        pf.covariance_defects(pf.std_covariant_rep(partial), elements=[(1, 2, 1)])
     with pytest.raises(pf.UndeclaredElementError):
         pf.covariance_defects(pf.std_covariant_rep(pf.FinitePartialAction(pf.FreeGroup(2), 2, {(1,): {0: 1}})),
                               elements=[(1,), (2,)])
@@ -806,7 +806,7 @@ def test_extract_with_multiplicity(swap_action):
     phi2 = np.stack([np.kron(rep.phi_mats[z], np.eye(2)) for z in range(2)])
     fam2 = pf.PartialRepFamily(
         swap_action.group, 4,
-        rule=lambda key: np.kron(rep.v.matrix(key), np.eye(2)),
+        mats={t: np.kron(rep.v.matrix(t), np.eye(2)) for t in (0, 1)},
     )
     rep2 = pf.CovariantRep(rep.dual, phi2, fam2)
     ext = pf.extract_finite_system(rep2)

@@ -11,12 +11,12 @@ model with left-translation permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .actions import DualSystem, FinitePartialAction
+from .actions import DualSystem, FinitePartialAction, _hits
 from .groups import (
     FiniteGroup,
     FreeGroup,
@@ -27,10 +27,10 @@ from .groups import (
     word_to_str,
 )
 from .matrices import AXIOM_TOL, PreconditionError, adjoints, op_norm, op_norms
-from .reps import DefectReport, _stack, _Worst, std_covariant_rep
+from .reps import CovariantRep, DefectReport, _stack, _Worst, std_covariant_rep
 
 MAX_MODEL_ORDER = 64
-MAX_MODEL_SIZE = 512  # n * m guard: bounds image, reduced_norm and commutator_coordinates' d^2 pairs
+MAX_MODEL_SIZE = 512  # n * |G| bound on the square matrices of image, so of reduced_norm
 
 
 class Section:
@@ -128,19 +128,14 @@ def expectation(x: Section) -> np.ndarray:
 # matrix model over a finite group
 
 
-def _svd_rank(mat: np.ndarray) -> int:
-    """Singular values above ``max(shape) * eps`` times the largest."""
-    svals = np.linalg.svd(mat, compute_uv=False)
-    cutoff = max(mat.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    return int(np.sum(svals > cutoff))
-
-
 class CrossedProductModel:
     """Faithful matrix model of the section algebra of a finite-group action.
 
     A term ``a`` at element ``s`` maps to ``phi(a) v_s (x) lambda_s`` where
     lambda is left translation; the basis is enumerated point-major, then by
-    group element.
+    group element.  Everything but ``image`` reads the int rows of the
+    action's scan of the whole group, so the model and its centre share one
+    pass; ``rep`` and ``dual`` are built on first use.
     """
 
     def __init__(self, action: FinitePartialAction) -> None:
@@ -149,22 +144,29 @@ class CrossedProductModel:
             raise MalformedDataError("matrix models require a finite group")
         if group.order > MAX_MODEL_ORDER:
             raise MalformedDataError(f"group order {group.order} exceeds {MAX_MODEL_ORDER}")
-        if action.n * group.order > MAX_MODEL_SIZE:
-            raise MalformedDataError("model matrices would be too large")
         self.action = action
-        self.rep = std_covariant_rep(action)
-        self.dual = self.rep.dual
         self.group = group
-        supports = [set(action.support(t)) for t in range(group.order)]
-        self.basis: list[tuple[int, int]] = [
-            (z, t) for z in range(action.n) for t in range(group.order) if z in supports[t]
-        ]
+        _, self.rows, lacks, self._identities = action.scan(list(range(group.order)))
+        if lacks.any():
+            action.element_map(int(np.argmax(lacks)))  # raises its error
+        z, t = np.nonzero(_hits(self.rows)[:, : action.n].T)
+        self.basis: list[tuple[int, int]] = list(zip(z.tolist(), t.tolist()))
+
+    @cached_property
+    def rep(self) -> CovariantRep:
+        return std_covariant_rep(self.action)
+
+    @cached_property
+    def dual(self) -> DualSystem:
+        return self.rep.dual
 
     @property
     def model_size(self) -> int:
         return self.action.n * self.group.order
 
     def image(self, x: Section) -> np.ndarray:
+        if self.model_size > MAX_MODEL_SIZE:
+            raise MalformedDataError("model matrices would be too large")
         m = self.group.order
         table = np.asarray(self.group.table, dtype=np.int64)
         total = np.zeros((self.model_size, self.model_size), dtype=np.complex128)
@@ -186,51 +188,31 @@ class CrossedProductModel:
         """
         return len(self.basis)
 
-    def commutator_coordinates(self) -> np.ndarray:
-        """All commutators ``[b_k, b_j]`` of the basis images, exactly.
-
-        Basis image ``(z, t)`` is the monomial ``E_{z,u} (x) lambda_t``: row
-        ``z`` of ``v_t`` must be a single entry equal to 1, in column ``u``.
-        Products of monomials are monomials,
-        ``b_k b_j = [u_k == z_j] E_{z_k,u_j} (x) lambda_{t_k t_j}``, and
-        distinct monomials have disjoint supports and squared Frobenius norm
-        ``|G|``.  So column ``k`` lists the +-1 coefficients of every
-        ``[b_k, b_j]`` on rows keyed by ``(j, z, u', g)``, and the singular
-        values are the dense commutator stack's divided by ``sqrt(|G|)``.
-        """
-        z, u, t = (np.zeros(len(self.basis), dtype=np.int64) for _ in range(3))
-        for i, (zi, ti) in enumerate(self.basis):
-            row = self.rep.v.matrix(ti)[zi]
-            hits = np.flatnonzero(row)
-            if hits.size != 1 or row[hits[0]] != 1:
-                raise PreconditionError(
-                    f"row {zi} of the matrix of {word_to_str(self.group, ti)} is not a matrix unit"
-                )
-            z[i], u[i], t[i] = zi, hits[0], ti
-        d, n, m = len(self.basis), self.action.n, self.group.order
-        table = np.asarray(self.group.table, dtype=np.int64)
-        k, j = (a.ravel() for a in np.indices((d, d)))
-        left = u[k] == z[j]   # b_k b_j = E_{z_k,u_j} (x) lambda_{t_k t_j}
-        right = u[j] == z[k]  # b_j b_k = E_{z_j,u_k} (x) lambda_{t_j t_k}
-        keys = np.concatenate([
-            (((j * n + z[k]) * n + u[j]) * m + table[t[k], t[j]])[left],
-            (((j * n + z[j]) * n + u[k]) * m + table[t[j], t[k]])[right],
-        ])
-        cols = np.concatenate([k[left], k[right]])
-        vals = np.concatenate([np.ones(left.sum()), -np.ones(right.sum())])
-        rows, row_of = np.unique(keys, return_inverse=True)
-        mat = np.zeros((rows.size, d))
-        np.add.at(mat, (row_of, cols), vals)
-        return mat
-
     def center_dimension(self) -> int:
-        """Dimension of the commutant of the image inside the image span.
+        """Dimension of the centre: over the orbits, the number of conjugacy
+        classes of the isotropy group.
 
-        The rank of the commutator map ``x -> ([x, b_j])_j`` on the span,
-        taken from its exact monomial coordinates
-        (``commutator_coordinates``) without forming any model matrix.
+        For a partial action the algebra is that of the transformation
+        groupoid, ``(+)_O M_|O|(C[G_x])`` over orbits ``O`` with base point
+        ``x``, and the centre of ``M_k(C[H])`` is the class functions of
+        ``H``.  The defined entries of column ``x`` of the rows are the
+        orbit of ``x``, each orbit based at its least point, and
+        ``rows[:, x] == x`` marks ``G_x``.  A group ``H`` has
+        ``|{(a, b) in H^2 : ab = ba}| / |H|`` classes.  Raises
+        ``PreconditionError`` unless the identity acts as the identity and
+        the scan's ``row_identities`` all hold; with the identity row in
+        place, ``ranges`` at ``(s, e)`` fails for every non-injective map.
         """
-        return len(self.basis) - _svd_rank(self.commutator_coordinates())
+        n = self.action.n
+        rows = self.rows[:, :n]
+        compose, ranges, triple = self._identities
+        if (compose | ranges | triple).any() or (rows[0] != np.arange(n)).any():
+            raise PreconditionError("the element maps do not form a partial action (see validate-action)")
+        base = np.flatnonzero(np.where(rows >= 0, rows, n).min(axis=0) == np.arange(n))
+        iso = (rows[:, base] == base).astype(np.int64)
+        table = np.asarray(self.group.table)
+        pairs = (((table == table.T).astype(np.int64) @ iso) * iso).sum(axis=0)
+        return int((pairs // iso.sum(axis=0)).sum())
 
 
 def build_model(action: FinitePartialAction) -> CrossedProductModel:
@@ -238,11 +220,11 @@ def build_model(action: FinitePartialAction) -> CrossedProductModel:
 
     The basis images are independent (see ``dimension``), so the rank check
     is a count.  It fails exactly when some element's map is not injective:
-    its ``V_t`` then lists a point twice, and the section count exceeds the
-    basis.
+    two of its points then share an image, and the section count (the
+    defined row entries) exceeds the basis.
     """
     model = CrossedProductModel(action)
-    expected = sum(len(action.support(t)) for t in range(action.group.order))
+    expected = int(np.count_nonzero(model.rows >= 0))
     if len(model.basis) != expected:
         raise PreconditionError(
             f"model rank {len(model.basis)} differs from the section count {expected}"

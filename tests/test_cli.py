@@ -1,6 +1,9 @@
 """End-to-end command line coverage through in-process main()."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -245,6 +248,64 @@ def test_non_injective_action_round_trips_through_json(capsys, tmp_path):
     code, env, _ = run(capsys, ["crossed-product", str(path)])
     assert code == 2
     assert env["error"] == "PreconditionError: model rank 3 differs from the section count 4"
+
+
+def test_crossed_product_rejects_non_action(capsys, broken_file):
+    # injective maps whose composition identity fails: the centre formula
+    # holds for partial actions only
+    code, env, _ = run(capsys, ["crossed-product", broken_file])
+    assert code == 2
+    assert env["error"] == (
+        "PreconditionError: the element maps do not form a partial action (see validate-action)"
+    )
+
+
+def _free_cyclic_file(tmp_path, m):
+    act = pf.FinitePartialAction(
+        pf.cyclic_group(m), m, {t: {z: (z + t) % m for z in range(m)} for t in range(m)}
+    )
+    path = tmp_path / f"z{m}.json"
+    path.write_text(json.dumps(pf.action_to_json(act)))
+    return str(path)
+
+
+def test_crossed_product_runs_past_the_model_matrix_bound(capsys, tmp_path):
+    # n * |G| = 4096: only image and reduced_norm form matrices that large
+    code, env, _ = run(capsys, ["crossed-product", _free_cyclic_file(tmp_path, 64)])
+    assert code == 0
+    assert env["report"]["dimension"] == 4096
+    assert env["report"]["center_dimension"] == 1
+
+
+def test_crossed_product_runs_no_svd(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("crossed-product called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    code, env, _ = run(capsys, ["crossed-product", _free_cyclic_file(tmp_path, 16)])
+    assert code == 0
+    assert env["report"]["center_dimension"] == 1
+
+
+def test_commands_leave_numpy_ma_unloaded():
+    """One crossed-product, covariant-rep, perturb and bernoulli certify run
+    in a fresh interpreter import no ``numpy.ma`` (plain ``np.unique`` does),
+    which would add to every command's start-up time and memory."""
+    script = """
+import contextlib, io, sys
+from parfell.cli import main
+for argv in (["crossed-product", "cyclic6.json"], ["covariant-rep", "free2.json", "--radius", "2"],
+             ["perturb", "cyclic6.json", "--eta", "0.1", "--noise", "0.003", "--radius", "2"],
+             ["bernoulli", "certify", "--group", "free:1", "--delta", "0.2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], cwd=DATA, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_bernoulli_certify_report(capsys):

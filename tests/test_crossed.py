@@ -143,6 +143,41 @@ def dense_center(model):
     return dim - nonzero.size, nonzero
 
 
+def commutator_coordinates(model):
+    """All commutators ``[b_k, b_j]`` of the basis images, exactly.
+
+    Basis image ``(z, t)`` is the monomial ``E_{z,u} (x) lambda_t``: row
+    ``z`` of ``v_t`` must be a single entry equal to 1, in column ``u``.
+    Products of monomials are monomials,
+    ``b_k b_j = [u_k == z_j] E_{z_k,u_j} (x) lambda_{t_k t_j}``, and
+    distinct monomials have disjoint supports and squared Frobenius norm
+    ``|G|``.  So column ``k`` lists the +-1 coefficients of every
+    ``[b_k, b_j]`` on rows keyed by ``(j, z, u', g)``, and the singular
+    values are the dense commutator stack's divided by ``sqrt(|G|)``.
+    """
+    z, u, t = (np.zeros(len(model.basis), dtype=np.int64) for _ in range(3))
+    for i, (zi, ti) in enumerate(model.basis):
+        row = model.rep.v.matrix(ti)[zi]
+        hits = np.flatnonzero(row)
+        assert hits.size == 1 and row[hits[0]] == 1
+        z[i], u[i], t[i] = zi, hits[0], ti
+    d, n, m = len(model.basis), model.action.n, model.group.order
+    table = np.asarray(model.group.table, dtype=np.int64)
+    k, j = (a.ravel() for a in np.indices((d, d)))
+    left = u[k] == z[j]   # b_k b_j = E_{z_k,u_j} (x) lambda_{t_k t_j}
+    right = u[j] == z[k]  # b_j b_k = E_{z_j,u_k} (x) lambda_{t_j t_k}
+    keys = np.concatenate([
+        (((j * n + z[k]) * n + u[j]) * m + table[t[k], t[j]])[left],
+        (((j * n + z[j]) * n + u[k]) * m + table[t[j], t[k]])[right],
+    ])
+    cols = np.concatenate([k[left], k[right]])
+    vals = np.concatenate([np.ones(left.sum()), -np.ones(right.sum())])
+    rows, row_of = np.unique(keys, return_inverse=True)
+    mat = np.zeros((rows.size, d))
+    np.add.at(mat, (row_of, cols), vals)
+    return mat
+
+
 MODEL_GROUPS = [pf.cyclic_group(m) for m in range(2, 7)] + [symmetric_group(3)]
 INJECTIVE_KINDS = ("random", "empty", "identity-only")
 
@@ -170,19 +205,6 @@ def partial_injection_systems(draw, kinds=INJECTIVE_KINDS):
         else:
             maps[t] = {}
     return pf.FinitePartialAction(group, n, maps)
-
-
-@settings(max_examples=80, deadline=None)
-@given(partial_injection_systems())
-def test_center_dimension_matches_dense_commutator_stack(act):
-    model = pf.build_model(act)
-    center, dense_svals = dense_center(model)
-    assert model.center_dimension() == center
-    if not model.basis:
-        return
-    nonzero = nonzero_svals(model.commutator_coordinates())
-    assert nonzero.shape == dense_svals.shape
-    assert np.allclose(nonzero, dense_svals / np.sqrt(act.group.order), rtol=1e-9, atol=0.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -276,7 +298,37 @@ def test_model_dimensions_match_groupoid_formulas():
         assert pf.validate(act).ok
         model = pf.build_model(act)
         assert model.dimension() == sum(len(act.support(t)) for t in range(act.group.order))
-        assert model.center_dimension() == groupoid_center_dimension(act)
+        center = model.center_dimension()
+        assert center == groupoid_center_dimension(act)
+        assert center == len(model.basis) - nonzero_svals(commutator_coordinates(model)).size
+
+
+@st.composite
+def restricted_actions(draw):
+    """``random_restricted_action`` on a drawn group and seed."""
+    group = draw(st.sampled_from(MODEL_GROUPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_restricted_action(rng, group)
+
+
+# at most 6 points, as in partial_injection_systems: the dense stack holds
+# basis^2 matrices of side n * |G|
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(partial_injection_systems(), restricted_actions().filter(lambda act: act.n <= 6)))
+def test_center_dimension_matches_dense_commutator_stack(act):
+    model = pf.build_model(act)
+    if not pf.validate(act).ok:
+        with pytest.raises(pf.PreconditionError):
+            model.center_dimension()
+        return
+    center, dense_svals = dense_center(model)
+    assert model.center_dimension() == center
+    if not model.basis:
+        return
+    nonzero = nonzero_svals(commutator_coordinates(model))
+    assert center == len(model.basis) - nonzero.size
+    assert nonzero.shape == dense_svals.shape
+    assert np.allclose(nonzero, dense_svals / np.sqrt(act.group.order), rtol=1e-9, atol=0.0)
 
 
 def test_model_is_homomorphism_and_star():
@@ -339,10 +391,16 @@ def test_model_guards():
     with pytest.raises(pf.MalformedDataError):
         big = pf.cyclic_group(65)
         pf.build_model(pf.FinitePartialAction(big, 1, {j: {0: 0} for j in range(65)}))
+    # the n * |G| bound sits on the model matrices alone
+    wide = pf.cyclic_group(60)
+    ident = {z: z for z in range(9)}
+    model = pf.build_model(pf.FinitePartialAction(wide, 9, {j: dict(ident) for j in range(60)}))
+    assert (model.dimension(), model.center_dimension()) == (540, 540)
+    x = delta_section(model.dual, 0, 1)
     with pytest.raises(pf.MalformedDataError):
-        wide = pf.cyclic_group(60)
-        ident = {z: z for z in range(9)}
-        pf.build_model(pf.FinitePartialAction(wide, 9, {j: dict(ident) for j in range(60)}))
+        model.image(x)
+    with pytest.raises(pf.MalformedDataError):
+        pf.reduced_norm(model, x)
     with pytest.raises(pf.MalformedDataError):
         f1 = pf.FreeGroup(rank=1)
         pf.build_model(pf.FinitePartialAction(f1, 2, {(1,): {0: 1, 1: 0}}))

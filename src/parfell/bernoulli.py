@@ -59,9 +59,6 @@ class BernoulliWindow:
     def num_points(self) -> int:
         return 1 << self.depth
 
-    def points(self) -> range:
-        return range(self.num_points)
-
     def bit(self, point: int, k: int) -> int:
         if k == 0:
             return 1
@@ -125,8 +122,9 @@ def _read(bits: np.ndarray, gammas: Sequence[int]) -> np.ndarray:
     return (1 << np.arange(len(gammas))) @ bits[np.asarray(gammas, dtype=np.intp)]
 
 
-# QuotientApprox enumerates 2^(order-1) configurations, so larger quotients
-# cannot finish.
+# QuotientApprox (so measure and strict_equivariance_report) enumerates
+# 2^(order-1) configurations; certificates enumerate none but keep the bound,
+# so that every certified homomorphism can be measured.
 MAX_QUOTIENT_ORDER = 16
 
 
@@ -139,12 +137,19 @@ def _check_max_order(max_order: int) -> None:
         )
 
 
-def quotient_approximation(window: BernoulliWindow, hom: GroupHom, max_order: int = 16) -> QuotientApprox:
+def _check_quotient(window: BernoulliWindow, hom: GroupHom, max_order: int) -> None:
+    """The guards of a quotient model, built or not."""
     _check_max_order(max_order)
     if hom.target.order > max_order:
         raise MalformedDataError(
             f"quotient order {hom.target.order} exceeds the supported {max_order}"
         )
+    if hom.source != window.group:
+        raise MalformedDataError("homomorphism source must be the window group")
+
+
+def quotient_approximation(window: BernoulliWindow, hom: GroupHom, max_order: int = 16) -> QuotientApprox:
+    _check_quotient(window, hom, max_order)
     return QuotientApprox(window, hom)
 
 
@@ -229,7 +234,9 @@ def _search_hom(
     Targets run cyclic first, then products of two cyclic groups, each with
     its generator images in ``itertools.product`` order.  Targets smaller
     than the window are skipped unbuilt.  Generators that no window word
-    uses go to 0, as they do in the first separating tuple.
+    uses go to 0, as they do in the first separating tuple.  A target whose
+    ``MAX_SEARCH_TUPLES`` run out is passed over; its error is raised only
+    when no later target separates.
     """
     if not isinstance(group, FreeGroup):
         raise MalformedDataError(
@@ -241,20 +248,27 @@ def _search_hom(
     targets = [(m,) for m in range(2, min(max_cyclic, max_order) + 1)] + [
         (a, b) for a in range(2, max_cyclic + 1) for b in range(a, max_cyclic + 1) if a * b <= max_order
     ]
+    cut_short = None
     for factors in targets:
         if math.prod(factors) < len(window.coords):
             continue
         target = direct_product(*map(cyclic_group, factors)) if len(factors) == 2 else cyclic_group(*factors)
-        found = _first_separating(target, window.coords, used)
+        try:
+            found = _first_separating(target, window.coords, used)
+        except MalformedDataError as err:  # over budget: the next target may separate
+            cut_short = cut_short or err
+            continue
         if found is not None:
             images = dict(zip(used, found))
             return GroupHom(source=group, target=target,
                             images=tuple(images.get(g, 0) for g in range(1, group.rank + 1)))
+    if cut_short is not None:
+        raise cut_short
     return None
 
 
 # image tuples one target's search may evaluate, about a second of blocks
-# over a window of 16 words; a search that needs more stops with an error
+# over a window of 16 words; a target that needs more is passed over
 MAX_SEARCH_TUPLES = 1 << 21
 
 
@@ -302,19 +316,13 @@ def certify_rfd(
     """Produce a finite-quotient certificate at the requested tolerance.
 
     Picks the window depth with tail weight below ``delta``, finds (or
-    checks) a homomorphism separating the window coordinates, verifies
-    strict equivariance exactly, and enumerates every window point's density
-    witness.  Raises ``CertificationError`` when no homomorphism works and
-    ``MalformedDataError`` when ``max_order`` is outside
+    checks) a homomorphism separating the window coordinates, and proves
+    strict equivariance from the quotient table.  Separation makes every
+    density witness (a window point on the window images, 0 elsewhere) truncate
+    back to its point.  Raises ``CertificationError`` when no homomorphism
+    works and ``MalformedDataError`` when ``max_order`` is outside
     ``1..MAX_QUOTIENT_ORDER``.
     """
-    return _certify(group, delta, hom, max_order, max_cyclic)[0]
-
-
-def _certify(
-    group: GroupSpec, delta: float, hom: GroupHom | None, max_order: int, max_cyclic: int = 12
-) -> tuple[RfdCertificate, QuotientApprox]:
-    """``certify_rfd``'s certificate and the quotient model it checked."""
     _check_max_order(max_order)
     depth = _required_depth(delta)
     window = BernoulliWindow.build(group, depth)
@@ -331,69 +339,64 @@ def _certify(
             raise CertificationError(
                 "no homomorphism within the search budget separates the window"
             )
-
-    approx, eq, worst = _quotient_checks(window, hom, max_order)
-    if not (eq.ok and eq.strict_ok):
+    if not _strictly_equivariant(window, hom, max_order):
         raise CertificationError("quotient approximation is not strictly equivariant")
-    bound = 2.0 ** (-depth)
-    if worst > bound:
-        raise CertificationError("density witnesses exceed the tail bound")
-    cert = RfdCertificate(
+    return RfdCertificate(
         group=group,
         delta=float(delta),
         depth=depth,
         hom=hom,
-        density_bound=bound,
-        max_window_distance=worst,
-        equivariance_defect=eq.max_defect,
-        points_checked={"window": window.num_points, "quotient": approx.num_points},
+        density_bound=2.0 ** (-depth),
+        max_window_distance=0.0,
+        equivariance_defect=0.0,
+        points_checked={"window": window.num_points, "quotient": 1 << (hom.target.order - 1)},
     )
-    return cert, approx
 
 
-def _quotient_checks(
-    window: BernoulliWindow, hom: GroupHom, max_order: int
-) -> tuple[QuotientApprox, EquivarianceReport, float]:
-    """The quotient model, its strict report, and the largest window
-    distance from a point to ``rho`` of its density witness."""
-    approx = quotient_approximation(window, hom, max_order=max_order)
-    eq = strict_equivariance_report(approx)
-    x = np.arange(window.num_points)
-    z = _density_witness(approx.images, x)
-    worst = float(np.max(metric(np.asarray(approx.rho)[z], x, window.depth)))
-    return approx, eq, worst
+def _strictly_equivariant(window: BernoulliWindow, hom: GroupHom, max_order: int) -> bool:
+    """``ok and strict_ok`` of the model's strict report over the window,
+    read off the quotient table with no configuration built.
 
-
-def _density_witness(images: Sequence[int], x):
-    """The configuration equal to x on window images and 0 elsewhere, of a
-    window point or elementwise of an int array of them."""
-    z = 0
-    for i, gamma in enumerate(images[1:]):
-        z = z | ((x >> i) & 1) << (gamma - 1)
-    return z
+    Configurations have a bit ``z_y`` per quotient element, ``z_0 = 1``.
+    For a window image ``c``, ``g = inverse(c)`` and ``s = table[g]``, the
+    shift maps ``z`` with ``z_g = 1`` to ``x_y = z_s(y)`` (``y = 1..m-1``)
+    and the window set is ``x_c = 1``; on the domain only ``z_0``, ``z_g``
+    are fixed.  So image holds iff ``c = 0`` or ``s(c)`` is 0 or ``g``, and
+    then strict iff ``s`` is one-to-one from ``{1..m-1} - {c}`` into
+    ``{1..m-1} - {g}``: ``s(1..m-1)`` has that many values besides 0, ``g``.
+    ``rho`` of the shift reads ``z`` at ``s(c_k)`` and the wanted value at
+    ``table[g][c_k]``, the same index unless a window image ``c_k`` (k >= 1)
+    is 0, which separation excludes; there ``x_0 = 1``, so pointwise needs
+    ``s(0)`` to be 0 or ``g``.  The shift never reads ``s(0)``: a
+    permutation row with ``s(0) = g`` suffices but is not necessary.
+    """
+    _check_quotient(window, hom, max_order)
+    q = hom.target
+    images = [hom.apply(t) for t in window.coords]
+    m, reads_s0 = q.order, 0 in images[1:]
+    for c in images:
+        g = q.inverse(c)
+        s = q.table[g]
+        strict = len(set(s[1:]) - {0, g}) == m - 1 - (c != 0)
+        if not (strict and (c == 0 or s[c] in (0, g)) and (not reads_s0 or s[0] in (0, g))):
+            return False
+    return True
 
 
 def verify_certificate(cert: RfdCertificate, max_order: int = 16) -> bool:
-    """Re-run the whole construction recorded in a certificate."""
+    """Certify again from the recorded group, delta and homomorphism.  The
+    depth, tail bound and point counts must match, and the recorded defect
+    and window distance must bound the derived ones, within the tail bound."""
     try:
-        depth = _required_depth(cert.delta)
-        if depth != cert.depth:
-            return False
-        if cert.density_bound != 2.0 ** (-depth) or cert.density_bound >= cert.delta:
-            return False
-        window = BernoulliWindow.build(cert.group, depth)
-        if not _separates_window(window, cert.hom):
-            return False
-        approx, eq, worst = _quotient_checks(window, cert.hom, max_order)
-        return (
-            eq.ok
-            and eq.strict_ok
-            and eq.max_defect <= cert.equivariance_defect
-            and worst <= cert.density_bound
-            and cert.points_checked == {"window": window.num_points, "quotient": approx.num_points}
-        )
+        again = certify_rfd(cert.group, cert.delta, hom=cert.hom, max_order=max_order)
     except (MalformedDataError, CertificationError):
         return False
+    return (
+        (cert.depth, cert.density_bound, cert.points_checked)
+        == (again.depth, again.density_bound, again.points_checked)
+        and again.equivariance_defect <= cert.equivariance_defect
+        and again.max_window_distance <= cert.max_window_distance <= cert.density_bound
+    )
 
 
 # ---------------------------------------------------------------------------

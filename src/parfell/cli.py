@@ -24,9 +24,10 @@ from . import __version__
 from .actions import DualSystem, FinitePartialAction, action_from_json, validate
 from .bernoulli import (
     MAX_QUOTIENT_ORDER,
+    BernoulliWindow,
     CertificationError,
     CylinderFunction,
-    _certify,
+    QuotientApprox,
     certify_rfd,
     invariant_measure_approx,
     verify_certificate,
@@ -330,13 +331,12 @@ def _run_certify(args, seed, tol):
 
 def _run_measure(args, seed, tol):
     inputs, group, hom = _certificate_inputs(args)
-    # the quotient model the certificate checked is the one averaged over
-    cert, approx = _certify(group, args.delta, hom, args.max_order)
+    cert = certify_rfd(group, args.delta, hom=hom, max_order=args.max_order)
     tests = [CylinderFunction.constant(1.0)]
     tests.extend(
         CylinderFunction.coordinate_indicator(k) for k in range(1, cert.depth + 1)
     )
-    ma = invariant_measure_approx(approx, tests)
+    ma = invariant_measure_approx(QuotientApprox(BernoulliWindow.build(group, cert.depth), cert.hom), tests)
     report = {
         "N": cert.depth,
         "quotient_order": cert.hom.target.order,

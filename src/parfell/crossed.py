@@ -29,7 +29,6 @@ from .groups import (
 from .matrices import AXIOM_TOL, PreconditionError, adjoints, op_norm, op_norms
 from .reps import CovariantRep, DefectReport, _stack, _Worst, std_covariant_rep
 
-MAX_MODEL_ORDER = 64
 MAX_MODEL_SIZE = 512  # n * |G| bound on the square matrices of image, so of reduced_norm
 
 
@@ -142,8 +141,6 @@ class CrossedProductModel:
         group = action.group
         if not isinstance(group, FiniteGroup):
             raise MalformedDataError("matrix models require a finite group")
-        if group.order > MAX_MODEL_ORDER:
-            raise MalformedDataError(f"group order {group.order} exceeds {MAX_MODEL_ORDER}")
         self.action = action
         self.group = group
         _, self.rows, lacks, self._identities = action.scan(list(range(group.order)))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import parfell as pf
 from parfell import bernoulli
 from parfell.actions import EquivarianceReport
-from parfell.bernoulli import _density_witness, _separates_window
+from parfell.bernoulli import _separates_window, _strictly_equivariant
 from parfell.groups import word_to_str
 from conftest import symmetric_group
 
@@ -230,6 +231,24 @@ def ref_density_witness(window, hom, x):
     return z
 
 
+def density_witness(images, x):
+    """The configuration equal to x on window images and 0 elsewhere, of a
+    window point or elementwise of an int array of them: the certificate's
+    density witness, which a separating homomorphism makes exact."""
+    z = 0
+    for i, gamma in enumerate(images[1:]):
+        z = z | ((x >> i) & 1) << (gamma - 1)
+    return z
+
+
+def window_distance(approx):
+    """The largest window distance from a point to ``rho`` of its density
+    witness, over every window point at once."""
+    x = np.arange(approx.window.num_points)
+    z = density_witness(approx.images, x)
+    return float(np.max(pf.metric(np.asarray(approx.rho)[z], x, approx.window.depth)))
+
+
 QUOTIENTS = [pf.cyclic_group(m) for m in range(1, 13)] + [
     pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(2)),
     symmetric_group(3),
@@ -275,9 +294,9 @@ def test_strict_report_matches_reference(approx, data):
         assert row[-1] == -1
         assert tuple((z, x) for z, x in enumerate(row[:-1]) if x >= 0) == ref_rule(approx, t).pairs
     if _separates_window(window, approx.hom):
-        want = [ref_density_witness(window, approx.hom, x) for x in window.points()]
-        assert [_density_witness(approx.images, x) for x in window.points()] == want
-        at_once = _density_witness(approx.images, np.arange(window.num_points))
+        want = [ref_density_witness(window, approx.hom, x) for x in range(window.num_points)]
+        assert [density_witness(approx.images, x) for x in range(window.num_points)] == want
+        at_once = density_witness(approx.images, np.arange(window.num_points))
         assert np.broadcast_to(at_once, window.num_points).tolist() == want
     if data.draw(st.booleans()):
         tampered = list(approx.rho)
@@ -288,6 +307,125 @@ def test_strict_report_matches_reference(approx, data):
     want = ref_strict_equivariance_report(approx, elements)
     assert got == want
     assert got.to_json() == want.to_json()
+
+
+def dihedral_group(n):
+    """The dihedral group of order 2n: r^k s^f at index k + n f, with
+    (k1, f1)(k2, f2) = (k1 + (-1)^f1 k2, f1 xor f2)."""
+    def mul(a, b):
+        (k1, f1), (k2, f2) = divmod(a, n)[::-1], divmod(b, n)[::-1]
+        return (k1 + (-k2 if f1 else k2)) % n + n * (f1 ^ f2)
+
+    return pf.FiniteGroup(tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n)))
+
+
+def tampered(group, entries):
+    """A copy of ``group`` whose table is overwritten at ``(row, col)`` after
+    construction, past the table checks; its inverses stay the original
+    ones."""
+    copy = pf.FiniteGroup(group.table, group.labels)
+    table = [list(row) for row in copy.table]
+    for (row, col), value in entries.items():
+        table[row][col] = value
+    object.__setattr__(copy, "table", tuple(map(tuple, table)))
+    return copy
+
+
+ORACLE_TARGETS = [pf.cyclic_group(m) for m in range(1, 13)] + [
+    pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(2)),
+    pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(4)),
+    pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(6)),
+    symmetric_group(3),
+    dihedral_group(4),
+    dihedral_group(6),
+]
+
+
+@st.composite
+def table_models(draw):
+    """A window of free:1, free:2 or free:3 of depth at most 5 and a
+    random homomorphism into a quotient of order at most 12, abelian or
+    not, whose table is tampered at up to three entries half the time.
+    Tampered entries favour the rows the window's images read and their
+    pinned column 0."""
+    group = draw(st.sampled_from([Z, F2, pf.FreeGroup(3)]))
+    target = draw(st.sampled_from(ORACLE_TARGETS))
+    m = target.order
+    images = tuple(draw(st.lists(st.integers(0, m - 1), min_size=group.rank, max_size=group.rank)))
+    window = pf.BernoulliWindow.build(group, draw(st.integers(0, 5)))
+    hom = pf.GroupHom(source=group, target=target, images=images)
+    gammas = sorted({hom.apply(t) for t in window.coords})
+    rows = st.one_of(st.sampled_from([target.inverse(c) for c in gammas]), st.integers(0, m - 1))
+    cols = st.one_of(st.just(0), st.sampled_from(gammas), st.integers(0, m - 1))
+    entries = draw(st.dictionaries(st.tuples(rows, cols), st.integers(0, m - 1),
+                                   min_size=1, max_size=3)) if draw(st.booleans()) else {}
+    return window, pf.GroupHom(source=group, target=tampered(target, entries), images=images)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_models())
+def test_identity_check_matches_the_exhaustive_report(model):
+    """The certificate's table identities give the strict report's verdict
+    over every configuration, on random and tampered tables.  For a
+    separating homomorphism, certifying either fails with that verdict or
+    records the exhaustive defect, window distance and point counts."""
+    window, hom = model
+    approx = pf.QuotientApprox(window, hom)
+    report = pf.strict_equivariance_report(approx)
+    verdict = report.ok and report.strict_ok
+    assert _strictly_equivariant(window, hom, 16) == verdict
+    if not _separates_window(window, hom):
+        return
+    delta = 1.5 * 2.0 ** -window.depth
+    if verdict:
+        cert = pf.certify_rfd(window.group, delta, hom=hom)
+        assert (cert.equivariance_defect, cert.max_window_distance) == (report.max_defect, window_distance(approx))
+        assert cert.points_checked == {"window": window.num_points, "quotient": approx.num_points}
+    else:
+        with pytest.raises(pf.CertificationError, match="not strictly equivariant"):
+            pf.certify_rfd(window.group, delta, hom=hom)
+
+
+def test_identity_check_fails_where_the_exhaustive_report_does():
+    """On free:1 at depth 3 into Z/4 each tampered entry breaks the
+    identities the exhaustive report names, and both checks reject it; an
+    entry of the pinned column that no window image reads breaks nothing,
+    although its row is then no permutation."""
+    window = pf.BernoulliWindow.build(Z, 3)
+    z4 = pf.cyclic_group(4)
+    cases = [  # images (0, 1, 3, 2): for a, g = 3 and row 3 is (3, 0, 1, 2)
+        ((1,), {(3, 1): 2}, {"image", "strict"}),  # x_1 and x_3 both read z_2
+        ((1,), {(3, 2): 2}, {"strict"}),
+        ((1,), {(3, 0): 1}, set()),
+        # images (0, 2, 2, 0): a^2 goes to 0, so rho reads the pinned column
+        ((2,), {(2, 0): 1}, {"pointwise"}),
+        ((2,), {}, set()),
+    ]
+    for images, entries, kinds in cases:
+        hom = pf.GroupHom(source=Z, target=tampered(z4, entries), images=images)
+        report = pf.strict_equivariance_report(pf.QuotientApprox(window, hom))
+        assert {v["kind"] for v in report.violations} == kinds
+        assert _strictly_equivariant(window, hom, 16) == (not kinds)
+
+
+def test_certify_and_verify_build_no_quotient_model(monkeypatch):
+    """Certifying and re-verifying an order-16 quotient build no model and
+    allocate far less than one row of its 2^15 configurations."""
+    def refuse(self, *args):
+        raise AssertionError("QuotientApprox built")
+
+    monkeypatch.setattr(pf.QuotientApprox, "__init__", refuse)
+    hom = pf.GroupHom(source=F2, target=pf.direct_product(pf.cyclic_group(4), pf.cyclic_group(4)),
+                      images=(1, 4))
+    tracemalloc.start()
+    try:
+        cert = pf.certify_rfd(F2, 0.01, hom=hom)
+        assert pf.verify_certificate(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.points_checked == {"window": 128, "quotient": 32768}
+    assert peak < 32768 * np.dtype(np.intp).itemsize
 
 
 def test_separation_skips_apply_when_window_outgrows_quotient(monkeypatch):
@@ -391,6 +529,27 @@ def test_search_stops_after_its_tuple_budget(monkeypatch):
         bernoulli._first_separating(pf.cyclic_group(6), coords, [1, 2, 3])
     monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 216)
     assert bernoulli._first_separating(pf.cyclic_group(6), coords, [1, 2, 3]) is None
+
+
+def test_search_passes_over_a_target_past_its_budget(monkeypatch):
+    """The window of depth 5 on free:2 has 6 coordinates.  Z/6 separates
+    it under none of its 36 tuples, Z/7 first under tuple 10, (1, 3), and
+    Z/2 x Z/4 first under tuple 13, (1, 5).  A budget that cuts Z/6 short
+    goes on to the later targets and finds what the full search finds; a
+    budget that cuts every target short raises the first one's error."""
+    monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 11)
+    cert = pf.certify_rfd(F2, 0.05)
+    assert cert.depth == 5 and cert.hom.target.order == 7 and cert.hom.images == (1, 3)
+    monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 14)
+    cert = pf.certify_rfd(F2, 0.05, max_cyclic=6)  # Z/6 and Z/2 x Z/3 are cut short
+    assert cert.hom.target == pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(4))
+    assert cert.hom.images == (1, 5)
+    monkeypatch.undo()
+    assert pf.certify_rfd(F2, 0.05, max_cyclic=6).hom == cert.hom
+    monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 10)
+    first = r"stopped after 10 image tuples \(MAX_SEARCH_TUPLES\) of a quotient of order 6, out of 36;"
+    with pytest.raises(pf.MalformedDataError, match=first):
+        pf.certify_rfd(F2, 0.05)
 
 
 def ref_candidate_homs(group, window, max_order, max_cyclic):
@@ -556,6 +715,35 @@ def test_verify_rejects_tampered_certificates():
     assert not pf.verify_certificate(bad)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("equivariance_defect", -1e-300),
+    ("equivariance_defect", math.nan),
+    ("max_window_distance", -0.5),
+    ("max_window_distance", 0.25),  # above the tail bound 0.125
+    ("points_checked", {"window": 8, "quotient": 9}),
+    ("points_checked", {"window": 8, "quotient": 7}),
+    ("points_checked", {"window": 7, "quotient": 8}),
+])
+def test_verify_rejects_tampered_fields(field, value):
+    """The identities leave no point to count, so every recorded figure is
+    checked against what re-certifying derives."""
+    cert = pf.certify_rfd(Z, 0.2)
+    assert pf.verify_certificate(pf.RfdCertificate(**{**cert.__dict__, "max_window_distance": 0.125}))
+    assert not pf.verify_certificate(pf.RfdCertificate(**{**cert.__dict__, field: value}))
+
+
+def test_verify_rejects_a_quotient_above_max_order():
+    """Z/7 separates the window of depth 3 on free:1 but exceeds a max
+    order of 6; the check keeps the model's guards."""
+    hom = pf.GroupHom(source=Z, target=pf.cyclic_group(7), images=(1,))
+    cert = pf.certify_rfd(Z, 0.2, hom=hom)
+    assert pf.verify_certificate(cert, max_order=7)
+    assert not pf.verify_certificate(cert, max_order=6)
+    with pytest.raises(pf.MalformedDataError, match="quotient order 7 exceeds the supported 6"):
+        pf.certify_rfd(Z, 0.2, hom=hom, max_order=6)
+    assert not pf.verify_certificate(cert, max_order=17)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.06, max_value=1.5, allow_nan=False))
 def test_certify_integers_any_delta(delta):
@@ -594,7 +782,7 @@ def test_cylinder_validation():
 def test_cylinder_pinned_coordinate():
     f = pf.CylinderFunction(coords=(0,), values=(0.0, 1.0))
     w = pf.BernoulliWindow.build(Z, 2)
-    assert all(f.on_window_point(w, x) == 1.0 for x in w.points())
+    assert all(f.on_window_point(w, x) == 1.0 for x in range(w.num_points))
 
 
 def test_measure_z_mod4_frozen():

@@ -277,6 +277,14 @@ def test_crossed_product_runs_past_the_model_matrix_bound(capsys, tmp_path):
     assert env["report"]["center_dimension"] == 1
 
 
+def test_crossed_product_takes_a_group_past_order_64(capsys, tmp_path):
+    # Z/128 scans 128^2 pairs, well inside the scan pair limit
+    code, env, _ = run(capsys, ["crossed-product", _free_cyclic_file(tmp_path, 128)])
+    assert code == 0
+    assert env["report"]["dimension"] == 128 * 128
+    assert env["report"]["center_dimension"] == 1
+
+
 def test_crossed_product_runs_no_svd(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("crossed-product called np.linalg.svd")
@@ -334,8 +342,9 @@ def test_bernoulli_certify_budget_failure(capsys):
 
 
 def test_bernoulli_certify_search_budget_exits_two(capsys):
-    """Depth 15 on free:8 uses all 8 generators: 16^8 image tuples per
-    target of order 16, so the search stops at its tuple budget."""
+    """Depth 15 on free:8 uses all 8 generators: 16^8 image tuples for
+    each of Z/2 x Z/8 and Z/4 x Z/4, the targets of order 16.  Both run out
+    of their tuple budget, and the first one's error is raised."""
     code, env, _ = run(capsys, ["bernoulli", "certify", "--group", "free:8", "--delta", "4e-5"])
     assert code == 2
     assert "MalformedDataError: certificate search stopped after 2097152 image tuples" in env["error"]
@@ -376,6 +385,19 @@ def test_measure_builds_one_quotient_model(capsys, monkeypatch):
     code, env, _ = run(capsys, ["measure", "--group", "free:1", "--delta", "0.01"])
     assert code == 0 and env["report"]["quotient_order"] == 8
     assert len(builds) == 1
+
+
+def test_certify_builds_no_quotient_model(capsys, monkeypatch):
+    """``bernoulli certify`` proves its certificate and re-verifies it from
+    table identities, with no model of the quotient's configurations."""
+    builds = []
+    init = pf.QuotientApprox.__init__
+    monkeypatch.setattr(pf.QuotientApprox, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    code, env, _ = run(capsys, ["bernoulli", "certify", "--group", "free:1", "--delta", "1e-4"])
+    assert code == 0 and env["report"]["verified"] is True
+    assert env["report"]["certificate"]["points_checked"] == {"window": 16384, "quotient": 16384}
+    assert builds == []
 
 
 def test_bundle_axioms_counts(capsys, swap_file):

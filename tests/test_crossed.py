@@ -388,9 +388,10 @@ def test_expectation_positive_and_faithful():
 
 
 def test_model_guards():
-    with pytest.raises(pf.MalformedDataError):
-        big = pf.cyclic_group(65)
-        pf.build_model(pf.FinitePartialAction(big, 1, {j: {0: 0} for j in range(65)}))
+    # no bound on |G| alone: Z/65 fixing one point, one orbit with isotropy Z/65
+    big = pf.cyclic_group(65)
+    model = pf.build_model(pf.FinitePartialAction(big, 1, {j: {0: 0} for j in range(65)}))
+    assert (model.dimension(), model.center_dimension()) == (65, 65)
     # the n * |G| bound sits on the model matrices alone
     wide = pf.cyclic_group(60)
     ident = {z: z for z in range(9)}

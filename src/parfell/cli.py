@@ -3,9 +3,10 @@
 Every subcommand reads JSON inputs, runs one check suite, and prints a JSON
 report envelope to stdout (and to ``--json-out`` when given).  Exit code 0
 means every check passed its tolerance, 1 means some defect exceeded it, and
-2 means the input was malformed or violated a precondition.  Reports embed
-the tolerance set, the seed, and sha256 hashes of all input files, and a
-fixed seed makes repeated runs byte-identical.
+2 means the input was malformed or violated a precondition.  Each
+subcommand accepts only the options it reads.  Reports embed the tolerance
+registry, every option the run read, and sha256 hashes of all input files,
+and a fixed seed makes repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,7 +44,7 @@ from .groups import (
     scan_elements,
     trivial_group,
 )
-from .matrices import AXIOM_TOL, EXACT_TOL, NORM_TOL, PI_TOL, PreconditionError
+from .matrices import TOLERANCES, PreconditionError
 from .reps import (
     CovariantRep,
     PartialRepFamily,
@@ -55,38 +55,38 @@ from .reps import (
     std_covariant_rep,
 )
 
-DEFAULT_TOLERANCES = {
-    "axiom_tol": AXIOM_TOL,
-    "exact_tol": EXACT_TOL,
-    "norm_tol": NORM_TOL,
-    "pi_tol": PI_TOL,
-}
-
-# decision tolerance drawn from the set above, per subcommand
+# the registry tolerance that decides each subcommand taking --tol
 DECISION_TOL = {
-    "validate-action": None,
     "covariant-rep": "exact_tol",
     "defects": "axiom_tol",
-    "perturb": None,
-    "crossed-product": None,
-    "bernoulli certify": None,
     "measure": "exact_tol",
     "bundle-axioms": "axiom_tol",
 }
 
+# shared options, recorded under these config keys by the subcommands that
+# take them; every other option goes under config.options
+SHARED_OPTIONS = {"radius": "radius", "seed": "seed", "tol": "decision_tol"}
+
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the subcommand's decision tolerance")
-    common.add_argument("--radius", type=int, default=3,
-                        help="ball radius for free-group element scans")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites (PARFELL_SEED wins)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallelism degree (recorded; checks are cheap)")
-    common.add_argument("--json-out", default=None, metavar="PATH",
+    # each subcommand takes the parents whose options it reads
+    scan, randomness, decision, output, certificate = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    scan.add_argument("--radius", type=int, default=3,
+                      help="ball radius for free-group element scans")
+    randomness.add_argument("--seed", type=int, default=0, help="seed for the random draws")
+    decision.add_argument("--tol", type=float, default=None,
+                          help="override the subcommand's decision tolerance")
+    output.add_argument("--json-out", default=None, metavar="PATH",
                         help="also write the report to this file")
+    certificate.add_argument("--group", required=True,
+                             help="free:N, cyclic:N, trivial, or a group JSON file")
+    certificate.add_argument("--delta", type=float, required=True,
+                             help="density tolerance; sets the window depth")
+    certificate.add_argument("--hom", default=None,
+                             help="homomorphism JSON file (searched when omitted)")
+    certificate.add_argument("--max-order", type=int, default=16,
+                             help=f"largest quotient order considered, at most {MAX_QUOTIENT_ORDER}")
 
     parser = argparse.ArgumentParser(
         prog="parfell",
@@ -94,21 +94,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate-action", parents=[common],
+    p = sub.add_parser("validate-action", parents=[scan, output],
                        help="check the partial-action axioms of an action file")
     p.add_argument("action", help="action JSON file")
 
-    p = sub.add_parser("covariant-rep", parents=[common],
+    p = sub.add_parser("covariant-rep", parents=[scan, decision, output],
                        help="build the standard model and report its relation defects")
     p.add_argument("action", help="action JSON file")
 
-    p = sub.add_parser("defects", parents=[common],
+    p = sub.add_parser("defects", parents=[scan, randomness, decision, output],
                        help="relation and covariance defects, optionally after noise")
     p.add_argument("action", help="action JSON file")
     p.add_argument("--noise", type=float, default=0.0,
                    help="additive gaussian noise scale on the element matrices")
 
-    p = sub.add_parser("perturb", parents=[common],
+    p = sub.add_parser("perturb", parents=[scan, randomness, output],
                        help="round the element matrices to exact partial isometries")
     p.add_argument("action", help="action JSON file")
     p.add_argument("--eta", type=float, required=True,
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0,
                    help="additive gaussian noise scale before rounding")
 
-    p = sub.add_parser("crossed-product", parents=[common],
+    p = sub.add_parser("crossed-product", parents=[output],
                        help="finite-group model dimensions")
     p.add_argument("action", help="action JSON file")
     p.add_argument("--expect-dim", type=int, default=None,
@@ -124,29 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bern = sub.add_parser("bernoulli", help="two-letter shift certificates")
     bsub = bern.add_subparsers(dest="bernoulli_cmd", required=True)
-    p = bsub.add_parser("certify", parents=[common],
-                        help="produce and re-verify a finite-quotient certificate")
-    p.add_argument("--group", required=True,
-                   help="free:N, cyclic:N, trivial, or a group JSON file")
-    p.add_argument("--delta", type=float, required=True,
-                   help="density tolerance; sets the window depth")
-    p.add_argument("--hom", default=None,
-                   help="homomorphism JSON file (searched when omitted)")
-    p.add_argument("--max-order", type=int, default=16,
-                   help=f"largest quotient order considered, at most {MAX_QUOTIENT_ORDER}")
+    bsub.add_parser("certify", parents=[certificate, output],
+                    help="produce and re-verify a finite-quotient certificate")
 
-    p = sub.add_parser("measure", parents=[common],
-                       help="averaging state values and invariance defects")
-    p.add_argument("--group", required=True,
-                   help="free:N, cyclic:N, trivial, or a group JSON file")
-    p.add_argument("--delta", type=float, required=True,
-                   help="density tolerance; sets the window depth")
-    p.add_argument("--hom", default=None,
-                   help="homomorphism JSON file (searched when omitted)")
-    p.add_argument("--max-order", type=int, default=16,
-                   help=f"largest quotient order considered, at most {MAX_QUOTIENT_ORDER}")
+    sub.add_parser("measure", parents=[certificate, decision, output],
+                   help="averaging state values and invariance defects")
 
-    p = sub.add_parser("bundle-axioms", parents=[common],
+    p = sub.add_parser("bundle-axioms", parents=[scan, randomness, decision, output],
                        help="randomized fiber-arithmetic axiom checks")
     p.add_argument("action", help="action JSON file")
     p.add_argument("--trials", type=int, default=500,
@@ -186,35 +170,11 @@ def _parse_group(spec: str) -> GroupSpec:
     return group_from_json(_load_json(spec))
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    env = os.environ.get("PARFELL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise MalformedDataError("PARFELL_SEED must be an integer") from None
-    return int(args.seed)
-
-
-def _decision_tol(args: argparse.Namespace, subcommand: str) -> float | None:
-    if args.tol is not None:
-        return float(args.tol)
-    key = DECISION_TOL.get(subcommand)
-    return DEFAULT_TOLERANCES[key] if key else None
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+def _json_scalar(obj):
+    """``json.dumps`` hook: a numpy scalar as the Python value it holds."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _noised_family(
@@ -235,14 +195,14 @@ def _noised_family(
 # subcommand bodies: each returns (report dict, ok flag, input hash dict)
 
 
-def _run_validate(args, seed, tol):
+def _run_validate(args):
     inputs = {args.action: _sha256(args.action)}
     action = _load_action(args.action)
     report = validate(action, radius=args.radius)
     return report.to_json(), report.ok, inputs
 
 
-def _run_covariant_rep(args, seed, tol):
+def _run_covariant_rep(args):
     inputs = {args.action: _sha256(args.action)}
     action = _load_action(args.action)
     vr = validate(action, radius=args.radius)
@@ -258,16 +218,16 @@ def _run_covariant_rep(args, seed, tol):
         "relations": rel.to_json(),
         "covariance": cov.to_json(),
     }
-    ok = rel.ok(tol) and cov.ok(tol)
+    ok = rel.ok(args.tol) and cov.ok(args.tol)
     return report, ok, inputs
 
 
-def _run_defects(args, seed, tol):
+def _run_defects(args):
     inputs = {args.action: _sha256(args.action)}
     action = _load_action(args.action)
     rep = std_covariant_rep(action)
     elems = scan_elements(action.group, args.radius)
-    family = _noised_family(rep, elems, args.noise, seed)
+    family = _noised_family(rep, elems, args.noise, args.seed)
     noisy = CovariantRep(rep.dual, rep.phi_mats, family)
     rel = partial_rep_defects(family, elements=elems)
     cov = covariance_defects(noisy, elements=elems)
@@ -276,16 +236,16 @@ def _run_defects(args, seed, tol):
         "relations": rel.to_json(),
         "covariance": cov.to_json(),
     }
-    ok = rel.ok(tol) and cov.ok(tol)
+    ok = rel.ok(args.tol) and cov.ok(args.tol)
     return report, ok, inputs
 
 
-def _run_perturb(args, seed, tol):
+def _run_perturb(args):
     inputs = {args.action: _sha256(args.action)}
     action = _load_action(args.action)
     rep = std_covariant_rep(action)
     elems = scan_elements(action.group, args.radius)
-    family = _noised_family(rep, elems, args.noise, seed)
+    family = _noised_family(rep, elems, args.noise, args.seed)
     rounded, cert = perturb_to_partial_isometries(
         family, args.eta, rep=rep, elements=elems
     )
@@ -293,7 +253,7 @@ def _run_perturb(args, seed, tol):
     return report, cert.ok, inputs
 
 
-def _run_crossed(args, seed, tol):
+def _run_crossed(args):
     inputs = {args.action: _sha256(args.action)}
     action = _load_action(args.action)
     model = build_model(action)
@@ -321,7 +281,7 @@ def _certificate_inputs(args):
     return inputs, group, hom
 
 
-def _run_certify(args, seed, tol):
+def _run_certify(args):
     inputs, group, hom = _certificate_inputs(args)
     cert = certify_rfd(group, args.delta, hom=hom, max_order=args.max_order)
     verified = verify_certificate(cert, max_order=args.max_order)
@@ -329,7 +289,7 @@ def _run_certify(args, seed, tol):
     return report, verified, inputs
 
 
-def _run_measure(args, seed, tol):
+def _run_measure(args):
     inputs, group, hom = _certificate_inputs(args)
     cert = certify_rfd(group, args.delta, hom=hom, max_order=args.max_order)
     tests = [CylinderFunction.constant(1.0)]
@@ -344,13 +304,13 @@ def _run_measure(args, seed, tol):
     }
     ok = (
         ma.positive_ok
-        and abs(ma.normalization - 1.0) <= tol
-        and ma.max_defect <= tol
+        and abs(ma.normalization - 1.0) <= args.tol
+        and ma.max_defect <= args.tol
     )
     return report, ok, inputs
 
 
-def _run_bundle_axioms(args, seed, tol):
+def _run_bundle_axioms(args):
     if args.trials < 0:
         raise MalformedDataError(f"--trials must be >= 0, got {args.trials}")
     inputs = {args.action: _sha256(args.action)}
@@ -358,7 +318,7 @@ def _run_bundle_axioms(args, seed, tol):
     dual = DualSystem(action)
     elems = scan_elements(action.group, args.radius)
     report = bundle_axiom_report(
-        dual, trials=args.trials, seed=seed, tol=tol, elements=elems
+        dual, trials=args.trials, seed=args.seed, tol=args.tol, elements=elems
     )
     return report.to_json(), report.ok, inputs
 
@@ -376,7 +336,7 @@ RUNNERS = {
 
 
 def _emit(envelope: dict, json_out: str | None) -> None:
-    text = json.dumps(_sanitize(envelope), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(envelope, sort_keys=True, indent=2, default=_json_scalar) + "\n"
     sys.stdout.write(text)
     if json_out:
         Path(json_out).write_text(text, encoding="utf-8")
@@ -390,47 +350,23 @@ def main(argv=None) -> int:
     subcommand = args.subcommand
     if subcommand == "bernoulli":
         subcommand = f"bernoulli {args.bernoulli_cmd}"
-
-    option_keys = ("noise", "eta", "expect_dim", "group", "delta", "hom",
-                   "max_order", "trials", "action")
-    options = {k: getattr(args, k) for k in option_keys if hasattr(args, k)}
+    if subcommand in DECISION_TOL and args.tol is None:
+        args.tol = TOLERANCES[DECISION_TOL[subcommand]]
+    config = {"tolerances": TOLERANCES, "options": {}}
+    for key, value in vars(args).items():
+        if key in SHARED_OPTIONS:
+            config[SHARED_OPTIONS[key]] = value
+        elif key not in ("subcommand", "bernoulli_cmd", "json_out"):
+            config["options"][key] = value
+    head = {"tool": "parfell", "version": __version__, "subcommand": subcommand}
 
     try:
-        seed = _resolve_seed(args)
-        tol = _decision_tol(args, subcommand)
-        config = {
-            "tolerances": dict(DEFAULT_TOLERANCES),
-            "decision_tol": tol,
-            "radius": args.radius,
-            "seed": seed,
-            "jobs": args.jobs,
-            "options": options,
-        }
-        report, ok, inputs = RUNNERS[subcommand](args, seed, tol)
-        _emit(
-            {
-                "tool": "parfell",
-                "version": __version__,
-                "subcommand": subcommand,
-                "config": config,
-                "inputs": inputs,
-                "report": report,
-                "ok": ok,
-            },
-            args.json_out,
-        )
+        report, ok, inputs = RUNNERS[subcommand](args)
+        _emit({**head, "config": config, "inputs": inputs, "report": report, "ok": ok},
+              args.json_out)
         return 0 if ok else 1
     except CertificationError as exc:
-        _emit(
-            {
-                "tool": "parfell",
-                "version": __version__,
-                "subcommand": subcommand,
-                "error": str(exc),
-                "ok": False,
-            },
-            args.json_out,
-        )
+        _emit({**head, "error": str(exc), "ok": False}, args.json_out)
         return 1
     except (
         MalformedDataError,
@@ -441,16 +377,7 @@ def main(argv=None) -> int:
         ValueError,
         KeyError,
     ) as exc:
-        _emit(
-            {
-                "tool": "parfell",
-                "version": __version__,
-                "subcommand": subcommand,
-                "error": f"{type(exc).__name__}: {exc}",
-                "ok": False,
-            },
-            args.json_out,
-        )
+        _emit({**head, "error": f"{type(exc).__name__}: {exc}", "ok": False}, args.json_out)
         return 2
 
 

@@ -26,10 +26,11 @@ from .groups import (
     word_key,
     word_to_str,
 )
-from .matrices import AXIOM_TOL, PreconditionError, adjoints, op_norm, op_norms
+from .matrices import AXIOM_TOL, POSITIVITY_TOL, PreconditionError, adjoints, op_norm, op_norms
 from .reps import CovariantRep, DefectReport, _stack, _Worst, std_covariant_rep
 
 MAX_MODEL_SIZE = 512  # n * |G| bound on the square matrices of image, so of reduced_norm
+MAX_VIOLATIONS = 20  # violation records a bundle-axiom report keeps
 
 
 class Section:
@@ -261,13 +262,13 @@ def bundle_axiom_report(
     seed: int = 0,
     tol: float = AXIOM_TOL,
     elements: Sequence | None = None,
-    max_violations: int = 20,
 ) -> BundleAxiomReport:
     """Randomized check of the graded norm axioms on fiber pairs.
 
     Verifies submultiplicativity, star isometry, the square identity
-    ``||a* a|| = ||a||^2`` and entrywise positivity of ``a* a``; violations
-    are witnessed with the offending elements and values.
+    ``||a* a|| = ||a||^2`` and entrywise positivity of ``a* a``; the first
+    ``MAX_VIOLATIONS`` violations are witnessed with the offending elements
+    and values.
     """
     group = dual.group
     if elements is None:
@@ -281,7 +282,7 @@ def bundle_axiom_report(
         return float(np.abs(v).max(initial=0.0))
 
     def note(kind, where, value, bound):
-        if len(violations) < max_violations:
+        if len(violations) < MAX_VIOLATIONS:
             violations.append(
                 {"axiom": kind, "elements": where, "value": float(value), "bound": float(bound)}
             )
@@ -305,8 +306,8 @@ def bundle_axiom_report(
         if abs(sup(square) - sup(a) ** 2) > tol * (1.0 + sup(a) ** 2):
             note("square_identity", label[:1], abs(sup(square) - sup(a) ** 2), tol)
         checks += 1
-        if sup(np.abs(np.imag(square))) > tol or float(np.real(square).min(initial=0.0)) < -1e-12:
-            note("positivity", label[:1], float(np.real(square).min(initial=0.0)), -1e-12)
+        if sup(np.abs(np.imag(square))) > tol or float(np.real(square).min(initial=0.0)) < -POSITIVITY_TOL:
+            note("positivity", label[:1], float(np.real(square).min(initial=0.0)), -POSITIVITY_TOL)
     return BundleAxiomReport(ok=not violations, checks=checks, violations=violations)
 
 

@@ -11,13 +11,41 @@ from typing import Callable
 
 import numpy as np
 
-# The package's named tolerances, each defined only here.
-AXIOM_TOL = 1e-9
-SPECTRAL_TOL = 1e-9
-EXACT_TOL = 1e-12
-GAP_TOL = 1e-6
-NORM_TOL = 1e-8
-PI_TOL = 1e-10
+# The tolerance registry: every threshold that decides a result is defined
+# here and only here, and reports print all of them as ``config.tolerances``.
+AXIOM_TOL = 1e-9  # Hermitian checks; the defects and bundle-axioms decision
+CHAR_TOL = 1e-7  # extraction: commuting phi images, joint eigenvalue clusters
+CLUSTER_TOL = 1e-8  # eigenvalues this close share one canonical eigenbasis
+EXACT_TOL = 1e-12  # the identity is I; the covariant-rep and measure decision
+EXTRACT_HERM_TOL = 1e-6  # extraction: Hermitian check of the compressed phi images
+GAP_TOL = 1e-6  # least distance of an eigenvalue from the rounding threshold
+MATCH_TOL = 1e-6  # extraction: a moved character's distance to its image
+NORM_SLACK = 1e-13  # perturb: ||v|| may exceed 1 + eta by this much
+PI_TOL = 1e-10  # the perturb certificate's bound on ||u u* u - u||
+PIVOT_TOL = 1e-10  # least pivot norm in a canonical eigenbasis
+POSITIVITY_TOL = 1e-12  # bundle-axioms: least entry of a* a is at least minus this
+PROJECTION_TOL = 1e-8  # corner inverse roots: p = p* = p^2 within this
+ROUNDING_THRESHOLD = 0.5  # nearest projections keep the eigenvalues above this
+SINGULAR_TOL = 1e-12  # corner inverse roots: relative eigenvalue cutoff
+SPECTRAL_TOL = 1e-9  # corner inverse roots: residual of X (W*W) X = P
+
+TOLERANCES = {
+    "axiom_tol": AXIOM_TOL,
+    "char_tol": CHAR_TOL,
+    "cluster_tol": CLUSTER_TOL,
+    "exact_tol": EXACT_TOL,
+    "extract_herm_tol": EXTRACT_HERM_TOL,
+    "gap_tol": GAP_TOL,
+    "match_tol": MATCH_TOL,
+    "norm_slack": NORM_SLACK,
+    "pi_tol": PI_TOL,
+    "pivot_tol": PIVOT_TOL,
+    "positivity_tol": POSITIVITY_TOL,
+    "projection_tol": PROJECTION_TOL,
+    "rounding_threshold": ROUNDING_THRESHOLD,
+    "singular_tol": SINGULAR_TOL,
+    "spectral_tol": SPECTRAL_TOL,
+}
 
 
 class PreconditionError(ValueError):
@@ -188,7 +216,7 @@ def _canonical_basis(block: np.ndarray) -> np.ndarray:
         for b in basis:
             v -= b * (b.conj() @ v)
         norm = np.linalg.norm(v)
-        if norm > 1e-10:
+        if norm > PIVOT_TOL:
             basis.append(v / norm)
         if len(basis) == k:
             break
@@ -198,7 +226,7 @@ def _canonical_basis(block: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def herm_eigs(stack, herm_tol: float = AXIOM_TOL, cluster_tol: float = 1e-8):
+def herm_eigs(stack, herm_tol: float = AXIOM_TOL, cluster_tol: float = CLUSTER_TOL):
     """Eigendecompositions of Hermitian matrices by one ``eigh``, values ascending.
 
     A slice fails if ``||m - m*||`` exceeds ``herm_tol``.  Eigenvalues closer
@@ -216,7 +244,7 @@ def herm_eigs(stack, herm_tol: float = AXIOM_TOL, cluster_tol: float = 1e-8):
     return vals, vecs, ok.error
 
 
-def herm_eig(m, herm_tol: float = AXIOM_TOL, cluster_tol: float = 1e-8):
+def herm_eig(m, herm_tol: float = AXIOM_TOL, cluster_tol: float = CLUSTER_TOL):
     """One matrix's ``herm_eigs``: ``(values, vectors)``."""
     vals, vecs, error = herm_eigs(_as_square(m)[None], herm_tol, cluster_tol)
     if error is not None:
@@ -224,11 +252,11 @@ def herm_eig(m, herm_tol: float = AXIOM_TOL, cluster_tol: float = 1e-8):
     return vals[0], vecs[0]
 
 
-def nearest_projections(stack, threshold: float = 0.5, gap_tol: float = GAP_TOL):
+def nearest_projections(stack):
     """Round almost-idempotent Hermitian matrices to the nearest projections.
 
-    Eigenvalues are split at ``threshold``; one within ``gap_tol`` of it is
-    a ``SpectralGapError``.  Returns ``(P, error)``; each ``P = P* = P^2`` to
+    Eigenvalues are split at ``ROUNDING_THRESHOLD``; one within ``GAP_TOL``
+    of it is a ``SpectralGapError``.  Returns ``(P, error)``; each ``P = P* = P^2`` to
     machine precision and ``||P - Q|| <= 2 ||Q^2 - Q||``.
     """
     a = _as_stack(stack)
@@ -238,10 +266,10 @@ def nearest_projections(stack, threshold: float = 0.5, gap_tol: float = GAP_TOL)
         f"||Q^2 - Q|| = {defect[i]:.3g} >= 1/4; rounding is unsafe"))
     vals, vecs, error = herm_eigs(a[: ok.n])
     ok.take(vals, error)
-    ok.cut(np.any(np.abs(vals - threshold) < gap_tol, axis=1), lambda i: SpectralGapError(
+    ok.cut(np.any(np.abs(vals - ROUNDING_THRESHOLD) < GAP_TOL, axis=1), lambda i: SpectralGapError(
         "eigenvalue within gap tolerance of the rounding threshold"))
     d = a.shape[1]
-    ranks = (vals[: ok.n] > threshold).sum(axis=1)  # the top columns: vals ascend
+    ranks = (vals[: ok.n] > ROUNDING_THRESHOLD).sum(axis=1)  # the top columns: vals ascend
     p = np.zeros((ok.n, d, d), dtype=np.complex128)
     for r in sorted(set(ranks.tolist()) - {0}):
         g = np.flatnonzero(ranks == r)
@@ -250,26 +278,26 @@ def nearest_projections(stack, threshold: float = 0.5, gap_tol: float = GAP_TOL)
     return 0.5 * (p + adjoints(p)), ok.error
 
 
-def nearest_projection(q, threshold: float = 0.5, gap_tol: float = GAP_TOL) -> np.ndarray:
+def nearest_projection(q) -> np.ndarray:
     """One matrix's ``nearest_projections``."""
-    p, error = nearest_projections(_as_square(q)[None], threshold, gap_tol)
+    p, error = nearest_projections(_as_square(q)[None])
     if error is not None:
         raise error
     return p[0]
 
 
-def corner_inv_sqrts(w, p, residual_tol: float = SPECTRAL_TOL):
+def corner_inv_sqrts(w, p):
     """Inverse square roots of ``W*W`` taken inside the corners ``P M P``.
 
     Each ``p`` must be a projection and ``W*W`` invertible on its range.
     Gives the positive ``X`` with ``P X P = X`` and ``X (W*W) X = P``, so
     ``W X`` has ``(WX)*(WX) = P`` whenever ``W = W P``; the residual of that
-    identity is checked against ``residual_tol``.  Returns ``(X, error)``.
+    identity is checked against ``SPECTRAL_TOL``.  Returns ``(X, error)``.
     """
     w, p = _as_stack(w), _as_stack(p)
     ok = Prefix(p.shape[0])
-    ok.cut((norms_unless_below(p @ p - p, 1e-8) > 1e-8)
-           | (norms_unless_below(p - adjoints(p), 1e-8) > 1e-8),
+    ok.cut((norms_unless_below(p @ p - p, PROJECTION_TOL) > PROJECTION_TOL)
+           | (norms_unless_below(p - adjoints(p), PROJECTION_TOL) > PROJECTION_TOL),
            lambda i: PreconditionError("p is not a projection"))
     w, p = w[: ok.n], p[: ok.n]
     corner = p @ (adjoints(w) @ w) @ p
@@ -281,11 +309,11 @@ def corner_inv_sqrts(w, p, residual_tol: float = SPECTRAL_TOL):
     vals, vecs = np.linalg.eigh(0.5 * (corner[live] + adjoints(corner[live])))
     top = ranks[live]
     singular = np.zeros(len(p), dtype=bool)
-    singular[live] = vals[np.arange(len(live)), d - top] <= 1e-12 * vals.max(1, initial=1.0)
+    singular[live] = vals[np.arange(len(live)), d - top] <= SINGULAR_TOL * vals.max(1, initial=1.0)
     ok.cut(singular, lambda i: PreconditionError("corner operator is singular; no inverse root"))
     m = np.searchsorted(live, ok.n)
     live, vals, vecs, top = live[:m], vals[:m], vecs[:m], top[:m]
-    _canonicalise(vals, vecs, 1e-8, d - top)  # the root reads the top columns only
+    _canonicalise(vals, vecs, CLUSTER_TOL, d - top)  # the root reads the top columns only
     # rank-one terms added column by column, on which the bits depend; a
     # column below a slice's rank adds 0 before its first term
     xs = np.zeros((len(live), d, d), dtype=np.complex128)
@@ -296,15 +324,15 @@ def corner_inv_sqrts(w, p, residual_tol: float = SPECTRAL_TOL):
     x = np.zeros((ok.n, d, d), dtype=np.complex128)
     x[live] = 0.5 * (xs + adjoints(xs))
     n = ok.n
-    residual = norms_unless_below(x @ corner[:n] @ x - p[:n], residual_tol)
-    ok.cut((residual > residual_tol) & (ranks[:n] > 0), lambda i: PreconditionError(
+    residual = norms_unless_below(x @ corner[:n] @ x - p[:n], SPECTRAL_TOL)
+    ok.cut((residual > SPECTRAL_TOL) & (ranks[:n] > 0), lambda i: PreconditionError(
         f"inverse-root residual {residual[i]:.3g} exceeds tolerance"))
     return x[: ok.n], ok.error
 
 
-def corner_inv_sqrt(w, p, residual_tol: float = SPECTRAL_TOL) -> np.ndarray:
+def corner_inv_sqrt(w, p) -> np.ndarray:
     """One matrix's ``corner_inv_sqrts``."""
-    x, error = corner_inv_sqrts(np.asarray(w)[None], _as_square(p)[None], residual_tol)
+    x, error = corner_inv_sqrts(np.asarray(w)[None], _as_square(p)[None])
     if error is not None:
         raise error
     return x[0]

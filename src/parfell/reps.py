@@ -35,7 +35,11 @@ from .groups import (
 from .matrices import (
     AXIOM_TOL,
     BOUND_MARGIN,
+    CHAR_TOL,
     EXACT_TOL,
+    EXTRACT_HERM_TOL,
+    MATCH_TOL,
+    NORM_SLACK,
     PI_TOL,
     PreconditionError,
     Prefix,
@@ -286,7 +290,7 @@ def partial_rep_defects(
     Scans selfadjointness ``v_t* = v_{t^-1}``, the triple product law,
     commutation of range projections, and the range/product intertwining law
     over the given elements.  Pairs whose product (or inverse) has no matrix
-    in the family are skipped and recorded.
+    in the family are skipped, and counted per relation with the first one.
 
     The standard model of an action is settled on the action's int rows:
     its matrices are 0/1 partial permutations, so a product of them is the
@@ -344,13 +348,19 @@ def _scan_relations(
     """Feed each relation in ``masks`` over its masked elements or pairs.
 
     ``mats[at[k]]`` is the matrix of ``table.keys[k]``, which every masked
-    defect reads.  Pairs that read a key in ``lacks`` are recorded as
-    skipped.  Every relation feeds one stack per row ``s``, in scan order.
+    defect reads.  Each relation with elements or pairs that read a key in
+    ``lacks`` gets one skipped record: their count and the first of them in
+    scan order.  Every relation feeds one stack per row ``s``, in scan order.
     """
     worst = {k: _Worst() for k in masks}
     inv = table.inv
-    skipped = [{"entry": "selfadjoint", "elements": [name(elems[i])]} for i in np.flatnonzero(lacks[inv]).tolist()]
-    if not (lacks.any() or any(m.any() for m in masks.values())):
+    missing = {"selfadjoint": lacks[inv], "triple_product": lacks[inv][:, None] | lacks[table.prod]}
+    if "intertwine" in masks:
+        missing["intertwine"] = lacks[table.prod]
+    skipped = [{"entry": key, "count": int(miss.sum()),
+                "elements": [name(elems[i]) for i in np.unravel_index(int(np.argmax(miss)), miss.shape)]}
+               for key, miss in missing.items() if miss.any()]
+    if not any(m.any() for m in masks.values()):
         return worst, skipped
     stack = mats[at[: len(elems)]]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -360,10 +370,6 @@ def _scan_relations(
                                         lambda k: name(elems[paired[k]]))
         for a, s in enumerate(elems):
             st = table.prod[a]
-            for i in np.flatnonzero(lacks[inv[a]] | lacks[st]).tolist():
-                skipped.append({"entry": "triple_product", "elements": [name(s), name(elems[i])]})
-                if lacks[st[i]] and "intertwine" in masks:
-                    skipped.append({"entry": "intertwine", "elements": [name(s), name(elems[i])]})
             for key, mask in masks.items():
                 idx = np.flatnonzero(mask[a]) if mask.ndim == 2 else []
                 if len(idx) == 0:
@@ -567,7 +573,7 @@ def perturb_to_partial_isometries(
     norms = np.zeros(passed.n)
     need = np.flatnonzero(~(upper * (1.0 + BOUND_MARGIN) + slack < eta * (2.0 + eta * (3.0 + eta))))
     norms[need] = op_norms(vs[need])
-    passed.cut(norms > 1.0 + eta + 1e-13, lambda k: PreconditionError(
+    passed.cut(norms > 1.0 + eta + NORM_SLACK, lambda k: PreconditionError(
         f"||v|| = {norms[k]:.6g} of {labels[k]} exceeds 1 + eta"))
     live = vs[: passed.n]
     p = passed.take(*nearest_projections(adjoints(live) @ live))
@@ -661,8 +667,6 @@ class ExtractedSystem:
 def extract_finite_system(
     rep: CovariantRep,
     elements: Sequence | None = None,
-    char_tol: float = 1e-7,
-    match_tol: float = 1e-6,
 ) -> ExtractedSystem:
     """Recover points, supports, and maps from a covariant representation.
 
@@ -670,7 +674,9 @@ def extract_finite_system(
     commuting family ``phi(indicator)``; supports and maps come from
     conjugating those blocks by the element matrices.  The declared action
     only supplies the default element list.  Works on exact or nearly exact
-    representations; ambiguous spectra raise.
+    representations; ambiguous spectra raise.  ``CHAR_TOL`` bounds the
+    commutators and eigenvalue clusters of the ``phi`` images, and
+    ``MATCH_TOL`` a moved character's distance to its image.
     """
     group = rep.group
     n, d = rep.n, rep.dim
@@ -680,7 +686,7 @@ def extract_finite_system(
             raise PreconditionError(f"phi(indicator {x}) is not Hermitian")
     for x in range(n):
         for y in range(x + 1, n):
-            if norm_unless_below(P[x] @ P[y] - P[y] @ P[x], char_tol) > char_tol:
+            if norm_unless_below(P[x] @ P[y] - P[y] @ P[x], CHAR_TOL) > CHAR_TOL:
                 raise PreconditionError("phi images do not commute; no joint spectrum")
 
     # recursive joint block refinement
@@ -691,8 +697,8 @@ def extract_finite_system(
         new_tuples: list[list[float]] = []
         for basis, tup in zip(blocks, tuples):
             comp = basis.conj().T @ P[x] @ basis
-            vals, vecs = herm_eig(comp, herm_tol=1e-6, cluster_tol=char_tol)
-            for i, j in clusters(vals, char_tol):
+            vals, vecs = herm_eig(comp, herm_tol=EXTRACT_HERM_TOL, cluster_tol=CHAR_TOL)
+            for i, j in clusters(vals, CHAR_TOL):
                 new_blocks.append(basis @ vecs[:, i:j])
                 new_tuples.append(tup + [float(np.mean(vals[i:j]))])
         blocks, tuples = new_blocks, new_tuples
@@ -702,12 +708,12 @@ def extract_finite_system(
     for basis, tup in zip(blocks, tuples):
         arr = np.asarray(tup)
         if arr.max(initial=0.0) <= 0.5:
-            if arr.max(initial=0.0) > 100 * char_tol:
+            if arr.max(initial=0.0) > 100 * CHAR_TOL:
                 raise PreconditionError("joint eigenvalue tuple neither zero nor a character")
             continue  # kernel block, not a character
         x_star = int(np.argmax(arr))
         rest = np.delete(arr, x_star)
-        if abs(arr[x_star] - 1.0) > 100 * char_tol or (rest.size and np.abs(rest).max() > 100 * char_tol):
+        if abs(arr[x_star] - 1.0) > 100 * CHAR_TOL or (rest.size and np.abs(rest).max() > 100 * CHAR_TOL):
             raise PreconditionError("joint eigenvalue tuple is not an indicator character")
         chars.append((x_star, basis @ basis.conj().T, basis.shape[1]))
 
@@ -740,14 +746,14 @@ def extract_finite_system(
         eta: dict[int, int] = {}
         for x in order:
             q = vt @ merged[x][0] @ vt.conj().T
-            if norm_unless_below(q, match_tol) <= match_tol:
+            if norm_unless_below(q, MATCH_TOL) <= MATCH_TOL:
                 continue
             best, best_dist = None, np.inf
             for y in order:
                 dist_y = op_norm(q - merged[y][0])
                 if dist_y < best_dist:
                     best, best_dist = y, dist_y
-            if best is None or best_dist > match_tol:
+            if best is None or best_dist > MATCH_TOL:
                 raise PreconditionError(
                     f"no image character within tolerance for point {x} under {word_to_str(group, t)}"
                 )

@@ -1,5 +1,6 @@
 """End-to-end command line coverage through in-process main()."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import parfell as pf
-from parfell.cli import main
+from parfell.cli import build_parser, main
+from parfell.matrices import TOLERANCES
 
 
 @pytest.fixture
@@ -425,7 +427,7 @@ GOLDEN_ARGS = {
     "defects": ["--noise", "0.01", "--seed", "3", "--radius", "2"],
     "perturb": ["--eta", "0.1", "--noise", "0.003", "--radius", "2"],
     "bundle-axioms": ["--radius", "2"],
-    "crossed-product": ["--radius", "2"],
+    "crossed-product": [],
 }
 
 
@@ -435,7 +437,6 @@ def test_reports_match_golden(capsys, monkeypatch, stem, command):
     """Reports on the fixtures in tests/data stay byte-identical to the
     checked-in ones; relative paths keep the ``inputs`` keys stable."""
     monkeypatch.chdir(DATA)
-    monkeypatch.delenv("PARFELL_SEED", raising=False)
     _, _, text = run(capsys, [command, f"{stem}.json", *GOLDEN_ARGS[command]])
     assert text == (DATA / "golden" / f"{stem}.{command}.json").read_text(encoding="utf-8")
 
@@ -451,10 +452,9 @@ BERNOULLI_GOLDENS = {
 
 
 @pytest.mark.parametrize("name", sorted(BERNOULLI_GOLDENS))
-def test_bernoulli_reports_match_golden(capsys, monkeypatch, name):
+def test_bernoulli_reports_match_golden(capsys, name):
     """Certificates and measure reports at window depth 7 (the budget case
     fails the search and exits 1) stay byte-identical."""
-    monkeypatch.delenv("PARFELL_SEED", raising=False)
     code, _, text = run(capsys, BERNOULLI_GOLDENS[name])
     assert code == (1 if name.endswith("budget") else 0)
     assert text == (DATA / "golden" / f"bernoulli.{name}.json").read_text(encoding="utf-8")
@@ -528,27 +528,196 @@ def test_json_out_matches_stdout(capsys, swap_file, tmp_path):
     assert out.read_text(encoding="utf-8") == text
 
 
-def test_env_seed_overrides_flag(capsys, swap_file, monkeypatch):
-    argv = ["defects", swap_file, "--noise", "0.25", "--seed", "7"]
-    monkeypatch.setenv("PARFELL_SEED", "123")
-    _, env, with_env = run(capsys, argv)
-    assert env["config"]["seed"] == 123
-    monkeypatch.delenv("PARFELL_SEED")
-    _, _, explicit = run(
-        capsys, ["defects", swap_file, "--noise", "0.25", "--seed", "123"]
-    )
-    assert with_env == explicit
-
-
-def test_env_seed_must_be_integer(capsys, swap_file, monkeypatch):
-    monkeypatch.setenv("PARFELL_SEED", "abc")
-    code, env, _ = run(capsys, ["validate-action", swap_file])
-    assert code == 2
-
-
 def test_config_echoes_options(capsys, swap_file):
+    """``config`` holds the registry, the options, and the shared options
+    the subcommand reads: ``perturb`` reads a radius and a seed, and has no
+    decision tolerance."""
     _, env, _ = run(capsys, ["perturb", swap_file, "--eta", "0.01", "--seed", "5"])
-    opts = env["config"]["options"]
-    assert opts["eta"] == 0.01
-    assert env["config"]["seed"] == 5
-    assert env["config"]["tolerances"]["pi_tol"] == 1e-10
+    config = env["config"]
+    assert config["options"] == {"action": swap_file, "eta": 0.01, "noise": 0.0}
+    assert (config["radius"], config["seed"]) == (3, 5)
+    assert "decision_tol" not in config
+    assert config["tolerances"] == TOLERANCES
+
+
+def test_skipped_pairs_are_counted_per_relation(capsys):
+    """At radius 5 on free:2 most pairs leave the ball: the report gives a
+    count and a first pair per relation, not a record per pair."""
+    code, env, text = run(capsys, ["defects", str(DATA / "free2.json"), "--radius", "5",
+                                   "--noise", "0.01", "--seed", "3"])
+    assert code == 1
+    assert [r["entry"] for r in env["report"]["relations"]["skipped"]] == ["triple_product", "intertwine"]
+    assert len(text) < 100_000
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("command", ["defects", "perturb"])
+def test_skipped_counts_match_every_pair_reference(capsys, command, radius):
+    """Each relation's skipped record holds the number of elements or pairs
+    whose inverse or product lies outside the scanned ball, and the first
+    of them in scan order, as a loop over every pair finds them."""
+    path = str(DATA / "free2.json")
+    extra = {"defects": ["--noise", "0.01", "--seed", "3"],
+             "perturb": ["--eta", "0.1", "--noise", "0.003"]}[command]
+    _, env, _ = run(capsys, [command, path, "--radius", str(radius), *extra])
+    report = env["report"]
+    got = report["relations"]["skipped"] if command == "defects" else report["certificate"]["skipped"]
+
+    group = pf.action_from_json(json.loads(Path(path).read_text(encoding="utf-8"))).group
+    elems = pf.scan_elements(group, radius)
+    ball = set(elems)
+    missing = {"selfadjoint": [[t] for t in elems if group.inverse(t) not in ball],
+               "triple_product": [], "intertwine": []}
+    for s in elems:
+        for t in elems:
+            st = group.multiply(s, t)
+            if group.inverse(s) not in ball or st not in ball:
+                missing["triple_product"].append([s, t])
+            if st not in ball:
+                missing["intertwine"].append([s, t])
+    if command == "perturb":  # the certificate scans no intertwining law
+        del missing["intertwine"]
+    want = [{"entry": entry, "count": len(hits), "elements": [pf.word_to_str(group, g) for g in hits[0]]}
+            for entry, hits in missing.items() if hits]
+    assert want and got == want
+
+
+# ---------------------------------------------------------------------------
+# every accepted option is read
+
+
+def accepted_options() -> set:
+    """Every (subcommand, option) pair the parser accepts, ``-h`` aside."""
+    pairs = set()
+
+    def walk(parser, prefix):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, f"{prefix} {name}".strip())
+            elif action.option_strings and action.dest != "help":
+                pairs.add((prefix, action.option_strings[0]))
+
+    walk(build_parser(), "")
+    return pairs
+
+
+CERTIFY = ["bernoulli", "certify", "--group", "free:1", "--delta", "0.2"]
+MEASURE = ["measure", "--group", "free:1", "--delta", "0.2"]
+
+# per accepted pair, two runs that differ only in that option; {out} is a
+# report file, {hom} a homomorphism file, {bad_free} and {broken} actions
+# that fail the bundle axioms, so that their violations depend on the draws
+OPTION_RUNS = {
+    ("validate-action", "--radius"): (["validate-action", "free2.json", "--radius", "1"],
+                                      ["validate-action", "free2.json", "--radius", "2"]),
+    ("covariant-rep", "--radius"): (["covariant-rep", "free2.json", "--radius", "1"],
+                                    ["covariant-rep", "free2.json", "--radius", "0"]),
+    ("covariant-rep", "--tol"): (["covariant-rep", "swap.json"],
+                                 ["covariant-rep", "swap.json", "--tol", "-1"]),
+    ("defects", "--radius"): (["defects", "free2.json", "--noise", "0.01", "--radius", "1"],
+                              ["defects", "free2.json", "--noise", "0.01", "--radius", "2"]),
+    ("defects", "--seed"): (["defects", "swap.json", "--noise", "0.1", "--seed", "1"],
+                            ["defects", "swap.json", "--noise", "0.1", "--seed", "2"]),
+    ("defects", "--tol"): (["defects", "swap.json", "--noise", "0.01"],
+                           ["defects", "swap.json", "--noise", "0.01", "--tol", "1"]),
+    ("defects", "--noise"): (["defects", "swap.json"], ["defects", "swap.json", "--noise", "0.01"]),
+    ("perturb", "--radius"): (["perturb", "free2.json", "--eta", "0.1", "--radius", "1"],
+                              ["perturb", "free2.json", "--eta", "0.1", "--radius", "2"]),
+    ("perturb", "--seed"): (["perturb", "swap.json", "--eta", "0.1", "--noise", "0.003", "--seed", "1"],
+                            ["perturb", "swap.json", "--eta", "0.1", "--noise", "0.003", "--seed", "2"]),
+    ("perturb", "--eta"): (["perturb", "swap.json", "--eta", "0.1"],
+                           ["perturb", "swap.json", "--eta", "0.05"]),
+    ("perturb", "--noise"): (["perturb", "swap.json", "--eta", "0.1"],
+                             ["perturb", "swap.json", "--eta", "0.1", "--noise", "0.003"]),
+    ("crossed-product", "--expect-dim"): (["crossed-product", "swap.json"],
+                                          ["crossed-product", "swap.json", "--expect-dim", "4"]),
+    ("bernoulli certify", "--group"): (CERTIFY, [*CERTIFY[:3], "free:2", *CERTIFY[4:]]),
+    ("bernoulli certify", "--delta"): (CERTIFY, [*CERTIFY[:5], "0.1"]),
+    ("bernoulli certify", "--hom"): (CERTIFY, [*CERTIFY, "--hom", "{hom}"]),
+    ("bernoulli certify", "--max-order"): (CERTIFY, [*CERTIFY, "--max-order", "3"]),
+    ("measure", "--group"): (MEASURE, [*MEASURE[:2], "free:2", *MEASURE[3:]]),
+    ("measure", "--delta"): (MEASURE, [*MEASURE[:4], "0.1"]),
+    ("measure", "--hom"): (MEASURE, [*MEASURE, "--hom", "{hom}"]),
+    ("measure", "--max-order"): (MEASURE, [*MEASURE, "--max-order", "3"]),
+    ("measure", "--tol"): (MEASURE, [*MEASURE, "--tol", "-1"]),
+    ("bundle-axioms", "--radius"): (["bundle-axioms", "{bad_free}", "--trials", "20", "--radius", "1"],
+                                    ["bundle-axioms", "{bad_free}", "--trials", "20", "--radius", "2"]),
+    ("bundle-axioms", "--seed"): (["bundle-axioms", "{broken}", "--trials", "20", "--seed", "1"],
+                                  ["bundle-axioms", "{broken}", "--trials", "20", "--seed", "2"]),
+    ("bundle-axioms", "--tol"): (["bundle-axioms", "{broken}", "--trials", "20"],
+                                 ["bundle-axioms", "{broken}", "--trials", "20", "--tol", "10"]),
+    ("bundle-axioms", "--trials"): (["bundle-axioms", "swap.json", "--trials", "10"],
+                                    ["bundle-axioms", "swap.json", "--trials", "20"]),
+}
+BASE_RUNS = {
+    "validate-action": ["validate-action", "swap.json"],
+    "covariant-rep": ["covariant-rep", "swap.json"],
+    "defects": ["defects", "swap.json"],
+    "perturb": ["perturb", "swap.json", "--eta", "0.1"],
+    "crossed-product": ["crossed-product", "swap.json"],
+    "bernoulli certify": CERTIFY,
+    "measure": MEASURE,
+    "bundle-axioms": ["bundle-axioms", "swap.json", "--trials", "10"],
+}
+OPTION_RUNS.update({(command, "--json-out"): (argv, [*argv, "--json-out", "{out}"])
+                    for command, argv in BASE_RUNS.items()})
+
+
+def test_every_accepted_option_has_runs():
+    assert set(OPTION_RUNS) == accepted_options()
+
+
+@pytest.fixture
+def option_files(tmp_path):
+    hom = {"images": [1], "source": {"kind": "free", "rank": 1},
+           "target": {"kind": "finite", "order": 8,
+                      "table": [[(i + j) % 8 for j in range(8)] for i in range(8)]}}
+    # a^-1 is not the inverse of a, and Z/2 acts by a full 3-cycle
+    bad_free = {"group": {"kind": "free", "rank": 1}, "n": 3,
+                "elements": [{"t": "a", "map": {"0": 1, "1": 2}}, {"t": "a^-1", "map": {"0": 2}}]}
+    broken = pf.action_to_json(pf.FinitePartialAction(pf.cyclic_group(2), 3, {1: {0: 1, 1: 2, 2: 0}}))
+    files = {"out": str(tmp_path / "out.json")}
+    for name, data in (("hom", hom), ("bad_free", bad_free), ("broken", broken)):
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(data), encoding="utf-8")
+    return files
+
+
+@pytest.mark.parametrize("pair", sorted(OPTION_RUNS), ids=" ".join)
+def test_every_option_changes_the_outcome(capsys, monkeypatch, option_files, pair):
+    """Changing any accepted option changes the exit code, the report
+    outside ``config``, or (``--json-out``) the file written."""
+    monkeypatch.chdir(DATA)
+    out = Path(option_files["out"])
+
+    def outcome(argv):
+        out.unlink(missing_ok=True)
+        code = main([a.format(**option_files) for a in argv])
+        env = json.loads(capsys.readouterr().out)
+        env.pop("config", None)
+        return code, env, out.read_text(encoding="utf-8") if out.exists() else None
+
+    first, second = map(outcome, OPTION_RUNS[pair])
+    assert first != second
+
+
+# the shared options each subcommand takes no more: none changed its report
+REMOVED_PAIRS = [
+    *((command, "--jobs") for command in BASE_RUNS),
+    *((command, "--tol") for command in ("validate-action", "perturb", "crossed-product",
+                                          "bernoulli certify")),
+    *((command, "--radius") for command in ("crossed-product", "bernoulli certify", "measure")),
+    *((command, "--seed") for command in ("validate-action", "covariant-rep", "crossed-product",
+                                           "bernoulli certify", "measure")),
+]
+
+
+@pytest.mark.parametrize("pair", REMOVED_PAIRS, ids=" ".join)
+def test_removed_options_exit_two(capsys, monkeypatch, pair):
+    command, option = pair
+    monkeypatch.chdir(DATA)
+    with pytest.raises(SystemExit) as exc:
+        main([*BASE_RUNS[command], option, "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

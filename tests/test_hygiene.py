@@ -75,3 +75,61 @@ def test_exports_have_callers():
     assert not unreached, unreached
     stale = set(EXPORT_ALLOWLIST) - (set(exported_names()) - reached)
     assert not stale, f"allowlisted names that are reached or not exported: {sorted(stale)}"
+
+
+# float literals below 1e-5 outside the tolerance registry, by file and the
+# top-level definition that holds them: numeric-range guards that decide no
+# result
+RANGE_GUARDS = {
+    ("matrices.py", "BOUND_MARGIN", 1e-12): "relative slack on a norm bound",
+    ("matrices.py", "norm_bounds", 1e-30): "the eighth powers' scaling window",
+    ("matrices.py", "norms_unless_below", 1e-140): "the Frobenius bound's range",
+}
+
+
+def registry() -> dict[str, str]:
+    """``matrices.TOLERANCES`` as written: printed key to constant name."""
+    tree = ast.parse((SRC / "matrices.py").read_text(encoding="utf-8"))
+    node = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TOLERANCES"])
+    return {key.value: value.id for key, value in zip(node.value.keys, node.value.values)}
+
+
+def small_float_literals(path: Path) -> list[tuple[str, str, float]]:
+    """``(file, top-level name, value)`` of each float literal in ``(0, 1e-5)``."""
+    found = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(stmt, "name", None)
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+            owner = stmt.targets[0].id
+        found += [(path.name, owner, node.value) for node in ast.walk(stmt)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0.0 < node.value < 1e-5]
+    return found
+
+
+def test_thresholds_live_in_the_registry():
+    """Every small float literal in ``src/`` defines a registry entry or is
+    an allowlisted range guard, and the registry prints each constant under
+    its lower-cased name."""
+    names = registry()
+    assert names == {name.lower(): name for name in names.values()}
+    literals = [hit for path in sorted(SRC.glob("*.py")) for hit in small_float_literals(path)]
+    stray = [hit for hit in literals if hit not in RANGE_GUARDS
+             and not (hit[0] == "matrices.py" and hit[1] in names.values())]
+    assert not stray, stray
+    stale = set(RANGE_GUARDS) - set(literals)
+    assert not stale, f"allowlisted literals not found: {sorted(stale)}"
+
+
+def test_registry_entries_are_read():
+    """Each registry constant is read by some code in ``src/``, apart from
+    ``TOLERANCES`` itself."""
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["TOLERANCES"]):
+                reads |= {node.id for node in ast.walk(stmt)
+                          if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(set(registry().values()) - reads)
+    assert not unread, unread

@@ -100,8 +100,13 @@ def test_defects_skip_unavailable_elements():
     f1 = pf.FreeGroup(rank=1)
     fam = pf.PartialRepFamily(f1, 2, mats={(): np.eye(2), (1,): e(1, 0)})
     report = pf.partial_rep_defects(fam, elements=[(), (1,)])
-    assert any(s["entry"] == "selfadjoint" for s in report.skipped)
-    assert any(s["entry"] == "triple_product" for s in report.skipped)
+    # a^-1 and a a are missing: selfadjointness of a reads a^-1, the triple
+    # products of (a, e) and (a, a) read it too, and (a, a) intertwines a a
+    assert report.skipped == [
+        {"entry": "selfadjoint", "count": 1, "elements": ["a"]},
+        {"entry": "triple_product", "count": 2, "elements": ["a", "e"]},
+        {"entry": "intertwine", "count": 1, "elements": ["a", "a"]},
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +125,22 @@ class _RefWorst:
             self.value, self.witness = float(value), label
 
 
+def counted(skipped: list) -> list:
+    """Every-pair skipped records as a report gives them: one per relation,
+    in relation order, with the count and the first record's elements."""
+    out = []
+    for entry in ("selfadjoint", "triple_product", "intertwine"):
+        hits = [r["elements"] for r in skipped if r["entry"] == entry]
+        if hits:
+            out.append({"entry": entry, "count": len(hits), "elements": hits[0]})
+    return out
+
+
 def _ref_report(worst: dict, skipped: list) -> dict:
     return {
         "entries": {k: w.value for k, w in worst.items()},
         "witnesses": {k: w.witness for k, w in worst.items()},
-        "skipped": skipped,
+        "skipped": counted(skipped),
     }
 
 

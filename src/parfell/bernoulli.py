@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .actions import EquivarianceReport, _equivariance_report
 from .groups import (
+    MAX_FINITE_ORDER,
     FiniteGroup,
     FreeGroup,
     GroupHom,
@@ -86,7 +88,9 @@ class QuotientApprox:
     the homomorphism by exact shifts (``map_rows``); ``rho`` truncates each
     configuration to the window through the homomorphism.  ``images`` holds
     the quotient image of each window coordinate, taken once; every check
-    of the model reads it instead of the homomorphism.
+    of the model reads it instead of the homomorphism.  Building the model
+    takes only those images: ``bits`` and what reads it enumerate every
+    configuration, on first use, as the exhaustive check.
     """
 
     def __init__(self, window: BernoulliWindow, hom: GroupHom) -> None:
@@ -94,13 +98,27 @@ class QuotientApprox:
             raise MalformedDataError("homomorphism source must be the window group")
         self.window = window
         self.hom = hom
-        self.quotient = q = hom.target
-        m = q.order
-        self.num_points = n = 1 << (m - 1)
+        self.quotient = hom.target
         self.images = [hom.apply(t) for t in window.coords]
-        self.bits = bits = np.ones((m, n), dtype=np.intp)
+
+    @cached_property
+    def num_points(self) -> int:
+        return 1 << (self.quotient.order - 1)
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        m, n = self.quotient.order, self.num_points
+        if m > MAX_QUOTIENT_ORDER:
+            raise MalformedDataError(
+                f"quotient order {m} exceeds the {MAX_QUOTIENT_ORDER} of an enumerated model"
+            )
+        bits = np.ones((m, n), dtype=np.intp)
         bits[1:] = (np.arange(n) >> np.arange(m - 1)[:, None]) & 1
-        self.rho = tuple(_read(bits, self.images[1:]).tolist())
+        return bits
+
+    @cached_property
+    def rho(self) -> tuple:
+        return tuple(_read(self.bits, self.images[1:]).tolist())
 
     def map_rows(self, elements: Sequence) -> np.ndarray:
         """The shifts of ``elements`` as int rows, one per element, in the
@@ -108,12 +126,15 @@ class QuotientApprox:
         row ``t`` sends each configuration that is 1 at ``g`` to its shift,
         whose value at ``gamma`` reads the configuration at ``g gamma``;
         every other entry and the last column are -1."""
-        q = self.quotient
-        rows = np.full((len(elements), self.num_points + 1), -1, dtype=np.intp)
+        q, bits = self.quotient, self.bits
+        rows = np.full((len(elements), bits.shape[1] + 1), -1, dtype=np.intp)
         for row, t in zip(rows, elements):
             g = q.inverse(self.hom.apply(t))
-            row[:-1] = np.where(self.bits[g] == 1, _read(self.bits, q.table[g][1:]), -1)
+            row[:-1] = np.where(bits[g] == 1, _read(bits, q.table[g][1:]), -1)
         return rows
+
+
+quotient_approximation = QuotientApprox
 
 
 def _read(bits: np.ndarray, gammas: Sequence[int]) -> np.ndarray:
@@ -122,35 +143,14 @@ def _read(bits: np.ndarray, gammas: Sequence[int]) -> np.ndarray:
     return (1 << np.arange(len(gammas))) @ bits[np.asarray(gammas, dtype=np.intp)]
 
 
-# QuotientApprox (so measure and strict_equivariance_report) enumerates
-# 2^(order-1) configurations; certificates enumerate none but keep the bound,
-# so that every certified homomorphism can be measured.
+# QuotientApprox.bits, which map_rows, rho and strict_equivariance_report
+# read, has a 2^(order-1) axis; certificates and measures read none of it.
 MAX_QUOTIENT_ORDER = 16
 
 
 def _check_max_order(max_order: int) -> None:
-    if max_order < 1:
-        raise MalformedDataError(f"max order {max_order} is below 1")
-    if max_order > MAX_QUOTIENT_ORDER:
-        raise MalformedDataError(
-            f"max order {max_order} exceeds the supported {MAX_QUOTIENT_ORDER}"
-        )
-
-
-def _check_quotient(window: BernoulliWindow, hom: GroupHom, max_order: int) -> None:
-    """The guards of a quotient model, built or not."""
-    _check_max_order(max_order)
-    if hom.target.order > max_order:
-        raise MalformedDataError(
-            f"quotient order {hom.target.order} exceeds the supported {max_order}"
-        )
-    if hom.source != window.group:
-        raise MalformedDataError("homomorphism source must be the window group")
-
-
-def quotient_approximation(window: BernoulliWindow, hom: GroupHom, max_order: int = 16) -> QuotientApprox:
-    _check_quotient(window, hom, max_order)
-    return QuotientApprox(window, hom)
+    if not 1 <= max_order <= MAX_FINITE_ORDER:
+        raise MalformedDataError(f"max order {max_order} is outside 1..{MAX_FINITE_ORDER}")
 
 
 def strict_equivariance_report(
@@ -315,13 +315,27 @@ def certify_rfd(
 ) -> RfdCertificate:
     """Produce a finite-quotient certificate at the requested tolerance.
 
-    Picks the window depth with tail weight below ``delta``, finds (or
-    checks) a homomorphism separating the window coordinates, and proves
-    strict equivariance from the quotient table.  Separation makes every
-    density witness (a window point on the window images, 0 elsewhere) truncate
-    back to its point.  Raises ``CertificationError`` when no homomorphism
-    works and ``MalformedDataError`` when ``max_order`` is outside
-    ``1..MAX_QUOTIENT_ORDER``.
+    Picks the window depth with tail weight below ``delta`` and finds (or
+    checks) a homomorphism separating the window coordinates.  Separation
+    makes every density witness (a window point on the window images, 0
+    elsewhere) truncate back to its point.
+
+    Strict equivariance needs no check.  Configurations have a bit ``z_y``
+    per quotient element, ``z_0 = 1``.  For a window image ``c``, ``g =
+    inverse(c)`` and ``s = table[g]``, the shift maps ``z`` with ``z_g = 1``
+    to ``x_y = z_s(y)`` and the window set is ``x_c = 1``.  ``FiniteGroup``
+    checks that 0 is the identity, that the table is associative and that
+    every element has a two-sided inverse, so ``s`` is left multiplication
+    by ``g``: a bijection with ``s(c) = 0`` and ``s(0) = g``.  Hence the
+    shift lands in the window set (image), its domain is every
+    configuration that is 1 at ``g`` (strict), and ``rho`` of the shift
+    reads ``z`` at ``s(c_k)``, the shifted value itself (pointwise).
+    ``strict_equivariance_report`` checks the same over every
+    configuration.
+
+    Raises ``CertificationError`` when no homomorphism works and
+    ``MalformedDataError`` when ``max_order`` is outside
+    ``1..MAX_FINITE_ORDER`` or below a supplied homomorphism's quotient.
     """
     _check_max_order(max_order)
     depth = _required_depth(delta)
@@ -333,14 +347,16 @@ def certify_rfd(
             raise CertificationError(
                 "supplied homomorphism does not separate the window coordinates"
             )
+        if hom.target.order > max_order:
+            raise MalformedDataError(
+                f"quotient order {hom.target.order} exceeds the supported {max_order}"
+            )
     else:
         hom = _search_hom(group, window, max_order, max_cyclic)
         if hom is None:
             raise CertificationError(
                 "no homomorphism within the search budget separates the window"
             )
-    if not _strictly_equivariant(window, hom, max_order):
-        raise CertificationError("quotient approximation is not strictly equivariant")
     return RfdCertificate(
         group=group,
         delta=float(delta),
@@ -351,36 +367,6 @@ def certify_rfd(
         equivariance_defect=0.0,
         points_checked={"window": window.num_points, "quotient": 1 << (hom.target.order - 1)},
     )
-
-
-def _strictly_equivariant(window: BernoulliWindow, hom: GroupHom, max_order: int) -> bool:
-    """``ok and strict_ok`` of the model's strict report over the window,
-    read off the quotient table with no configuration built.
-
-    Configurations have a bit ``z_y`` per quotient element, ``z_0 = 1``.
-    For a window image ``c``, ``g = inverse(c)`` and ``s = table[g]``, the
-    shift maps ``z`` with ``z_g = 1`` to ``x_y = z_s(y)`` (``y = 1..m-1``)
-    and the window set is ``x_c = 1``; on the domain only ``z_0``, ``z_g``
-    are fixed.  So image holds iff ``c = 0`` or ``s(c)`` is 0 or ``g``, and
-    then strict iff ``s`` is one-to-one from ``{1..m-1} - {c}`` into
-    ``{1..m-1} - {g}``: ``s(1..m-1)`` has that many values besides 0, ``g``.
-    ``rho`` of the shift reads ``z`` at ``s(c_k)`` and the wanted value at
-    ``table[g][c_k]``, the same index unless a window image ``c_k`` (k >= 1)
-    is 0, which separation excludes; there ``x_0 = 1``, so pointwise needs
-    ``s(0)`` to be 0 or ``g``.  The shift never reads ``s(0)``: a
-    permutation row with ``s(0) = g`` suffices but is not necessary.
-    """
-    _check_quotient(window, hom, max_order)
-    q = hom.target
-    images = [hom.apply(t) for t in window.coords]
-    m, reads_s0 = q.order, 0 in images[1:]
-    for c in images:
-        g = q.inverse(c)
-        s = q.table[g]
-        strict = len(set(s[1:]) - {0, g}) == m - 1 - (c != 0)
-        if not (strict and (c == 0 or s[c] in (0, g)) and (not reads_s0 or s[0] in (0, g))):
-            return False
-    return True
 
 
 def verify_certificate(cert: RfdCertificate, max_order: int = 16) -> bool:
@@ -455,6 +441,21 @@ class MeasureApprox:
         }
 
 
+def _average(f: CylinderFunction, reads: Sequence[int], pinned: int = 0) -> float:
+    """The mean of ``f`` over the configurations that are 1 at ``pinned``,
+    with window coordinate k read at quotient element ``reads[k]``.  The
+    identity and ``pinned`` read 1, so the mean runs over the assignments
+    of the other distinct elements that ``f`` reads: every configuration
+    extends each of them equally often."""
+    gammas = [reads[k] for k in f.coords]
+    free = {g: j for j, g in enumerate(sorted(set(gammas) - {0, pinned}))}
+    count = 1 << len(free)
+    return math.fsum(
+        f.values[sum(((z >> free[g]) & 1 if g in free else 1) << i for i, g in enumerate(gammas))]
+        for z in range(count)
+    ) / count
+
+
 def invariant_measure_approx(
     approx: QuotientApprox,
     tests: Sequence[CylinderFunction],
@@ -465,7 +466,9 @@ def invariant_measure_approx(
     Also reports, per element, the defect between averaging a test over the
     element's set after shifting back and averaging over the inverse's set;
     exact summation keeps the defect at zero whenever the model shifts are
-    bijections.
+    bijections.  Each average counts over the quotient elements a test
+    reads (``_average``), so no configuration is enumerated and the
+    figures are those of the sums over all ``2^(m-1)`` of them.
     """
     window = approx.window
     group = window.group
@@ -475,35 +478,27 @@ def invariant_measure_approx(
             raise MalformedDataError(
                 f"test {f.label!r} depends on coordinates outside the window"
             )
-    total = approx.num_points
+    images = approx.images
     values: list[dict] = []
     positive_ok = True
-    norm = math.fsum(1.0 for _ in range(total)) / total
-    rho = np.asarray(approx.rho)
+    norm = _average(CylinderFunction.constant(1.0), images)
     for f in tests:
-        mu = math.fsum(f.on_window_point(window, rho)) / total
+        mu = _average(f, images)
         values.append({"test": f.label or repr(f.coords), "value": mu})
         if all(v >= 0.0 for v in f.values) and mu < 0.0:
             positive_ok = False
-    # per element t with image gamma: its set, the points that are 1 at
-    # gamma, shifted back (read at gamma times each window image), and rho
-    # of its inverse's set, the points that are 1 at gamma^-1
-    q, bits = approx.quotient, approx.bits
-    table = np.asarray(q.table)
-    rows = [
-        (word_to_str(group, t),
-         _read(bits, table[g, approx.images[1:]])[bits[g] == 1],
-         rho[bits[q.inverse(g)] == 1])
-        for t, g in zip(elems, map(approx.hom.apply, elems))
-    ]
+    # per element t with image g: its set, the points that are 1 at g,
+    # shifted back (read at g times each window image), and rho of its
+    # inverse's set, the points that are 1 at g^-1; each set holds half the
+    # points unless g is the identity
+    q = approx.quotient
+    rows = [(word_to_str(group, t), g, [q.table[g][c] for c in images], q.inverse(g))
+            for t, g in zip(elems, map(approx.hom.apply, elems))]
     defects: list[dict] = []
     max_defect = 0.0
     for f in tests:
-        for label, shifted, plain in rows:
-            defect = abs(
-                math.fsum(f.on_window_point(window, shifted))
-                - math.fsum(f.on_window_point(window, plain))
-            ) / total
+        for label, g, shifted, g_inv in rows:
+            defect = abs(_average(f, shifted, g) - _average(f, images, g_inv)) / (2 if g else 1)
             defects.append({"test": f.label or repr(f.coords), "element": label, "defect": defect})
             max_defect = max(max_defect, defect)
     return MeasureApprox(

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .actions import DualSystem, FinitePartialAction, action_from_json, validate
 from .bernoulli import (
-    MAX_QUOTIENT_ORDER,
     BernoulliWindow,
     CertificationError,
     CylinderFunction,
@@ -34,6 +33,7 @@ from .bernoulli import (
 )
 from .crossed import build_model, bundle_axiom_report
 from .groups import (
+    MAX_FINITE_ORDER,
     FreeGroup,
     GroupSpec,
     MalformedDataError,
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     certificate.add_argument("--hom", default=None,
                              help="homomorphism JSON file (searched when omitted)")
     certificate.add_argument("--max-order", type=int, default=16,
-                             help=f"largest quotient order considered, at most {MAX_QUOTIENT_ORDER}")
+                             help=f"largest quotient order considered, 1..{MAX_FINITE_ORDER}")
 
     parser = argparse.ArgumentParser(
         prog="parfell",
@@ -361,6 +361,8 @@ def main(argv=None) -> int:
     head = {"tool": "parfell", "version": __version__, "subcommand": subcommand}
 
     try:
+        if subcommand in DECISION_TOL and not 0 <= args.tol < math.inf:
+            raise MalformedDataError(f"--tol must be finite and >= 0, got {args.tol!r}")
         report, ok, inputs = RUNNERS[subcommand](args)
         _emit({**head, "config": config, "inputs": inputs, "report": report, "ok": ok},
               args.json_out)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import parfell as pf
 from parfell import bernoulli
 from parfell.actions import EquivarianceReport
-from parfell.bernoulli import _separates_window, _strictly_equivariant
+from parfell.bernoulli import _separates_window
 from parfell.groups import word_to_str
 from conftest import symmetric_group
 
@@ -93,10 +93,15 @@ def test_quotient_rows_declare_a_valid_action():
 
 
 def test_quotient_order_cap():
+    """A model of any valid quotient can be built; its configuration table
+    is refused above ``MAX_QUOTIENT_ORDER``, and so is what reads it."""
     w = pf.BernoulliWindow.build(Z, 1)
     hom = pf.GroupHom(source=Z, target=pf.cyclic_group(17), images=(1,))
-    with pytest.raises(pf.MalformedDataError):
-        pf.quotient_approximation(w, hom, max_order=16)
+    approx = pf.quotient_approximation(w, hom)
+    assert approx.images == [0, 1] and approx.num_points == 1 << 16
+    for read in (lambda: approx.bits, lambda: approx.rho, lambda: approx.map_rows([(1,)])):
+        with pytest.raises(pf.MalformedDataError, match="quotient order 17 exceeds the 16"):
+            read()
 
 
 def test_quotient_source_mismatch():
@@ -342,55 +347,42 @@ ORACLE_TARGETS = [pf.cyclic_group(m) for m in range(1, 13)] + [
 
 
 @st.composite
-def table_models(draw):
+def oracle_models(draw):
     """A window of free:1, free:2 or free:3 of depth at most 5 and a
     random homomorphism into a quotient of order at most 12, abelian or
-    not, whose table is tampered at up to three entries half the time.
-    Tampered entries favour the rows the window's images read and their
-    pinned column 0."""
+    not."""
     group = draw(st.sampled_from([Z, F2, pf.FreeGroup(3)]))
     target = draw(st.sampled_from(ORACLE_TARGETS))
-    m = target.order
-    images = tuple(draw(st.lists(st.integers(0, m - 1), min_size=group.rank, max_size=group.rank)))
+    images = draw(st.lists(st.integers(0, target.order - 1),
+                           min_size=group.rank, max_size=group.rank))
     window = pf.BernoulliWindow.build(group, draw(st.integers(0, 5)))
-    hom = pf.GroupHom(source=group, target=target, images=images)
-    gammas = sorted({hom.apply(t) for t in window.coords})
-    rows = st.one_of(st.sampled_from([target.inverse(c) for c in gammas]), st.integers(0, m - 1))
-    cols = st.one_of(st.just(0), st.sampled_from(gammas), st.integers(0, m - 1))
-    entries = draw(st.dictionaries(st.tuples(rows, cols), st.integers(0, m - 1),
-                                   min_size=1, max_size=3)) if draw(st.booleans()) else {}
-    return window, pf.GroupHom(source=group, target=tampered(target, entries), images=images)
+    return window, pf.GroupHom(source=group, target=target, images=tuple(images))
 
 
 @settings(max_examples=300, deadline=None)
-@given(table_models())
-def test_identity_check_matches_the_exhaustive_report(model):
-    """The certificate's table identities give the strict report's verdict
-    over every configuration, on random and tampered tables.  For a
-    separating homomorphism, certifying either fails with that verdict or
+@given(oracle_models())
+def test_every_valid_quotient_passes_the_exhaustive_report(model):
+    """Every homomorphism into a valid group is strictly equivariant over
+    every configuration, as ``certify_rfd`` argues from the table checks
+    of ``FiniteGroup``.  For a separating homomorphism the certificate
     records the exhaustive defect, window distance and point counts."""
     window, hom = model
     approx = pf.QuotientApprox(window, hom)
     report = pf.strict_equivariance_report(approx)
-    verdict = report.ok and report.strict_ok
-    assert _strictly_equivariant(window, hom, 16) == verdict
+    assert report.ok and report.strict_ok
+    assert report.max_defect == 0.0 and report.violations == []
     if not _separates_window(window, hom):
         return
-    delta = 1.5 * 2.0 ** -window.depth
-    if verdict:
-        cert = pf.certify_rfd(window.group, delta, hom=hom)
-        assert (cert.equivariance_defect, cert.max_window_distance) == (report.max_defect, window_distance(approx))
-        assert cert.points_checked == {"window": window.num_points, "quotient": approx.num_points}
-    else:
-        with pytest.raises(pf.CertificationError, match="not strictly equivariant"):
-            pf.certify_rfd(window.group, delta, hom=hom)
+    cert = pf.certify_rfd(window.group, 1.5 * 2.0 ** -window.depth, hom=hom)
+    assert (cert.equivariance_defect, cert.max_window_distance) == (report.max_defect, window_distance(approx))
+    assert cert.points_checked == {"window": window.num_points, "quotient": approx.num_points}
 
 
 def test_identity_check_fails_where_the_exhaustive_report_does():
-    """On free:1 at depth 3 into Z/4 each tampered entry breaks the
-    identities the exhaustive report names, and both checks reject it; an
-    entry of the pinned column that no window image reads breaks nothing,
-    although its row is then no permutation."""
+    """On free:1 at depth 3 into Z/4, past the checks of ``FiniteGroup``,
+    each tampered entry breaks the identities the exhaustive report names;
+    an entry of the pinned column that no window image reads breaks
+    nothing, although its row is then no permutation."""
     window = pf.BernoulliWindow.build(Z, 3)
     z4 = pf.cyclic_group(4)
     cases = [  # images (0, 1, 3, 2): for a, g = 3 and row 3 is (3, 0, 1, 2)
@@ -405,7 +397,6 @@ def test_identity_check_fails_where_the_exhaustive_report_does():
         hom = pf.GroupHom(source=Z, target=tampered(z4, entries), images=images)
         report = pf.strict_equivariance_report(pf.QuotientApprox(window, hom))
         assert {v["kind"] for v in report.violations} == kinds
-        assert _strictly_equivariant(window, hom, 16) == (not kinds)
 
 
 def test_certify_and_verify_build_no_quotient_model(monkeypatch):
@@ -450,6 +441,18 @@ def test_separation_skips_apply_when_window_outgrows_quotient(monkeypatch):
     assert not _separates_window(pf.BernoulliWindow.build(F2, 16), hom)  # 17 coords
     with pytest.raises(pf.CertificationError):
         pf.certify_rfd(F2, 1e-300)  # depth 997: no candidate can separate
+
+
+def test_certify_and_verify_apply_the_hom_once_per_coordinate(monkeypatch):
+    """The search reads the quotient table, and re-verifying applies the
+    homomorphism once to each of the 8 window coordinates of depth 7, for
+    the separation check alone."""
+    calls = []
+    apply = pf.GroupHom.apply
+    monkeypatch.setattr(pf.GroupHom, "apply", lambda self, g: calls.append(g) or apply(self, g))
+    cert = pf.certify_rfd(F2, 0.01)
+    assert pf.verify_certificate(cert)
+    assert len(calls) == len(pf.BernoulliWindow.build(F2, cert.depth).coords) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -734,14 +737,15 @@ def test_verify_rejects_tampered_fields(field, value):
 
 def test_verify_rejects_a_quotient_above_max_order():
     """Z/7 separates the window of depth 3 on free:1 but exceeds a max
-    order of 6; the check keeps the model's guards."""
+    order of 6; any max order from 7 up verifies it, past the 16 of an
+    enumerated model."""
     hom = pf.GroupHom(source=Z, target=pf.cyclic_group(7), images=(1,))
     cert = pf.certify_rfd(Z, 0.2, hom=hom)
     assert pf.verify_certificate(cert, max_order=7)
     assert not pf.verify_certificate(cert, max_order=6)
     with pytest.raises(pf.MalformedDataError, match="quotient order 7 exceeds the supported 6"):
         pf.certify_rfd(Z, 0.2, hom=hom, max_order=6)
-    assert not pf.verify_certificate(cert, max_order=17)
+    assert pf.verify_certificate(cert, max_order=17)
 
 
 @settings(max_examples=20, deadline=None)

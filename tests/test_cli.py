@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import parfell as pf
-from parfell.cli import build_parser, main
+from parfell.cli import DECISION_TOL, build_parser, main
 from parfell.matrices import TOLERANCES
 
 
@@ -355,14 +355,43 @@ def test_bernoulli_certify_search_budget_exits_two(capsys):
 
 @pytest.mark.parametrize("command", ["bernoulli certify", "measure"], ids=["certify", "measure"])
 def test_max_order_above_limit_exits_two(capsys, command):
-    # depth 100 would otherwise pick a quotient of order 110 and enumerate
-    # 2^109 configurations
-    code, env, _ = run(
-        capsys,
-        [*command.split(), "--group", "free:1", "--delta", "1e-30", "--max-order", "200"],
-    )
+    """``--max-order`` runs up to the largest finite group order: depth 100
+    on free:1 is certified (and measured) through a quotient of order 132,
+    and one more than 512 is refused, naming the limit."""
+    argv = [*command.split(), "--group", "free:1", "--delta", "1e-30"]
+    code, env, _ = run(capsys, [*argv, "--max-order", "513"])
     assert code == 2
-    assert env["error"] == "MalformedDataError: max order 200 exceeds the supported 16"
+    assert env["error"] == "MalformedDataError: max order 513 is outside 1..512"
+    code, env, _ = run(capsys, [*argv, "--max-order", "200"])
+    assert code == 0
+
+
+def test_measure_reads_no_configuration_table(capsys, monkeypatch):
+    """``measure`` counts over the bits each test reads: on the order-132
+    certificate of depth 100 it never reads the model's table of 2^131
+    configurations."""
+    def refuse(self):
+        raise AssertionError("QuotientApprox.bits read")
+
+    monkeypatch.setattr(pf.QuotientApprox, "bits", property(refuse))
+    code, env, _ = run(capsys, ["measure", "--group", "free:1", "--delta", "1e-30", "--max-order", "200"])
+    assert code == 0
+    report = env["report"]
+    assert (report["N"], report["quotient_order"]) == (100, 132)
+    assert report["measure"]["max_defect"] == 0.0
+    assert {v["value"] for v in report["measure"]["values"]} == {1.0, 0.5}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", sorted(DECISION_TOL))
+def test_out_of_range_tol_exits_two(capsys, swap_file, command, tol):
+    """A decision tolerance that is negative or not finite is refused with
+    an error naming the flag, as ``--noise`` is, not run as a check that
+    every comparison fails."""
+    argv = MEASURE if command == "measure" else [command, swap_file]
+    code, env, _ = run(capsys, [*argv, "--tol", tol])
+    assert code == 2
+    assert env["error"] == f"MalformedDataError: --tol must be finite and >= 0, got {float(tol)!r}"
 
 
 def test_measure_report(capsys):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
@@ -143,31 +144,31 @@ def build_parser() -> argparse.ArgumentParser:
 # helpers
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
+def _read_input(path: str, inputs: dict) -> bytes:
+    """The bytes of input file ``path``, read once; their sha256 goes into
+    ``inputs``, so the recorded hash is of the data parsed."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        data = fh.read()
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    return data
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _parse_json(data: bytes):
+    # decoded as a UTF-8 text-mode read decodes, newlines and error texts included
+    return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
 
-def _load_action(path: str) -> FinitePartialAction:
-    return action_from_json(_load_json(path))
+def _load_action(path: str, inputs: dict) -> FinitePartialAction:
+    return action_from_json(_parse_json(_read_input(path, inputs)))
 
 
-def _parse_group(spec: str) -> GroupSpec:
+def _builtin_group(spec: str) -> GroupSpec:
+    """The group of a spec that names no file: ``free:r``, ``cyclic:m`` or ``trivial``."""
     if spec.startswith("free:"):
         return FreeGroup(rank=int(spec.split(":", 1)[1]))
     if spec.startswith("cyclic:"):
         return cyclic_group(int(spec.split(":", 1)[1]))
-    if spec == "trivial":
-        return trivial_group()
-    return group_from_json(_load_json(spec))
+    return trivial_group()
 
 
 def _json_scalar(obj):
@@ -196,15 +197,15 @@ def _noised_family(
 
 
 def _run_validate(args):
-    inputs = {args.action: _sha256(args.action)}
-    action = _load_action(args.action)
+    inputs = {}
+    action = _load_action(args.action, inputs)
     report = validate(action, radius=args.radius)
     return report.to_json(), report.ok, inputs
 
 
 def _run_covariant_rep(args):
-    inputs = {args.action: _sha256(args.action)}
-    action = _load_action(args.action)
+    inputs = {}
+    action = _load_action(args.action, inputs)
     vr = validate(action, radius=args.radius)
     if not vr.ok:
         raise MalformedDataError("action fails validation; run validate-action")
@@ -223,8 +224,8 @@ def _run_covariant_rep(args):
 
 
 def _run_defects(args):
-    inputs = {args.action: _sha256(args.action)}
-    action = _load_action(args.action)
+    inputs = {}
+    action = _load_action(args.action, inputs)
     rep = std_covariant_rep(action)
     elems = scan_elements(action.group, args.radius)
     family = _noised_family(rep, elems, args.noise, args.seed)
@@ -241,8 +242,8 @@ def _run_defects(args):
 
 
 def _run_perturb(args):
-    inputs = {args.action: _sha256(args.action)}
-    action = _load_action(args.action)
+    inputs = {}
+    action = _load_action(args.action, inputs)
     rep = std_covariant_rep(action)
     elems = scan_elements(action.group, args.radius)
     family = _noised_family(rep, elems, args.noise, args.seed)
@@ -254,8 +255,8 @@ def _run_perturb(args):
 
 
 def _run_crossed(args):
-    inputs = {args.action: _sha256(args.action)}
-    action = _load_action(args.action)
+    inputs = {}
+    action = _load_action(args.action, inputs)
     model = build_model(action)
     dim = model.dimension()
     report = {
@@ -272,12 +273,12 @@ def _certificate_inputs(args):
     """The input hashes, group and supplied homomorphism (or None) of a
     certificate command."""
     inputs = {}
-    if not (args.group.startswith(("free:", "cyclic:")) or args.group == "trivial"):
-        inputs[args.group] = _sha256(args.group)
-    if args.hom is not None:
-        inputs[args.hom] = _sha256(args.hom)
-    group = _parse_group(args.group)
-    hom = hom_from_json(_load_json(args.hom)) if args.hom else None
+    builtin = args.group.startswith(("free:", "cyclic:")) or args.group == "trivial"
+    # both files are read before either is parsed
+    group_data = None if builtin else _read_input(args.group, inputs)
+    hom_data = None if args.hom is None else _read_input(args.hom, inputs)
+    group = _builtin_group(args.group) if builtin else group_from_json(_parse_json(group_data))
+    hom = None if hom_data is None else hom_from_json(_parse_json(hom_data))
     return inputs, group, hom
 
 
@@ -313,8 +314,8 @@ def _run_measure(args):
 def _run_bundle_axioms(args):
     if args.trials < 0:
         raise MalformedDataError(f"--trials must be >= 0, got {args.trials}")
-    inputs = {args.action: _sha256(args.action)}
-    action = _load_action(args.action)
+    inputs = {}
+    action = _load_action(args.action, inputs)
     dual = DualSystem(action)
     elems = scan_elements(action.group, args.radius)
     report = bundle_axiom_report(

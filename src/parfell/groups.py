@@ -210,7 +210,8 @@ def scan_elements(group: GroupSpec, radius: int) -> list:
 
     A finite group is scanned whole whatever the radius; a free group over
     its word ball of the given radius, which must be at least 1.  The last
-    few balls are kept, so the scans of one command build theirs once.
+    few balls are kept, so the scans of one command build theirs once.  A
+    free-group ball takes ``product_table``'s level-built path.
     """
     if isinstance(group, FiniteGroup):
         return CheckedElements(group, range(group.order))
@@ -228,6 +229,11 @@ def _ball(group: FreeGroup, radius: int) -> tuple:
 MAX_SCAN_PAIRS = MAX_FINITE_ORDER**2
 
 
+def ball_size(rank: int, radius: int) -> int:
+    """The number of reduced words of length at most ``radius``."""
+    return 1 + sum(2 * rank * (2 * rank - 1) ** (d - 1) for d in range(1, radius + 1))
+
+
 class WordTrie:
     """Reduced words of a free group as int ids, paths from the root ``0``.
 
@@ -236,12 +242,34 @@ class WordTrie:
     letter's index is ``a ^ 1``), ``depth[w]`` the length of ``w`` and
     ``child[w, a]`` the id of ``w`` followed by letter ``a``, or -1.  Ids
     follow creation order, so a parent's id is below its children's.
+
+    A trie grows on demand, doubling its arrays; ``WordTrie.ball`` builds
+    the words of a ball at once, in ``FreeGroup.ball`` order.
     """
 
-    def __init__(self, rank: int) -> None:
+    def __init__(self, rank: int, capacity: int = 1) -> None:
         self.rank, self.size = rank, 1
-        self.parent, self.last, self.depth = np.full(1, -1), np.full(1, -1), np.zeros(1, dtype=np.intp)
-        self.child = np.full((1, 2 * rank), -1, dtype=np.intp)
+        self.parent, self.last = np.full(capacity, -1), np.full(capacity, -1)
+        self.depth = np.zeros(capacity, dtype=np.intp)
+        self.child = np.full((capacity, 2 * rank), -1, dtype=np.intp)
+
+    @classmethod
+    def ball(cls, rank: int, radius: int) -> "WordTrie":
+        """The ``ball_size(rank, radius)`` words of length at most
+        ``radius``, allocated once and built one level at a time: the id of
+        each word is its index in ``FreeGroup(rank).ball(radius)``."""
+        k = 2 * rank
+        trie, lo = cls(rank, ball_size(rank, radius)), 0
+        for d in range(1, radius + 1):
+            # each word of the last level, then each letter that does not cancel
+            p, a = np.divmod(np.arange(lo * k, trie.size * k), k)
+            keep = a != trie.last[p] ^ 1
+            p, a = p[keep], a[keep]
+            ids = np.arange(trie.size, trie.size + p.size)
+            trie.child[p, a] = ids
+            trie.parent[ids], trie.last[ids], trie.depth[ids] = p, a, d
+            lo, trie.size = trie.size, trie.size + p.size
+        return trie
 
     def step(self, w: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Ids of the reduced words ``w a``, for ids ``w`` and letter
@@ -315,10 +343,14 @@ class ProductTable:
 def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
     """One product per pair of the distinct, checked ``elements``.
 
-    Free-group products are walks in a ``WordTrie`` grown on demand, so a
-    ball of radius ``r`` costs the words of the ball of radius ``2r`` and a
-    list of sparse long words only the words its walks reach.  Refuses
-    scans of more than ``MAX_SCAN_PAIRS`` element pairs.
+    A free-group ball ``B_R``, as ``scan_elements`` returns it, takes the
+    level-built path: ``WordTrie.ball`` builds the ``|B_2R|`` words once,
+    the ball's own ids are ``0..e-1``, the products come from one gather
+    per level of the right factor and the inverses from where each column
+    of products reaches the identity.  Any other free-group list walks a
+    ``WordTrie`` grown on demand, so sparse long words cost only the words
+    their walks reach.  Both give the same table.  Refuses scans of more
+    than ``MAX_SCAN_PAIRS`` element pairs.
     """
     e = len(elements)
     if e * e > MAX_SCAN_PAIRS:
@@ -332,6 +364,18 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
         inv = np.asarray(group._inv, dtype=np.intp)[el]
         prod = np.asarray(group.table, dtype=np.intp)[el[:, None], el]
         size = group.order
+    elif (radius := _ball_radius(group, elements)) is not None:
+        trie = WordTrie.ball(group.rank, 2 * radius)
+        el = np.arange(e)
+        prod = np.empty((e, e), dtype=np.intp)
+        prod[:, 0] = el
+        for d in range(1, radius + 1):
+            # the right factors of length d: their parents' columns, one letter on
+            lo, hi = ball_size(group.rank, d - 1), ball_size(group.rank, d)
+            left = prod[:, trie.parent[lo:hi]]
+            prod[:, lo:hi] = trie.step(left.ravel(), np.tile(trie.last[lo:hi], e)).reshape(left.shape)
+        inv = np.argmax(prod == 0, axis=0)
+        size = trie.size
     else:
         trie = WordTrie(group.rank)
         el = trie.walk(np.zeros(e, dtype=np.intp), elements)
@@ -351,6 +395,16 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
     if not np.array_equal(key_of[el], np.arange(e)):
         raise MalformedDataError("scan elements must be distinct")
     return ProductTable(key_of[inv].astype(np.int32), key_of[prod].astype(np.int32), ids, trie)
+
+
+def _ball_radius(group: FreeGroup, elements: Sequence) -> int | None:
+    """``R`` when ``elements`` is ``group.ball(R)`` word for word, else None."""
+    radius = 0
+    while ball_size(group.rank, radius) < len(elements):
+        radius += 1
+    if ball_size(group.rank, radius) != len(elements) or list(elements) != list(_ball(group, radius)):
+        return None
+    return radius
 
 
 @dataclass(frozen=True)

@@ -306,7 +306,11 @@ def partial_rep_defects(
     ident = group.identity
     if not v.has(ident):
         raise PreconditionError("family lacks the identity element")
-    if norm_unless_below(v.matrix(ident) - np.eye(v.dim), EXACT_TOL) > EXACT_TOL:
+    if v.action is None:
+        unit = norm_unless_below(v.matrix(ident) - np.eye(v.dim), EXACT_TOL) <= EXACT_TOL
+    else:  # a 0/1 matrix is I exactly when its map fixes every point
+        unit = dict(v.action.element_map(ident).pairs) == {z: z for z in range(v.dim)}
+    if not unit:
         raise PreconditionError("identity element is not represented by I")
 
     e = len(elems)
@@ -320,6 +324,8 @@ def partial_rep_defects(
         if lacks.any():
             v.action.element_map(table.keys[int(np.argmax(lacks))])  # raises its error
         masks = _row_settled_pairs(rows, table, identities)
+        if not any(m.any() for m in masks.values()):
+            return _report({k: _Worst() for k in masks}, [])
         # the matrices that the open pairs read, by one scatter from the rows
         need = np.zeros(len(rows), dtype=bool)
         need[table.inv[masks["selfadjoint"] | masks["triple_product"].any(axis=1)]] = True

@@ -1,6 +1,7 @@
 """End-to-end command line coverage through in-process main()."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -555,6 +556,31 @@ def test_json_out_matches_stdout(capsys, swap_file, tmp_path):
         capsys, ["validate-action", swap_file, "--json-out", str(out)]
     )
     assert out.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("command", [
+    ["validate-action", "{action}"], ["covariant-rep", "{action}"], ["defects", "{action}"],
+    ["perturb", "{action}", "--eta", "0.01"], ["crossed-product", "{action}"], ["bundle-axioms", "{action}"],
+    ["bernoulli", "certify", "--group", "{group}", "--hom", "{hom}", "--delta", "0.3"],
+    ["measure", "--group", "{group}", "--hom", "{hom}", "--delta", "0.3"],
+], ids=lambda c: c[0] if c[0] != "bernoulli" else "certify")
+def test_each_input_is_opened_once(capsys, monkeypatch, swap_file, tmp_path, command):
+    """Every input file is opened once, and the hash a report records is
+    that of the bytes read."""
+    hom = pf.GroupHom(pf.FreeGroup(1), pf.cyclic_group(4), (1,))
+    files = {"action": swap_file, "group": str(tmp_path / "group.json"), "hom": str(tmp_path / "hom.json")}
+    Path(files["group"]).write_text(json.dumps(pf.group_to_json(pf.FreeGroup(1))))
+    Path(files["hom"]).write_text(json.dumps(pf.hom_to_json(hom)))
+    argv = [a.format(**files) for a in command]
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda file, *a, **k: opened.append(file) or real_open(file, *a, **k))
+    code, env, _ = run(capsys, argv)
+    monkeypatch.undo()
+    assert code == 0
+    read = [f for f in files.values() if f in argv]
+    assert sorted(map(str, opened)) == sorted(read)
+    assert env["inputs"] == {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in read}
 
 
 def test_config_echoes_options(capsys, swap_file):

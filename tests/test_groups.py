@@ -25,6 +25,8 @@ from parfell import (
     word_to_str,
 )
 from conftest import symmetric_group
+from parfell import groups
+from parfell.groups import ball_size
 
 
 # --- oracles ---------------------------------------------------------------
@@ -210,6 +212,58 @@ def test_product_table_on_sparse_long_words():
     firsts = [group.inverse(g) for g in elements]
     firsts += [group.multiply(g, h) for g in elements for h in elements]
     assert keys[e:] == [k for k in dict.fromkeys(firsts) if k not in elements]
+
+
+def _walk_table(monkeypatch, group, elements):
+    """The table of the walk path, which every list but a ball takes."""
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_ball_radius", lambda group, elements: None)
+        return product_table(group, elements)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_ball_tables_match_the_walk(monkeypatch, rank, radius):
+    """A canonical ball takes the level-built path, whose ids are the ball's
+    indices, and gives the walk's keys, inverses and products."""
+    group = FreeGroup(rank)
+    elements = scan_elements(group, radius)
+    assert len(elements) == ball_size(rank, radius)
+    if len(elements) ** 2 > MAX_SCAN_PAIRS:
+        with pytest.raises(MalformedDataError, match="element pairs"):
+            product_table(group, elements)
+        return
+    table, walked = product_table(group, elements), _walk_table(monkeypatch, group, elements)
+    assert table.trie.size == ball_size(rank, 2 * radius) == len(table.trie.parent)
+    assert table.trie.words(np.arange(table.trie.size)) == group.ball(2 * radius)
+    assert table.keys == walked.keys
+    assert np.array_equal(table.inv, walked.inv) and np.array_equal(table.prod, walked.prod)
+    assert table.inv.dtype == walked.inv.dtype and table.prod.dtype == walked.prod.dtype
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False), st.booleans())
+def test_shuffled_or_cut_balls_take_the_walk(rank, radius, rnd, shuffle):
+    """A shuffled ball, or one without its last word, is not the canonical
+    ball: it builds no ball trie, and its table still agrees with
+    ``multiply`` and ``inverse``."""
+    group = FreeGroup(rank)
+    elements = group.ball(radius)
+    if shuffle:
+        rnd.shuffle(elements)
+    else:
+        elements.pop()
+    if elements == group.ball(radius) or len(elements) ** 2 > MAX_SCAN_PAIRS:
+        return
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groups.WordTrie, "ball", None)
+        table = product_table(group, elements)
+    keys = table.keys
+    assert keys[: len(elements)] == elements
+    for a, g in enumerate(elements):
+        assert keys[table.inv[a]] == group.inverse(g)
+        for b, h in enumerate(elements):
+            assert keys[table.prod[a, b]] == group.multiply(g, h)
 
 
 def test_product_table_pair_limit():

@@ -1,6 +1,8 @@
 """Covariant representations: the standard model, defects, rounding, extraction."""
 
+import json
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +417,40 @@ def test_std_model_scans_of_a_valid_action_feed_no_stack(monkeypatch):
     copy = pf.PartialRepFamily(act.group, rep.dim, mats={k: rep.v.matrix(k) for k in act.scan(elems)[0].keys})
     assert pf.partial_rep_defects(copy, elements=elems).to_json() == rel.to_json()
     assert fed
+
+
+def test_settled_std_model_scan_forms_no_matrix(monkeypatch):
+    """When the rows settle every element and pair, the standard model's
+    scan returns the zero report before any matrix is formed."""
+    path = Path(__file__).parent / "data" / "free2.json"
+    act = pf.action_from_json(json.loads(path.read_text(encoding="utf-8")))
+    rep = pf.std_covariant_rep(act)
+    elems = pf.scan_elements(act.group, 3)
+    want = ref_partial_rep_defects(rep.v, elems)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a settled scan formed a matrix")
+
+    for name in ("partial_permutations", "_scan_relations", "norm_unless_below"):
+        monkeypatch.setattr(reps, name, forbidden)
+    monkeypatch.setattr(reps.PartialRepFamily, "matrix", forbidden)
+    got = pf.partial_rep_defects(rep.v, elements=elems).to_json()
+    assert got["entries"] == dict(sorted(want["entries"].items()))
+    assert got["witnesses"] == dict(sorted(want["witnesses"].items()))
+    assert got["skipped"] == want["skipped"] == []
+    assert max(got["entries"].values()) == 0.0
+
+
+def test_std_model_identity_precondition_reads_its_map():
+    """The standard model's identity is checked on its map: a declared
+    identity that moves a point is refused, one that fixes all is not."""
+    for maps, ok in (({0: {0: 1, 1: 0}, 1: {0: 0, 1: 1}}, False), ({0: {1: 1, 0: 0}, 1: {0: 1, 1: 0}}, True)):
+        rep = pf.std_covariant_rep(pf.FinitePartialAction(pf.cyclic_group(2), 2, maps))
+        if ok:
+            assert pf.partial_rep_defects(rep.v, elements=[0, 1]).max_defect() == 0.0
+        else:
+            with pytest.raises(pf.PreconditionError, match="not represented by I"):
+                pf.partial_rep_defects(rep.v, elements=[0, 1])
 
 
 def test_std_model_covariance_reads_only_the_elements():

@@ -225,15 +225,15 @@ class FinitePartialAction:
         """V_g, the set on which ``g``'s image points live."""
         return self.element_map(g).targets
 
-    def same_data(self, other: "FinitePartialAction", elements=None) -> bool:
+    def same_data(self, other: "FinitePartialAction") -> bool:
+        """Whether both actions have the same group, point count, declared
+        elements and maps on them."""
         if self.group != other.group or self.n != other.n:
             return False
-        if elements is None:
-            mine, theirs = set(self.declared_elements()), set(other.declared_elements())
-            if mine != theirs:
-                return False
-            elements = mine
-        return all(self.element_map(t) == other.element_map(t) for t in elements)
+        mine = set(self.declared_elements())
+        if mine != set(other.declared_elements()):
+            return False
+        return all(self.element_map(t) == other.element_map(t) for t in mine)
 
 
 def _row_of(pm: PartialMap, n: int) -> list[int]:
@@ -537,14 +537,13 @@ def check_equivariance(
     emap: EquivariantMap,
     radius: int = DEFAULT_RADIUS,
     strict: bool = False,
-    point_metric: Callable[[int, int], float] | None = None,
 ) -> EquivarianceReport:
     """Verify the intertwining identities of a point map over a ball.
 
     Checks image containment ``rho(V_t) <= U_t`` and the pointwise identity
     ``rho(eta_t(z)) = theta_t(rho(z))``; with ``strict`` also the preimage
-    containment ``rho^-1(U_t) <= V_t``.  Violation magnitudes use the target
-    metric when one is supplied, else count 1 per failure.
+    containment ``rho^-1(U_t) <= V_t``.  Each violation counts 1 in
+    ``max_defect``.
     """
     src, tgt = emap.source, emap.target
     elems = scan_elements(src.group, radius)
@@ -553,7 +552,7 @@ def check_equivariance(
 
     return _equivariance_report(
         src.group, elems, rows, rho, _hits(t_rows)[:, rho] > 0, t_rows[:, rho],
-        lambda x, y: 1.0 if point_metric is None else float(point_metric(x, y)), strict,
+        lambda x, y: 1.0, strict,
     )
 
 

@@ -226,17 +226,16 @@ def _separates_window(window: BernoulliWindow, hom: GroupHom) -> bool:
     return len(set(imgs)) == len(imgs)  # so none but the first is the identity
 
 
-def _search_hom(
-    group: GroupSpec, window: BernoulliWindow, max_order: int, max_cyclic: int
-) -> GroupHom | None:
+def _search_hom(group: GroupSpec, window: BernoulliWindow, max_order: int) -> GroupHom | None:
     """The first homomorphism that separates the window, or None.
 
     Targets run cyclic first, then products of two cyclic groups, each with
-    its generator images in ``itertools.product`` order.  Targets smaller
-    than the window are skipped unbuilt.  Generators that no window word
-    uses go to 0, as they do in the first separating tuple.  A target whose
-    ``MAX_SEARCH_TUPLES`` run out is passed over; its error is raised only
-    when no later target separates.
+    its generator images in ``itertools.product`` order.  A factor's order
+    is at most ``MAX_CYCLIC`` and a target's at most ``max_order``.
+    Targets smaller than the window are skipped unbuilt.  Generators that
+    no window word uses go to 0, as they do in the first separating tuple.
+    A target whose ``MAX_SEARCH_TUPLES`` run out is passed over; its error
+    is raised only when no later target separates.
     """
     if not isinstance(group, FreeGroup):
         raise MalformedDataError(
@@ -245,8 +244,8 @@ def _search_hom(
     if window.depth == 0:
         return GroupHom(source=group, target=trivial_group(), images=(0,) * group.rank)
     used = sorted({abs(s) for w in window.coords for s in w})
-    targets = [(m,) for m in range(2, min(max_cyclic, max_order) + 1)] + [
-        (a, b) for a in range(2, max_cyclic + 1) for b in range(a, max_cyclic + 1) if a * b <= max_order
+    targets = [(m,) for m in range(2, min(MAX_CYCLIC, max_order) + 1)] + [
+        (a, b) for a in range(2, MAX_CYCLIC + 1) for b in range(a, MAX_CYCLIC + 1) if a * b <= max_order
     ]
     cut_short = None
     for factors in targets:
@@ -267,6 +266,8 @@ def _search_hom(
     return None
 
 
+# the largest cyclic factor a certificate search tries
+MAX_CYCLIC = 12
 # image tuples one target's search may evaluate, about a second of blocks
 # over a window of 16 words; a target that needs more is passed over
 MAX_SEARCH_TUPLES = 1 << 21
@@ -311,12 +312,12 @@ def certify_rfd(
     delta: float,
     hom: GroupHom | None = None,
     max_order: int = 16,
-    max_cyclic: int = 12,
 ) -> RfdCertificate:
     """Produce a finite-quotient certificate at the requested tolerance.
 
     Picks the window depth with tail weight below ``delta`` and finds (or
-    checks) a homomorphism separating the window coordinates.  Separation
+    checks) a homomorphism separating the window coordinates; a search
+    tries cyclic factors of order at most ``MAX_CYCLIC``.  Separation
     makes every density witness (a window point on the window images, 0
     elsewhere) truncate back to its point.
 
@@ -352,7 +353,7 @@ def certify_rfd(
                 f"quotient order {hom.target.order} exceeds the supported {max_order}"
             )
     else:
-        hom = _search_hom(group, window, max_order, max_cyclic)
+        hom = _search_hom(group, window, max_order)
         if hom is None:
             raise CertificationError(
                 "no homomorphism within the search budget separates the window"
@@ -416,9 +417,9 @@ class CylinderFunction:
         return CylinderFunction(coords=(), values=(float(c),), label=f"const {c}")
 
     @staticmethod
-    def coordinate_indicator(k: int, value: int = 1) -> "CylinderFunction":
-        vals = (0.0, 1.0) if value else (1.0, 0.0)
-        return CylinderFunction(coords=(k,), values=vals, label=f"x[{k}] = {value}")
+    def coordinate_indicator(k: int) -> "CylinderFunction":
+        """The indicator of ``x[k] = 1``."""
+        return CylinderFunction(coords=(k,), values=(0.0, 1.0), label=f"x[{k}] = 1")
 
 
 @dataclass
@@ -456,23 +457,24 @@ def _average(f: CylinderFunction, reads: Sequence[int], pinned: int = 0) -> floa
     ) / count
 
 
-def invariant_measure_approx(
-    approx: QuotientApprox,
-    tests: Sequence[CylinderFunction],
-    elements: Sequence | None = None,
-) -> MeasureApprox:
+def invariant_measure_approx(approx: QuotientApprox, tests: Sequence[CylinderFunction]) -> MeasureApprox:
     """Average the tests over the pushed-forward model points.
 
-    Also reports, per element, the defect between averaging a test over the
-    element's set after shifting back and averaging over the inverse's set;
-    exact summation keeps the defect at zero whenever the model shifts are
-    bijections.  Each average counts over the quotient elements a test
+    Also reports, per window coordinate ``t``, the defect between averaging
+    a test over ``t``'s set after shifting back and averaging over the set
+    of ``t^-1``.  Each average counts over the quotient elements a test
     reads (``_average``), so no configuration is enumerated and the
     figures are those of the sums over all ``2^(m-1)`` of them.
+
+    Every defect is exactly 0.0 and the normalization exactly 1.0.  With
+    ``g`` the image of ``t``, left multiplication by ``g^-1`` sends the
+    shifted reads ``g c_k`` to the plain reads ``c_k`` and the pins
+    ``{0, g}`` to ``{g^-1, 0}``, so both
+    averages sum the same multiset of test values over the same count, and
+    ``math.fsum`` rounds a multiset's sum the same in any order.  The
+    constant test reads nothing: its one value over a count of 1.
     """
     window = approx.window
-    group = window.group
-    elems = [group.check_element(t) for t in (window.coords if elements is None else elements)]
     for f in tests:
         if any(not (0 <= k <= window.depth) for k in f.coords):
             raise MalformedDataError(
@@ -492,8 +494,8 @@ def invariant_measure_approx(
     # inverse's set, the points that are 1 at g^-1; each set holds half the
     # points unless g is the identity
     q = approx.quotient
-    rows = [(word_to_str(group, t), g, [q.table[g][c] for c in images], q.inverse(g))
-            for t, g in zip(elems, map(approx.hom.apply, elems))]
+    rows = [(word_to_str(window.group, t), g, [q.table[g][c] for c in images], q.inverse(g))
+            for t, g in zip(window.coords, images)]
     defects: list[dict] = []
     max_defect = 0.0
     for f in tests:

@@ -45,7 +45,7 @@ from .groups import (
     scan_elements,
     trivial_group,
 )
-from .matrices import TOLERANCES, PreconditionError
+from .matrices import EXACT_TOL, TOLERANCES, PreconditionError
 from .reps import (
     CovariantRep,
     PartialRepFamily,
@@ -56,13 +56,9 @@ from .reps import (
     std_covariant_rep,
 )
 
-# the registry tolerance that decides each subcommand taking --tol
-DECISION_TOL = {
-    "covariant-rep": "exact_tol",
-    "defects": "axiom_tol",
-    "measure": "exact_tol",
-    "bundle-axioms": "axiom_tol",
-}
+# the registry tolerance that decides each subcommand taking --tol;
+# covariant-rep and measure decide exact identities against EXACT_TOL
+DECISION_TOL = {"defects": "axiom_tol", "bundle-axioms": "axiom_tol"}
 
 # shared options, recorded under these config keys by the subcommands that
 # take them; every other option goes under config.options
@@ -99,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the partial-action axioms of an action file")
     p.add_argument("action", help="action JSON file")
 
-    p = sub.add_parser("covariant-rep", parents=[scan, decision, output],
+    p = sub.add_parser("covariant-rep", parents=[scan, output],
                        help="build the standard model and report its relation defects")
     p.add_argument("action", help="action JSON file")
 
@@ -128,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub.add_parser("certify", parents=[certificate, output],
                     help="produce and re-verify a finite-quotient certificate")
 
-    sub.add_parser("measure", parents=[certificate, decision, output],
+    sub.add_parser("measure", parents=[certificate, output],
                    help="averaging state values and invariance defects")
 
     p = sub.add_parser("bundle-axioms", parents=[scan, randomness, decision, output],
@@ -219,7 +215,7 @@ def _run_covariant_rep(args):
         "relations": rel.to_json(),
         "covariance": cov.to_json(),
     }
-    ok = rel.ok(args.tol) and cov.ok(args.tol)
+    ok = rel.ok(EXACT_TOL) and cov.ok(EXACT_TOL)
     return report, ok, inputs
 
 
@@ -305,8 +301,8 @@ def _run_measure(args):
     }
     ok = (
         ma.positive_ok
-        and abs(ma.normalization - 1.0) <= args.tol
-        and ma.max_defect <= args.tol
+        and abs(ma.normalization - 1.0) <= EXACT_TOL
+        and ma.max_defect <= EXACT_TOL
     )
     return report, ok, inputs
 

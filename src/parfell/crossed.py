@@ -19,7 +19,6 @@ import numpy as np
 from .actions import DualSystem, FinitePartialAction, _hits
 from .groups import (
     FiniteGroup,
-    FreeGroup,
     GroupSpec,
     MalformedDataError,
     UndeclaredElementError,
@@ -80,12 +79,8 @@ class Section:
         return best
 
 
-def section_mul(x: Section, y: Section, dual: DualSystem, max_word_length: int | None = None) -> Section:
-    """Convolution: coefficients multiply after pulling the left one back.
-
-    For free groups an optional word-length cap keeps products inside a
-    managed ball; exceeding it raises the undeclared-element error.
-    """
+def section_mul(x: Section, y: Section, dual: DualSystem) -> Section:
+    """Convolution: coefficients multiply after pulling the left one back."""
     group = dual.group
     out: dict = {}
     for s, a in x.terms.items():
@@ -93,10 +88,6 @@ def section_mul(x: Section, y: Section, dual: DualSystem, max_word_length: int |
         pulled = dual.apply(si, a)
         for t, b in y.terms.items():
             st = group.multiply(s, t)
-            if max_word_length is not None and isinstance(group, FreeGroup) and len(st) > max_word_length:
-                raise UndeclaredElementError(
-                    f"product element {word_to_str(group, st)} exceeds the declared word-length cap"
-                )
             c = dual.apply(s, pulled * b)
             if st in out:
                 out[st] = out[st] + c

@@ -554,7 +554,11 @@ def group_from_json(data: dict) -> GroupSpec:
         table = data.get("table")
         if table is None:
             raise MalformedDataError("finite group needs a 'table'")
-        tbl = tuple(tuple(int(x) for x in row) for row in table)
+        if not (isinstance(table, list) and all(
+                isinstance(row, list) and len(row) == len(table[0]) and all(type(x) is int for x in row)
+                for row in table)):
+            raise MalformedDataError("finite group 'table' must be a list of equal-length lists of integers")
+        tbl = tuple(map(tuple, table))
         if "order" in data and data["order"] != len(tbl):
             raise MalformedDataError("declared order disagrees with table size")
         labels = tuple(data.get("labels", ()))
@@ -570,13 +574,13 @@ def hom_to_json(hom: GroupHom) -> dict:
     }
 
 
-def hom_from_json(data: dict, source: GroupSpec | None = None) -> GroupHom:
+def hom_from_json(data: dict) -> GroupHom:
+    """The homomorphism of a ``hom_to_json`` object, its source group included."""
     if not isinstance(data, dict) or "images" not in data:
         raise MalformedDataError("hom object needs an 'images' field")
-    if source is None:
-        if "source" not in data:
-            raise MalformedDataError("hom object needs a 'source' group")
-        source = group_from_json(data["source"])
+    if "source" not in data:
+        raise MalformedDataError("hom object needs a 'source' group")
+    source = group_from_json(data["source"])
     target = group_from_json(data["target"]) if "target" in data else None
     if target is None or not isinstance(target, FiniteGroup):
         raise MalformedDataError("hom target must be a finite group")

@@ -338,8 +338,8 @@ def corner_inv_sqrt(w, p) -> np.ndarray:
     return x[0]
 
 
-def is_partial_isometry(v, tol: float = EXACT_TOL) -> tuple[bool, float]:
-    """Whether ``V V* V = V`` holds within ``tol``; returns (flag, defect)."""
+def is_partial_isometry(v) -> tuple[bool, float]:
+    """Whether ``V V* V = V`` holds within ``EXACT_TOL``; returns (flag, defect)."""
     a = _as_square(v)
     defect = op_norm(a @ a.conj().T @ a - a)
-    return (defect <= tol, defect)
+    return (defect <= EXACT_TOL, defect)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import parfell as pf
 from parfell import bernoulli
@@ -544,11 +544,14 @@ def test_search_passes_over_a_target_past_its_budget(monkeypatch):
     cert = pf.certify_rfd(F2, 0.05)
     assert cert.depth == 5 and cert.hom.target.order == 7 and cert.hom.images == (1, 3)
     monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 14)
-    cert = pf.certify_rfd(F2, 0.05, max_cyclic=6)  # Z/6 and Z/2 x Z/3 are cut short
+    monkeypatch.setattr(bernoulli, "MAX_CYCLIC", 6)
+    cert = pf.certify_rfd(F2, 0.05)  # Z/6 and Z/2 x Z/3 are cut short
     assert cert.hom.target == pf.direct_product(pf.cyclic_group(2), pf.cyclic_group(4))
     assert cert.hom.images == (1, 5)
     monkeypatch.undo()
-    assert pf.certify_rfd(F2, 0.05, max_cyclic=6).hom == cert.hom
+    monkeypatch.setattr(bernoulli, "MAX_CYCLIC", 6)
+    assert pf.certify_rfd(F2, 0.05).hom == cert.hom
+    monkeypatch.undo()
     monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 10)
     first = r"stopped after 10 image tuples \(MAX_SEARCH_TUPLES\) of a quotient of order 6, out of 36;"
     with pytest.raises(pf.MalformedDataError, match=first):
@@ -580,16 +583,17 @@ def ref_candidate_homs(group, window, max_order, max_cyclic):
     (2, 3, 16, 12), (2, 6, 16, 12), (2, 8, 16, 12), (2, 9, 12, 4), (3, 4, 16, 12),
     (3, 6, 16, 12), (3, 7, 9, 3), (4, 8, 16, 12),
 ])
-def test_search_picks_the_first_separating_candidate(rank, depth, max_order, max_cyclic):
+def test_search_picks_the_first_separating_candidate(monkeypatch, rank, depth, max_order, max_cyclic):
     group = pf.FreeGroup(rank)
     window = pf.BernoulliWindow.build(group, depth)
     want = next((h for h in ref_candidate_homs(group, window, max_order, max_cyclic)
                  if _separates_window(window, h)), None)
+    monkeypatch.setattr(bernoulli, "MAX_CYCLIC", max_cyclic)
     if want is None:
         with pytest.raises(pf.CertificationError):
-            pf.certify_rfd(group, 2.0 ** -depth * 1.5, max_order=max_order, max_cyclic=max_cyclic)
+            pf.certify_rfd(group, 2.0 ** -depth * 1.5, max_order=max_order)
     else:
-        got = pf.certify_rfd(group, 2.0 ** -depth * 1.5, max_order=max_order, max_cyclic=max_cyclic)
+        got = pf.certify_rfd(group, 2.0 ** -depth * 1.5, max_order=max_order)
         assert got.depth == depth
         assert got.hom == want
 
@@ -662,9 +666,10 @@ def test_certify_supplied_hom_must_separate():
         pf.certify_rfd(Z, 0.2, hom=bad)  # a and a^-1 collide in Z/2
 
 
-def test_certify_search_budget_exhausted():
+def test_certify_search_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(bernoulli, "MAX_CYCLIC", 3)
     with pytest.raises(pf.CertificationError):
-        pf.certify_rfd(Z, 0.2, max_order=3, max_cyclic=3)
+        pf.certify_rfd(Z, 0.2, max_order=3)
 
 
 def test_certify_trivial_window():
@@ -849,13 +854,12 @@ def ref_eval_bits(f, bit_at):
     return f.values[idx]
 
 
-def ref_invariant_measure_approx(approx, tests, elements=None):
-    """The parent's measure, verbatim but for ``ref_eval_bits``."""
+def ref_invariant_measure_approx(approx, tests):
+    """An earlier measure, verbatim but for ``ref_eval_bits`` and its
+    elements, now always the window coordinates."""
     window = approx.window
     group = window.group
-    if elements is None:
-        elements = window.coords
-    elems = [group.check_element(t) for t in elements]
+    elems = list(window.coords)
     for f in tests:
         if any(not (0 <= k <= window.depth) for k in f.coords):
             raise pf.MalformedDataError(
@@ -904,19 +908,51 @@ def ref_invariant_measure_approx(approx, tests, elements=None):
 
 
 @st.composite
-def cylinder_tests(draw, depth):
+def cylinder_tests(draw, depth, values=(-1.0, 0.0, 0.5, 1.0, 3.0)):
     coords = draw(st.lists(st.integers(0, depth), unique=True, max_size=3))
-    values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]),
+    values = draw(st.lists(st.sampled_from(values),
                            min_size=1 << len(coords), max_size=1 << len(coords)))
     return pf.CylinderFunction(coords=tuple(coords), values=tuple(values))
+
+
+SUPPLIED_TARGETS = [pf.cyclic_group(11), pf.cyclic_group(16), symmetric_group(4),
+                    pf.direct_product(pf.cyclic_group(4), pf.cyclic_group(4))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 9), st.data())
+def test_measure_of_a_certificate_is_exact(rank, depth, data):
+    """On a certificate's quotient model, searched or supplied, every
+    invariance defect is exactly 0.0 and the normalization exactly 1.0,
+    for measure's tests and random ones: left multiplication maps one
+    average's reads and pins onto the other's, and ``math.fsum`` sums a
+    multiset the same in any order, also where a plain sum would not.
+    measure's decision cannot fail."""
+    group = pf.FreeGroup(rank)
+    window = pf.BernoulliWindow.build(group, depth)
+    if data.draw(st.booleans(), label="supplied"):
+        target = data.draw(st.sampled_from(SUPPLIED_TARGETS))
+        images = data.draw(st.lists(st.integers(0, target.order - 1), min_size=rank, max_size=rank))
+        hom = pf.GroupHom(source=group, target=target, images=tuple(images))
+        assume(_separates_window(window, hom))
+        cert = pf.certify_rfd(group, 2.0 ** -depth * 1.5, hom=hom, max_order=target.order)
+    else:
+        cert = pf.certify_rfd(group, 2.0 ** -depth * 1.5)
+    assert cert.depth == depth
+    tests = [pf.CylinderFunction.constant(1.0)]
+    tests += [pf.CylinderFunction.coordinate_indicator(k) for k in range(1, depth + 1)]
+    tests += data.draw(st.lists(cylinder_tests(depth, [-1.0, 0.1, 1 / 3, 0.7, 1e16]), max_size=3))
+    ma = pf.invariant_measure_approx(pf.quotient_approximation(window, cert.hom), tests)
+    assert ma.normalization == 1.0
+    assert [d["defect"] for d in ma.defects] == [0.0] * len(tests) * len(window.coords)
+    assert ma.max_defect == 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(quotient_models(), st.data())
 def test_measure_matches_reference(approx, data):
-    """Values and per-element defects equal the parent's, for random tests,
-    homomorphisms (separating or not) and checked elements."""
+    """Values and per-element defects equal the reference's, for random
+    tests and homomorphisms, separating or not."""
     tests = data.draw(st.lists(cylinder_tests(approx.window.depth), max_size=3))
-    elements = data.draw(checked_elements(approx.window.group))
-    got = pf.invariant_measure_approx(approx, tests, elements)
-    assert got == ref_invariant_measure_approx(approx, tests, elements)
+    got = pf.invariant_measure_approx(approx, tests)
+    assert got == ref_invariant_measure_approx(approx, tests)

@@ -146,12 +146,14 @@ def test_perturb_overflowing_defect_exits_two_quietly(capsys, swap_file, noise):
 
 
 def test_covariant_rep_report(capsys, swap_file):
+    """covariant-rep takes no decision tolerance: its defects are exact."""
     code, env, _ = run(capsys, ["covariant-rep", swap_file])
     assert code == 0
-    assert env["config"]["decision_tol"] == 1e-12
+    assert "decision_tol" not in env["config"]
     rel = env["report"]["relations"]
     assert rel["skipped"] == []
-    assert all(v <= 1e-12 for v in rel["entries"].values())
+    assert all(v == 0.0 for v in rel["entries"].values())
+    assert env["report"]["covariance"]["entries"] == {"covariance": 0.0}
 
 
 def test_covariant_rep_rejects_broken_action(capsys, broken_file):
@@ -383,13 +385,45 @@ def test_measure_reads_no_configuration_table(capsys, monkeypatch):
     assert {v["value"] for v in report["measure"]["values"]} == {1.0, 0.5}
 
 
+BAD_TABLES = {"scalar": 5, "nested": [[[0]]], "ragged": [[0, 1], [1]]}
+
+
+@pytest.mark.parametrize("table", sorted(BAD_TABLES))
+def test_malformed_group_table_exits_two(capsys, tmp_path, table):
+    """A finite group's table must be a list of equal-length lists of
+    integers: any other shape, in an action file, a ``--group`` file or a
+    ``--hom`` file, exits 2 with an error naming the table."""
+    group = {"kind": "finite", "order": 2, "table": BAD_TABLES[table]}
+    files = {}
+    for name, data in (("action", {"group": group, "n": 1, "elements": []}), ("group", group),
+                       ("hom", {"images": [1], "source": {"kind": "free", "rank": 1}, "target": group})):
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(data), encoding="utf-8")
+    runs = [[command, files["action"]] for command in
+            ("validate-action", "covariant-rep", "defects", "crossed-product", "bundle-axioms")]
+    runs += [["perturb", files["action"], "--eta", "0.1"]]
+    runs += [[*argv[:-4], "--group", files["group"], "--delta", "0.2"] for argv in (CERTIFY, MEASURE)]
+    runs += [[*argv, "--hom", files["hom"]] for argv in (CERTIFY, MEASURE)]
+    for argv in runs:
+        code, env, _ = run(capsys, argv)
+        assert (code, env["error"]) == (2, "MalformedDataError: finite group 'table' must be a "
+                                           "list of equal-length lists of integers"), argv
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("command", sorted(DECISION_TOL))
+@pytest.mark.parametrize("command", ["bundle-axioms", "covariant-rep", "defects", "measure"])
 def test_out_of_range_tol_exits_two(capsys, swap_file, command, tol):
     """A decision tolerance that is negative or not finite is refused with
     an error naming the flag, as ``--noise`` is, not run as a check that
-    every comparison fails."""
+    every comparison fails.  covariant-rep and measure, which decide exact
+    identities, take no ``--tol`` at all."""
     argv = MEASURE if command == "measure" else [command, swap_file]
+    if command not in DECISION_TOL:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", tol])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        return
     code, env, _ = run(capsys, [*argv, "--tol", tol])
     assert code == 2
     assert env["error"] == f"MalformedDataError: --tol must be finite and >= 0, got {float(tol)!r}"
@@ -668,8 +702,6 @@ OPTION_RUNS = {
                                       ["validate-action", "free2.json", "--radius", "2"]),
     ("covariant-rep", "--radius"): (["covariant-rep", "free2.json", "--radius", "1"],
                                     ["covariant-rep", "free2.json", "--radius", "0"]),
-    ("covariant-rep", "--tol"): (["covariant-rep", "swap.json"],
-                                 ["covariant-rep", "swap.json", "--tol", "-1"]),
     ("defects", "--radius"): (["defects", "free2.json", "--noise", "0.01", "--radius", "1"],
                               ["defects", "free2.json", "--noise", "0.01", "--radius", "2"]),
     ("defects", "--seed"): (["defects", "swap.json", "--noise", "0.1", "--seed", "1"],
@@ -695,7 +727,6 @@ OPTION_RUNS = {
     ("measure", "--delta"): (MEASURE, [*MEASURE[:4], "0.1"]),
     ("measure", "--hom"): (MEASURE, [*MEASURE, "--hom", "{hom}"]),
     ("measure", "--max-order"): (MEASURE, [*MEASURE, "--max-order", "3"]),
-    ("measure", "--tol"): (MEASURE, [*MEASURE, "--tol", "-1"]),
     ("bundle-axioms", "--radius"): (["bundle-axioms", "{bad_free}", "--trials", "20", "--radius", "1"],
                                     ["bundle-axioms", "{bad_free}", "--trials", "20", "--radius", "2"]),
     ("bundle-axioms", "--seed"): (["bundle-axioms", "{broken}", "--trials", "20", "--seed", "1"],
@@ -757,11 +788,12 @@ def test_every_option_changes_the_outcome(capsys, monkeypatch, option_files, pai
     assert first != second
 
 
-# the shared options each subcommand takes no more: none changed its report
+# the shared options each subcommand takes no more: none changed its report,
+# and covariant-rep and measure decide exact identities
 REMOVED_PAIRS = [
     *((command, "--jobs") for command in BASE_RUNS),
-    *((command, "--tol") for command in ("validate-action", "perturb", "crossed-product",
-                                          "bernoulli certify")),
+    *((command, "--tol") for command in ("validate-action", "covariant-rep", "perturb",
+                                          "crossed-product", "bernoulli certify", "measure")),
     *((command, "--radius") for command in ("crossed-product", "bernoulli certify", "measure")),
     *((command, "--seed") for command in ("validate-action", "covariant-rep", "crossed-product",
                                            "bernoulli certify", "measure")),
@@ -776,3 +808,23 @@ def test_removed_options_exit_two(capsys, monkeypatch, pair):
         main([*BASE_RUNS[command], option, "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# library parameters that no caller outside the tests set: each call below
+# binds no arguments, so it fails before any work
+REMOVED_PARAMETERS = {
+    "check_equivariance point_metric": lambda: pf.check_equivariance(None, point_metric=None),
+    "section_mul max_word_length": lambda: pf.section_mul(None, None, None, max_word_length=1),
+    "is_partial_isometry tol": lambda: pf.is_partial_isometry(None, tol=1e-10),
+    "coordinate_indicator value": lambda: pf.CylinderFunction.coordinate_indicator(1, value=0),
+    "same_data elements": lambda: pf.FinitePartialAction.same_data(None, None, elements=None),
+    "hom_from_json source": lambda: pf.hom_from_json({}, source=None),
+    "invariant_measure_approx elements": lambda: pf.invariant_measure_approx(None, [], elements=None),
+    "certify_rfd max_cyclic": lambda: pf.certify_rfd(None, 0.1, max_cyclic=12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_PARAMETERS))
+def test_removed_library_parameters_raise_type_error(name):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        REMOVED_PARAMETERS[name]()

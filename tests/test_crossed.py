@@ -408,12 +408,14 @@ def test_model_guards():
 
 
 def test_free_word_length_cap():
+    """Free-group products are not capped: ``section_mul`` takes no
+    word-length cap."""
     f1 = pf.FreeGroup(rank=1)
     act = pf.FinitePartialAction(f1, 3, {(1,): {0: 1, 1: 2}})
     dual = pf.DualSystem(act)
     x = delta_section(dual, 1, (1,))
     pf.section_mul(x, x, dual)  # uncapped products compose fine
-    with pytest.raises(pf.UndeclaredElementError):
+    with pytest.raises(TypeError):
         pf.section_mul(x, x, dual, max_word_length=1)
 
 

@@ -273,11 +273,11 @@ def test_is_partial_isometry_scaled_defect():
 def test_unitary_and_projection_are_partial_isometries():
     rng = np.random.default_rng(5)
     u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    flag, _ = pf.is_partial_isometry(u, tol=1e-10)
-    assert flag
+    _, defect = pf.is_partial_isometry(u)
+    assert defect <= 1e-10
     p = u[:, :2] @ u[:, :2].conj().T
-    flag, _ = pf.is_partial_isometry(p, tol=1e-10)
-    assert flag
+    _, defect = pf.is_partial_isometry(p)
+    assert defect <= 1e-10
 
 
 # ---------------------------------------------------------------------------

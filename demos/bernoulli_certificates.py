@@ -30,7 +30,7 @@ def main() -> None:
 
     # Behind the certificate: window truncation and the quotient model.
     window = pf.BernoulliWindow.build(Z, cert.depth)
-    approx = pf.quotient_approximation(window, cert.hom)
+    approx = pf.QuotientApprox(window, cert.hom)
     print("\nwindow coordinates:", window.coords)
     print("truncation table:", approx.rho)
     eq = pf.strict_equivariance_report(approx)

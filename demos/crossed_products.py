@@ -23,43 +23,42 @@ def main() -> None:
     # Sections multiply by the twisted convolution; the matrix model is
     # a faithful *-homomorphism, checked here on a random pair.
     rng = np.random.default_rng(1)
-    dual = model.dual
 
     def random_section():
         terms = {}
-        for t in range(dual.group.order):
-            vec = np.zeros(dual.n, dtype=complex)
-            for z in dual.support(t):
+        for t in range(swap.group.order):
+            vec = np.zeros(swap.n, dtype=complex)
+            for z in swap.support(t):
                 vec[z] = complex(rng.standard_normal(), rng.standard_normal())
             terms[t] = vec
-        return pf.Section.build(dual, terms)
+        return pf.Section.build(swap, terms)
 
     x, y = random_section(), random_section()
-    xy = pf.section_mul(x, y, dual)
+    xy = pf.section_mul(x, y, swap)
     defect = pf.op_norm(model.image(xy) - model.image(x) @ model.image(y))
     print("\nhomomorphism defect on a random pair:", f"{defect:.3e}")
 
     star_defect = pf.op_norm(
-        model.image(pf.section_star(x, dual)) - model.image(x).conj().T
+        model.image(pf.section_star(x, swap)) - model.image(x).conj().T
     )
     print("star defect:", f"{star_defect:.3e}")
 
     # The conditional expectation keeps the identity coefficient. It is
     # positive, faithful, and contractive for the reduced norm.
-    xs = pf.section_mul(pf.section_star(x, dual), x, dual)
+    xs = pf.section_mul(pf.section_star(x, swap), x, swap)
     diag = pf.expectation(xs)
     print("\nE(x*x) diagonal:", np.round(diag.real, 6))
     print("reduced norm of x:", f"{pf.reduced_norm(model, x):.6f}")
 
     # Fiber axioms hold with witnesses tracked per trial.
-    report = pf.bundle_axiom_report(dual, trials=250, seed=3)
+    report = pf.bundle_axiom_report(swap, trials=250, seed=3)
     print("\nbundle axioms ok:", report.ok, "checks:", report.checks)
 
     # Matrix approximation defects for fiber maps built from the
     # standard representation: exact to machine precision.
     fam = pf.exact_bundle_family(pf.std_covariant_rep(swap), elements=[0, 1])
     samples = [(t, x.coeff(t)) for t in x.elements()]
-    mf = pf.mf_defect_report(fam, samples, dual)
+    mf = pf.mf_defect_report(fam, samples, swap)
     print("mf defects:", {k: f"{v:.2e}" for k, v in sorted(mf.entries.items())})
 
 

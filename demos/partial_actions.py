@@ -46,14 +46,13 @@ def main() -> None:
     print("\nfree group system valid:", pf.validate(act, radius=3).ok)
     print("  a.b acts as:", dict(act.element_map((1, 2)).pairs))
 
-    # The dual system acts on functions over the points; fibers multiply
-    # by pull-multiply-push and the star reverses the arrow.
-    dual = pf.DualSystem(swap)
+    # The action is also its dual system on functions over the points;
+    # fibers multiply by pull-multiply-push and the star reverses the arrow.
     x = np.array([1.0 + 2.0j, 3.0])
     y = np.array([3.0, 4.0])
-    coeff, at = dual.mul_fiber((x, 1), (y, 1))
+    coeff, at = swap.mul_fiber((x, 1), (y, 1))
     print("\ndual fiber product lands at", at, "with coefficients", coeff)
-    print("dual fiber star:", dual.star_fiber((x, 1)))
+    print("dual fiber star:", swap.star_fiber((x, 1)))
 
     # Round trip through JSON keeps every declared pair.
     data = pf.action_to_json(act)

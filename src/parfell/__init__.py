@@ -29,7 +29,6 @@ from .groups import (
     word_to_str,
 )
 from .actions import (
-    DualSystem,
     EquivarianceReport,
     EquivariantMap,
     FinitePartialAction,
@@ -86,7 +85,6 @@ from .bernoulli import (
     certify_rfd,
     invariant_measure_approx,
     metric,
-    quotient_approximation,
     strict_equivariance_report,
     verify_certificate,
 )

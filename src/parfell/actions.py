@@ -1,10 +1,12 @@
-"""Finite partial group actions on point sets and their function-space duals.
+"""Finite partial group actions on point sets and on the functions over them.
 
 An action assigns to group elements ``t`` a subset ``V_t`` of ``{0..n-1}`` and
 a bijection ``eta_t`` from ``V_{t^-1}`` onto ``V_t``, with the identity acting
 as the identity and composition contained in the composite's map.  Free-group
 actions are generated from generator data by reduced-word composition unless
-declared data supplies exact maps for longer words.
+declared data supplies exact maps for longer words.  The same object is the
+dual system on functions, ``alpha_t(f) = f o eta_{t^-1}``, with its fiber
+product and star.
 """
 
 from __future__ import annotations
@@ -225,6 +227,34 @@ class FinitePartialAction:
         """V_g, the set on which ``g``'s image points live."""
         return self.element_map(g).targets
 
+    # -- the dual system on functions ----------------------------------------
+    # Vectors of length n are functions on the points; ``t`` moves a function
+    # supported in ``V_{t^-1}`` to one supported in ``V_t`` along ``eta_t``,
+    # dropping the entries outside the source set.
+
+    def apply(self, t, vec: np.ndarray) -> np.ndarray:
+        """alpha_t(vec), the function relabelled along ``eta_t``."""
+        vec = np.asarray(vec, dtype=np.complex128)
+        if vec.shape != (self.n,):
+            raise MalformedDataError(f"expected a length-{self.n} vector")
+        out = np.zeros(self.n, dtype=np.complex128)
+        for z, w in self.element_map(t).pairs:
+            out[w] = vec[z]
+        return out
+
+    def mul_fiber(self, x: tuple, y: tuple) -> tuple:
+        """(a, s) * (b, t) = (alpha_s(alpha_{s^-1}(a) b), st)."""
+        a, s = x[0], x[1]
+        b, t = y[0], y[1]
+        pulled = self.apply(self.group.inverse(s), a)
+        return (self.apply(s, pulled * np.asarray(b, dtype=np.complex128)), self.group.multiply(s, t))
+
+    def star_fiber(self, x: tuple) -> tuple:
+        """(a, s)* = (alpha_{s^-1}(conj a), s^-1)."""
+        a, s = x[0], x[1]
+        si = self.group.inverse(s)
+        return (self.apply(si, np.conjugate(np.asarray(a, dtype=np.complex128))), si)
+
     def same_data(self, other: "FinitePartialAction") -> bool:
         """Whether both actions have the same group, point count, declared
         elements and maps on them."""
@@ -434,60 +464,6 @@ def _pair_issues(action: FinitePartialAction, s, t, st, si) -> list[Issue]:
             Issue("triple_fact", label, tuple(z for z, _ in diff), "triple composition identity fails")
         )
     return issues
-
-
-# ---------------------------------------------------------------------------
-# dual system on functions
-
-
-class DualSystem:
-    """Function-space counterpart of an action.
-
-    Vectors of length n are functions on the point set; element ``t`` moves a
-    function supported in ``V_{t^-1}`` to one supported in ``V_t`` by
-    relabelling along ``eta_t``.  Entries outside the source support are
-    dropped, matching the restricted domain of the map.
-    """
-
-    def __init__(self, action: FinitePartialAction) -> None:
-        self.action = action
-        self.n = action.n
-
-    @property
-    def group(self) -> GroupSpec:
-        return self.action.group
-
-    def support(self, t) -> tuple[int, ...]:
-        return self.action.support(t)
-
-    def projection(self, t) -> np.ndarray:
-        p = np.zeros(self.n, dtype=np.complex128)
-        for z in self.support(t):
-            p[z] = 1.0
-        return p
-
-    def apply(self, t, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.complex128)
-        if vec.shape != (self.n,):
-            raise MalformedDataError(f"expected a length-{self.n} vector")
-        out = np.zeros(self.n, dtype=np.complex128)
-        for z, w in self.action.element_map(t).pairs:
-            out[w] = vec[z]
-        return out
-
-    def mul_fiber(self, x: tuple, y: tuple) -> tuple:
-        """(a, s) * (b, t) = (alpha_s(alpha_{s^-1}(a) b), st)."""
-        a, s = x[0], x[1]
-        b, t = y[0], y[1]
-        si = self.group.inverse(s)
-        pulled = self.apply(si, a)
-        return (self.apply(s, pulled * np.asarray(b, dtype=np.complex128)), self.group.multiply(s, t))
-
-    def star_fiber(self, x: tuple) -> tuple:
-        """(a, s)* = (alpha_{s^-1}(conj a), s^-1)."""
-        a, s = x[0], x[1]
-        si = self.group.inverse(s)
-        return (self.apply(si, np.conjugate(np.asarray(a, dtype=np.complex128))), si)
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,6 @@ class QuotientApprox:
         return rows
 
 
-quotient_approximation = QuotientApprox
-
-
 def _read(bits: np.ndarray, gammas: Sequence[int]) -> np.ndarray:
     """Every configuration's values at ``gammas``, the i-th one in bit i:
     one weighted sum of table rows."""

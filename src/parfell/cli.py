@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .actions import DualSystem, FinitePartialAction, action_from_json, validate
+from .actions import FinitePartialAction, action_from_json, validate
 from .bernoulli import (
     BernoulliWindow,
     CertificationError,
@@ -160,11 +160,14 @@ def _load_action(path: str, inputs: dict) -> FinitePartialAction:
 
 def _builtin_group(spec: str) -> GroupSpec:
     """The group of a spec that names no file: ``free:r``, ``cyclic:m`` or ``trivial``."""
-    if spec.startswith("free:"):
-        return FreeGroup(rank=int(spec.split(":", 1)[1]))
-    if spec.startswith("cyclic:"):
-        return cyclic_group(int(spec.split(":", 1)[1]))
-    return trivial_group()
+    if spec == "trivial":
+        return trivial_group()
+    kind, count = spec.split(":", 1)
+    try:
+        count = int(count)
+    except ValueError:
+        raise MalformedDataError(f"--group {kind}:N needs an integer N, got {spec!r}") from None
+    return FreeGroup(rank=count) if kind == "free" else cyclic_group(count)
 
 
 def _json_scalar(obj):
@@ -179,7 +182,7 @@ def _noised_family(
 ) -> PartialRepFamily:
     if not 0 <= sigma < math.inf:
         raise MalformedDataError(f"--noise must be finite and >= 0, got {sigma!r}")
-    mats = partial_permutations(rep.dual.action.map_rows(elements))
+    mats = partial_permutations(rep.action.map_rows(elements))
     moved = np.array([t != rep.group.identity for t in elements], dtype=bool)
     if sigma > 0 and moved.any():
         # one draw in the order of per-element real then imaginary parts
@@ -225,7 +228,7 @@ def _run_defects(args):
     rep = std_covariant_rep(action)
     elems = scan_elements(action.group, args.radius)
     family = _noised_family(rep, elems, args.noise, args.seed)
-    noisy = CovariantRep(rep.dual, rep.phi_mats, family)
+    noisy = CovariantRep(action, rep.phi_mats, family)
     rel = partial_rep_defects(family, elements=elems)
     cov = covariance_defects(noisy, elements=elems)
     report = {
@@ -312,10 +315,9 @@ def _run_bundle_axioms(args):
         raise MalformedDataError(f"--trials must be >= 0, got {args.trials}")
     inputs = {}
     action = _load_action(args.action, inputs)
-    dual = DualSystem(action)
     elems = scan_elements(action.group, args.radius)
     report = bundle_axiom_report(
-        dual, trials=args.trials, seed=args.seed, tol=args.tol, elements=elems
+        action, trials=args.trials, seed=args.seed, tol=args.tol, elements=elems
     )
     return report.to_json(), report.ok, inputs
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .actions import DualSystem, FinitePartialAction, _hits
+from .actions import FinitePartialAction, _hits
 from .groups import (
     FiniteGroup,
     GroupSpec,
@@ -48,15 +48,15 @@ class Section:
                 self.terms[key] = a
 
     @staticmethod
-    def build(dual: DualSystem, terms: Mapping) -> "Section":
+    def build(action: FinitePartialAction, terms: Mapping) -> "Section":
         """Construct and enforce the support condition exactly."""
-        x = Section(dual.group, dual.n, terms)
+        x = Section(action.group, action.n, terms)
         for t, vec in x.terms.items():
-            inside = set(dual.support(t))
-            bad = [z for z in range(dual.n) if vec[z] != 0 and z not in inside]
+            inside = set(action.support(t))
+            bad = [z for z in range(action.n) if vec[z] != 0 and z not in inside]
             if bad:
                 raise MalformedDataError(
-                    f"coefficient of {word_to_str(dual.group, t)} is nonzero outside its set at {bad}"
+                    f"coefficient of {word_to_str(action.group, t)} is nonzero outside its set at {bad}"
                 )
         return x
 
@@ -79,35 +79,23 @@ class Section:
         return best
 
 
-def section_mul(x: Section, y: Section, dual: DualSystem) -> Section:
-    """Convolution: coefficients multiply after pulling the left one back."""
-    group = dual.group
+def section_mul(x: Section, y: Section, action: FinitePartialAction) -> Section:
+    """Convolution: the sum of the fiber products of all term pairs."""
     out: dict = {}
     for s, a in x.terms.items():
-        si = group.inverse(s)
-        pulled = dual.apply(si, a)
         for t, b in y.terms.items():
-            st = group.multiply(s, t)
-            c = dual.apply(s, pulled * b)
-            if st in out:
-                out[st] = out[st] + c
-            else:
-                out[st] = c
-    return Section(group, dual.n, out)
+            c, st = action.mul_fiber((a, s), (b, t))
+            out[st] = out[st] + c if st in out else c
+    return Section(action.group, action.n, out)
 
 
-def section_star(x: Section, dual: DualSystem) -> Section:
-    """Adjoint: conjugated coefficients pulled to the inverse elements."""
-    group = dual.group
+def section_star(x: Section, action: FinitePartialAction) -> Section:
+    """Adjoint: the sum of the terms' fiber stars."""
     out: dict = {}
     for s, a in x.terms.items():
-        si = group.inverse(s)
-        c = dual.apply(si, np.conjugate(a))
-        if si in out:
-            out[si] = out[si] + c
-        else:
-            out[si] = c
-    return Section(group, dual.n, out)
+        c, si = action.star_fiber((a, s))
+        out[si] = out[si] + c if si in out else c
+    return Section(action.group, action.n, out)
 
 
 def expectation(x: Section) -> np.ndarray:
@@ -126,7 +114,7 @@ class CrossedProductModel:
     lambda is left translation; the basis is enumerated point-major, then by
     group element.  Everything but ``image`` reads the int rows of the
     action's scan of the whole group, so the model and its centre share one
-    pass; ``rep`` and ``dual`` are built on first use.
+    pass; ``rep`` is built on first use.
     """
 
     def __init__(self, action: FinitePartialAction) -> None:
@@ -144,10 +132,6 @@ class CrossedProductModel:
     @cached_property
     def rep(self) -> CovariantRep:
         return std_covariant_rep(self.action)
-
-    @cached_property
-    def dual(self) -> DualSystem:
-        return self.rep.dual
 
     @property
     def model_size(self) -> int:
@@ -240,15 +224,15 @@ class BundleAxiomReport:
         return {"ok": self.ok, "checks": self.checks, "violations": self.violations}
 
 
-def _random_fiber(dual: DualSystem, rng: np.random.Generator, elements) -> tuple:
+def _random_fiber(action: FinitePartialAction, rng: np.random.Generator, elements) -> tuple:
     t = elements[int(rng.integers(len(elements)))]
-    vec = np.zeros(dual.n, dtype=np.complex128)
-    for z in dual.support(t):
+    vec = np.zeros(action.n, dtype=np.complex128)
+    for z in action.support(t):
         vec[z] = complex(rng.standard_normal(), rng.standard_normal())
     return (vec, t)
 
 def bundle_axiom_report(
-    dual: DualSystem,
+    action: FinitePartialAction,
     trials: int = 500,
     seed: int = 0,
     tol: float = AXIOM_TOL,
@@ -261,9 +245,9 @@ def bundle_axiom_report(
     ``MAX_VIOLATIONS`` violations are witnessed with the offending elements
     and values.
     """
-    group = dual.group
+    group = action.group
     if elements is None:
-        elements = dual.action.declared_elements() or [group.identity]
+        elements = action.declared_elements() or [group.identity]
     elems = [group.check_element(g) for g in elements]
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
@@ -279,18 +263,18 @@ def bundle_axiom_report(
             )
 
     for _ in range(trials):
-        a, s = _random_fiber(dual, rng, elems)
-        b, t = _random_fiber(dual, rng, elems)
+        a, s = _random_fiber(action, rng, elems)
+        b, t = _random_fiber(action, rng, elems)
         label = [word_to_str(group, s), word_to_str(group, t)]
-        prod, _st = dual.mul_fiber((a, s), (b, t))
+        prod, _st = action.mul_fiber((a, s), (b, t))
         checks += 1
         if sup(prod) > sup(a) * sup(b) + tol:
             note("submultiplicative", label, sup(prod), sup(a) * sup(b))
-        astar, si = dual.star_fiber((a, s))
+        astar, si = action.star_fiber((a, s))
         checks += 1
         if abs(sup(astar) - sup(a)) > tol:
             note("star_isometry", label[:1], abs(sup(astar) - sup(a)), tol)
-        square, ident = dual.mul_fiber((astar, si), (a, s))
+        square, ident = action.mul_fiber((astar, si), (a, s))
         checks += 1
         if ident != group.identity:
             note("grading", label[:1], 1.0, 0.0)
@@ -309,7 +293,7 @@ def _sample_pair(i: int, j: int) -> str:
 def mf_defect_report(
     family: Mapping,
     samples: Sequence[tuple],
-    dual: DualSystem,
+    action: FinitePartialAction,
 ) -> DefectReport:
     """Defects of a fiber-map family against the graded relations.
 
@@ -318,7 +302,7 @@ def mf_defect_report(
     ``triple_product``), and the norm gap on each sample.  A product landing
     outside the family raises the missing-data error.
     """
-    group = dual.group
+    group = action.group
     fam = {group.check_element(g): np.asarray(m, dtype=np.complex128) for g, m in family.items()}
 
     def apply(t, vec):
@@ -336,7 +320,7 @@ def mf_defect_report(
         t = group.check_element(t)
         vec = np.asarray(vec, dtype=np.complex128)
         images.append(apply(t, vec))
-        starred, ti = dual.star_fiber((vec, t))
+        starred, ti = action.star_fiber((vec, t))
         stars.append(apply(ti, starred))
         heights.append(float(np.abs(vec).max(initial=0.0)))
     images = _stack(images, 0)  # with no samples, nothing reads the size
@@ -348,7 +332,7 @@ def mf_defect_report(
         products = []
         for t, b in samples:
             t = group.check_element(t)
-            prod, st = dual.mul_fiber((a, s), (b, t))
+            prod, st = action.mul_fiber((a, s), (b, t))
             products.append(apply(st, prod))
         mult.feed_stack(
             images[i] @ images - _stack(products, 0), partial(_sample_pair, i)

@@ -49,7 +49,7 @@ class FreeGroup:
     rank: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if type(self.rank) is not int or self.rank < 1:
             raise MalformedDataError(f"free group rank must be a positive int, got {self.rank!r}")
 
     @property
@@ -561,8 +561,10 @@ def group_from_json(data: dict) -> GroupSpec:
         tbl = tuple(map(tuple, table))
         if "order" in data and data["order"] != len(tbl):
             raise MalformedDataError("declared order disagrees with table size")
-        labels = tuple(data.get("labels", ()))
-        return FiniteGroup(tbl, labels)
+        labels = data.get("labels", [])
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise MalformedDataError("finite group 'labels' must be a list of strings")
+        return FiniteGroup(tbl, tuple(labels))
     raise MalformedDataError(f"unknown group kind {data['kind']!r}")
 
 
@@ -578,10 +580,13 @@ def hom_from_json(data: dict) -> GroupHom:
     """The homomorphism of a ``hom_to_json`` object, its source group included."""
     if not isinstance(data, dict) or "images" not in data:
         raise MalformedDataError("hom object needs an 'images' field")
+    images = data["images"]
+    if not (isinstance(images, list) and all(type(i) is int for i in images)):
+        raise MalformedDataError("hom 'images' must be a list of integers")
     if "source" not in data:
         raise MalformedDataError("hom object needs a 'source' group")
     source = group_from_json(data["source"])
     target = group_from_json(data["target"]) if "target" in data else None
     if target is None or not isinstance(target, FiniteGroup):
         raise MalformedDataError("hom target must be a finite group")
-    return GroupHom(source=source, target=target, images=tuple(int(i) for i in data["images"]))
+    return GroupHom(source=source, target=target, images=tuple(images))

@@ -16,11 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .actions import (
-    DualSystem,
-    FinitePartialAction,
-    validate,
-)
+from .actions import FinitePartialAction, validate
 from .groups import (
     CheckedElements,
     FiniteGroup,
@@ -140,10 +136,10 @@ class CovariantRep:
     extends linearly.  ``v`` holds the group-element matrices.
     """
 
-    def __init__(self, dual: DualSystem, phi_mats, v: PartialRepFamily) -> None:
-        self.dual = dual
+    def __init__(self, action: FinitePartialAction, phi_mats, v: PartialRepFamily) -> None:
+        self.action = action
         self.phi_mats = np.asarray(phi_mats, dtype=np.complex128)
-        if self.phi_mats.ndim != 3 or self.phi_mats.shape[0] != dual.n:
+        if self.phi_mats.ndim != 3 or self.phi_mats.shape[0] != action.n:
             raise MalformedDataError("phi needs one square matrix per point")
         if self.phi_mats.shape[1] != self.phi_mats.shape[2]:
             raise MalformedDataError("phi matrices must be square")
@@ -153,7 +149,7 @@ class CovariantRep:
 
     @property
     def n(self) -> int:
-        return self.dual.n
+        return self.action.n
 
     @property
     def dim(self) -> int:
@@ -161,7 +157,7 @@ class CovariantRep:
 
     @property
     def group(self) -> GroupSpec:
-        return self.dual.group
+        return self.action.group
 
     def phi(self, f) -> np.ndarray:
         vec = np.asarray(f, dtype=np.complex128)
@@ -177,7 +173,7 @@ def std_covariant_rep(action: FinitePartialAction) -> CovariantRep:
     """The canonical model on C^n: points to diagonal units, elements to
     partial permutation matrices of their maps."""
     v = PartialRepFamily(action.group, action.n, action=action)
-    return CovariantRep(DualSystem(action), _standard_phi(action.n), v)
+    return CovariantRep(action, _standard_phi(action.n), v)
 
 
 def _standard_phi(n: int) -> np.ndarray:
@@ -423,14 +419,13 @@ def covariance_defects(
     In the standard model ``v_t`` sends the unit at ``z`` to the unit at
     ``eta_t(z)``, so every defect is exactly zero and only the element maps
     are built; any other ``v`` or ``phi`` takes the full scan."""
-    dual = rep.dual
     group = rep.group
     if elements is None:
-        elements = dual.action.declared_elements()
+        elements = rep.action.declared_elements()
     elems = _normalize_elements(group, elements)
     worst = _Worst()
-    if rep.v.action is dual.action and _has_standard_phi(rep):
-        dual.action.map_rows(elems)  # raises the error of an element without data
+    if rep.v.action is rep.action and _has_standard_phi(rep):
+        rep.action.map_rows(elems)  # raises the error of an element without data
     else:
         _feed_covariance(worst, rep, elems, rep.v.matrix)
     return _report({"covariance": worst}, [])
@@ -448,7 +443,7 @@ def _feed_covariance(worst: _Worst, rep: CovariantRep, elems: list, matrix: Call
     mats, pairs = [], []
     for i, t in enumerate(elems):
         mats.append(matrix(t))
-        pairs += [(i, z, w) for z, w in rep.dual.action.element_map(t).pairs]
+        pairs += [(i, z, w) for z, w in rep.action.element_map(t).pairs]
     vs, phi = _stack(mats, rep.dim), rep.phi_mats
     at, zs, ws = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
 
@@ -641,7 +636,7 @@ def exact_bundle_family(rep: CovariantRep, elements: Sequence | None = None) -> 
     ``phi(indicator) v_t``; zero outside the fiber's support."""
     group = rep.group
     if elements is None:
-        elements = rep.dual.action.declared_elements()
+        elements = rep.action.declared_elements()
     elems = _normalize_elements(group, elements)
     ident = group.identity
     if ident not in elems:
@@ -650,7 +645,7 @@ def exact_bundle_family(rep: CovariantRep, elements: Sequence | None = None) -> 
     for t in elems:
         vt = rep.v.matrix(t)
         arr = np.zeros((rep.n, rep.dim, rep.dim), dtype=np.complex128)
-        for z in rep.dual.support(t):
+        for z in rep.action.support(t):
             arr[z] = rep.phi_mats[z] @ vt
         out[t] = arr
     return out
@@ -739,7 +734,7 @@ def extract_finite_system(
     k = len(order)
 
     if elements is None:
-        elements = rep.dual.action.declared_elements()
+        elements = rep.action.declared_elements()
     elems = _normalize_elements(group, elements)
 
     # sources and images come from (phi, v) alone: x is a source of t when

@@ -18,15 +18,15 @@ def _line(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _random_section(dual, rng, num_terms=2):
+def _random_section(action, rng, num_terms=2):
     terms = {}
     for _ in range(num_terms):
-        t = int(rng.integers(dual.group.order))
-        vec = np.zeros(dual.n, dtype=complex)
-        for z in dual.support(t):
+        t = int(rng.integers(action.group.order))
+        vec = np.zeros(action.n, dtype=complex)
+        for z in action.support(t):
             vec[z] = complex(rng.standard_normal(), rng.standard_normal())
         terms[t] = vec
-    return pf.Section.build(dual, terms)
+    return pf.Section.build(action, terms)
 
 
 def test_criterion_1_exact_covariant_representations():
@@ -113,17 +113,16 @@ def test_criterion_3_crossed_product_structure():
         model = pf.build_model(act)
         expected = sum(len(act.support(t)) for t in act.declared_elements())
         dims_ok = dims_ok and model.dimension() == expected
-        dual = model.dual
         for _ in range(10):
-            x = _random_section(dual, rng)
-            y = _random_section(dual, rng)
-            xy = pf.section_mul(x, y, dual)
+            x = _random_section(act, rng)
+            y = _random_section(act, rng)
+            xy = pf.section_mul(x, y, act)
             worst_hom = max(
                 worst_hom,
                 pf.op_norm(model.image(xy) - model.image(x) @ model.image(y)),
-                pf.op_norm(model.image(pf.section_star(x, dual)) - model.image(x).conj().T),
+                pf.op_norm(model.image(pf.section_star(x, act)) - model.image(x).conj().T),
             )
-            xs = pf.section_mul(pf.section_star(x, dual), x, dual)
+            xs = pf.section_mul(pf.section_star(x, act), x, act)
             n1 = pf.reduced_norm(model, x)
             n2 = pf.reduced_norm(model, xs)
             worst_cstar = max(worst_cstar, abs(n2 - n1 * n1) / max(1.0, n1 * n1))
@@ -143,10 +142,9 @@ def test_criterion_4_conditional_expectation():
     contractive = True
     for act in systems:
         model = pf.build_model(act)
-        dual = model.dual
         for _ in range(500):
-            x = _random_section(dual, rng)
-            xs = pf.section_mul(pf.section_star(x, dual), x, dual)
+            x = _random_section(act, rng)
+            xs = pf.section_mul(pf.section_star(x, act), x, act)
             diag = pf.expectation(xs)
             min_diag = min(min_diag, float(np.min(diag.real)))
             if np.max(np.abs(diag.imag)) > 1e-12:
@@ -159,7 +157,7 @@ def test_criterion_4_conditional_expectation():
             if float(np.max(np.abs(ex))) > pf.reduced_norm(model, x) + 1e-10:
                 contractive = False
         zero = pf.Section(act.group, act.n, {})
-        zz = pf.section_mul(pf.section_star(zero, dual), zero, dual)
+        zz = pf.section_mul(pf.section_star(zero, act), zero, act)
         if np.any(pf.expectation(zz) != 0):
             faithful = False
     ok = min_diag >= -1e-12 and faithful and contractive
@@ -174,14 +172,14 @@ def test_criterion_5_fell_bundle_axioms():
         random_cyclic_action(rng, 4, 6),
         random_cyclic_action(rng, 6, 5),
     ):
-        report = pf.bundle_axiom_report(pf.DualSystem(act), trials=500, seed=11, tol=1e-9)
+        report = pf.bundle_axiom_report(act, trials=500, seed=11, tol=1e-9)
         all_ok = all_ok and report.ok and report.checks == 2000
 
     cycle = {0: 1, 1: 2, 2: 3, 3: 0}
     sq = {0: 2, 1: 3, 2: 0, 3: 1}
     # eta_3 deliberately repeats the forward cycle instead of inverting it
     bad = pf.FinitePartialAction(pf.cyclic_group(4), 4, {1: cycle, 2: sq, 3: dict(cycle)})
-    corrupted = pf.bundle_axiom_report(pf.DualSystem(bad), trials=200, seed=11, tol=1e-9)
+    corrupted = pf.bundle_axiom_report(bad, trials=200, seed=11, tol=1e-9)
     witnessed = not corrupted.ok and len(corrupted.violations) > 0
     ok = all_ok and witnessed
     _line(5, ok, f"valid systems pass, corrupted yields {len(corrupted.violations)} witnesses")
@@ -213,7 +211,7 @@ def test_criterion_6_bernoulli_certificates():
 def test_criterion_7_invariant_measure():
     cert = pf.certify_rfd(pf.FreeGroup(rank=1), 0.2)
     window = pf.BernoulliWindow.build(pf.FreeGroup(rank=1), cert.depth)
-    approx = pf.quotient_approximation(window, cert.hom)
+    approx = pf.QuotientApprox(window, cert.hom)
     tests = [pf.CylinderFunction.constant(1.0)]
     tests.extend(pf.CylinderFunction.coordinate_indicator(k) for k in (1, 2, 3))
     ma = pf.invariant_measure_approx(approx, tests)

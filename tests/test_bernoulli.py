@@ -72,14 +72,14 @@ def hom_z_mod4():
 
 def test_quotient_rho_frozen():
     w = pf.BernoulliWindow.build(Z, 3)
-    approx = pf.quotient_approximation(w, hom_z_mod4())
+    approx = pf.QuotientApprox(w, hom_z_mod4())
     assert approx.num_points == 8
     assert approx.rho == (0, 1, 4, 5, 2, 3, 6, 7)
 
 
 def test_quotient_rows_declare_a_valid_action():
     w = pf.BernoulliWindow.build(Z, 3)
-    approx = pf.quotient_approximation(w, hom_z_mod4())
+    approx = pf.QuotientApprox(w, hom_z_mod4())
     # a radius-3 scan reads the products of the ball of radius 6
     words = [t for t in Z.ball(6) if t]
     maps = {t: {z: x for z, x in enumerate(row[:-1]) if x >= 0}
@@ -97,7 +97,7 @@ def test_quotient_order_cap():
     is refused above ``MAX_QUOTIENT_ORDER``, and so is what reads it."""
     w = pf.BernoulliWindow.build(Z, 1)
     hom = pf.GroupHom(source=Z, target=pf.cyclic_group(17), images=(1,))
-    approx = pf.quotient_approximation(w, hom)
+    approx = pf.QuotientApprox(w, hom)
     assert approx.images == [0, 1] and approx.num_points == 1 << 16
     for read in (lambda: approx.bits, lambda: approx.rho, lambda: approx.map_rows([(1,)])):
         with pytest.raises(pf.MalformedDataError, match="quotient order 17 exceeds the 16"):
@@ -107,12 +107,12 @@ def test_quotient_order_cap():
 def test_quotient_source_mismatch():
     w = pf.BernoulliWindow.build(F2, 1)
     with pytest.raises(pf.MalformedDataError):
-        pf.quotient_approximation(w, hom_z_mod4())
+        pf.QuotientApprox(w, hom_z_mod4())
 
 
 def test_strict_equivariance_exact():
     w = pf.BernoulliWindow.build(Z, 3)
-    approx = pf.quotient_approximation(w, hom_z_mod4())
+    approx = pf.QuotientApprox(w, hom_z_mod4())
     report = pf.strict_equivariance_report(approx)
     assert report.ok and report.strict_ok
     assert report.max_defect == 0.0
@@ -121,7 +121,7 @@ def test_strict_equivariance_exact():
 
 def test_strict_equivariance_detects_tampered_rho():
     w = pf.BernoulliWindow.build(Z, 3)
-    approx = pf.quotient_approximation(w, hom_z_mod4())
+    approx = pf.QuotientApprox(w, hom_z_mod4())
     # flip window coordinate 1 of every truncation
     approx.rho = tuple(x ^ 1 for x in approx.rho)
     report = pf.strict_equivariance_report(approx)
@@ -271,7 +271,7 @@ def quotient_models(draw):
                            min_size=group.rank, max_size=group.rank))
     window = pf.BernoulliWindow.build(group, draw(st.integers(0, 5)))
     hom = pf.GroupHom(source=group, target=target, images=tuple(images))
-    return with_point_value(pf.quotient_approximation(window, hom))
+    return with_point_value(pf.QuotientApprox(window, hom))
 
 
 @st.composite
@@ -607,7 +607,7 @@ def test_supplied_order_16_hom_with_tampered_rho():
     assert cert.points_checked == {"window": 128, "quotient": 32768}
     assert pf.verify_certificate(cert)
     window = pf.BernoulliWindow.build(F2, cert.depth)
-    approx = pf.quotient_approximation(window, hom)
+    approx = pf.QuotientApprox(window, hom)
     clean = approx.rho
     moved = {0: 0b101, 5: 0b1000000, 32767: 0b1}
     approx.rho = tuple(x ^ moved.get(w, 0) for w, x in enumerate(clean))
@@ -640,7 +640,7 @@ def test_certificate_path_reads_rows_without_an_action(monkeypatch):
     assert pf.verify_certificate(cert)
     window = pf.BernoulliWindow.build(F2, cert.depth)
     tests = [pf.CylinderFunction.coordinate_indicator(k) for k in range(1, cert.depth + 1)]
-    ma = pf.invariant_measure_approx(pf.quotient_approximation(window, cert.hom), tests)
+    ma = pf.invariant_measure_approx(pf.QuotientApprox(window, cert.hom), tests)
     assert ma.max_defect == 0.0
     assert calls == []
 
@@ -797,7 +797,7 @@ def test_cylinder_pinned_coordinate():
 def test_measure_z_mod4_frozen():
     cert = pf.certify_rfd(Z, 0.2)
     w = pf.BernoulliWindow.build(Z, cert.depth)
-    approx = pf.quotient_approximation(w, cert.hom)
+    approx = pf.QuotientApprox(w, cert.hom)
     tests = [pf.CylinderFunction.constant(1.0),
              pf.CylinderFunction.coordinate_indicator(1),
              pf.CylinderFunction.coordinate_indicator(2),
@@ -817,7 +817,7 @@ def test_measure_z_mod4_frozen():
 def test_measure_rejects_out_of_window_coords():
     cert = pf.certify_rfd(Z, 0.2)
     w = pf.BernoulliWindow.build(Z, cert.depth)
-    approx = pf.quotient_approximation(w, cert.hom)
+    approx = pf.QuotientApprox(w, cert.hom)
     f = pf.CylinderFunction(coords=(9,), values=(0.0, 1.0))
     with pytest.raises(pf.MalformedDataError):
         pf.invariant_measure_approx(approx, [f])
@@ -826,7 +826,7 @@ def test_measure_rejects_out_of_window_coords():
 def test_measure_f2_exact_invariance():
     cert = pf.certify_rfd(F2, 0.3)
     w = pf.BernoulliWindow.build(F2, cert.depth)
-    approx = pf.quotient_approximation(w, cert.hom)
+    approx = pf.QuotientApprox(w, cert.hom)
     tests = [pf.CylinderFunction.coordinate_indicator(k) for k in (1, 2)]
     tests.append(pf.CylinderFunction(coords=(1, 2), values=(0.0, 0.0, 0.0, 1.0),
                                      label="both"))
@@ -838,7 +838,7 @@ def test_measure_f2_exact_invariance():
 def test_measure_to_json_shape():
     cert = pf.certify_rfd(Z, 0.5)
     w = pf.BernoulliWindow.build(Z, cert.depth)
-    approx = pf.quotient_approximation(w, cert.hom)
+    approx = pf.QuotientApprox(w, cert.hom)
     ma = pf.invariant_measure_approx(approx, [pf.CylinderFunction.constant(1.0)])
     data = ma.to_json()
     assert set(data) == {"values", "defects", "normalization", "positive_ok", "max_defect"}
@@ -942,7 +942,7 @@ def test_measure_of_a_certificate_is_exact(rank, depth, data):
     tests = [pf.CylinderFunction.constant(1.0)]
     tests += [pf.CylinderFunction.coordinate_indicator(k) for k in range(1, depth + 1)]
     tests += data.draw(st.lists(cylinder_tests(depth, [-1.0, 0.1, 1 / 3, 0.7, 1e16]), max_size=3))
-    ma = pf.invariant_measure_approx(pf.quotient_approximation(window, cert.hom), tests)
+    ma = pf.invariant_measure_approx(pf.QuotientApprox(window, cert.hom), tests)
     assert ma.normalization == 1.0
     assert [d["defect"] for d in ma.defects] == [0.0] * len(tests) * len(window.coords)
     assert ma.max_defect == 0.0

@@ -410,6 +410,42 @@ def test_malformed_group_table_exits_two(capsys, tmp_path, table):
                                            "list of equal-length lists of integers"), argv
 
 
+Z2 = {"kind": "finite", "order": 2, "table": [[0, 1], [1, 0]]}
+FREE1 = {"kind": "free", "rank": 1}
+CERTIFY_FREE1 = ["bernoulli", "certify", "--group", "free:1", "--delta", "0.2"]
+# name: (argv before the file, file data); file data None means no file
+MALFORMED_INPUTS = {
+    "hom images scalar": ([*CERTIFY_FREE1, "--hom"], {"images": 5, "source": FREE1, "target": Z2}),
+    "hom images strings": ([*CERTIFY_FREE1, "--hom"], {"images": ["x"], "source": FREE1, "target": Z2}),
+    "hom images floats": (["measure", "--group", "free:1", "--delta", "0.2", "--hom"],
+                          {"images": [1.0], "source": FREE1, "target": Z2}),
+    "action labels scalar": (["validate-action"], {"group": {**Z2, "labels": 5}, "n": 1, "elements": []}),
+    "action labels ints": (["validate-action"], {"group": {**Z2, "labels": [1, 2]}, "n": 1, "elements": []}),
+    "action rank bool": (["validate-action"], {"group": {"kind": "free", "rank": True}, "n": 1, "elements": []}),
+    "group labels scalar": (["bernoulli", "certify", "--delta", "0.2", "--group"], {**Z2, "labels": 5}),
+    "group spec free": (["bernoulli", "certify", "--delta", "0.2", "--group", "free:x"], None),
+    "group spec cyclic": (["measure", "--delta", "0.2", "--group", "cyclic:x"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_inputs_exit_two_quietly(capsys, tmp_path, name):
+    """Images of a homomorphism must be a list of integers, group labels a
+    list of strings, a free rank and a built-in ``--group`` count integers;
+    anything else exits 2 with a ``MalformedDataError`` and nothing on
+    stderr."""
+    argv, data = MALFORMED_INPUTS[name]
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = [*argv, str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert (code, captured.err) == (2, ""), error
+    assert error.startswith("MalformedDataError: "), error
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["bundle-axioms", "covariant-rep", "defects", "measure"])
 def test_out_of_range_tol_exits_two(capsys, swap_file, command, tol):

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from parfell import DualSystem, Section
+from parfell import FinitePartialAction, Section
 from conftest import random_cyclic_action, restriction_action, symmetric_group
 
 
-def random_section(dual, rng, num_terms=2):
+def random_section(action, rng, num_terms=2):
     terms = {}
     for _ in range(num_terms):
-        t = int(rng.integers(dual.group.order))
-        vec = np.zeros(dual.n, dtype=complex)
-        for z in dual.support(t):
+        t = int(rng.integers(action.group.order))
+        vec = np.zeros(action.n, dtype=complex)
+        for z in action.support(t):
             vec[z] = complex(rng.standard_normal(), rng.standard_normal())
         terms[t] = vec
-    return pf.Section.build(dual, terms)
+    return pf.Section.build(action, terms)
 
 
 def finite_systems(seed, count, max_points=6):
@@ -35,10 +35,9 @@ def finite_systems(seed, count, max_points=6):
 
 
 def test_section_support_enforced(fixed_point_action):
-    dual = pf.DualSystem(fixed_point_action)
     with pytest.raises(pf.MalformedDataError):
-        pf.Section.build(dual, {1: [0.0, 1.0]})
-    ok = pf.Section.build(dual, {1: [1.0, 0.0]})
+        pf.Section.build(fixed_point_action, {1: [0.0, 1.0]})
+    ok = pf.Section.build(fixed_point_action, {1: [1.0, 0.0]})
     assert ok.elements() == [1]
 
 
@@ -58,30 +57,27 @@ def test_section_wrong_length_rejected():
 
 
 def test_delta_section_swap(swap_action):
-    dual = pf.DualSystem(swap_action)
-    x = delta_section(dual, 0, 1)
+    x = delta_section(swap_action, 0, 1)
     assert np.array_equal(x.coeff(1), np.array([1, 0], dtype=complex))
     # (delta_0 d_1)(delta_0 d_1) moves the point before multiplying
-    sq = pf.section_mul(x, x, dual)
+    sq = pf.section_mul(x, x, swap_action)
     assert np.array_equal(sq.coeff(0), np.array([0, 0], dtype=complex))
-    y = delta_section(dual, 1, 1)
-    prod = pf.section_mul(x, y, dual)
+    y = delta_section(swap_action, 1, 1)
+    prod = pf.section_mul(x, y, swap_action)
     assert np.array_equal(prod.coeff(0), np.array([1, 0], dtype=complex))
 
 
 def test_section_star_involution(swap_action):
-    dual = pf.DualSystem(swap_action)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        x = random_section(dual, rng)
-        back = pf.section_star(pf.section_star(x, dual), dual)
+        x = random_section(swap_action, rng)
+        back = pf.section_star(pf.section_star(x, swap_action), swap_action)
         for t in x.terms:
             assert np.allclose(back.coeff(t), x.coeff(t), atol=1e-14)
 
 
 def test_expectation_reads_identity_coefficient(swap_action):
-    dual = pf.DualSystem(swap_action)
-    x = pf.Section.build(dual, {0: [2.0, 3.0], 1: [1.0, 1.0]})
+    x = pf.Section.build(swap_action, {0: [2.0, 3.0], 1: [1.0, 1.0]})
     assert np.array_equal(pf.expectation(x), np.array([2, 3], dtype=complex))
 
 
@@ -115,16 +111,16 @@ def nonzero_svals(mat):
     return svals[svals > cutoff]
 
 
-def delta_section(dual: DualSystem, z: int, t) -> Section:
+def delta_section(action: FinitePartialAction, z: int, t) -> Section:
     """The basis section: indicator of z in the fiber of t."""
-    vec = np.zeros(dual.n, dtype=np.complex128)
+    vec = np.zeros(action.n, dtype=np.complex128)
     vec[z] = 1.0
-    return Section.build(dual, {t: vec})
+    return Section.build(action, {t: vec})
 
 
 def basis_images(model):
     """The dense model image of every basis section, in basis order."""
-    return [model.image(delta_section(model.dual, z, t)) for z, t in model.basis]
+    return [model.image(delta_section(model.action, z, t)) for z, t in model.basis]
 
 
 def dense_center(model):
@@ -335,48 +331,44 @@ def test_model_is_homomorphism_and_star():
     rng = np.random.default_rng(11)
     for act in finite_systems(seed=13, count=5):
         model = pf.build_model(act)
-        dual = model.dual
         for _ in range(8):
-            x = random_section(dual, rng)
-            y = random_section(dual, rng)
-            lhs = model.image(pf.section_mul(x, y, dual))
+            x = random_section(act, rng)
+            y = random_section(act, rng)
+            lhs = model.image(pf.section_mul(x, y, act))
             rhs = model.image(x) @ model.image(y)
             assert pf.op_norm(lhs - rhs) <= 1e-10
-            star_lhs = model.image(pf.section_star(x, dual))
+            star_lhs = model.image(pf.section_star(x, act))
             assert pf.op_norm(star_lhs - model.image(x).conj().T) <= 1e-10
 
 
 def test_product_supports_stay_legal():
     rng = np.random.default_rng(17)
     for act in finite_systems(seed=19, count=5):
-        dual = pf.DualSystem(act)
-        x = random_section(dual, rng)
-        y = random_section(dual, rng)
-        prod = pf.section_mul(x, y, dual)
+        x = random_section(act, rng)
+        y = random_section(act, rng)
+        prod = pf.section_mul(x, y, act)
         # rebuilding through the support-checked constructor must not raise
-        pf.Section.build(dual, prod.terms)
+        pf.Section.build(act, prod.terms)
 
 
 def test_cstar_identity_of_reduced_norm():
     rng = np.random.default_rng(23)
     for act in finite_systems(seed=29, count=5):
         model = pf.build_model(act)
-        dual = model.dual
         for _ in range(4):
-            x = random_section(dual, rng)
+            x = random_section(act, rng)
             nx = pf.reduced_norm(model, x)
-            xx = pf.section_mul(pf.section_star(x, dual), x, dual)
+            xx = pf.section_mul(pf.section_star(x, act), x, act)
             assert abs(pf.reduced_norm(model, xx) - nx**2) <= 1e-8 * (1 + nx**2)
 
 
 def test_expectation_positive_and_faithful():
     rng = np.random.default_rng(31)
     for act in finite_systems(seed=37, count=5):
-        dual = pf.DualSystem(act)
         model = pf.build_model(act)
         for _ in range(20):
-            x = random_section(dual, rng)
-            xx = pf.section_mul(pf.section_star(x, dual), x, dual)
+            x = random_section(act, rng)
+            xx = pf.section_mul(pf.section_star(x, act), x, act)
             val = pf.expectation(xx)
             assert float(np.abs(val.imag).max(initial=0.0)) <= 1e-12
             assert float(val.real.min(initial=0.0)) >= -1e-12
@@ -397,7 +389,7 @@ def test_model_guards():
     ident = {z: z for z in range(9)}
     model = pf.build_model(pf.FinitePartialAction(wide, 9, {j: dict(ident) for j in range(60)}))
     assert (model.dimension(), model.center_dimension()) == (540, 540)
-    x = delta_section(model.dual, 0, 1)
+    x = delta_section(model.action, 0, 1)
     with pytest.raises(pf.MalformedDataError):
         model.image(x)
     with pytest.raises(pf.MalformedDataError):
@@ -412,11 +404,10 @@ def test_free_word_length_cap():
     word-length cap."""
     f1 = pf.FreeGroup(rank=1)
     act = pf.FinitePartialAction(f1, 3, {(1,): {0: 1, 1: 2}})
-    dual = pf.DualSystem(act)
-    x = delta_section(dual, 1, (1,))
-    pf.section_mul(x, x, dual)  # uncapped products compose fine
+    x = delta_section(act, 1, (1,))
+    pf.section_mul(x, x, act)  # uncapped products compose fine
     with pytest.raises(TypeError):
-        pf.section_mul(x, x, dual, max_word_length=1)
+        pf.section_mul(x, x, act, max_word_length=1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +416,7 @@ def test_free_word_length_cap():
 
 def test_bundle_axioms_pass_on_valid_systems():
     for act in finite_systems(seed=41, count=4):
-        report = pf.bundle_axiom_report(pf.DualSystem(act), trials=100, seed=1)
+        report = pf.bundle_axiom_report(act, trials=100, seed=1)
         assert report.ok, report.violations
         assert report.checks == 400
 
@@ -437,7 +428,7 @@ def test_bundle_axioms_pass_free_group():
     )
     assert pf.validate(act, radius=2).ok
     report = pf.bundle_axiom_report(
-        pf.DualSystem(act), trials=100, seed=2, elements=f2.ball(2)
+        act, trials=100, seed=2, elements=f2.ball(2)
     )
     assert report.ok, report.violations
 
@@ -449,7 +440,7 @@ def test_bundle_axioms_catch_corruption():
     # eta_3 deliberately repeats the forward cycle instead of inverting it
     act = pf.FinitePartialAction(g, 4, {1: cycle, 2: sq, 3: dict(cycle)})
     assert not pf.validate(act).ok
-    report = pf.bundle_axiom_report(pf.DualSystem(act), trials=200, seed=0)
+    report = pf.bundle_axiom_report(act, trials=200, seed=0)
     assert not report.ok
     assert report.violations
     kinds = {v["axiom"] for v in report.violations}
@@ -460,20 +451,19 @@ def test_bundle_axioms_catch_corruption():
 
 def test_mf_defect_report_exact(swap_action):
     rep = pf.std_covariant_rep(swap_action)
-    dual = rep.dual
     fam = pf.exact_bundle_family(rep, elements=[0, 1])
     rng = np.random.default_rng(43)
     samples = []
     for t in (0, 1):
         vec = np.zeros(2, dtype=complex)
-        for z in dual.support(t):
+        for z in swap_action.support(t):
             vec[z] = complex(rng.standard_normal(), rng.standard_normal())
         samples.append((t, vec))
-    report = pf.mf_defect_report(fam, samples, dual)
+    report = pf.mf_defect_report(fam, samples, swap_action)
     assert report.max_defect() <= 1e-12, report.to_json()
 
 
-def ref_mf_defect_report(fam, samples, dual) -> dict:
+def ref_mf_defect_report(fam, samples, action) -> dict:
     """mf_defect_report one difference at a time, op_norm on every one."""
     worst = {k: (0.0, "") for k in ("selfadjoint", "triple_product", "isometry_gap")}
 
@@ -486,13 +476,13 @@ def ref_mf_defect_report(fam, samples, dual) -> dict:
 
     for i, (t, vec) in enumerate(samples):
         image = apply(t, vec)
-        starred, ti = dual.star_fiber((vec, t))
+        starred, ti = action.star_fiber((vec, t))
         feed("selfadjoint", pf.op_norm(image.conj().T - apply(ti, starred)), f"sample {i}")
         height = float(np.abs(vec).max(initial=0.0))
         feed("isometry_gap", abs(pf.op_norm(image) - height), f"sample {i}")
     for i, (s, a) in enumerate(samples):
         for j, (t, b) in enumerate(samples):
-            prod, st = dual.mul_fiber((a, s), (b, t))
+            prod, st = action.mul_fiber((a, s), (b, t))
             feed("triple_product", pf.op_norm(apply(s, a) @ apply(t, b) - apply(st, prod)),
                  f"samples {i} , {j}")
     return worst
@@ -504,25 +494,23 @@ def test_mf_defect_report_matches_every_pair_reference(seed, sigma, count):
     rng = np.random.default_rng(seed)
     act = random_cyclic_action(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)))
     rep = pf.std_covariant_rep(act)
-    dual = rep.dual
     fam = pf.exact_bundle_family(rep, elements=list(range(act.group.order)))
     for arr in fam.values():
         arr += sigma * (rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape))
     samples = []
     for _ in range(count):
         t = int(rng.integers(act.group.order))
-        vec = np.zeros(dual.n, dtype=complex)
-        for z in dual.support(t):
+        vec = np.zeros(act.n, dtype=complex)
+        for z in act.support(t):
             vec[z] = complex(rng.standard_normal(), rng.standard_normal())
         samples.append((t, vec))
-    report = pf.mf_defect_report(fam, samples, dual)
-    want = ref_mf_defect_report(fam, samples, dual)
+    report = pf.mf_defect_report(fam, samples, act)
+    want = ref_mf_defect_report(fam, samples, act)
     assert report.entries == {k: v for k, (v, _) in want.items()}
     assert report.witnesses == {k: w for k, (_, w) in want.items()}
 
 
 def test_mf_defect_report_missing_fiber(swap_action):
-    dual = pf.DualSystem(swap_action)
     fam = {0: np.zeros((2, 2, 2), dtype=complex)}
     with pytest.raises(pf.UndeclaredElementError):
-        pf.mf_defect_report(fam, [(1, np.array([1.0, 1.0]))], dual)
+        pf.mf_defect_report(fam, [(1, np.array([1.0, 1.0]))], swap_action)

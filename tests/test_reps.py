@@ -83,7 +83,7 @@ def test_zeroed_family_covariance(swap_action):
     fam = pf.PartialRepFamily(
         swap_action.group, 2, mats={0: np.eye(2), 1: np.zeros((2, 2))}
     )
-    noisy = pf.CovariantRep(rep.dual, rep.phi_mats, fam)
+    noisy = pf.CovariantRep(rep.action, rep.phi_mats, fam)
     report = pf.covariance_defects(noisy, elements=[1])
     assert report.entries["covariance"] == pytest.approx(1.0, abs=1e-15)
 
@@ -184,7 +184,7 @@ def ref_covariance(rep, elems) -> _RefWorst:
     cov = _RefWorst()
     for t in elems:
         vt = rep.v.matrix(t)
-        for z, w in rep.dual.action.element_map(t).pairs:
+        for z, w in rep.action.element_map(t).pairs:
             cov.feed(vt @ rep.phi_mats[z] @ vt.conj().T - rep.phi_mats[w],
                      f"{pf.word_to_str(rep.group, t)} @ {z}")
     return cov
@@ -221,7 +221,7 @@ def ref_perturb_scans(v, rounded, rep, elems) -> dict:
                 worst["triple_product"].feed(out[si] @ out[s] @ out[t] - out[si] @ out[st_],
                                              f"{label(s)} , {label(t)}")
     cov = ref_covariance(
-        pf.CovariantRep(rep.dual, rep.phi_mats, rounded), [t for t in elems if t != ident]
+        pf.CovariantRep(rep.action, rep.phi_mats, rounded), [t for t in elems if t != ident]
     )
     report = _ref_report({**worst, "covariance": cov}, skipped)
     report["entries"]["pi_defect"] = pi.value
@@ -322,7 +322,7 @@ def test_defect_scans_match_every_pair_reference(case):
     assert got["witnesses"] == dict(sorted(want["witnesses"].items()))
     assert got["skipped"] == want["skipped"]
 
-    noisy = pf.CovariantRep(rep.dual, rep.phi_mats, fam)
+    noisy = pf.CovariantRep(rep.action, rep.phi_mats, fam)
     cov = pf.covariance_defects(noisy, elements=elems)
     ref = ref_covariance(noisy, elems)
     assert (cov.entries, cov.witnesses, cov.skipped) == (
@@ -393,7 +393,7 @@ def test_std_model_scans_match_every_pair_reference(case, data):
         {"covariance": ref.value}, {"covariance": ref.witness}, [])
     assert ref.value == 0.0
     weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=act.n, max_size=act.n))
-    custom = pf.CovariantRep(rep.dual, rep.phi_mats * np.array(weights)[:, None, None], rep.v)
+    custom = pf.CovariantRep(rep.action, rep.phi_mats * np.array(weights)[:, None, None], rep.v)
     cov = pf.covariance_defects(custom, elements=elems)
     ref = ref_covariance(custom, elems)
     assert (cov.entries, cov.witnesses) == ({"covariance": ref.value}, {"covariance": ref.witness})
@@ -665,7 +665,7 @@ def test_covariance_of_a_standard_phi_matches_the_reference_with_ties():
     fwd, inv = (rep.v.matrix(w) + 1e-3 * _noise(rng, "gaussian", 3) for w in [(1,), (-1,)])
     elems = f2.ball(1)
     fam = pf.PartialRepFamily(f2, 3, mats={(): np.eye(3), (1,): fwd, (-1,): inv, (2,): fwd, (-2,): inv})
-    noisy = pf.CovariantRep(rep.dual, rep.phi_mats, fam)
+    noisy = pf.CovariantRep(rep.action, rep.phi_mats, fam)
     cov = pf.covariance_defects(noisy, elements=elems)
     ref = ref_covariance(noisy, elems)
     assert (cov.entries, cov.witnesses) == ({"covariance": ref.value}, {"covariance": ref.witness})
@@ -680,7 +680,7 @@ def test_covariance_reads_inf_for_a_non_finite_entry_off_the_column(bad):
     act = pf.FinitePartialAction(pf.cyclic_group(2), 2, {1: {0: 1, 1: 0}})
     rep = pf.std_covariant_rep(act)
     fam = pf.PartialRepFamily(act.group, 2, mats={0: np.eye(2), 1: np.array([[0, bad], [1, 0]])})
-    cov = pf.covariance_defects(pf.CovariantRep(rep.dual, rep.phi_mats, fam), elements=[0, 1])
+    cov = pf.covariance_defects(pf.CovariantRep(rep.action, rep.phi_mats, fam), elements=[0, 1])
     assert (cov.entries, cov.witnesses) == ({"covariance": np.inf}, {"covariance": "1 @ 0"})
 
 
@@ -875,13 +875,12 @@ def test_exact_bundle_family_is_star_symmetric(swap_action, fixed_point_action):
     """``fam[t][z]* = fam[t^-1][eta_{t^-1}(z)]`` on ``V_t``, zero off it."""
     for act in (swap_action, fixed_point_action):
         rep = pf.std_covariant_rep(act)
-        dual = rep.dual
         fam = pf.exact_bundle_family(rep, elements=[0, 1])
         for t in fam:
-            ti = dual.group.inverse(t)
-            back = dual.action.element_map(ti).as_dict()  # V_t -> V_{t^-1}
-            support = set(dual.support(t))
-            for z in range(dual.n):
+            ti = act.group.inverse(t)
+            back = act.element_map(ti).as_dict()  # V_t -> V_{t^-1}
+            support = set(act.support(t))
+            for z in range(act.n):
                 if z in support:
                     assert np.array_equal(fam[t][z].conj().T, fam[ti][back[z]])
                 else:
@@ -896,7 +895,7 @@ def test_bundle_round_trip(swap_action):
     assert np.array_equal(fam[swap_action.group.identity], rep.phi_mats)
     for t in (0, 1):
         vt = rep.v.matrix(t)
-        support = rep.dual.support(t)
+        support = rep.action.support(t)
         for z in support:
             assert np.array_equal(fam[t][z], rep.phi_mats[z] @ vt)
         assert np.array_equal(sum(fam[t][z] for z in support), vt)
@@ -921,7 +920,7 @@ def test_extract_with_multiplicity(swap_action):
         swap_action.group, 4,
         mats={t: np.kron(rep.v.matrix(t), np.eye(2)) for t in (0, 1)},
     )
-    rep2 = pf.CovariantRep(rep.dual, phi2, fam2)
+    rep2 = pf.CovariantRep(rep.action, phi2, fam2)
     ext = pf.extract_finite_system(rep2)
     assert ext.multiplicities == (2, 2)
     assert swap_action.same_data(ext.action)
@@ -936,7 +935,7 @@ def test_extract_ignores_kernel_block(swap_action):
     v1 = np.zeros((3, 3), dtype=complex)
     v1[0, 1] = v1[1, 0] = 1.0
     fam = pf.PartialRepFamily(swap_action.group, 3, mats={0: np.eye(3), 1: v1})
-    rep = pf.CovariantRep(pf.DualSystem(swap_action), phi, fam)
+    rep = pf.CovariantRep(swap_action, phi, fam)
     ext = pf.extract_finite_system(rep)
     assert ext.action.n == 2
     assert ext.multiplicities == (1, 1)
@@ -947,14 +946,14 @@ def test_extract_follows_v_not_the_declared_map(fixed_point_action):
     # the declared map of 1 fixes point 0 and leaves point 1 out; v swaps them
     rep = pf.std_covariant_rep(fixed_point_action)
     fam = pf.PartialRepFamily(rep.group, 2, mats={0: np.eye(2), 1: e(0, 1) + e(1, 0)})
-    ext = pf.extract_finite_system(pf.CovariantRep(rep.dual, rep.phi_mats, fam))
+    ext = pf.extract_finite_system(pf.CovariantRep(rep.action, rep.phi_mats, fam))
     assert ext.action.element_map(1).as_dict() == {0: 1, 1: 0}
 
 
 def test_extract_rejects_non_commuting(swap_action):
     x = e(0, 1) + e(1, 0)
     rep = pf.CovariantRep(
-        pf.DualSystem(swap_action),
+        swap_action,
         np.stack([e(0, 0), x]),
         pf.PartialRepFamily(swap_action.group, 2, mats={0: np.eye(2), 1: x}),
     )

@@ -52,8 +52,9 @@ class Section:
         """Construct and enforce the support condition exactly."""
         x = Section(action.group, action.n, terms)
         for t, vec in x.terms.items():
-            inside = set(action.support(t))
-            bad = [z for z in range(action.n) if vec[z] != 0 and z not in inside]
+            outside = np.ones(action.n + 1, dtype=bool)
+            outside[action.row(t)] = False  # -1 clears the last entry, which is dropped
+            bad = np.flatnonzero((vec != 0) & outside[:-1]).tolist()
             if bad:
                 raise MalformedDataError(
                     f"coefficient of {word_to_str(action.group, t)} is nonzero outside its set at {bad}"
@@ -80,11 +81,13 @@ class Section:
 
 
 def section_mul(x: Section, y: Section, action: FinitePartialAction) -> Section:
-    """Convolution: the sum of the fiber products of all term pairs."""
+    """Convolution: the sum of the fiber products ``alpha_s(alpha_{s^-1}(a) b)``
+    at ``st`` of all term pairs, each left coefficient pulled back once."""
     out: dict = {}
     for s, a in x.terms.items():
+        pulled = action.apply(action.group.inverse(s), a)
         for t, b in y.terms.items():
-            c, st = action.mul_fiber((a, s), (b, t))
+            c, st = action.apply(s, pulled * b), action.group.multiply(s, t)
             out[st] = out[st] + c if st in out else c
     return Section(action.group, action.n, out)
 
@@ -125,7 +128,7 @@ class CrossedProductModel:
         self.group = group
         _, self.rows, lacks, self._identities = action.scan(list(range(group.order)))
         if lacks.any():
-            action.element_map(int(np.argmax(lacks)))  # raises its error
+            raise action.missing_error(int(np.argmax(lacks)))
         z, t = np.nonzero(_hits(self.rows)[:, : action.n].T)
         self.basis: list[tuple[int, int]] = list(zip(z.tolist(), t.tolist()))
 

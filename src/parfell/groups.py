@@ -559,7 +559,10 @@ def group_from_json(data: dict) -> GroupSpec:
                 for row in table)):
             raise MalformedDataError("finite group 'table' must be a list of equal-length lists of integers")
         tbl = tuple(map(tuple, table))
-        if "order" in data and data["order"] != len(tbl):
+        order = data.get("order", len(tbl))
+        if type(order) is not int:
+            raise MalformedDataError("finite group 'order' must be an integer")
+        if order != len(tbl):
             raise MalformedDataError("declared order disagrees with table size")
         labels = data.get("labels", [])
         if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):

@@ -112,10 +112,7 @@ class PartialRepFamily:
         if self.action is None:
             return None
         if key not in self._cache:
-            a = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            for z, w in self.action.element_map(key).pairs:
-                a[w, z] = 1.0
-            self._cache[key] = a
+            self._cache[key] = partial_permutations(self.action.row(key)[None])[0]
         return self._cache[key]
 
 
@@ -304,8 +301,8 @@ def partial_rep_defects(
         raise PreconditionError("family lacks the identity element")
     if v.action is None:
         unit = norm_unless_below(v.matrix(ident) - np.eye(v.dim), EXACT_TOL) <= EXACT_TOL
-    else:  # a 0/1 matrix is I exactly when its map fixes every point
-        unit = dict(v.action.element_map(ident).pairs) == {z: z for z in range(v.dim)}
+    else:  # a 0/1 matrix is I exactly when its map fixes every point, as an undeclared identity's does
+        unit = not v.action.is_declared(ident) or np.array_equal(v.action.row(ident)[:-1], np.arange(v.dim))
     if not unit:
         raise PreconditionError("identity element is not represented by I")
 
@@ -318,7 +315,7 @@ def partial_rep_defects(
     else:
         table, rows, lacks, identities = v.action.scan(elems)
         if lacks.any():
-            v.action.element_map(table.keys[int(np.argmax(lacks))])  # raises its error
+            raise v.action.missing_error(table.keys[int(np.argmax(lacks))])
         masks = _row_settled_pairs(rows, table, identities)
         if not any(m.any() for m in masks.values()):
             return _report({k: _Worst() for k in masks}, [])
@@ -440,12 +437,10 @@ def _feed_covariance(worst: _Worst, rep: CovariantRep, elems: list, matrix: Call
     """Feed ``v_t phi(z) v_t* - phi(t.z)`` over the source points ``z`` of
     each ``t`` in ``elems``, in scan order.  Under the standard phi only the
     candidates of the closed-form bounds form their dense defect."""
-    mats, pairs = [], []
-    for i, t in enumerate(elems):
-        mats.append(matrix(t))
-        pairs += [(i, z, w) for z, w in rep.action.element_map(t).pairs]
-    vs, phi = _stack(mats, rep.dim), rep.phi_mats
-    at, zs, ws = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+    vs, phi = _stack([matrix(t) for t in elems], rep.dim), rep.phi_mats
+    rows = rep.action.map_rows(elems)
+    at, zs = np.nonzero(rows[:, :-1] >= 0)
+    ws = rows[at, zs]
 
     def build(idx: np.ndarray) -> np.ndarray:
         v = vs[at[idx]]

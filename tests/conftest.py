@@ -1,5 +1,6 @@
 """Shared generators: random valid partial actions built by restriction,
-the restriction itself, and the symmetric groups used as non-abelian cases.
+the restriction itself, the symmetric groups used as non-abelian cases,
+and a dict-based letter composition that references compare rows with.
 
 Restricting a global permutation action to an arbitrary subset always yields
 a valid partial action, so these generators produce axioms-by-construction
@@ -38,6 +39,29 @@ def restriction_action(
         pairs = {index[z]: index[perm[z]] for z in sub if perm[z] in index}
         maps[g] = pairs
     return FinitePartialAction(group, len(sub), maps)
+
+
+def composed_map(action: FinitePartialAction, key) -> dict:
+    """``eta_key`` as a dict, composed on dicts: a declared key's map, the
+    identity for an undeclared identity, else the maps of a free word's
+    letters with the rightmost acting first.  It reads only declared maps
+    from the action, so references built on it check the action's own
+    letter composition."""
+    group = action.group
+    key = group.check_element(key)
+    if action.is_declared(key):
+        return dict(action.element_map(key).pairs)
+    out = {z: z for z in range(action.n)}
+    if key == group.identity:
+        return out
+    if not isinstance(group, pf.FreeGroup):
+        raise pf.UndeclaredElementError(f"no data for element {pf.word_to_str(group, key)}")
+    for letter in reversed(key):
+        if not action.is_declared((letter,)):
+            raise pf.UndeclaredElementError(f"no data for generator letter {letter}")
+        f = dict(action.element_map((letter,)).pairs)
+        out = {z: f[w] for z, w in out.items() if w in f}
+    return out
 
 
 def symmetric_group(n: int) -> FiniteGroup:

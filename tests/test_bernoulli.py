@@ -165,7 +165,7 @@ def ref_strict_equivariance_report(approx, elements=None):
     for t in elems:
         label = word_to_str(group, t)
         pm = ref_rule(approx, t)
-        in_set = pm.target_set()
+        in_set = {w for _, w in pm.pairs}
         for z in sorted(in_set):
             points += 1
             if approx.point_value(z, t) != 1:
@@ -889,11 +889,11 @@ def ref_invariant_measure_approx(approx, tests):
                         z, group.multiply(t, window.coords[k])
                     ),
                 )
-                for z in sorted(pm.target_set())
+                for z in sorted({w for _, w in pm.pairs})
             ]
             plain = [
                 f.on_window_point(window, approx.rho[z])
-                for z in sorted(ref_rule(approx, ti).target_set())
+                for z in sorted({w for _, w in ref_rule(approx, ti).pairs})
             ]
             defect = abs(math.fsum(shifted) - math.fsum(plain)) / total
             defects.append({"test": f.label or repr(f.coords), "element": label, "defect": defect})

@@ -412,6 +412,7 @@ def test_malformed_group_table_exits_two(capsys, tmp_path, table):
 
 Z2 = {"kind": "finite", "order": 2, "table": [[0, 1], [1, 0]]}
 FREE1 = {"kind": "free", "rank": 1}
+TRIVIAL = {"kind": "finite", "table": [[0]]}
 CERTIFY_FREE1 = ["bernoulli", "certify", "--group", "free:1", "--delta", "0.2"]
 # name: (argv before the file, file data); file data None means no file
 MALFORMED_INPUTS = {
@@ -422,6 +423,8 @@ MALFORMED_INPUTS = {
     "action labels scalar": (["validate-action"], {"group": {**Z2, "labels": 5}, "n": 1, "elements": []}),
     "action labels ints": (["validate-action"], {"group": {**Z2, "labels": [1, 2]}, "n": 1, "elements": []}),
     "action rank bool": (["validate-action"], {"group": {"kind": "free", "rank": True}, "n": 1, "elements": []}),
+    "action order float": (["validate-action"], {"group": {**TRIVIAL, "order": 1.0}, "n": 1, "elements": []}),
+    "action order bool": (["validate-action"], {"group": {**TRIVIAL, "order": True}, "n": 1, "elements": []}),
     "group labels scalar": (["bernoulli", "certify", "--delta", "0.2", "--group"], {**Z2, "labels": 5}),
     "group spec free": (["bernoulli", "certify", "--delta", "0.2", "--group", "free:x"], None),
     "group spec cyclic": (["measure", "--delta", "0.2", "--group", "cyclic:x"], None),
@@ -431,9 +434,9 @@ MALFORMED_INPUTS = {
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
 def test_malformed_inputs_exit_two_quietly(capsys, tmp_path, name):
     """Images of a homomorphism must be a list of integers, group labels a
-    list of strings, a free rank and a built-in ``--group`` count integers;
-    anything else exits 2 with a ``MalformedDataError`` and nothing on
-    stderr."""
+    list of strings, a free rank, a finite order and a built-in ``--group``
+    count integers; anything else exits 2 with a ``MalformedDataError`` and
+    nothing on stderr."""
     argv, data = MALFORMED_INPUTS[name]
     if data is not None:
         path = tmp_path / "input.json"

@@ -1,7 +1,7 @@
 """Covariant representations: the standard model, defects, rounding, extraction."""
 
 import json
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import parfell as pf
 from conftest import (
+    composed_map,
     random_cyclic_action,
     random_free_action,
     random_valid_action,
@@ -146,12 +147,25 @@ def _ref_report(worst: dict, skipped: list) -> dict:
     }
 
 
+def ref_matrix(v, g):
+    """``v``'s matrix of ``g``; a standard model's from ``composed_map``, so
+    that the references read no int row of the action."""
+    if v.action is None:
+        return v.matrix(g)
+    m = np.zeros((v.dim, v.dim), dtype=complex)
+    for z, w in composed_map(v.action, g).items():
+        m[w, z] = 1.0
+    return m
+
+
 def ref_partial_rep_defects(v, elems) -> dict:
     group = v.group
     label = partial(pf.word_to_str, group)
 
+    matrix = cache(partial(ref_matrix, v))
+
     def get(g):
-        return v.matrix(g) if v.has(g) else None
+        return matrix(g) if v.has(g) else None
 
     worst = {k: _RefWorst() for k in ("selfadjoint", "triple_product", "commuting_ranges", "intertwine")}
     skipped = []
@@ -160,12 +174,12 @@ def ref_partial_rep_defects(v, elems) -> dict:
         if vti is None:
             skipped.append({"entry": "selfadjoint", "elements": [label(t)]})
         else:
-            worst["selfadjoint"].feed(v.matrix(t).conj().T - vti, label(t))
+            worst["selfadjoint"].feed(matrix(t).conj().T - vti, label(t))
     for s in elems:
-        vs, vsi = v.matrix(s), get(group.inverse(s))
+        vs, vsi = matrix(s), get(group.inverse(s))
         ps = vs @ vs.conj().T
         for t in elems:
-            vt, vst = v.matrix(t), get(group.multiply(s, t))
+            vt, vst = matrix(t), get(group.multiply(s, t))
             pt = vt @ vt.conj().T
             pair = f"{label(s)} , {label(t)}"
             if vsi is None or vst is None:
@@ -183,8 +197,8 @@ def ref_partial_rep_defects(v, elems) -> dict:
 def ref_covariance(rep, elems) -> _RefWorst:
     cov = _RefWorst()
     for t in elems:
-        vt = rep.v.matrix(t)
-        for z, w in rep.action.element_map(t).pairs:
+        vt = ref_matrix(rep.v, t)
+        for z, w in sorted(composed_map(rep.action, t).items()):
             cov.feed(vt @ rep.phi_mats[z] @ vt.conj().T - rep.phi_mats[w],
                      f"{pf.word_to_str(rep.group, t)} @ {z}")
     return cov
@@ -427,7 +441,7 @@ def valid_actions(draw):
         longer = [w for w in group.ball(3) if len(w) >= 2]
         for w in draw(st.lists(st.sampled_from(longer), unique=True, max_size=3)):
             if group.inverse(w) not in maps:
-                maps[w] = letters.element_map(w).as_dict()
+                maps[w] = composed_map(letters, w)
         radius = draw(st.integers(1, 3 if rank < 3 else 2))
         return pf.FinitePartialAction(group, n, maps), radius
     radius = draw(st.integers(1, 4 - rank))
@@ -436,7 +450,7 @@ def valid_actions(draw):
     whole = pf.FinitePartialAction(group, points, {w: dict(enumerate(p)) for w, p in perms.items()})
     words = [w for w in group.ball(2 * radius) if w]
     subset = draw(st.lists(st.integers(0, points - 1), unique=True, min_size=1))
-    global_maps = {w: [whole.element_map(w).as_dict()[z] for z in range(points)] for w in words}
+    global_maps = {w: [composed_map(whole, w)[z] for z in range(points)] for w in words}
     return restriction_action(group, global_maps, subset), radius
 
 

@@ -10,6 +10,7 @@ the resulting point map is strictly equivariant with explicit density bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +21,6 @@ import numpy as np
 from .actions import EquivarianceReport, _equivariance_report
 from .groups import (
     MAX_FINITE_ORDER,
-    FiniteGroup,
     FreeGroup,
     GroupHom,
     GroupSpec,
@@ -229,10 +229,11 @@ def _search_hom(group: GroupSpec, window: BernoulliWindow, max_order: int) -> Gr
     Targets run cyclic first, then products of two cyclic groups, each with
     its generator images in ``itertools.product`` order.  A factor's order
     is at most ``MAX_CYCLIC`` and a target's at most ``max_order``.
-    Targets smaller than the window are skipped unbuilt.  Generators that
-    no window word uses go to 0, as they do in the first separating tuple.
-    A target whose ``MAX_SEARCH_TUPLES`` run out is passed over; its error
-    is raised only when no later target separates.
+    Targets smaller than the window are skipped, and only the target that
+    separates is built.  Generators that no window word uses go to 0, as
+    they do in the first separating tuple.  A target whose
+    ``MAX_SEARCH_TUPLES`` run out is passed over; its error is raised only
+    when no later target separates.
     """
     if not isinstance(group, FreeGroup):
         raise MalformedDataError(
@@ -241,6 +242,7 @@ def _search_hom(group: GroupSpec, window: BernoulliWindow, max_order: int) -> Gr
     if window.depth == 0:
         return GroupHom(source=group, target=trivial_group(), images=(0,) * group.rank)
     used = sorted({abs(s) for w in window.coords for s in w})
+    sums = _exponent_sums(window.coords, used)
     targets = [(m,) for m in range(2, min(MAX_CYCLIC, max_order) + 1)] + [
         (a, b) for a in range(2, MAX_CYCLIC + 1) for b in range(a, MAX_CYCLIC + 1) if a * b <= max_order
     ]
@@ -248,13 +250,13 @@ def _search_hom(group: GroupSpec, window: BernoulliWindow, max_order: int) -> Gr
     for factors in targets:
         if math.prod(factors) < len(window.coords):
             continue
-        target = direct_product(*map(cyclic_group, factors)) if len(factors) == 2 else cyclic_group(*factors)
         try:
-            found = _first_separating(target, window.coords, used)
+            found = _first_separating(factors, sums)
         except MalformedDataError as err:  # over budget: the next target may separate
             cut_short = cut_short or err
             continue
         if found is not None:
+            target = direct_product(*map(cyclic_group, factors)) if len(factors) == 2 else cyclic_group(*factors)
             images = dict(zip(used, found))
             return GroupHom(source=group, target=target,
                             images=tuple(images.get(g, 0) for g in range(1, group.rank + 1)))
@@ -265,43 +267,91 @@ def _search_hom(group: GroupSpec, window: BernoulliWindow, max_order: int) -> Gr
 
 # the largest cyclic factor a certificate search tries
 MAX_CYCLIC = 12
-# image tuples one target's search may evaluate, about a second of blocks
-# over a window of 16 words; a target that needs more is passed over
+# image tuples one target's search may evaluate, about a quarter second of
+# blocks over a window of 16 words; a target that needs more is passed over
 MAX_SEARCH_TUPLES = 1 << 21
 
 
-def _first_separating(target: FiniteGroup, words: Sequence, used: list[int]) -> list[int] | None:
-    """The first tuple of images of the ``used`` generators, in
-    ``itertools.product`` order, under which the prefix-closed ``words``
-    (identity first) have distinct images; None if there is none.  Tuples
-    are evaluated a block at a time, one table gather per word.  Raises
-    ``MalformedDataError`` when the first ``MAX_SEARCH_TUPLES`` tuples
-    separate nothing and more remain."""
-    m, r = target.order, len(used)
-    table = np.asarray(target.table, dtype=np.intp)
-    inv = np.array([target.inverse(g) for g in range(m)])
+def _exponent_sums(words: Sequence, used: list[int]) -> np.ndarray:
+    """The exponent sum of each ``used`` generator in each word, one row
+    per word."""
     col = {g: j for j, g in enumerate(used)}
-    place = m ** np.arange(r - 1, -1, -1)
-    block = 1 << 14  # tuples per pass: a few MiB of arrays
-    stop = min(m**r, MAX_SEARCH_TUPLES)
-    for lo in range(0, stop, block):
-        tuples = np.arange(lo, min(stop, lo + block))[:, None] // place % m
-        imgs = {(): np.zeros(len(tuples), dtype=np.intp)}
-        seen = np.ones(len(tuples), dtype=np.intp)  # a bit per image so far
-        ok = np.ones(len(tuples), dtype=bool)
-        for w in words[1:]:
-            x = tuples[:, col[abs(w[-1])]]
-            imgs[w] = table[imgs[w[:-1]], x if w[-1] > 0 else inv[x]]
-            ok &= (seen >> imgs[w]) & 1 == 0
-            seen |= 1 << imgs[w]
+    sums = [[0] * len(used) for _ in words]
+    for row, w in zip(sums, words):
+        for s in w:
+            row[col[abs(s)]] += 1 if s > 0 else -1
+    return np.array(sums, dtype=np.intp).reshape(len(words), len(used))
+
+
+def _first_separating(factors: tuple[int, ...], sums: np.ndarray) -> list[int] | None:
+    """The first tuple of generator images, in ``itertools.product``
+    order, under which the words with exponent sums ``sums`` (a row per
+    word, a column per generator) have distinct images in ``Z/m`` (one
+    factor) or in ``Z/a x Z/b``, whose element ``(i, j)`` is ``i * b + j``
+    as ``direct_product`` encodes it; None if there is none.  Raises
+    ``MalformedDataError`` when the first ``MAX_SEARCH_TUPLES`` tuples
+    separate nothing and more remain.
+
+    Both targets are abelian, so a word's image is the linear form of its
+    exponent sums in the images of the generators.  Tuple ``t``'s image of
+    generator ``j`` is digit ``j`` of ``t`` in base ``m``, so a block of
+    ``m^k`` tuples shares its leading digits: each block adds the images
+    of its leading digits to those of the last ``k``, taken once.  Each
+    tuple's images are told apart through a table with a cell per target
+    element.
+    """
+    m, b = math.prod(factors), factors[-1]
+    a, (w, r) = m // b, sums.shape
+    total = m**r
+    stop = min(total, MAX_SEARCH_TUPLES)
+    k = 1
+    while k < r and m ** (k + 1) * max(m, w) <= 1 << 18:  # a few MiB of arrays
+        k += 1
+    digits, reduce, rows = _block_tables(a, b, k)
+
+    def spread(d, s):
+        # images as (i, j) -> i * 2b + j, so two of them add without carries
+        out = d % b @ s.T % b
+        if a > 1:
+            out += (d // b @ s.T % a) * (2 * b)
+        return out
+
+    low = spread(digits, sums[:, r - k :])
+    word = np.arange(w, dtype=np.int16)
+    seen = np.empty(rows.size * m, dtype=np.int16)
+    for lo in range(0, stop, len(digits)):
+        n = min(len(digits), stop - lo)
+        lead = [lo // len(digits) // m**i % m for i in range(r - k - 1, -1, -1)]
+        imgs = (low[:n] + spread(np.array(lead, dtype=np.intp), sums[:, : r - k])) if lead else low[:n]
+        cells = reduce[imgs] + rows[:n]
+        # a word reads itself back from its image's cell unless another
+        # word of the same tuple wrote there
+        seen[cells] = word
+        ok = (seen[cells] == word).all(axis=1)
         if ok.any():
-            return tuples[int(np.argmax(ok))].tolist()
-    if stop < m**r:
+            return lead + digits[int(np.argmax(ok))].tolist()
+    if stop < total:
         raise MalformedDataError(
             f"certificate search stopped after {MAX_SEARCH_TUPLES} image tuples "
-            f"(MAX_SEARCH_TUPLES) of a quotient of order {m}, out of {m**r}; "
+            f"(MAX_SEARCH_TUPLES) of a quotient of order {m}, out of {total}; "
             "supply a homomorphism")
     return None
+
+
+@functools.lru_cache(maxsize=16)
+def _block_tables(a: int, b: int, k: int) -> tuple:
+    """For a search block of ``m^k`` tuples, ``m = a * b``: the last ``k``
+    digits of each tuple, the element of ``Z/a x Z/b`` that each sum of
+    two spread images stands for, and each tuple's offset into the table
+    of cells."""
+    m = a * b
+    digits = np.arange(m**k)[:, None] // m ** np.arange(k - 1, -1, -1) % m
+    x = np.arange(4 * m)
+    reduce = x // (2 * b) % a * b + x % (2 * b) % b
+    rows = np.arange(0, m ** (k + 1), m)[:, None]
+    for t in (digits, reduce, rows):
+        t.flags.writeable = False
+    return digits, reduce, rows
 
 
 def certify_rfd(

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -334,8 +335,86 @@ RUNNERS = {
 }
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the text json writes for a scalar of each exact type
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _scalar_text(obj) -> str | None:
+    """The text of a str, int, float, bool or None, a subclass of str, int
+    or float written as its base type; None for anything else."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is None:
+        text = next((_SCALAR_TEXT[t] for t in (str, int, float) if isinstance(obj, t)), None)
+        if text is None:
+            return None
+    return text(obj)
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, (str, float, int)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else _scalar_text(key))
+
+
+def _encode(obj, out: list, pad: str) -> None:
+    """Append to ``out`` the text that ``json.dumps(obj, sort_keys=True,
+    indent=2, default=_json_scalar)`` writes for ``obj`` at indent ``pad``.
+    A list or dict whose values are all plain scalars is written with one
+    join."""
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = None
+        brackets = "[]"
+    else:
+        text = _scalar_text(obj)
+        if text is not None:
+            out.append(text)
+        else:
+            _encode(_json_scalar(obj), out, pad)
+        return
+    if not obj:
+        out.append(brackets)
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    out.append(brackets[0] + "\n" + inner)
+    try:
+        if items is None:
+            out.append(sep.join([_SCALAR_TEXT[type(v)](v) for v in obj]))
+        else:
+            out.append(sep.join([(encode_basestring_ascii(k) if type(k) is str else _key_text(k))
+                                 + ": " + _SCALAR_TEXT[type(v)](v) for k, v in items]))
+    except KeyError:  # a value that is not a plain scalar
+        for i, v in enumerate(obj if items is None else items):
+            if i:
+                out.append(sep)
+            if items is not None:
+                k, v = v
+                out.append(_key_text(k) + ": ")
+            _encode(v, out, inner)
+    out.append("\n" + pad + brackets[1])
+
+
 def _emit(envelope: dict, json_out: str | None) -> None:
-    text = json.dumps(envelope, sort_keys=True, indent=2, default=_json_scalar) + "\n"
+    out: list[str] = []
+    _encode(envelope, out, "")
+    text = "".join(out) + "\n"
     sys.stdout.write(text)
     if json_out:
         Path(json_out).write_text(text, encoding="utf-8")

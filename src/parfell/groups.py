@@ -113,13 +113,12 @@ class FreeGroup:
         return [w for level in levels for w in level]
 
     def enumerate_elements(self, count: int) -> list[Word]:
-        """First ``count`` elements of the canonical enumeration."""
+        """First ``count`` elements of the canonical enumeration: the
+        smallest ball that holds them, built once."""
         radius = 0
-        while True:
-            b = self.ball(radius)
-            if len(b) >= count:
-                return b[:count]
+        while ball_size(self.rank, radius) < count:
             radius += 1
+        return self.ball(radius)[:count]
 
 
 @dataclass(frozen=True)
@@ -439,13 +438,11 @@ class GroupHom:
 
     def apply(self, g):
         if isinstance(self.source, FreeGroup):
-            w = self.source.reduce_word(g)
-            out = self.target.identity
-            for s in w:
+            # the images are checked elements, so the table is read directly
+            table, inv, out = self.target.table, self.target._inv, 0
+            for s in self.source.reduce_word(g):
                 x = self.images[abs(s) - 1]
-                if s < 0:
-                    x = self.target.inverse(x)
-                out = self.target.multiply(out, x)
+                out = table[out][x if s > 0 else inv[x]]
             return out
         return self.images[self.source.check_element(g)]
 
@@ -454,8 +451,10 @@ class GroupHom:
 # standard builders
 
 
+@functools.lru_cache(maxsize=16)
 def cyclic_group(m: int) -> FiniteGroup:
-    """Z/m with elements 0..m-1 under addition."""
+    """Z/m with elements 0..m-1 under addition.  A group is immutable, so
+    each order's table is built and checked once per process."""
     if m < 1 or m > MAX_FINITE_ORDER:
         raise MalformedDataError(f"cyclic order must be in 1..{MAX_FINITE_ORDER}")
     table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))

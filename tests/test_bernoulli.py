@@ -521,17 +521,17 @@ def test_search_stops_after_its_tuple_budget(monkeypatch):
     that covers it finds it; one that stops short raises, naming the
     limit; a search that ends within the budget finds nothing as before."""
     coords = pf.BernoulliWindow.build(pf.FreeGroup(3), 6).coords
-    z7 = pf.cyclic_group(7)
+    sums = bernoulli._exponent_sums(coords, [1, 2, 3])
     monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 67)
-    assert bernoulli._first_separating(z7, coords, [1, 2, 3]) == [1, 2, 3]
+    assert bernoulli._first_separating((7,), sums) == [1, 2, 3]
     monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 66)
     with pytest.raises(pf.MalformedDataError, match=r"stopped after 66 image tuples \(MAX_SEARCH_TUPLES\)"):
-        bernoulli._first_separating(z7, coords, [1, 2, 3])
+        bernoulli._first_separating((7,), sums)
     # Z/6 is smaller than the 7 coordinates: none of its 216 tuples separates
     with pytest.raises(pf.MalformedDataError, match="out of 216"):
-        bernoulli._first_separating(pf.cyclic_group(6), coords, [1, 2, 3])
+        bernoulli._first_separating((6,), sums)
     monkeypatch.setattr(bernoulli, "MAX_SEARCH_TUPLES", 216)
-    assert bernoulli._first_separating(pf.cyclic_group(6), coords, [1, 2, 3]) is None
+    assert bernoulli._first_separating((6,), sums) is None
 
 
 def test_search_passes_over_a_target_past_its_budget(monkeypatch):
@@ -582,6 +582,8 @@ def ref_candidate_homs(group, window, max_order, max_cyclic):
     (1, 1, 16, 12), (1, 5, 16, 12), (1, 9, 16, 12), (1, 12, 16, 12), (1, 13, 16, 6),
     (2, 3, 16, 12), (2, 6, 16, 12), (2, 8, 16, 12), (2, 9, 12, 4), (3, 4, 16, 12),
     (3, 6, 16, 12), (3, 7, 9, 3), (4, 8, 16, 12),
+    # first separated through Z/6 x Z/11, Z/10 x Z/11 and Z/11 x Z/12: images above 63
+    (1, 64, 144, 12), (1, 100, 200, 12), (1, 130, 144, 12),
 ])
 def test_search_picks_the_first_separating_candidate(monkeypatch, rank, depth, max_order, max_cyclic):
     group = pf.FreeGroup(rank)

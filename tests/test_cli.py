@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parfell as pf
-from parfell.cli import DECISION_TOL, build_parser, main
+from parfell.cli import DECISION_TOL, _encode, _json_scalar, build_parser, main
 from parfell.matrices import TOLERANCES
 
 
@@ -356,10 +357,20 @@ def test_bernoulli_certify_search_budget_exits_two(capsys):
     assert "MAX_SEARCH_TUPLES" in env["error"]
 
 
+def test_bernoulli_certify_no_abelian_quotient_exits_one(capsys):
+    """Depth 11 on free:2 holds ``a b`` and ``b a``, whose exponent sums
+    agree, so no abelian quotient separates the window, up to order 144."""
+    code, env, _ = run(capsys, ["bernoulli", "certify", "--group", "free:2", "--delta", "0.0009",
+                                "--max-order", "144"])
+    assert code == 1
+    assert env["error"] == "no homomorphism within the search budget separates the window"
+    assert "report" not in env
+
+
 @pytest.mark.parametrize("command", ["bernoulli certify", "measure"], ids=["certify", "measure"])
 def test_max_order_above_limit_exits_two(capsys, command):
     """``--max-order`` runs up to the largest finite group order: depth 100
-    on free:1 is certified (and measured) through a quotient of order 132,
+    on free:1 is certified (and measured) through a quotient of order 110,
     and one more than 512 is refused, naming the limit."""
     argv = [*command.split(), "--group", "free:1", "--delta", "1e-30"]
     code, env, _ = run(capsys, [*argv, "--max-order", "513"])
@@ -370,8 +381,8 @@ def test_max_order_above_limit_exits_two(capsys, command):
 
 
 def test_measure_reads_no_configuration_table(capsys, monkeypatch):
-    """``measure`` counts over the bits each test reads: on the order-132
-    certificate of depth 100 it never reads the model's table of 2^131
+    """``measure`` counts over the bits each test reads: on the order-110
+    certificate of depth 100 it never reads the model's table of 2^109
     configurations."""
     def refuse(self):
         raise AssertionError("QuotientApprox.bits read")
@@ -380,7 +391,7 @@ def test_measure_reads_no_configuration_table(capsys, monkeypatch):
     code, env, _ = run(capsys, ["measure", "--group", "free:1", "--delta", "1e-30", "--max-order", "200"])
     assert code == 0
     report = env["report"]
-    assert (report["N"], report["quotient_order"]) == (100, 132)
+    assert (report["N"], report["quotient_order"]) == (100, 110)
     assert report["measure"]["max_defect"] == 0.0
     assert {v["value"] for v in report["measure"]["values"]} == {1.0, 0.5}
 
@@ -621,6 +632,70 @@ def test_scan_pair_limit(capsys, monkeypatch, radius, code):
             f"MalformedDataError: a scan over {words} elements has {words**2} "
             f"element pairs, above the limit of {pf.MAX_SCAN_PAIRS}"
         )
+
+
+def _json_text(value):
+    return json.dumps(value, sort_keys=True, indent=2, default=_json_scalar)
+
+
+def _encoded(value):
+    out = []
+    _encode(value, out, "")
+    return "".join(out)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 1e-300, 1e300])
+_STRINGS = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\/\x00\x1f\x7f\n\té\u2028\U0001f600'))
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Float(float):
+    __repr__ = _Int.__repr__
+
+
+class _Str(str):
+    __str__ = _Int.__repr__
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63, max_value=2**200),
+    _FLOATS, _STRINGS,
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32), st.booleans().map(np.bool_),
+    # subclasses are written as their base type, whatever their repr
+    st.integers().map(_Int), _FLOATS.map(_Float), _STRINGS.map(_Str),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=5)
+    | st.dictionaries(st.integers() | _FLOATS, inner, max_size=3),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_report_encoder_matches_json_dumps(value):
+    """The report encoder writes what ``json.dumps`` with sorted keys, a
+    two-space indent and ``_json_scalar`` writes, byte for byte."""
+    assert _encoded(value) == _json_text(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_VALUES, st.sampled_from([object(), np.zeros(2), 1j, np.complex128(1), {1, 2}, b"x"]))
+def test_report_encoder_refuses_what_json_dumps_refuses(value, bad):
+    """An object that is not JSON data raises ``_json_scalar``'s TypeError,
+    with the same text as through ``json.dumps``."""
+    data = [value, {"k": bad}]
+    with pytest.raises(TypeError) as want:
+        _json_text(data)
+    with pytest.raises(TypeError) as got:
+        _encoded(data)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("is not JSON serializable")
 
 
 def test_json_out_matches_stdout(capsys, swap_file, tmp_path):

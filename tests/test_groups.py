@@ -106,6 +106,24 @@ def test_ball_matches_oracle(rank, radius):
     assert len(got) == ball_size_formula(rank, radius)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_enumerate_elements_builds_one_ball(monkeypatch, rank):
+    """The first ``count`` words are those of the smallest ball that holds
+    them, as a loop over growing balls found them, and only that ball is
+    built."""
+    group, radius, built = FreeGroup(rank), 0, []
+    ball = FreeGroup.ball
+    for count in range(1, 201):
+        while len(group.ball(radius)) < count:
+            radius += 1
+        want = group.ball(radius)[:count]
+        monkeypatch.setattr(FreeGroup, "ball", lambda self, r: built.append(r) or ball(self, r))
+        assert group.enumerate_elements(count) == want
+        monkeypatch.undo()
+        assert built == [radius]
+        built.clear()
+
+
 def test_ball_symmetric_and_nested():
     f2 = FreeGroup(2)
     b2 = f2.ball(2)

@@ -233,7 +233,8 @@ def _search_hom(group: GroupSpec, window: BernoulliWindow, max_order: int) -> Gr
     separates is built.  Generators that no window word uses go to 0, as
     they do in the first separating tuple.  A target whose
     ``MAX_SEARCH_TUPLES`` run out is passed over; its error is raised only
-    when no later target separates.
+    when no later target separates.  Two words with equal exponent sums
+    have equal images in every abelian target, so none is tried.
     """
     if not isinstance(group, FreeGroup):
         raise MalformedDataError(
@@ -243,6 +244,8 @@ def _search_hom(group: GroupSpec, window: BernoulliWindow, max_order: int) -> Gr
         return GroupHom(source=group, target=trivial_group(), images=(0,) * group.rank)
     used = sorted({abs(s) for w in window.coords for s in w})
     sums = _exponent_sums(window.coords, used)
+    if len(set(map(tuple, sums.tolist()))) < len(sums):
+        return None
     targets = [(m,) for m in range(2, min(MAX_CYCLIC, max_order) + 1)] + [
         (a, b) for a in range(2, MAX_CYCLIC + 1) for b in range(a, MAX_CYCLIC + 1) if a * b <= max_order
     ]

@@ -229,7 +229,7 @@ def _run_defects(args):
     rep = std_covariant_rep(action)
     elems = scan_elements(action.group, args.radius)
     family = _noised_family(rep, elems, args.noise, args.seed)
-    noisy = CovariantRep(action, rep.phi_mats, family)
+    noisy = CovariantRep(action, None, family)
     rel = partial_rep_defects(family, elements=elems)
     cov = covariance_defects(noisy, elements=elems)
     report = {

@@ -130,18 +130,21 @@ class CovariantRep:
     """A function representation plus a matrix family moved by the action.
 
     ``phi_mats[z]`` is the image of the indicator of point ``z``; ``phi``
-    extends linearly.  ``v`` holds the group-element matrices.
+    extends linearly.  ``phi_mats=None`` is the standard phi on ``C^n``,
+    ``phi(f) = diag(f)``, and holds no matrices.  ``v`` holds the
+    group-element matrices.
     """
 
     def __init__(self, action: FinitePartialAction, phi_mats, v: PartialRepFamily) -> None:
         self.action = action
-        self.phi_mats = np.asarray(phi_mats, dtype=np.complex128)
-        if self.phi_mats.ndim != 3 or self.phi_mats.shape[0] != action.n:
+        self.phi_mats = None if phi_mats is None else np.asarray(phi_mats, dtype=np.complex128)
+        shape = (action.n,) * 3 if phi_mats is None else self.phi_mats.shape
+        if len(shape) != 3 or shape[0] != action.n:
             raise MalformedDataError("phi needs one square matrix per point")
-        if self.phi_mats.shape[1] != self.phi_mats.shape[2]:
+        if shape[1] != shape[2]:
             raise MalformedDataError("phi matrices must be square")
         self.v = v
-        if v.dim != self.phi_mats.shape[1]:
+        if v.dim != shape[1]:
             raise MalformedDataError("phi and v act on different dimensions")
 
     @property
@@ -160,23 +163,26 @@ class CovariantRep:
         vec = np.asarray(f, dtype=np.complex128)
         if vec.shape != (self.n,):
             raise MalformedDataError(f"expected a length-{self.n} function")
-        return np.tensordot(vec, self.phi_mats, axes=1)
+        return np.diag(vec) if self.phi_mats is None else np.tensordot(vec, self.phi_mats, axes=1)
+
+    def phi_indicators(self, zs) -> np.ndarray:
+        """The images of the indicators of points ``zs``, one ``(k, dim, dim)``
+        stack; the standard phi builds just these units by one scatter."""
+        if self.phi_mats is not None:
+            return self.phi_mats[zs]
+        zs = np.asarray(zs, dtype=np.intp)
+        out = np.zeros((len(zs), self.n, self.n), dtype=np.complex128)
+        out[np.arange(len(zs)), zs, zs] = 1.0
+        return out
 
     def phi_indicator(self, z: int) -> np.ndarray:
-        return self.phi_mats[z]
+        return self.phi_indicators([z])[0]
 
 
 def std_covariant_rep(action: FinitePartialAction) -> CovariantRep:
     """The canonical model on C^n: points to diagonal units, elements to
     partial permutation matrices of their maps."""
-    v = PartialRepFamily(action.group, action.n, action=action)
-    return CovariantRep(action, _standard_phi(action.n), v)
-
-
-def _standard_phi(n: int) -> np.ndarray:
-    phi, ar = np.zeros((n, n, n), dtype=np.complex128), np.arange(n)
-    phi[ar, ar, ar] = 1.0
-    return phi
+    return CovariantRep(action, None, PartialRepFamily(action.group, action.n, action=action))
 
 
 # ---------------------------------------------------------------------------
@@ -421,23 +427,18 @@ def covariance_defects(
         elements = rep.action.declared_elements()
     elems = _normalize_elements(group, elements)
     worst = _Worst()
-    if rep.v.action is rep.action and _has_standard_phi(rep):
+    if rep.v.action is rep.action and rep.phi_mats is None:
         rep.action.map_rows(elems)  # raises the error of an element without data
     else:
         _feed_covariance(worst, rep, elems, rep.v.matrix)
     return _report({"covariance": worst}, [])
 
 
-def _has_standard_phi(rep: CovariantRep) -> bool:
-    phi, ar = rep.phi_mats, np.arange(rep.n)
-    return phi.shape == (rep.n,) * 3 and bool((phi[ar, ar, ar] == 1.0).all()) and np.count_nonzero(phi) == rep.n
-
-
 def _feed_covariance(worst: _Worst, rep: CovariantRep, elems: list, matrix: Callable) -> None:
     """Feed ``v_t phi(z) v_t* - phi(t.z)`` over the source points ``z`` of
     each ``t`` in ``elems``, in scan order.  Under the standard phi only the
     candidates of the closed-form bounds form their dense defect."""
-    vs, phi = _stack([matrix(t) for t in elems], rep.dim), rep.phi_mats
+    vs = _stack([matrix(t) for t in elems], rep.dim)
     rows = rep.action.map_rows(elems)
     at, zs = np.nonzero(rows[:, :-1] >= 0)
     ws = rows[at, zs]
@@ -445,14 +446,14 @@ def _feed_covariance(worst: _Worst, rep: CovariantRep, elems: list, matrix: Call
     def build(idx: np.ndarray) -> np.ndarray:
         v = vs[at[idx]]
         with np.errstate(over="ignore", invalid="ignore"):
-            return v @ phi[zs[idx]] @ adjoints(v) - phi[ws[idx]]
+            return v @ rep.phi_indicators(zs[idx]) @ adjoints(v) - rep.phi_indicators(ws[idx])
 
     name = cache(partial(word_to_str, rep.group))
 
     def label(k: int) -> str:
         return f"{name(elems[at[k]])} @ {zs[k]}"
 
-    if not _has_standard_phi(rep):
+    if rep.phi_mats is not None:
         for i in range(len(elems)):  # one stack per element bounds the memory
             idx = np.flatnonzero(at == i)
             worst.feed_stack(build(idx), lambda k: label(idx[k]))
@@ -598,7 +599,7 @@ def perturb_to_partial_isometries(
 
     contraction = None
     if rep is not None:
-        if _has_standard_phi(rep):
+        if rep.phi_mats is None:
             contraction = float(rep.n > 0)  # the norm of a diagonal unit
         else:
             largest = _Worst()
@@ -641,7 +642,7 @@ def exact_bundle_family(rep: CovariantRep, elements: Sequence | None = None) -> 
         vt = rep.v.matrix(t)
         arr = np.zeros((rep.n, rep.dim, rep.dim), dtype=np.complex128)
         for z in rep.action.support(t):
-            arr[z] = rep.phi_mats[z] @ vt
+            arr[z] = rep.phi_indicator(z) @ vt
         out[t] = arr
     return out
 
@@ -676,7 +677,7 @@ def extract_finite_system(
     """
     group = rep.group
     n, d = rep.n, rep.dim
-    P = [np.asarray(rep.phi_mats[x]) for x in range(n)]
+    P = rep.phi_indicators(np.arange(n))
     for x in range(n):
         if norm_unless_below(P[x] - P[x].conj().T, AXIOM_TOL) > AXIOM_TOL:
             raise PreconditionError(f"phi(indicator {x}) is not Hermitian")
@@ -716,14 +717,10 @@ def extract_finite_system(
     # merge blocks that landed on the same character
     merged: dict[int, tuple[np.ndarray, int]] = {}
     for x_star, proj, mult in chars:
-        if x_star in merged:
-            prev_proj, prev_mult = merged[x_star]
-            merged[x_star] = (prev_proj + proj, prev_mult + mult)
-        else:
-            merged[x_star] = (proj, mult)
+        prev_proj, prev_mult = merged.get(x_star, (0, 0))
+        merged[x_star] = (prev_proj + proj, prev_mult + mult)
     order = sorted(merged)
     rho = tuple(order)
-    projections = [merged[x][0] for x in order]
     multiplicities = tuple(merged[x][1] for x in order)
     index_of = {x: i for i, x in enumerate(order)}
     k = len(order)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parfell as pf
+from parfell import bernoulli
 from parfell.cli import DECISION_TOL, _encode, _json_scalar, build_parser, main
 from parfell.matrices import TOLERANCES
 
@@ -365,6 +366,19 @@ def test_bernoulli_certify_no_abelian_quotient_exits_one(capsys):
     assert code == 1
     assert env["error"] == "no homomorphism within the search budget separates the window"
     assert "report" not in env
+
+
+def test_bernoulli_certify_equal_exponent_sums_exit_one_before_any_target(capsys, monkeypatch):
+    """Depth 20 on free:3 holds ``a b`` and ``b a``: the search tries no
+    target, so the order-132 one cannot run out of its tuple budget."""
+    def refuse(*args):
+        raise AssertionError("a target was searched")
+
+    monkeypatch.setattr(bernoulli, "_first_separating", refuse)
+    code, env, _ = run(capsys, ["bernoulli", "certify", "--group", "free:3", "--delta", "1.5e-6",
+                                "--max-order", "144"])
+    assert code == 1
+    assert env["error"] == "no homomorphism within the search budget separates the window"
 
 
 @pytest.mark.parametrize("command", ["bernoulli certify", "measure"], ids=["certify", "measure"])

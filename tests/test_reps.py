@@ -1,6 +1,7 @@
 """Covariant representations: the standard model, defects, rounding, extraction."""
 
 import json
+import tracemalloc
 from functools import cache, partial
 from pathlib import Path
 
@@ -58,6 +59,25 @@ def test_std_rep_exact_relations_random():
         assert rel.max_defect() <= 1e-12, rel.to_json()
         assert cov.max_defect() <= 1e-12, cov.to_json()
         assert not rel.skipped
+
+
+def test_std_model_scans_hold_no_phi_cube():
+    """The standard phi is a diagonal with no stack: building the model of
+    a 1000-point action and scanning its relations and covariance stays
+    far below one ``n^3`` array, of 16 GB as complex entries."""
+    n = 1000
+    act = pf.FinitePartialAction(pf.cyclic_group(2), n, {1: {z: z ^ 1 for z in range(n)}})
+    tracemalloc.start()
+    try:
+        rep = pf.std_covariant_rep(act)
+        rel = pf.partial_rep_defects(rep.v, elements=[0, 1])
+        cov = pf.covariance_defects(rep, elements=[0, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel.max_defect() == cov.max_defect() == 0.0
+    assert rep.phi_mats is None and rep.phi_indicator(3).shape == (n, n)
+    assert peak < 64 * 2**20 < n**3
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +219,7 @@ def ref_covariance(rep, elems) -> _RefWorst:
     for t in elems:
         vt = ref_matrix(rep.v, t)
         for z, w in sorted(composed_map(rep.action, t).items()):
-            cov.feed(vt @ rep.phi_mats[z] @ vt.conj().T - rep.phi_mats[w],
+            cov.feed(vt @ rep.phi_indicator(z) @ vt.conj().T - rep.phi_indicator(w),
                      f"{pf.word_to_str(rep.group, t)} @ {z}")
     return cov
 
@@ -275,7 +295,7 @@ def ref_perturb_elements(v, eta, rep, elems):
         d = pf.op_norm(u - vt)
         per_element[label] = float(d)
     contraction = max(
-        (pf.op_norm(rep.phi_mats[z]) for z in range(rep.n)), default=0.0
+        (pf.op_norm(rep.phi_indicator(z)) for z in range(rep.n)), default=0.0
     )
     return out, per_element, contraction
 
@@ -406,11 +426,16 @@ def test_std_model_scans_match_every_pair_reference(case, data):
     assert (cov.entries, cov.witnesses, cov.skipped) == (
         {"covariance": ref.value}, {"covariance": ref.witness}, [])
     assert ref.value == 0.0
+    standard = (cov.entries, cov.witnesses)
+    units = rep.phi_indicators(np.arange(act.n))
     weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=act.n, max_size=act.n))
-    custom = pf.CovariantRep(rep.action, rep.phi_mats * np.array(weights)[:, None, None], rep.v)
-    cov = pf.covariance_defects(custom, elements=elems)
-    ref = ref_covariance(custom, elems)
-    assert (cov.entries, cov.witnesses) == ({"covariance": ref.value}, {"covariance": ref.witness})
+    for ws in (weights, [1.0] * act.n):
+        custom = pf.CovariantRep(rep.action, units * np.array(ws)[:, None, None], rep.v)
+        cov = pf.covariance_defects(custom, elements=elems)
+        ref = ref_covariance(custom, elems)
+        assert (cov.entries, cov.witnesses) == ({"covariance": ref.value}, {"covariance": ref.witness})
+    # all ones: a declared unit stack takes the full scan and reports what the standard phi does
+    assert (cov.entries, cov.witnesses) == standard
 
 
 @st.composite
@@ -651,7 +676,7 @@ def test_covariance_rank_two_bound_covers_the_dense_defect(case):
     kind, u, ws = case
     k, d = u.shape
     bounds = reps._rank_two_bounds(u, ws)
-    phi = reps._standard_phi(d)
+    phi = np.eye(d, dtype=complex)[:, None] * np.eye(d)  # phi[z] is the unit at (z, z)
     for i in range(k):
         vt = np.zeros((d, d), dtype=complex)
         vt[:, 0] = u[i]
@@ -906,12 +931,12 @@ def test_bundle_round_trip(swap_action):
     these sum to ``v_t`` over ``V_t``."""
     rep = pf.std_covariant_rep(swap_action)
     fam = pf.exact_bundle_family(rep, elements=[0, 1])
-    assert np.array_equal(fam[swap_action.group.identity], rep.phi_mats)
+    assert np.array_equal(fam[swap_action.group.identity], np.stack([e(0, 0), e(1, 1)]))
     for t in (0, 1):
         vt = rep.v.matrix(t)
         support = rep.action.support(t)
         for z in support:
-            assert np.array_equal(fam[t][z], rep.phi_mats[z] @ vt)
+            assert np.array_equal(fam[t][z], rep.phi_indicator(z) @ vt)
         assert np.array_equal(sum(fam[t][z] for z in support), vt)
 
 
@@ -929,7 +954,7 @@ def test_extract_swap(swap_action):
 
 def test_extract_with_multiplicity(swap_action):
     rep = pf.std_covariant_rep(swap_action)
-    phi2 = np.stack([np.kron(rep.phi_mats[z], np.eye(2)) for z in range(2)])
+    phi2 = np.stack([np.kron(rep.phi_indicator(z), np.eye(2)) for z in range(2)])
     fam2 = pf.PartialRepFamily(
         swap_action.group, 4,
         mats={t: np.kron(rep.v.matrix(t), np.eye(2)) for t in (0, 1)},

@@ -30,6 +30,7 @@ from .groups import (
     WordTrie,
     product_table,
     scan_elements,
+    shared_ball_table,
     word_key,
     word_from_str,
     word_to_str,
@@ -114,13 +115,12 @@ class FinitePartialAction:
 
     def row(self, g) -> np.ndarray:
         """The read-only int row of ``g``: its declared row, or the row that
-        ``map_rows`` builds, kept for later calls."""
+        ``map_rows`` or ``keep_rows`` built and kept."""
         key = self.group.check_element(g)
         if key in self._declared:
             return self._declared[key]
         if key not in self._built:
-            self._built[key] = self.map_rows([key])[0]
-            self._built[key].flags.writeable = False
+            self.map_rows([key])
         return self._built[key]
 
     def map_rows(self, keys: Sequence) -> np.ndarray:
@@ -128,20 +128,29 @@ class FinitePartialAction:
 
         ``rows[i, z]`` is ``eta_{keys[i]}(z)``, or -1 where it is undefined.
         The last column is all -1, so ``f[g]`` composes row ``f`` after row
-        ``g``.  When ``scan`` has run on ``keys``, its memo answers: its
-        first rows are the keys' own.
+        ``g``.  The rows come from ``keep_rows``.
         """
-        memo = self._scans.get(tuple(keys))
-        if memo is not None:
-            rows, lacks = memo[1][: len(keys)].copy(), memo[2][: len(keys)]
-        elif isinstance(self.group, FiniteGroup):
-            rows, lacks = self._rows(None, keys)
-        else:
-            trie = WordTrie(self.group.rank)
-            rows, lacks = self._rows(trie, trie.walk(np.zeros(len(keys), dtype=np.intp), keys))
+        rows, lacks = self.keep_rows(keys)
         if lacks.any():
             raise self.missing_error(keys[int(np.argmax(lacks))])
         return rows
+
+    def keep_rows(self, keys: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """``map_rows``' rows and a mask of the keys without data, with no error; ``row`` reads
+        the rows from now on.  ``scan``'s memo answers, and a canonical ball reads the shared trie."""
+        memo = self._scans.get(tuple(keys))
+        if memo is not None:
+            rows, lacks = memo[1][: len(keys)], memo[2][: len(keys)]
+        elif isinstance(self.group, FiniteGroup):
+            rows, lacks = self._rows(None, keys)
+        elif (table := shared_ball_table(self.group, keys)) is not None:
+            rows, lacks = self._rows(table.trie, np.arange(len(keys)))
+        else:
+            trie = WordTrie(self.group.rank)
+            rows, lacks = self._rows(trie, trie.walk(np.zeros(len(keys), dtype=np.intp), keys))
+        rows.flags.writeable = False
+        self._built.update((k, r) for k, r, miss in zip(keys, rows, lacks.tolist()) if not miss)
+        return rows.copy(), lacks
 
     def missing_error(self, key) -> UndeclaredElementError:
         """The error for a checked ``key`` without data: a free word names
@@ -165,13 +174,15 @@ class FinitePartialAction:
         return self._scans[memo]
 
     def _rows(self, trie: WordTrie | None, ids: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of the words ``ids`` of ``trie``, or of a finite group's keys
-        ``ids`` when ``trie`` is None, and a mask of those without data."""
-        n, declared = self.n, list(self._declared)
+        """Rows of the words ``ids`` of ``trie``, which does not grow, or of a finite
+        group's keys ``ids`` when ``trie`` is None, and a mask of those without data."""
+        n, declared, table = self.n, list(self._declared), self._table
         if trie is None:
             at, size = declared, self.group.order
         else:
-            at, size = trie.walk(np.zeros(len(declared), dtype=np.intp), declared), trie.size
+            size, at = int(np.max(ids, initial=0)) + 1, trie.find(declared)
+            keep = (at >= 0) & (at < size)  # ids below size hold the keys' prefixes; others are no keys
+            at, table = at[keep], table[keep]
         # id 0 is the identity: a finite group's key 0 and the trie's root;
         # a finite group's other keys have data only where declared
         comp = np.full((size, n + 1), -1, dtype=np.intp)
@@ -184,15 +195,15 @@ class FinitePartialAction:
             empty = np.full(n + 1, -1, dtype=np.intp)
             letter_rows = np.array([self._declared.get(a, empty) for a in letters])
             no_letter = np.array([a not in self._declared for a in letters])
-            depth = trie.depth[: trie.size]
-            for d in range(1, depth.max() + 1):
-                w = np.flatnonzero(depth == d)
+            depth = trie.depth[:size]
+            top = int(depth.max(initial=0))  # ids below size are whole levels of a ball's trie
+            for w in (trie.levels or [np.flatnonzero(depth == d) for d in range(1, top + 1)])[:top]:
                 p, a = trie.parent[w], trie.last[w]
-                comp[w] = np.take_along_axis(comp[p], letter_rows[a], axis=1)
+                comp[w] = comp[p[:, None], letter_rows[a]]
                 lacks[w] = lacks[p] | no_letter[a]
         # declared maps replace composites only now, so that a declared
         # longer word never serves as a prefix
-        comp[at] = self._table
+        comp[at] = table
         lacks[at] = False
         return comp[ids], lacks[ids]
 

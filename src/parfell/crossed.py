@@ -252,6 +252,7 @@ def bundle_axiom_report(
     if elements is None:
         elements = action.declared_elements() or [group.identity]
     elems = [group.check_element(g) for g in elements]
+    action.keep_rows(list(dict.fromkeys(elems + [group.inverse(g) for g in elems])))  # fibers and their stars
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
     checks = 0
@@ -261,14 +262,13 @@ def bundle_axiom_report(
 
     def note(kind, where, value, bound):
         if len(violations) < MAX_VIOLATIONS:
-            violations.append(
-                {"axiom": kind, "elements": where, "value": float(value), "bound": float(bound)}
-            )
+            names = [word_to_str(group, g) for g in where]
+            violations.append({"axiom": kind, "elements": names, "value": float(value), "bound": float(bound)})
 
     for _ in range(trials):
         a, s = _random_fiber(action, rng, elems)
         b, t = _random_fiber(action, rng, elems)
-        label = [word_to_str(group, s), word_to_str(group, t)]
+        label = [s, t]  # spelled out only for a violation
         prod, _st = action.mul_fiber((a, s), (b, t))
         checks += 1
         if sup(prod) > sup(a) * sup(b) + tol:

@@ -113,12 +113,9 @@ class FreeGroup:
         return [w for level in levels for w in level]
 
     def enumerate_elements(self, count: int) -> list[Word]:
-        """First ``count`` elements of the canonical enumeration: the
-        smallest ball that holds them, built once."""
-        radius = 0
-        while ball_size(self.rank, radius) < count:
-            radius += 1
-        return self.ball(radius)[:count]
+        """First ``count`` elements of the canonical enumeration, a new list."""
+        radius = next(r for r in range(count + 1) if ball_size(self.rank, r) >= count)
+        return list(_ball(self, radius)[:count])
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def scan_elements(group: GroupSpec, radius: int) -> list:
     A finite group is scanned whole whatever the radius; a free group over
     its word ball of the given radius, which must be at least 1.  The last
     few balls are kept, so the scans of one command build theirs once.  A
-    free-group ball takes ``product_table``'s level-built path.
+    free-group ball takes ``product_table``'s level-built, shared path.
     """
     if isinstance(group, FiniteGroup):
         return CheckedElements(group, range(group.order))
@@ -226,6 +223,8 @@ def _ball(group: FreeGroup, radius: int) -> tuple:
 
 # every finite group the loader accepts fits one scan over all its pairs
 MAX_SCAN_PAIRS = MAX_FINITE_ORDER**2
+# the memo keeps four canonical balls whose tables take at most this many bytes
+MAX_SHARED_BALL_BYTES = 8 << 20
 
 
 def ball_size(rank: int, radius: int) -> int:
@@ -242,8 +241,8 @@ class WordTrie:
     ``child[w, a]`` the id of ``w`` followed by letter ``a``, or -1.  Ids
     follow creation order, so a parent's id is below its children's.
 
-    A trie grows on demand, doubling its arrays; ``WordTrie.ball`` builds
-    the words of a ball at once, in ``FreeGroup.ball`` order.
+    A trie grows on demand; ``WordTrie.ball`` builds a ball's words at once,
+    read-only, in ``FreeGroup.ball`` order, and ``levels``, each length's ids.
     """
 
     def __init__(self, rank: int, capacity: int = 1) -> None:
@@ -251,6 +250,7 @@ class WordTrie:
         self.parent, self.last = np.full(capacity, -1), np.full(capacity, -1)
         self.depth = np.zeros(capacity, dtype=np.intp)
         self.child = np.full((capacity, 2 * rank), -1, dtype=np.intp)
+        self.levels: tuple[slice, ...] = ()
 
     @classmethod
     def ball(cls, rank: int, radius: int) -> "WordTrie":
@@ -268,7 +268,18 @@ class WordTrie:
             trie.child[p, a] = ids
             trie.parent[ids], trie.last[ids], trie.depth[ids] = p, a, d
             lo, trie.size = trie.size, trie.size + p.size
+        trie.levels = tuple(slice(ball_size(rank, d - 1), ball_size(rank, d)) for d in range(1, radius + 1))
+        for x in (trie.parent, trie.last, trie.depth, trie.child):
+            x.flags.writeable = False
         return trie
+
+    def find(self, words: Sequence[Word]) -> np.ndarray:
+        """Ids of the reduced ``words``, or -1 where a word is not in the trie."""
+        out = np.zeros(len(words), dtype=np.intp)
+        for i, w in enumerate(words):
+            for x in w:
+                out[i] = self.child[out[i], 2 * abs(x) - 1 - (x > 0)] if out[i] >= 0 else -1
+        return out
 
     def step(self, w: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Ids of the reduced words ``w a``, for ids ``w`` and letter
@@ -326,7 +337,7 @@ class ProductTable:
     ``keys[a]`` and ``prod[a, b]`` the product ``keys[a] keys[b]``.  For a
     free group ``ids[k]`` is the ``trie`` id of ``keys[k]``, and ``keys``
     is spelled out when first read; for a finite group ``trie`` is None and
-    ``ids`` holds the elements.
+    ``ids`` holds the elements.  The arrays are read-only, for sharing.
     """
 
     inv: np.ndarray
@@ -343,13 +354,13 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
     """One product per pair of the distinct, checked ``elements``.
 
     A free-group ball ``B_R``, as ``scan_elements`` returns it, takes the
-    level-built path: ``WordTrie.ball`` builds the ``|B_2R|`` words once,
-    the ball's own ids are ``0..e-1``, the products come from one gather
-    per level of the right factor and the inverses from where each column
-    of products reaches the identity.  Any other free-group list walks a
-    ``WordTrie`` grown on demand, so sparse long words cost only the words
-    their walks reach.  Both give the same table.  Refuses scans of more
-    than ``MAX_SCAN_PAIRS`` element pairs.
+    level-built path: ``WordTrie.ball`` builds the ``|B_2R|`` words, the
+    ball's own ids are ``0..e-1``, the products come from one gather per
+    level of the right factor and the inverses from where each column of
+    products reaches the identity, once per ``(rank, radius)`` within
+    ``MAX_SHARED_BALL_BYTES``.  Any other free-group list walks a trie grown
+    on demand, so sparse long words cost only the words their walks reach.
+    Both give the same table.  Refuses more than ``MAX_SCAN_PAIRS`` pairs.
     """
     e = len(elements)
     if e * e > MAX_SCAN_PAIRS:
@@ -357,7 +368,25 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
             f"a scan over {e} elements has {e * e} element pairs, "
             f"above the limit of {MAX_SCAN_PAIRS}"
         )
-    trie = None
+    return shared_ball_table(group, elements) or _product_table(group, elements)
+
+
+def shared_ball_table(group: GroupSpec, elements: Sequence) -> ProductTable | None:
+    """The kept table of a canonical ball within ``MAX_SHARED_BALL_BYTES`` and the pair limit, else None."""
+    radius = _ball_radius(group, elements) if isinstance(group, FreeGroup) else None
+    if radius is None:
+        return None
+    # per word of B_2R: intp parent, letter, depth, id, children and a key of <= 2R letters; per pair an int32
+    words, e = ball_size(group.rank, 2 * radius), len(elements)
+    size = words * (8 * (2 * group.rank + 4) + 48 + 16 * radius) + 4 * e * (e + 1)
+    return _shared_ball_table(group, radius) if size <= MAX_SHARED_BALL_BYTES and e * e <= MAX_SCAN_PAIRS else None
+
+
+_shared_ball_table = functools.lru_cache(maxsize=4)(lambda group, radius: _product_table(group, _ball(group, radius)))
+
+
+def _product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
+    e, trie = len(elements), None
     if isinstance(group, FiniteGroup):
         el = np.asarray(elements, dtype=np.intp).reshape(e)
         inv = np.asarray(group._inv, dtype=np.intp)[el]
@@ -368,11 +397,10 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
         el = np.arange(e)
         prod = np.empty((e, e), dtype=np.intp)
         prod[:, 0] = el
-        for d in range(1, radius + 1):
-            # the right factors of length d: their parents' columns, one letter on
-            lo, hi = ball_size(group.rank, d - 1), ball_size(group.rank, d)
-            left = prod[:, trie.parent[lo:hi]]
-            prod[:, lo:hi] = trie.step(left.ravel(), np.tile(trie.last[lo:hi], e)).reshape(left.shape)
+        for lv in trie.levels[:radius]:
+            # the right factors of one length: their parents' columns, one letter on
+            left = prod[:, trie.parent[lv]]
+            prod[:, lv] = trie.step(left.ravel(), np.tile(trie.last[lv], e)).reshape(left.shape)
         inv = np.argmax(prod == 0, axis=0)
         size = trie.size
     else:
@@ -393,17 +421,17 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
     key_of[ids] = np.arange(ids.size)
     if not np.array_equal(key_of[el], np.arange(e)):
         raise MalformedDataError("scan elements must be distinct")
-    return ProductTable(key_of[inv].astype(np.int32), key_of[prod].astype(np.int32), ids, trie)
+    table = ProductTable(key_of[inv].astype(np.int32), key_of[prod].astype(np.int32), ids, trie)
+    for x in (table.inv, table.prod, table.ids):
+        x.flags.writeable = False
+    return table
 
 
 def _ball_radius(group: FreeGroup, elements: Sequence) -> int | None:
     """``R`` when ``elements`` is ``group.ball(R)`` word for word, else None."""
-    radius = 0
-    while ball_size(group.rank, radius) < len(elements):
-        radius += 1
-    if ball_size(group.rank, radius) != len(elements) or list(elements) != list(_ball(group, radius)):
-        return None
-    return radius
+    e = len(elements)
+    radius = next(r for r in range(e + 1) if ball_size(group.rank, r) >= e)
+    return radius if ball_size(group.rank, radius) == e and tuple(elements) == _ball(group, radius) else None
 
 
 @dataclass(frozen=True)

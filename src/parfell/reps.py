@@ -637,6 +637,7 @@ def exact_bundle_family(rep: CovariantRep, elements: Sequence | None = None) -> 
     ident = group.identity
     if ident not in elems:
         elems = [ident] + elems
+    rep.action.keep_rows(elems)
     out: dict = {}
     for t in elems:
         vt = rep.v.matrix(t)

@@ -16,6 +16,7 @@ from parfell.actions import (
     ValidationReport,
     _pair_issues,
 )
+from parfell import groups
 from parfell.groups import FiniteGroup, UndeclaredElementError, scan_elements, word_to_str
 
 
@@ -448,6 +449,89 @@ def test_map_rows_equal_element_maps():
     # a map leaving the point set is refused, not read as undefined
     with pytest.raises(pf.MalformedDataError, match="leaves 0..1"):
         pf.FinitePartialAction(f1, 2, {(1,): {0: 2}})
+
+
+@st.composite
+def shared_ball_cases(draw):
+    """A free action at a scan radius: letter maps only, one more declared
+    word longer than ``2R``, one generator without data, or one letter
+    that sends two points to one."""
+    rank, radius, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    group = pf.FreeGroup(rank)
+    maps = {(i,): draw(partial_injections(n)) for i in range(1, rank + 1)}
+    kind = draw(st.sampled_from(["letters", "long", "missing", "non_injective"]))
+    if kind == "long":
+        # a reduced word of 2R + 1 to 2R + 3 letters: no letter undoes the last
+        word = [draw(st.sampled_from(group.letters()))]
+        for _ in range(draw(st.integers(2 * radius, 2 * radius + 2))):
+            word.append(draw(st.sampled_from([x for x in group.letters() if x != -word[-1]])))
+        maps[tuple(word)] = draw(partial_injections(n))
+    elif kind == "missing":
+        maps.pop((draw(st.integers(1, rank)),))
+    elif kind == "non_injective":
+        maps[(1,)] = {**maps[(1,)], 0: 0, 1: 0}
+    return group, n, maps, radius
+
+
+def _scan_outcomes(group, n, maps, radius, clear):
+    """``validate``, ``partial_rep_defects`` and ``covariance_defects`` of
+    a fresh action, as reports or error texts; with ``clear``, the ball
+    memo is emptied before each call."""
+    act = pf.FinitePartialAction(group, n, maps)
+    rep, elems = pf.std_covariant_rep(act), scan_elements(group, radius)
+    calls = [lambda: pf.validate(act, radius), lambda: pf.partial_rep_defects(rep.v, elements=elems),
+             lambda: pf.covariance_defects(rep, elements=elems)]
+    out = []
+    for call in calls:
+        if clear:
+            groups._shared_ball_table.cache_clear()
+        try:
+            out.append(call().to_json())
+        except (UndeclaredElementError, pf.PreconditionError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_ball_cases())
+def test_scans_share_one_frozen_ball(case):
+    """Back-to-back scans of different actions read one ball table per
+    ``(rank, radius)``: their reports and errors equal those of a cleared
+    memo, the shared trie never grows, every shared array is read-only,
+    and a ball over the byte cap is not kept."""
+    group, n, maps, radius = case
+    elems = scan_elements(group, radius)
+    warm = _scan_outcomes(group, n, maps, radius, clear=False)
+    table = groups.shared_ball_table(group, elems)
+    assert table is pf.product_table(group, elems) is groups.shared_ball_table(group, list(elems))
+    trie = table.trie
+    assert trie.size == groups.ball_size(group.rank, 2 * radius) == len(trie.parent)
+    for x in (table.inv, table.prod, table.ids, trie.parent, trie.last, trie.depth, trie.child):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0
+    assert warm == _scan_outcomes(group, n, maps, radius, clear=True)
+    # the memo is left as the cleared run left it, so the next case finds
+    # the tables of this one
+    kept = groups._shared_ball_table.cache_info()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groups, "MAX_SHARED_BALL_BYTES", 0)
+        assert groups.shared_ball_table(group, elems) is None
+        assert pf.product_table(group, elems) is not pf.product_table(group, elems)
+    assert groups._shared_ball_table.cache_info() == kept
+
+
+def test_shared_ball_byte_cap():
+    """``free:2`` shares its radius-4 ball, whose tables take 2.4 MB, and
+    builds its radius-5 ball, 23.6 MB, for each scan; ``free:1`` keeps no
+    ball past the pair limit, even for ``map_rows``."""
+    f2, f1 = pf.FreeGroup(2), pf.FreeGroup(1)
+    assert groups.shared_ball_table(f2, scan_elements(f2, 4)) is pf.product_table(f2, scan_elements(f2, 4))
+    assert groups.shared_ball_table(f2, scan_elements(f2, 5)) is None
+    assert groups.shared_ball_table(f1, scan_elements(f1, 255)) is not None
+    assert groups.shared_ball_table(f1, scan_elements(f1, 256)) is None
+    act = pf.FinitePartialAction(f1, 3, {(1,): {0: 1, 1: 2}})
+    rows = act.map_rows(list(scan_elements(f1, 300)))
+    assert rows[-1].tolist() == [-1, -1, -1, -1] and rows[1].tolist() == [1, 2, -1, -1]
 
 
 def test_report_json_shape(swap_action):

@@ -110,18 +110,34 @@ def test_ball_matches_oracle(rank, radius):
 def test_enumerate_elements_builds_one_ball(monkeypatch, rank):
     """The first ``count`` words are those of the smallest ball that holds
     them, as a loop over growing balls found them, and only that ball is
-    built."""
+    built when the ball memo is empty."""
     group, radius, built = FreeGroup(rank), 0, []
     ball = FreeGroup.ball
     for count in range(1, 201):
         while len(group.ball(radius)) < count:
             radius += 1
         want = group.ball(radius)[:count]
+        groups._ball.cache_clear()
         monkeypatch.setattr(FreeGroup, "ball", lambda self, r: built.append(r) or ball(self, r))
         assert group.enumerate_elements(count) == want
         monkeypatch.undo()
         assert built == [radius]
         built.clear()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_enumerate_elements_slices_the_ball_memo(rank):
+    """Each count up to one past ``B_3`` is a prefix of the smallest ball
+    that holds it, in a new list: changing it leaves the memo as it was."""
+    group = FreeGroup(rank)
+    for count in range(ball_size(rank, 3) + 2):
+        radius = min(r for r in range(5) if ball_size(rank, r) >= count)
+        got = group.enumerate_elements(count)
+        assert got == group.ball(radius)[:count]
+        got.append((1,) * 9)
+        got[:count] = [()] * count
+        assert groups._ball(group, radius) == tuple(group.ball(radius))
+        assert group.enumerate_elements(count) == group.ball(radius)[:count]
 
 
 def test_ball_symmetric_and_nested():

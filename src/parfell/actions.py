@@ -30,7 +30,6 @@ from .groups import (
     WordTrie,
     product_table,
     scan_elements,
-    shared_ball_table,
     word_key,
     word_from_str,
     word_to_str,
@@ -115,12 +114,13 @@ class FinitePartialAction:
 
     def row(self, g) -> np.ndarray:
         """The read-only int row of ``g``: its declared row, or the row that
-        ``map_rows`` or ``keep_rows`` built and kept."""
+        ``map_rows`` or ``keep_rows`` builds, kept for later calls."""
         key = self.group.check_element(g)
         if key in self._declared:
             return self._declared[key]
         if key not in self._built:
-            self.map_rows([key])
+            self._built[key] = self.map_rows([key])[0]
+            self._built[key].flags.writeable = False
         return self._built[key]
 
     def map_rows(self, keys: Sequence) -> np.ndarray:
@@ -128,29 +128,30 @@ class FinitePartialAction:
 
         ``rows[i, z]`` is ``eta_{keys[i]}(z)``, or -1 where it is undefined.
         The last column is all -1, so ``f[g]`` composes row ``f`` after row
-        ``g``.  The rows come from ``keep_rows``.
+        ``g``.  When ``scan`` has run on ``keys``, its memo answers: its
+        first rows are the keys' own.
         """
-        rows, lacks = self.keep_rows(keys)
+        rows, lacks = self._key_rows(keys)
         if lacks.any():
             raise self.missing_error(keys[int(np.argmax(lacks))])
         return rows
 
-    def keep_rows(self, keys: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """``map_rows``' rows and a mask of the keys without data, with no error; ``row`` reads
-        the rows from now on.  ``scan``'s memo answers, and a canonical ball reads the shared trie."""
-        memo = self._scans.get(tuple(keys))
-        if memo is not None:
-            rows, lacks = memo[1][: len(keys)], memo[2][: len(keys)]
-        elif isinstance(self.group, FiniteGroup):
-            rows, lacks = self._rows(None, keys)
-        elif (table := shared_ball_table(self.group, keys)) is not None:
-            rows, lacks = self._rows(table.trie, np.arange(len(keys)))
-        else:
-            trie = WordTrie(self.group.rank)
-            rows, lacks = self._rows(trie, trie.walk(np.zeros(len(keys), dtype=np.intp), keys))
+    def keep_rows(self, keys: Sequence) -> None:
+        """Build the rows of many ``keys`` at once and keep those with data
+        for ``row``, read-only; a key without data raises only at ``row``."""
+        rows, lacks = self._key_rows(keys)
         rows.flags.writeable = False
         self._built.update((k, r) for k, r, miss in zip(keys, rows, lacks.tolist()) if not miss)
-        return rows.copy(), lacks
+
+    def _key_rows(self, keys: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """``map_rows``' rows in a new array, and a mask of the keys without data."""
+        memo = self._scans.get(tuple(keys))
+        if memo is not None:
+            return memo[1][: len(keys)].copy(), memo[2][: len(keys)]
+        if isinstance(self.group, FiniteGroup):
+            return self._rows(None, keys)
+        trie = WordTrie(self.group.rank)
+        return self._rows(trie, trie.walk(np.zeros(len(keys), dtype=np.intp), keys))
 
     def missing_error(self, key) -> UndeclaredElementError:
         """The error for a checked ``key`` without data: a free word names
@@ -196,8 +197,8 @@ class FinitePartialAction:
             letter_rows = np.array([self._declared.get(a, empty) for a in letters])
             no_letter = np.array([a not in self._declared for a in letters])
             depth = trie.depth[:size]
-            top = int(depth.max(initial=0))  # ids below size are whole levels of a ball's trie
-            for w in (trie.levels or [np.flatnonzero(depth == d) for d in range(1, top + 1)])[:top]:
+            for d in range(1, int(depth.max(initial=0)) + 1):
+                w = np.flatnonzero(depth == d)
                 p, a = trie.parent[w], trie.last[w]
                 comp[w] = comp[p[:, None], letter_rows[a]]
                 lacks[w] = lacks[p] | no_letter[a]

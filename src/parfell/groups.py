@@ -242,7 +242,7 @@ class WordTrie:
     follow creation order, so a parent's id is below its children's.
 
     A trie grows on demand; ``WordTrie.ball`` builds a ball's words at once,
-    read-only, in ``FreeGroup.ball`` order, and ``levels``, each length's ids.
+    read-only, in ``FreeGroup.ball`` order.
     """
 
     def __init__(self, rank: int, capacity: int = 1) -> None:
@@ -250,7 +250,6 @@ class WordTrie:
         self.parent, self.last = np.full(capacity, -1), np.full(capacity, -1)
         self.depth = np.zeros(capacity, dtype=np.intp)
         self.child = np.full((capacity, 2 * rank), -1, dtype=np.intp)
-        self.levels: tuple[slice, ...] = ()
 
     @classmethod
     def ball(cls, rank: int, radius: int) -> "WordTrie":
@@ -268,7 +267,6 @@ class WordTrie:
             trie.child[p, a] = ids
             trie.parent[ids], trie.last[ids], trie.depth[ids] = p, a, d
             lo, trie.size = trie.size, trie.size + p.size
-        trie.levels = tuple(slice(ball_size(rank, d - 1), ball_size(rank, d)) for d in range(1, radius + 1))
         for x in (trie.parent, trie.last, trie.depth, trie.child):
             x.flags.writeable = False
         return trie
@@ -276,9 +274,9 @@ class WordTrie:
     def find(self, words: Sequence[Word]) -> np.ndarray:
         """Ids of the reduced ``words``, or -1 where a word is not in the trie."""
         out = np.zeros(len(words), dtype=np.intp)
-        for i, w in enumerate(words):
-            for x in w:
-                out[i] = self.child[out[i], 2 * abs(x) - 1 - (x > 0)] if out[i] >= 0 else -1
+        for col in _letter_indices(words).T:
+            at = np.flatnonzero((col >= 0) & (out >= 0))
+            out[at] = self.child[out[at], col[at]]
         return out
 
     def step(self, w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -310,10 +308,7 @@ class WordTrie:
         over ``words``, or broadcasts to one) and reduced ``words``: one
         gather per letter position."""
         cur = np.array(np.broadcast_to(start, np.broadcast_shapes(np.shape(start), (len(words),))))
-        letters = np.full((len(words), max(map(len, words), default=0)), -1, dtype=np.intp)
-        for i, w in enumerate(words):
-            letters[i, : len(w)] = [2 * abs(x) - 1 - (x > 0) for x in w]
-        for col in letters.T:
+        for col in _letter_indices(words).T:
             at = np.flatnonzero(col >= 0)
             here = cur[..., at]
             a = np.broadcast_to(col[at], here.shape)
@@ -326,6 +321,14 @@ class WordTrie:
         for p, a in zip(self.parent[1 : self.size].tolist(), self.last[1 : self.size].tolist()):
             out.append(out[p] + (letters[a],))
         return [out[i] for i in ids.tolist()]
+
+
+def _letter_indices(words: Sequence[Word]) -> np.ndarray:
+    """The ``FreeGroup.letters()`` indices of each word as a row, padded with -1."""
+    out = np.full((len(words), max(map(len, words), default=0)), -1, dtype=np.intp)
+    for i, w in enumerate(words):
+        out[i, : len(w)] = [2 * abs(x) - 1 - (x > 0) for x in w]
+    return out
 
 
 @dataclass(frozen=True)
@@ -368,39 +371,35 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
             f"a scan over {e} elements has {e * e} element pairs, "
             f"above the limit of {MAX_SCAN_PAIRS}"
         )
-    return shared_ball_table(group, elements) or _product_table(group, elements)
-
-
-def shared_ball_table(group: GroupSpec, elements: Sequence) -> ProductTable | None:
-    """The kept table of a canonical ball within ``MAX_SHARED_BALL_BYTES`` and the pair limit, else None."""
     radius = _ball_radius(group, elements) if isinstance(group, FreeGroup) else None
-    if radius is None:
-        return None
     # per word of B_2R: intp parent, letter, depth, id, children and a key of <= 2R letters; per pair an int32
-    words, e = ball_size(group.rank, 2 * radius), len(elements)
-    size = words * (8 * (2 * group.rank + 4) + 48 + 16 * radius) + 4 * e * (e + 1)
-    return _shared_ball_table(group, radius) if size <= MAX_SHARED_BALL_BYTES and e * e <= MAX_SCAN_PAIRS else None
+    words = 0 if radius is None else ball_size(group.rank, 2 * radius)
+    if words and words * (8 * (2 * group.rank + 4) + 48 + 16 * radius) + 4 * e * (e + 1) <= MAX_SHARED_BALL_BYTES:
+        return _shared_ball_table(group, radius)
+    return _product_table(group, elements, radius)
 
 
-_shared_ball_table = functools.lru_cache(maxsize=4)(lambda group, radius: _product_table(group, _ball(group, radius)))
+_shared_ball_table = functools.lru_cache(maxsize=4)(lambda group, radius: _product_table(group, _ball(group, radius), radius))
 
 
-def _product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
+def _product_table(group: GroupSpec, elements: Sequence, radius: int | None) -> ProductTable:
+    """``product_table`` built anew; ``radius`` is that of a canonical ball, else None."""
     e, trie = len(elements), None
     if isinstance(group, FiniteGroup):
         el = np.asarray(elements, dtype=np.intp).reshape(e)
         inv = np.asarray(group._inv, dtype=np.intp)[el]
         prod = np.asarray(group.table, dtype=np.intp)[el[:, None], el]
         size = group.order
-    elif (radius := _ball_radius(group, elements)) is not None:
+    elif radius is not None:
         trie = WordTrie.ball(group.rank, 2 * radius)
         el = np.arange(e)
         prod = np.empty((e, e), dtype=np.intp)
         prod[:, 0] = el
-        for lv in trie.levels[:radius]:
-            # the right factors of one length: their parents' columns, one letter on
-            left = prod[:, trie.parent[lv]]
-            prod[:, lv] = trie.step(left.ravel(), np.tile(trie.last[lv], e)).reshape(left.shape)
+        for d in range(1, radius + 1):
+            # the right factors of length d: their parents' columns, one letter on
+            lo, hi = ball_size(group.rank, d - 1), ball_size(group.rank, d)
+            left = prod[:, trie.parent[lo:hi]]
+            prod[:, lo:hi] = trie.step(left.ravel(), np.tile(trie.last[lo:hi], e)).reshape(left.shape)
         inv = np.argmax(prod == 0, axis=0)
         size = trie.size
     else:

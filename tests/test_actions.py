@@ -502,8 +502,8 @@ def test_scans_share_one_frozen_ball(case):
     group, n, maps, radius = case
     elems = scan_elements(group, radius)
     warm = _scan_outcomes(group, n, maps, radius, clear=False)
-    table = groups.shared_ball_table(group, elems)
-    assert table is pf.product_table(group, elems) is groups.shared_ball_table(group, list(elems))
+    table = pf.product_table(group, elems)
+    assert table is pf.product_table(group, list(elems))
     trie = table.trie
     assert trie.size == groups.ball_size(group.rank, 2 * radius) == len(trie.parent)
     for x in (table.inv, table.prod, table.ids, trie.parent, trie.last, trie.depth, trie.child):
@@ -515,23 +515,29 @@ def test_scans_share_one_frozen_ball(case):
     kept = groups._shared_ball_table.cache_info()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(groups, "MAX_SHARED_BALL_BYTES", 0)
-        assert groups.shared_ball_table(group, elems) is None
         assert pf.product_table(group, elems) is not pf.product_table(group, elems)
     assert groups._shared_ball_table.cache_info() == kept
 
 
+def _kept(group, radius):
+    """Whether two scans of the ball of ``radius`` share one table."""
+    return pf.product_table(group, scan_elements(group, radius)) is pf.product_table(group, scan_elements(group, radius))
+
+
 def test_shared_ball_byte_cap():
     """``free:2`` shares its radius-4 ball, whose tables take 2.4 MB, and
-    builds its radius-5 ball, 23.6 MB, for each scan; ``free:1`` keeps no
-    ball past the pair limit, even for ``map_rows``."""
+    builds its radius-5 ball, 23.6 MB, for each scan; ``free:1`` shares
+    balls up to the pair limit.  ``row`` and ``map_rows`` of keys that
+    were not scanned walk their own trie and leave the memo as it is."""
     f2, f1 = pf.FreeGroup(2), pf.FreeGroup(1)
-    assert groups.shared_ball_table(f2, scan_elements(f2, 4)) is pf.product_table(f2, scan_elements(f2, 4))
-    assert groups.shared_ball_table(f2, scan_elements(f2, 5)) is None
-    assert groups.shared_ball_table(f1, scan_elements(f1, 255)) is not None
-    assert groups.shared_ball_table(f1, scan_elements(f1, 256)) is None
-    act = pf.FinitePartialAction(f1, 3, {(1,): {0: 1, 1: 2}})
+    assert _kept(f2, 4) and not _kept(f2, 5) and _kept(f1, 255)
+    with pytest.raises(pf.MalformedDataError, match="element pairs"):
+        pf.product_table(f1, scan_elements(f1, 256))
+    act, kept = pf.FinitePartialAction(f1, 3, {(1,): {0: 1, 1: 2}}), groups._shared_ball_table.cache_info()
     rows = act.map_rows(list(scan_elements(f1, 300)))
     assert rows[-1].tolist() == [-1, -1, -1, -1] and rows[1].tolist() == [1, 2, -1, -1]
+    assert act.row(()).tolist() == [0, 1, 2, -1] and act.map_rows(list(scan_elements(f1, 2)))[3].tolist() == [2, -1, -1, -1]
+    assert groups._shared_ball_table.cache_info() == kept
 
 
 def test_report_json_shape(swap_action):

@@ -62,7 +62,10 @@ class FinitePartialAction:
     inverses for free groups.  A declared map of a longer free-group word
     takes precedence over reduced-word composition for that word.  Each
     declared map is stored as its int row; an injective one whose inverse
-    is not declared supplies the inverse's row.
+    is not declared supplies the inverse's row.  One store holds the
+    read-only row of each key with data: the declared rows, then those
+    that ``map_rows`` and ``scan`` build.  ``row`` reads it, so it returns
+    the same array on every call.
     """
 
     def __init__(self, group: GroupSpec, n: int, maps: Mapping[object, Mapping[int, int]]) -> None:
@@ -70,7 +73,6 @@ class FinitePartialAction:
             raise MalformedDataError(f"point count must be a nonnegative int, got {n!r}")
         self.group = group
         self.n = n
-        self._built: dict = {}
         self._scans: dict = {}
         pairs = {}
         for g, m in maps.items():
@@ -94,6 +96,7 @@ class FinitePartialAction:
         self._table[at, sources] = targets
         self._table.flags.writeable = False
         self._declared = dict(zip(pairs, self._table))
+        self._store = dict(self._declared)
 
     # -- element data --------------------------------------------------------
 
@@ -113,45 +116,40 @@ class FinitePartialAction:
         return PartialMap(tuple(zip(z.tolist(), row[z].tolist())))
 
     def row(self, g) -> np.ndarray:
-        """The read-only int row of ``g``: its declared row, or the row that
-        ``map_rows`` or ``keep_rows`` builds, kept for later calls."""
+        """The read-only int row of ``g`` from the store, built by
+        ``map_rows`` on first use."""
         key = self.group.check_element(g)
-        if key in self._declared:
-            return self._declared[key]
-        if key not in self._built:
-            self._built[key] = self.map_rows([key])[0]
-            self._built[key].flags.writeable = False
-        return self._built[key]
+        if key not in self._store:
+            self.map_rows([key])
+        return self._store[key]
 
     def map_rows(self, keys: Sequence) -> np.ndarray:
-        """Element maps as int rows, one per key as ``check_element`` returns it.
+        """Element maps as int rows in a new array, one per key as
+        ``check_element`` returns it.
 
         ``rows[i, z]`` is ``eta_{keys[i]}(z)``, or -1 where it is undefined.
         The last column is all -1, so ``f[g]`` composes row ``f`` after row
-        ``g``.  When ``scan`` has run on ``keys``, its memo answers: its
-        first rows are the keys' own.
+        ``g``.  The keys not yet in the store are built in one ``_rows`` pass
+        and those with data are kept; the first key without data raises
+        ``missing_error``.
         """
-        rows, lacks = self._key_rows(keys)
-        if lacks.any():
-            raise self.missing_error(keys[int(np.argmax(lacks))])
-        return rows
+        new = list(dict.fromkeys(k for k in keys if k not in self._store))
+        if new:
+            if isinstance(self.group, FreeGroup):
+                trie = WordTrie(self.group.rank)
+                rows, lacks = self._rows(trie, trie.walk(np.zeros(len(new), dtype=np.intp), new))
+            else:
+                rows, lacks = self._rows(None, new)
+            self._keep(new, rows, lacks)
+            if lacks.any():
+                raise self.missing_error(new[int(np.argmax(lacks))])
+        return np.array([self._store[k] for k in keys], dtype=np.intp).reshape(len(keys), self.n + 1)
 
-    def keep_rows(self, keys: Sequence) -> None:
-        """Build the rows of many ``keys`` at once and keep those with data
-        for ``row``, read-only; a key without data raises only at ``row``."""
-        rows, lacks = self._key_rows(keys)
-        rows.flags.writeable = False
-        self._built.update((k, r) for k, r, miss in zip(keys, rows, lacks.tolist()) if not miss)
-
-    def _key_rows(self, keys: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """``map_rows``' rows in a new array, and a mask of the keys without data."""
-        memo = self._scans.get(tuple(keys))
-        if memo is not None:
-            return memo[1][: len(keys)].copy(), memo[2][: len(keys)]
-        if isinstance(self.group, FiniteGroup):
-            return self._rows(None, keys)
-        trie = WordTrie(self.group.rank)
-        return self._rows(trie, trie.walk(np.zeros(len(keys), dtype=np.intp), keys))
+    def _keep(self, keys: Sequence, rows: np.ndarray, lacks: np.ndarray) -> None:
+        """Store the rows of the ``keys`` with data; a stored row stays as it is."""
+        for key, row, miss in zip(keys, rows, lacks.tolist()):
+            if not miss:
+                self._store.setdefault(key, row)
 
     def missing_error(self, key) -> UndeclaredElementError:
         """The error for a checked ``key`` without data: a free word names
@@ -165,18 +163,19 @@ class FinitePartialAction:
         """The product table of the checked ``elements``, the rows of its
         keys, a mask of the keys without data (rows of -1) and the rows'
         ``row_identities``.  Built once per element list and kept, so the
-        scans of one command share them.
+        scans of one command share them; the elements' rows go to the store.
         """
         memo = tuple(elements)
         if memo not in self._scans:
             table = product_table(self.group, elements)
             rows, lacks = self._rows(table.trie, table.ids)
+            self._keep(elements, rows, lacks)
             self._scans[memo] = (table, rows, lacks, row_identities(rows, table, len(elements)))
         return self._scans[memo]
 
     def _rows(self, trie: WordTrie | None, ids: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of the words ``ids`` of ``trie``, which does not grow, or of a finite
-        group's keys ``ids`` when ``trie`` is None, and a mask of those without data."""
+        """Read-only rows of the words ``ids`` of ``trie``, which does not grow, or of
+        a finite group's keys ``ids`` when ``trie`` is None, and a mask of those without data."""
         n, declared, table = self.n, list(self._declared), self._table
         if trie is None:
             at, size = declared, self.group.order
@@ -206,7 +205,9 @@ class FinitePartialAction:
         # longer word never serves as a prefix
         comp[at] = table
         lacks[at] = False
-        return comp[ids], lacks[ids]
+        rows = comp[ids]
+        rows.flags.writeable = False
+        return rows, lacks[ids]
 
     def support(self, g) -> tuple[int, ...]:
         """V_g, the set on which ``g``'s image points live."""
@@ -305,8 +306,9 @@ def validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> Valid
     Finite groups are checked over all element pairs; free groups over the
     ball of the given radius, with longer words obtained by composition
     unless declared.  Witness points are recorded sorted.  The pair
-    identities run over int-array element maps (``row_identities``);
-    issues are built pair by pair for the pairs that fail.
+    identities run over int-array element maps (``row_identities``); the
+    failing pairs' witnesses come from the same per-point checks
+    (``pair_identities``).
     """
     group = action.group
     structural: list[Issue] = []
@@ -367,43 +369,71 @@ def validate(action: FinitePartialAction, radius: int = DEFAULT_RADIUS) -> Valid
     if lacks.any():
         raise action.missing_error(table.keys[int(np.argmax(lacks))])
 
-    # the pairs flagged by the row masks are rechecked one by one on their
-    # rows to build their issues
-    for a, b in zip(*np.nonzero(compose | ranges | triple)):
+    # the flagged pairs' points: every row is injective once the structural
+    # checks pass, so the images of a pair's range points are the points
+    # where eta_s(V_s^-1 & V_t) and V_s & V_st differ
+    flagged = np.nonzero(compose | ranges | triple)
+    points = np.arange(action.n)
+    checks = pair_identities(rows, _hits(rows), table, *flagged) if flagged[0].size else ()
+    for a, b, compose_at, ranges_at, triple_at in zip(*flagged, *checks):
         label = f"{word_to_str(group, elems[a])} , {word_to_str(group, elems[b])}"
-        axiom += _pair_issues(label, rows[a], rows[b], rows[table.prod[a, b]], rows[table.inv[a]])
+        if compose_at.any():
+            axiom.append(Issue("composition", label, tuple(points[compose_at].tolist()),
+                               "eta_s o eta_t not contained in eta_st"))
+        if ranges_at.any():
+            axiom.append(Issue("range_fact", label, tuple(np.sort(rows[a, :-1][ranges_at]).tolist()),
+                               "eta_s(V_s^-1 & V_t) differs from V_s & V_st"))
+        if triple_at.any():
+            # a point once per side on which it is defined
+            sides = 2 * (triple_at > 0) + (triple_at < 0)
+            axiom.append(Issue("triple_fact", label, tuple(np.repeat(points, sides).tolist()),
+                               "triple composition identity fails"))
     ok = not structural and not axiom
     return ValidationReport(ok, structural, axiom, e, e * e)
 
 
 def row_identities(rows: np.ndarray, table: ProductTable, e: int) -> tuple[np.ndarray, ...]:
-    """``(E, E)`` masks of the scan pairs ``(s, t) = (keys[a], keys[b])``
-    where an identity fails, from int rows alone.  ``compose`` marks ``eta_s o eta_t`` not contained in ``eta_st``;
-    ``ranges`` some ``z`` in the domain of ``eta_s`` that ``eta_t`` hits a
-    different number of times than ``eta_st`` hits ``eta_s(z)``;
-    ``triple`` ``eta_{s^-1} eta_s eta_t != eta_{s^-1} eta_st``.  Where
-    ``ranges`` holds, ``eta_s(V_{s^-1} & V_t) = V_s & V_st``, and
-    ``v_s v_t v_t* = v_st v_st* v_s`` in the standard model.  Each row
-    ``s`` checks its pairs over ``(E, n)`` arrays, a block of rows at a
-    time.
+    """``(E, E)`` masks of the scan pairs where ``pair_identities`` fails
+    at some point, checked a block of rows ``s`` at a time over ``(E, n)``
+    arrays: ``compose``, ``ranges`` and ``triple``.  Where ``ranges``
+    holds, ``eta_s(V_{s^-1} & V_t) = V_s & V_st``, and
+    ``v_s v_t v_t* = v_st v_st* v_s`` in the standard model.
     """
-    n = rows.shape[1] - 1
-    hits = _hits(rows)
-    eta_t = rows[:e, :n]
+    n, hits = rows.shape[1] - 1, _hits(rows)
     out = np.zeros((3, e, e), dtype=bool)
     block = max(1, 2**16 // max(1, e * n))  # rows per block of (rows, E, n) arrays
     for lo in range(0, e, block):
-        a = np.arange(lo, min(e, lo + block))[:, None, None]
-        es = rows[a, np.arange(n)]  # (k, 1, n)
-        st = table.prod[a[:, 0, 0]]  # (k, E)
-        est = rows[st, :n]
-        comp = rows[a, eta_t]  # eta_s o eta_t
-        out[0, lo : lo + len(a)] = ((comp >= 0) & (comp != est)).any(axis=2)
-        moved = hits[st[:, :, None], es]  # at eta_s(z) under eta_st
-        out[1, lo : lo + len(a)] = ((es >= 0) & (hits[:e, :n] != moved)).any(axis=2)
-        esi = table.inv[a]
-        out[2, lo : lo + len(a)] = (rows[esi, comp] != rows[esi, est]).any(axis=2)
+        a = np.arange(lo, min(e, lo + block))[:, None]
+        for mask, points in zip(out, pair_identities(rows, hits, table, a, np.arange(e))):
+            mask[lo : lo + len(a)] = points.any(axis=2)
     return out[0], out[1], out[2]
+
+
+def pair_identities(rows: np.ndarray, hits: np.ndarray, table: ProductTable, a, b) -> tuple[np.ndarray, ...]:
+    """Per-point checks of the scan pairs ``(s, t) = (keys[a], keys[b])``
+    for index arrays ``a`` and ``b`` that broadcast to the pairs' shape,
+    from int rows and their ``_hits``; each check has that shape plus one
+    axis over the points ``z``.
+
+    ``compose`` marks ``eta_s(eta_t(z))`` defined and not ``eta_st(z)``;
+    ``ranges`` a ``z`` in the domain of ``eta_s`` that ``eta_t`` hits a
+    different number of times than ``eta_st`` hits ``eta_s(z)``.
+    ``triple`` is the bitwise xor of ``eta_{s^-1} eta_s eta_t(z)`` and
+    ``eta_{s^-1} eta_st(z)``, each -1 where undefined: nonzero where the
+    sides differ, negative where only one of them is defined.
+    """
+    n, a, b = rows.shape[1] - 1, np.asarray(a), np.asarray(b)
+    # entry (r, z) is at r * w + z of the raveled rows, for z = -1 too: every
+    # row ends in the same constant column, which the entry before row r holds
+    w, flat = np.intp(n + 1), rows.ravel()
+    es, st = rows[a, :n], table.prod[a, b]
+    est = rows[st, :n]
+    comp = flat[a[..., None] * w + rows[b, :n]]  # eta_s o eta_t
+    compose = (comp >= 0) & (comp != est)
+    moved = hits.ravel()[st[..., None] * w + es]  # the hits of eta_st at eta_s(z)
+    ranges = (es >= 0) & (hits[b, :n] != moved)
+    esi = table.inv[a][..., None] * w
+    return compose, ranges, flat[esi + comp] ^ flat[esi + est]
 
 
 def _hits(rows: np.ndarray) -> np.ndarray:
@@ -414,39 +444,6 @@ def _hits(rows: np.ndarray) -> np.ndarray:
     hits = hits.reshape(k, width)
     hits[:, -1] = 0
     return hits
-
-
-def _pair_issues(label: str, es: np.ndarray, et: np.ndarray, est: np.ndarray, esi: np.ndarray) -> list[Issue]:
-    """The composition, range and triple identities of one pair ``(s, t)``,
-    from the rows of ``s``, ``t``, ``st`` and ``s^-1``."""
-    n = len(es) - 1
-
-    def image(points: np.ndarray) -> np.ndarray:
-        hit = np.zeros(n + 1, dtype=bool)
-        hit[points] = True  # -1 marks the last entry, which is dropped
-        return hit[:n]
-
-    issues = []
-    comp = es[et]  # eta_s o eta_t
-    bad = np.flatnonzero((comp[:n] >= 0) & (comp[:n] != est[:n]))
-    if bad.size:
-        issues.append(Issue("composition", label, tuple(bad.tolist()), "eta_s o eta_t not contained in eta_st"))
-    # image identity: eta_s(V_{s^-1} & V_t) = V_s & V_{st}
-    lhs = image(es[:n][image(et)])
-    rhs = image(es) & image(est)
-    if (lhs != rhs).any():
-        issues.append(
-            Issue("range_fact", label, tuple(np.flatnonzero(lhs ^ rhs).tolist()),
-                  "eta_s(V_s^-1 & V_t) differs from V_s & V_st")
-        )
-    # triple identity: eta_{s^-1} eta_s eta_t = eta_{s^-1} eta_st; a point
-    # is a witness once per side where it is defined
-    left, right = esi[comp[:n]], esi[est[:n]]
-    z = np.flatnonzero(left != right)
-    if z.size:
-        witnesses = np.repeat(z, (left[z] >= 0).astype(int) + (right[z] >= 0))
-        issues.append(Issue("triple_fact", label, tuple(witnesses.tolist()), "triple composition identity fails"))
-    return issues
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def bundle_axiom_report(
     if elements is None:
         elements = action.declared_elements() or [group.identity]
     elems = [group.check_element(g) for g in elements]
-    action.keep_rows(list(dict.fromkeys(elems + [group.inverse(g) for g in elems])))  # fibers and their stars
+    action.map_rows(elems + [group.inverse(g) for g in elems])  # fibers and their stars: raises before any draw
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
     checks = 0

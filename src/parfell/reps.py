@@ -71,7 +71,6 @@ class PartialRepFamily:
         self.dim = dim
         self.action = action
         self._mats: dict = {}
-        self._cache: dict = {}
         for g, m in (mats or {}).items():
             key = group.check_element(g)
             a = np.asarray(m, dtype=np.complex128)
@@ -82,6 +81,9 @@ class PartialRepFamily:
             self._mats[key] = a
 
     def elements(self) -> list:
+        """The declared elements: a standard model's are its action's."""
+        if self.action is not None:
+            return self.action.declared_elements()
         if isinstance(self.group, FiniteGroup):
             return sorted(self._mats)
         return sorted(self._mats, key=word_key)
@@ -111,9 +113,7 @@ class PartialRepFamily:
             return self._mats[key]
         if self.action is None:
             return None
-        if key not in self._cache:
-            self._cache[key] = partial_permutations(self.action.row(key)[None])[0]
-        return self._cache[key]
+        return partial_permutations(self.action.row(key)[None])[0]
 
 
 def partial_permutations(rows: np.ndarray) -> np.ndarray:
@@ -637,7 +637,7 @@ def exact_bundle_family(rep: CovariantRep, elements: Sequence | None = None) -> 
     ident = group.identity
     if ident not in elems:
         elems = [ident] + elems
-    rep.action.keep_rows(elems)
+    rep.action.map_rows(elems)
     out: dict = {}
     for t in elems:
         vt = rep.v.matrix(t)
@@ -679,13 +679,12 @@ def extract_finite_system(
     group = rep.group
     n, d = rep.n, rep.dim
     P = rep.phi_indicators(np.arange(n))
+    skew = np.flatnonzero(norms_unless_below(P - adjoints(P), AXIOM_TOL) > AXIOM_TOL)
+    if skew.size:
+        raise PreconditionError(f"phi(indicator {skew[0]}) is not Hermitian")
     for x in range(n):
-        if norm_unless_below(P[x] - P[x].conj().T, AXIOM_TOL) > AXIOM_TOL:
-            raise PreconditionError(f"phi(indicator {x}) is not Hermitian")
-    for x in range(n):
-        for y in range(x + 1, n):
-            if norm_unless_below(P[x] @ P[y] - P[y] @ P[x], CHAR_TOL) > CHAR_TOL:
-                raise PreconditionError("phi images do not commute; no joint spectrum")
+        if (norms_unless_below(P[x] @ P[x + 1 :] - P[x + 1 :] @ P[x], CHAR_TOL) > CHAR_TOL).any():
+            raise PreconditionError("phi images do not commute; no joint spectrum")
 
     # recursive joint block refinement
     blocks: list[np.ndarray] = [np.eye(d, dtype=np.complex128)]

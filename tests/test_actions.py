@@ -14,7 +14,8 @@ from parfell.actions import (
     FinitePartialAction,
     Issue,
     ValidationReport,
-    _pair_issues,
+    _hits,
+    pair_identities,
 )
 from parfell import groups
 from parfell.groups import FiniteGroup, UndeclaredElementError, scan_elements, word_to_str
@@ -406,11 +407,11 @@ def test_validate_flags_identity_failing_alone(kind):
     labels = [word_to_str(act.group, t) for t in elems]
     a, b = (labels.index(label) for label in pair.split(" , "))
     prods, rows, _, masks = act.scan(elems)
-    flagged = zip(["composition", "range_fact", "triple_fact"], masks)
-    assert [k for k, mask in flagged if mask[a, b]] == [kind]
-    # the issues validate builds for a flagged pair
-    issues = _pair_issues(pair, rows[a], rows[b], rows[prods.prod[a, b]], rows[prods.inv[a]])
-    assert [i.kind for i in issues] == [kind]
+    kinds = ["composition", "range_fact", "triple_fact"]
+    assert [k for k, mask in zip(kinds, masks) if mask[a, b]] == [kind]
+    # the per-point checks that validate builds a flagged pair's issues from
+    points = pair_identities(rows, _hits(rows), prods, [a], [b])
+    assert [k for k, at in zip(kinds, points) if at[0].any()] == [kind]
     report = pf.validate(act, radius=1)
     assert report.to_json() == ref_validate(act, 1).to_json()
 
@@ -449,6 +450,78 @@ def test_map_rows_equal_element_maps():
     # a map leaving the point set is refused, not read as undefined
     with pytest.raises(pf.MalformedDataError, match="leaves 0..1"):
         pf.FinitePartialAction(f1, 2, {(1,): {0: 2}})
+
+
+@st.composite
+def row_store_cases(draw):
+    """A free or finite action that may lack data for a letter or an
+    element, its scan elements and a list of them to read, repeats allowed."""
+    if draw(st.booleans()):
+        group, n = pf.FreeGroup(draw(st.integers(1, 2))), draw(st.integers(1, 4))
+        maps = {(i,): draw(partial_injections(n)) for i in range(1, group.rank + 1)}
+        for w in draw(st.lists(st.sampled_from([w for w in group.ball(2) if len(w) == 2]), unique=True, max_size=2)):
+            maps[w] = draw(partial_injections(n))
+        if draw(st.booleans()):
+            maps.pop((draw(st.integers(1, group.rank)),))
+    else:
+        group = draw(st.sampled_from([pf.cyclic_group(1), pf.cyclic_group(4), symmetric_group(3)]))
+        n = draw(st.integers(1, 4))
+        declared = draw(st.lists(st.integers(0, group.order - 1), unique=True))
+        maps = {t: draw(partial_injections(n)) for t in declared}
+    elems = list(scan_elements(group, draw(st.integers(1, 2))))
+    return group, n, maps, elems, draw(st.lists(st.sampled_from(elems), max_size=6))
+
+
+def _read(call):
+    """A call's rows as lists, or its error text."""
+    try:
+        return call().tolist()
+    except UndeclaredElementError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_store_cases())
+def test_row_store_is_order_independent(case):
+    """Rows and error texts of ``row`` and ``map_rows`` are those of a fresh
+    action and of ``composed_map`` whatever ran first on the action: a scan,
+    ``row`` or a ``map_rows`` that raised.  ``row`` returns one read-only
+    array per key, and writes into ``map_rows``' array never reach it."""
+    group, n, maps, elems, keys = case
+
+    def fresh():
+        return pf.FinitePartialAction(group, n, maps)
+
+    def composed(key):
+        try:
+            return composed_map(fresh(), key)
+        except UndeclaredElementError as exc:
+            return str(exc)
+
+    want = _read(lambda: fresh().map_rows(keys))
+    each = {k: _read(lambda k=k: fresh().row(k)) for k in elems}
+    for k, row in each.items():
+        assert composed(k) == (row if isinstance(row, str) else {z: w for z, w in enumerate(row[:-1]) if w >= 0})
+    missing = [k for k in keys if isinstance(each[k], str)]
+    assert want == (each[missing[0]] if missing else [each[k] for k in keys])
+    assert fresh().map_rows([]).shape == (0, n + 1)
+
+    scanned, by_row, raised = fresh(), fresh(), fresh()
+    scanned.scan(elems)
+    for k in keys:
+        _read(lambda k=k: by_row.row(k))
+    _read(lambda: raised.map_rows(elems))
+    for act in (scanned, by_row, raised):
+        assert _read(lambda: act.map_rows(keys)) == want
+        for k in elems:
+            assert _read(lambda k=k: act.row(k)) == each[k]
+        present = [k for k in elems if not isinstance(each[k], str)]
+        for k in present:
+            row = act.row(k)
+            assert row is act.row(k) and not row.flags.writeable
+        out = act.map_rows(present)
+        out[:] = 7
+        assert [act.row(k).tolist() for k in present] == [each[k] for k in present]
 
 
 @st.composite

@@ -433,6 +433,20 @@ def test_bundle_axioms_pass_free_group():
     assert report.ok, report.violations
 
 
+def test_bundle_axioms_read_every_row_before_drawing():
+    """An element, or the inverse of one, without data raises before the
+    first draw, so even a report of no trials refuses it."""
+    f2 = pf.FreeGroup(rank=2)
+    cases = [
+        (pf.FinitePartialAction(pf.cyclic_group(3), 2, {1: {0: 0, 1: 0}}), [1], "no data for element 2"),
+        (pf.FinitePartialAction(f2, 2, {(1,): {0: 1}}), [(1,), (1, 2)], "no data for generator letter 2"),
+    ]
+    for act, elements, error in cases:
+        for trials in (0, 5):
+            with pytest.raises(pf.UndeclaredElementError, match=error):
+                pf.bundle_axiom_report(act, trials=trials, elements=elements)
+
+
 def test_bundle_axioms_catch_corruption():
     g = pf.cyclic_group(4)
     cycle = {0: 1, 1: 2, 2: 3, 3: 0}

@@ -553,6 +553,19 @@ def test_std_model_identity_precondition_reads_its_map():
                 pf.partial_rep_defects(rep.v, elements=[0, 1])
 
 
+def test_std_family_defaults_to_the_declared_elements():
+    """A standard family's default elements are its action's declared
+    ones, so a default scan of a non-action finds its defect and a default
+    rounding covers the declared maps."""
+    act = pf.FinitePartialAction(pf.cyclic_group(2), 3, {1: {0: 1, 1: 2, 2: 0}})
+    rep = pf.std_covariant_rep(act)
+    assert rep.v.elements() == act.declared_elements() == [1]
+    assert pf.partial_rep_defects(rep.v).max_defect() == pytest.approx(3**0.5)
+    assert pf.partial_rep_defects(rep.v, elements=[0, 1]).max_defect() == pytest.approx(3**0.5)
+    _, cert = pf.perturb_to_partial_isometries(rep.v, 0.1, rep=rep)
+    assert sorted(cert.per_element) == ["0", "1"]
+
+
 def test_std_model_covariance_reads_only_the_elements():
     """Standard-model covariance builds only the elements' own maps: it
     runs over more elements than a product table allows, and elements

@@ -605,6 +605,10 @@ def action_from_json(data: dict) -> FinitePartialAction:
             pairs = {int(k): v for k, v in entry["map"].items()}
         except (TypeError, ValueError, AttributeError) as exc:
             raise MalformedDataError(f"bad map data for element {entry['t']!r}") from exc
+        # one spelling per point, so that no two keys name the same one
+        if list(map(str, pairs)) != list(entry["map"]):
+            bad = next(k for k in entry["map"] if str(int(k)) != k)
+            raise MalformedDataError(f"map key {bad!r} of element {entry['t']!r} is not a canonical integer")
         if set(map(type, pairs.values())) - {int}:
             raise MalformedDataError(f"map values of {entry['t']!r} must be integers")
         if "domain" in entry:

@@ -167,8 +167,7 @@ def strict_equivariance_report(
     q = approx.quotient
     elems = [window.group.check_element(t) for t in (window.coords if elements is None else elements)]
     gammas = [approx.hom.apply(t) for t in elems]
-    table = np.asarray(q.table)
-    wanted = [_read(approx.bits, table[q.inverse(g), approx.images[1:]]) for g in gammas]
+    wanted = [_read(approx.bits, q.cayley[q.inverse(g), approx.images[1:]]) for g in gammas]
     return _equivariance_report(
         window.group, elems, approx.map_rows(elems), np.asarray(approx.rho, dtype=np.intp),
         approx.bits[gammas] == 1, np.reshape(wanted, (len(elems), approx.num_points)),

@@ -144,12 +144,11 @@ class CrossedProductModel:
         if self.model_size > MAX_MODEL_SIZE:
             raise MalformedDataError("model matrices would be too large")
         m = self.group.order
-        table = np.asarray(self.group.table, dtype=np.int64)
         total = np.zeros((self.model_size, self.model_size), dtype=np.complex128)
         for t, a in x.terms.items():
             key = self.group.check_element(t)
             lam = np.zeros((m, m), dtype=np.complex128)
-            lam[table[key], np.arange(m)] = 1.0
+            lam[self.group.cayley[key], np.arange(m)] = 1.0
             total = total + np.kron(self.rep.phi(a) @ self.rep.v.matrix(key), lam)
         return total
 
@@ -186,7 +185,7 @@ class CrossedProductModel:
             raise PreconditionError("the element maps do not form a partial action (see validate-action)")
         base = np.flatnonzero(np.where(rows >= 0, rows, n).min(axis=0) == np.arange(n))
         iso = (rows[:, base] == base).astype(np.int64)
-        table = np.asarray(self.group.table)
+        table = self.group.cayley
         pairs = (((table == table.T).astype(np.int64) @ iso) * iso).sum(axis=0)
         return int((pairs // iso.sum(axis=0)).sum())
 

@@ -120,7 +120,11 @@ class FreeGroup:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Finite group on indices 0..order-1, identity 0, via its Cayley table."""
+    """Finite group on indices 0..order-1, identity 0, via its Cayley table.
+
+    ``cayley`` and ``inverses`` hold the table and each element's inverse
+    as read-only ``intp`` arrays, built once with the checks.
+    """
 
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] = ()
@@ -129,7 +133,7 @@ class FiniteGroup:
         n = len(self.table)
         if n == 0 or n > MAX_FINITE_ORDER:
             raise MalformedDataError(f"finite group order must be in 1..{MAX_FINITE_ORDER}")
-        tbl = np.asarray(self.table, dtype=np.int64)
+        tbl = np.asarray(self.table, dtype=np.intp)
         if tbl.shape != (n, n) or tbl.min() < 0 or tbl.max() >= n:
             raise MalformedDataError("multiplication table must be n x n with entries in 0..n-1")
         if not (np.array_equal(tbl[0], np.arange(n)) and np.array_equal(tbl[:, 0], np.arange(n))):
@@ -147,6 +151,10 @@ class FiniteGroup:
         if not ok.all():
             raise MalformedDataError(f"element {int(np.argmin(ok))} lacks a two-sided inverse")
         object.__setattr__(self, "_inv", tuple(inv.tolist()))
+        # the array forms every numpy path reads, shared read-only
+        tbl.flags.writeable = inv.flags.writeable = False
+        object.__setattr__(self, "cayley", tbl)
+        object.__setattr__(self, "inverses", inv)
         if self.labels:
             if len(self.labels) != n or len(set(self.labels)) != n:
                 raise MalformedDataError("labels must be distinct, one per element")
@@ -187,6 +195,15 @@ class FiniteGroup:
         if count > self.order:
             raise MalformedDataError(f"group has only {self.order} elements, requested {count}")
         return list(range(count))
+
+    @functools.cached_property
+    def whole_table(self) -> "ProductTable":
+        """``product_table`` of all the elements in index order: the keys are
+        the elements, so the products are the Cayley table and the inverses
+        ``inverses``, both shared read-only."""
+        ids = np.arange(self.order)
+        ids.flags.writeable = False
+        return ProductTable(self.inverses, self.cayley, ids, None)
 
 
 GroupSpec = Union[FreeGroup, FiniteGroup]
@@ -242,7 +259,8 @@ class WordTrie:
     follow creation order, so a parent's id is below its children's.
 
     A trie grows on demand; ``WordTrie.ball`` builds a ball's words at once,
-    read-only, in ``FreeGroup.ball`` order.
+    read-only, in ``FreeGroup.ball`` order, with ``child`` rows only for the
+    words below its top level.
     """
 
     def __init__(self, rank: int, capacity: int = 1) -> None:
@@ -255,9 +273,13 @@ class WordTrie:
     def ball(cls, rank: int, radius: int) -> "WordTrie":
         """The ``ball_size(rank, radius)`` words of length at most
         ``radius``, allocated once and built one level at a time: the id of
-        each word is its index in ``FreeGroup(rank).ball(radius)``."""
-        k = 2 * rank
-        trie, lo = cls(rank, ball_size(rank, radius)), 0
+        each word is its index in ``FreeGroup(rank).ball(radius)``.  A
+        product steps on from no word of length ``radius``, so those words
+        get no ``child`` row."""
+        k, words = 2 * rank, ball_size(rank, radius)
+        trie, lo = cls(rank), 0
+        trie.parent, trie.last, trie.depth = np.full(words, -1), np.full(words, -1), np.zeros(words, dtype=np.intp)
+        trie.child = np.full((ball_size(rank, radius - 1), k), -1, dtype=np.intp)
         for d in range(1, radius + 1):
             # each word of the last level, then each letter that does not cancel
             p, a = np.divmod(np.arange(lo * k, trie.size * k), k)
@@ -276,6 +298,10 @@ class WordTrie:
         out = np.zeros(len(words), dtype=np.intp)
         for col in _letter_indices(words).T:
             at = np.flatnonzero((col >= 0) & (out >= 0))
+            # a word without a child row, on a ball's top level, has no longer word here
+            top = out[at] >= len(self.child)
+            out[at[top]] = -1
+            at = at[~top]
             out[at] = self.child[out[at], col[at]]
         return out
 
@@ -363,7 +389,9 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
     products reaches the identity, once per ``(rank, radius)`` within
     ``MAX_SHARED_BALL_BYTES``.  Any other free-group list walks a trie grown
     on demand, so sparse long words cost only the words their walks reach.
-    Both give the same table.  Refuses more than ``MAX_SCAN_PAIRS`` pairs.
+    Both give the same table.  A finite group's elements in index order take
+    its ``whole_table``; any other finite list is relabelled, to the same
+    table.  Refuses more than ``MAX_SCAN_PAIRS`` pairs.
     """
     e = len(elements)
     if e * e > MAX_SCAN_PAIRS:
@@ -371,7 +399,10 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
             f"a scan over {e} elements has {e * e} element pairs, "
             f"above the limit of {MAX_SCAN_PAIRS}"
         )
-    radius = _ball_radius(group, elements) if isinstance(group, FreeGroup) else None
+    if isinstance(group, FiniteGroup):
+        whole = list(elements) == list(range(group.order))
+        return group.whole_table if whole else _product_table(group, elements, None)
+    radius = _ball_radius(group, elements)
     # per word of B_2R: intp parent, letter, depth, id, children and a key of <= 2R letters; per pair an int32
     words = 0 if radius is None else ball_size(group.rank, 2 * radius)
     if words and words * (8 * (2 * group.rank + 4) + 48 + 16 * radius) + 4 * e * (e + 1) <= MAX_SHARED_BALL_BYTES:
@@ -387,8 +418,8 @@ def _product_table(group: GroupSpec, elements: Sequence, radius: int | None) -> 
     e, trie = len(elements), None
     if isinstance(group, FiniteGroup):
         el = np.asarray(elements, dtype=np.intp).reshape(e)
-        inv = np.asarray(group._inv, dtype=np.intp)[el]
-        prod = np.asarray(group.table, dtype=np.intp)[el[:, None], el]
+        inv = group.inverses[el]
+        prod = group.cayley[el[:, None], el]
         size = group.order
     elif radius is not None:
         trie = WordTrie.ball(group.rank, 2 * radius)
@@ -457,10 +488,8 @@ class GroupHom:
                 raise MalformedDataError("need one image per source element")
             if imgs[0] != 0:
                 raise MalformedDataError("identity must map to identity")
-            t_src = np.asarray(self.source.table)
             im = np.asarray(imgs)
-            t_tgt = np.asarray(self.target.table)
-            if not np.array_equal(im[t_src], t_tgt[im][:, im]):
+            if not np.array_equal(im[self.source.cayley], self.target.cayley[im][:, im]):
                 raise MalformedDataError("images do not preserve products")
 
     def apply(self, g):
@@ -593,8 +622,16 @@ def group_from_json(data: dict) -> GroupSpec:
         labels = data.get("labels", [])
         if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
             raise MalformedDataError("finite group 'labels' must be a list of strings")
+        # per entry a tuple slot, an int object and an intp; per element a label and an inverse
+        if order * order * 48 + order * 128 <= MAX_SHARED_BALL_BYTES:
+            return _shared_group(tbl, tuple(labels))
         return FiniteGroup(tbl, tuple(labels))
     raise MalformedDataError(f"unknown group kind {data['kind']!r}")
+
+
+# one checked group per (table, labels), as many as the shared balls; a
+# table that fails its checks raises on every call
+_shared_group = functools.lru_cache(maxsize=4)(FiniteGroup)
 
 
 def hom_to_json(hom: GroupHom) -> dict:

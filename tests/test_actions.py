@@ -1,6 +1,7 @@
 """Partial actions: map algebra, axiom validation, duals, equivariance."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -826,6 +827,19 @@ def test_action_json_malformed():
     broken["elements"].append(broken["elements"][0])
     with pytest.raises(pf.MalformedDataError):
         pf.action_from_json(broken)
+
+
+@pytest.mark.parametrize("key", ["01", " 2", "+1", "1_0", "2 ", "-0"])
+def test_action_json_rejects_non_canonical_map_keys(key):
+    """A map key must be the one spelling ``str(int(k))`` of its point, so
+    that no two keys name one point: ``"01"`` beside ``"1"`` would
+    otherwise overwrite it."""
+    data = {"group": pf.group_to_json(pf.cyclic_group(2)), "n": 3,
+            "elements": [{"t": "1", "map": {"0": 1, "1": 0, key: 2}}]}
+    with pytest.raises(pf.MalformedDataError, match=re.escape(f"map key {key!r} of element '1'")):
+        pf.action_from_json(data)
+    data["elements"][0]["map"] = {"0": 1, "1": 0}
+    assert pf.action_from_json(data).element_map(1).pairs == ((0, 1), (1, 0))
 
 
 def test_restriction_rejects_non_permutation():

@@ -325,14 +325,17 @@ def dihedral_group(n):
 
 
 def tampered(group, entries):
-    """A copy of ``group`` whose table is overwritten at ``(row, col)`` after
-    construction, past the table checks; its inverses stay the original
-    ones."""
+    """A copy of ``group`` whose table, as tuples and as its ``cayley``
+    array, is overwritten at ``(row, col)`` after construction, past the
+    table checks; its inverses stay the original ones."""
     copy = pf.FiniteGroup(group.table, group.labels)
     table = [list(row) for row in copy.table]
     for (row, col), value in entries.items():
         table[row][col] = value
+    cayley = np.array(table, dtype=np.intp)
+    cayley.flags.writeable = False
     object.__setattr__(copy, "table", tuple(map(tuple, table)))
+    object.__setattr__(copy, "cayley", cayley)
     return copy
 
 

@@ -450,6 +450,8 @@ MALFORMED_INPUTS = {
     "action rank bool": (["validate-action"], {"group": {"kind": "free", "rank": True}, "n": 1, "elements": []}),
     "action order float": (["validate-action"], {"group": {**TRIVIAL, "order": 1.0}, "n": 1, "elements": []}),
     "action order bool": (["validate-action"], {"group": {**TRIVIAL, "order": True}, "n": 1, "elements": []}),
+    "action map key not canonical": (["validate-action"], {"group": Z2, "n": 3, "elements": [
+        {"t": "1", "map": {"0": 1, "1": 0, "01": 2}}]}),
     "group labels scalar": (["bernoulli", "certify", "--delta", "0.2", "--group"], {**Z2, "labels": 5}),
     "group spec free": (["bernoulli", "certify", "--delta", "0.2", "--group", "free:x"], None),
     "group spec cyclic": (["measure", "--delta", "0.2", "--group", "cyclic:x"], None),

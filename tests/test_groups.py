@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +300,134 @@ def test_shuffled_or_cut_balls_take_the_walk(rank, radius, rnd, shuffle):
         assert keys[table.inv[a]] == group.inverse(g)
         for b, h in enumerate(elements):
             assert keys[table.prod[a, b]] == group.multiply(g, h)
+
+
+def _perm_group_json(gens):
+    """The permutations that ``gens`` generate as a finite group object,
+    identity first, then lexicographic; ``(p q)(i) = p(q(i))``."""
+    ident = tuple(range(len(gens[0])))
+    perms, frontier = {ident}, [ident]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in perms:
+                perms.add(q)
+                frontier.append(q)
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in ident)] for q in perms] for p in perms]
+    return {"kind": "finite", "order": len(perms), "table": table}
+
+
+NON_ABELIAN_JSON = {
+    "S3": _perm_group_json([(1, 0, 2), (1, 2, 0)]),
+    "D4": _perm_group_json([(1, 2, 3, 0), (0, 3, 2, 1)]),
+    "A4": _perm_group_json([(1, 2, 0, 3), (1, 0, 3, 2)]),
+}
+finite_groups = st.one_of(
+    st.builds(cyclic_group, st.integers(1, 12)),
+    st.builds(lambda a, b: direct_product(cyclic_group(a), cyclic_group(b)), st.integers(1, 4), st.integers(1, 4)),
+    st.sampled_from(sorted(NON_ABELIAN_JSON)).map(lambda name: group_from_json(NON_ABELIAN_JSON[name])),
+    st.builds(lambda name, m: direct_product(group_from_json(NON_ABELIAN_JSON[name]), cyclic_group(m)),
+              st.sampled_from(sorted(NON_ABELIAN_JSON)), st.integers(1, 3)),
+)
+
+
+def test_non_abelian_tables():
+    assert {name: group_from_json(data).order for name, data in NON_ABELIAN_JSON.items()} == {"S3": 6, "D4": 8, "A4": 12}
+    for data in NON_ABELIAN_JSON.values():
+        table = group_from_json(data).cayley
+        assert not np.array_equal(table, table.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_groups, st.randoms(use_true_random=False))
+def test_whole_group_table_is_the_relabelled_table(group, rnd):
+    """The whole group in index order takes the group's own shared table,
+    which equals the relabelling path's; a shuffled or partial list is
+    relabelled, and agrees with ``multiply`` and ``inverse``."""
+    elements = scan_elements(group, 1)
+    table = product_table(group, elements)
+    assert table is group.whole_table is product_table(group, list(range(group.order)))
+    relabelled = groups._product_table(group, elements, None)
+    assert table.keys == relabelled.keys == elements
+    for name in ("inv", "prod", "ids"):
+        assert np.array_equal(getattr(table, name), getattr(relabelled, name)), name
+    assert table.prod is group.cayley and table.inv is group.inverses
+    other = list(elements)
+    rnd.shuffle(other)
+    del other[rnd.randrange(len(other) + 1):]
+    if other == elements:
+        return
+    table = product_table(group, other)
+    assert table is not group.whole_table
+    assert table.keys[: len(other)] == other
+    for a, g in enumerate(other):
+        assert table.keys[table.inv[a]] == group.inverse(g)
+        for b, h in enumerate(other):
+            assert table.keys[table.prod[a, b]] == group.multiply(g, h)
+
+
+def test_group_arrays_are_read_only():
+    group = group_from_json(NON_ABELIAN_JSON["A4"])
+    whole = group.whole_table
+    for x in (group.cayley, group.inverses, whole.prod, whole.inv, whole.ids):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1
+    assert group.cayley.dtype == group.inverses.dtype == np.intp
+    assert group.inverses.tolist() == [group.inverse(g) for g in range(group.order)]
+
+
+def test_group_from_json_shares_one_group_per_table_and_labels():
+    data = NON_ABELIAN_JSON["D4"]
+    group = group_from_json(data)
+    assert group_from_json(json.loads(json.dumps(data))) is group
+    labelled = {**data, "labels": [f"x{i}" for i in range(8)]}
+    other = group_from_json(labelled)
+    assert other is not group and other.table == group.table
+    assert group_from_json(json.loads(json.dumps(labelled))) is other
+    # the JSON checks run on every call
+    with pytest.raises(MalformedDataError, match="order"):
+        group_from_json({**data, "order": 7})
+    with pytest.raises(MalformedDataError, match="labels"):
+        group_from_json({**data, "labels": [1] * 8})
+
+
+def test_non_associative_table_after_a_valid_one_still_raises():
+    """A table that fails its checks is kept nowhere: after a valid group
+    of the same order it raises, every time."""
+    quasigroup = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    assert group_from_json(group_to_json(cyclic_group(5))).order == 5
+    for _ in range(2):
+        with pytest.raises(MalformedDataError, match="not associative"):
+            group_from_json({"kind": "finite", "table": quasigroup})
+
+
+def test_ball_trie_has_no_top_level_child_rows():
+    """A ball's top-level words get no child row, and ``find`` reads a word
+    past the top level as absent."""
+    trie = groups.WordTrie.ball(2, 2)
+    assert trie.child.shape == (ball_size(2, 1), 4) and len(trie.parent) == ball_size(2, 2)
+    assert trie.find([(), (1,), (1, 2), (1, 2, 2), (-2, 1, 1, -2)]).tolist() == [0, 1, 6, -1, -1]
+
+
+def test_free64_ball_table_stays_small(monkeypatch):
+    """The ``free:64`` radius-1 table needs the child rows of ``B_1`` alone,
+    not of all 16385 words of ``B_2`` (17 MiB), and equals the walk's."""
+    group = FreeGroup(64)
+    elements = scan_elements(group, 1)
+    tracemalloc.start()
+    try:
+        table = product_table(group, elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    walked = _walk_table(monkeypatch, group, elements)
+    assert table.keys == walked.keys
+    assert np.array_equal(table.inv, walked.inv) and np.array_equal(table.prod, walked.prod)
 
 
 def test_product_table_pair_limit():

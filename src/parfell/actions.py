@@ -30,7 +30,7 @@ from .groups import (
     WordTrie,
     product_table,
     scan_elements,
-    word_key,
+    sorted_elements,
     word_from_str,
     word_to_str,
 )
@@ -101,9 +101,7 @@ class FinitePartialAction:
     # -- element data --------------------------------------------------------
 
     def declared_elements(self) -> list:
-        if isinstance(self.group, FiniteGroup):
-            return sorted(self._declared)
-        return sorted(self._declared, key=word_key)
+        return sorted_elements(self.group, self._declared)
 
     def is_declared(self, g) -> bool:
         return self.group.check_element(g) in self._declared

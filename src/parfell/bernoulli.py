@@ -130,7 +130,7 @@ class QuotientApprox:
         rows = np.full((len(elements), bits.shape[1] + 1), -1, dtype=np.intp)
         for row, t in zip(rows, elements):
             g = q.inverse(self.hom.apply(t))
-            row[:-1] = np.where(bits[g] == 1, _read(bits, q.table[g][1:]), -1)
+            row[:-1] = np.where(bits[g] == 1, _read(bits, q.table[g, 1:]), -1)
         return rows
 
 
@@ -167,7 +167,7 @@ def strict_equivariance_report(
     q = approx.quotient
     elems = [window.group.check_element(t) for t in (window.coords if elements is None else elements)]
     gammas = [approx.hom.apply(t) for t in elems]
-    wanted = [_read(approx.bits, q.cayley[q.inverse(g), approx.images[1:]]) for g in gammas]
+    wanted = [_read(approx.bits, q.table[q.inverse(g), approx.images[1:]]) for g in gammas]
     return _equivariance_report(
         window.group, elems, approx.map_rows(elems), np.asarray(approx.rho, dtype=np.intp),
         approx.bits[gammas] == 1, np.reshape(wanted, (len(elems), approx.num_points)),
@@ -543,7 +543,7 @@ def invariant_measure_approx(approx: QuotientApprox, tests: Sequence[CylinderFun
     # inverse's set, the points that are 1 at g^-1; each set holds half the
     # points unless g is the identity
     q = approx.quotient
-    rows = [(word_to_str(window.group, t), g, [q.table[g][c] for c in images], q.inverse(g))
+    rows = [(word_to_str(window.group, t), g, q.table[g, images].tolist(), q.inverse(g))
             for t, g in zip(window.coords, images)]
     defects: list[dict] = []
     max_defect = 0.0

@@ -22,7 +22,7 @@ from .groups import (
     GroupSpec,
     MalformedDataError,
     UndeclaredElementError,
-    word_key,
+    sorted_elements,
     word_to_str,
 )
 from .matrices import AXIOM_TOL, POSITIVITY_TOL, PreconditionError, adjoints, op_norm, op_norms
@@ -62,9 +62,7 @@ class Section:
         return x
 
     def elements(self) -> list:
-        if isinstance(self.group, FiniteGroup):
-            return sorted(self.terms)
-        return sorted(self.terms, key=word_key)
+        return sorted_elements(self.group, self.terms)
 
     def coeff(self, g) -> np.ndarray:
         key = self.group.check_element(g)
@@ -148,7 +146,7 @@ class CrossedProductModel:
         for t, a in x.terms.items():
             key = self.group.check_element(t)
             lam = np.zeros((m, m), dtype=np.complex128)
-            lam[self.group.cayley[key], np.arange(m)] = 1.0
+            lam[self.group.table[key], np.arange(m)] = 1.0
             total = total + np.kron(self.rep.phi(a) @ self.rep.v.matrix(key), lam)
         return total
 
@@ -185,7 +183,7 @@ class CrossedProductModel:
             raise PreconditionError("the element maps do not form a partial action (see validate-action)")
         base = np.flatnonzero(np.where(rows >= 0, rows, n).min(axis=0) == np.arange(n))
         iso = (rows[:, base] == base).astype(np.int64)
-        table = self.group.cayley
+        table = self.group.table
         pairs = (((table == table.T).astype(np.int64) @ iso) * iso).sum(axis=0)
         return int((pairs // iso.sum(axis=0)).sum())
 

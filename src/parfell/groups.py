@@ -91,26 +91,17 @@ class FreeGroup:
 
     def letters(self) -> list[int]:
         """Generator letters in canonical order ``+1, -1, +2, -2, ...``."""
-        out = []
-        for i in range(1, self.rank + 1):
-            out.extend((i, -i))
-        return out
+        return [s for i in range(1, self.rank + 1) for s in (i, -i)]
 
     def ball(self, radius: int) -> list[Word]:
         """All reduced words of length <= radius, canonically ordered."""
         if radius < 0:
             raise MalformedDataError("radius must be >= 0")
-        levels: list[list[Word]] = [[()]]
+        words, level, letters = [()], [()], self.letters()
         for _ in range(radius):
-            prev = levels[-1]
-            nxt: list[Word] = []
-            for w in prev:
-                for s in self.letters():
-                    if w and w[-1] == -s:
-                        continue
-                    nxt.append(w + (s,))
-            levels.append(nxt)
-        return [w for level in levels for w in level]
+            level = [w + (s,) for w in level for s in letters if not (w and w[-1] == -s)]
+            words.extend(level)
+        return words
 
     def enumerate_elements(self, count: int) -> list[Word]:
         """First ``count`` elements of the canonical enumeration, a new list."""
@@ -118,24 +109,31 @@ class FreeGroup:
         return list(_ball(self, radius)[:count])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Finite group on indices 0..order-1, identity 0, via its Cayley table.
 
-    ``cayley`` and ``inverses`` hold the table and each element's inverse
-    as read-only ``intp`` arrays, built once with the checks.
+    ``table`` takes any n x n nested int sequence or array and holds it,
+    checked, as one read-only ``intp`` array, and ``inverses`` each
+    element's inverse; two groups are equal when their labels and table
+    values are.
     """
 
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.table)
         if n == 0 or n > MAX_FINITE_ORDER:
             raise MalformedDataError(f"finite group order must be in 1..{MAX_FINITE_ORDER}")
-        tbl = np.asarray(self.table, dtype=np.intp)
+        tbl = np.array(self.table)
+        # an array's dtype speaks for its entries; a bool among a sequence's ints does not show in it
+        if tbl.dtype.kind not in "iu" or tbl.ndim == 2 and not isinstance(self.table, np.ndarray) and any(
+                type(x) is bool for row in self.table for x in row):
+            raise MalformedDataError("multiplication table entries must be integers")
         if tbl.shape != (n, n) or tbl.min() < 0 or tbl.max() >= n:
             raise MalformedDataError("multiplication table must be n x n with entries in 0..n-1")
+        tbl = tbl.astype(np.intp, copy=False)
         if not (np.array_equal(tbl[0], np.arange(n)) and np.array_equal(tbl[:, 0], np.arange(n))):
             raise MalformedDataError("element 0 must be the identity")
         # associativity, (ab)c == a(bc), a block of rows a at a time to bound memory
@@ -150,16 +148,20 @@ class FiniteGroup:
         ok = (unit.sum(axis=1) == 1) & (tbl[inv, np.arange(n)] == 0)
         if not ok.all():
             raise MalformedDataError(f"element {int(np.argmin(ok))} lacks a two-sided inverse")
-        object.__setattr__(self, "_inv", tuple(inv.tolist()))
-        # the array forms every numpy path reads, shared read-only
         tbl.flags.writeable = inv.flags.writeable = False
-        object.__setattr__(self, "cayley", tbl)
+        object.__setattr__(self, "table", tbl)
         object.__setattr__(self, "inverses", inv)
         if self.labels:
             if len(self.labels) != n or len(set(self.labels)) != n:
                 raise MalformedDataError("labels must be distinct, one per element")
         else:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FiniteGroup) and self.labels == other.labels and np.array_equal(self.table, other.table)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.labels))
 
     @property
     def kind(self) -> str:
@@ -179,17 +181,15 @@ class FiniteGroup:
         return int(g)
 
     def multiply(self, g: int, h: int) -> int:
-        return self.table[self.check_element(g)][self.check_element(h)]
+        return self.table.item(self.check_element(g), self.check_element(h))
 
     def inverse(self, g: int) -> int:
-        return self._inv[self.check_element(g)]
+        return self.inverses.item(self.check_element(g))
 
     def ball(self, radius: int) -> list[int]:
         if radius < 0:
             raise MalformedDataError("radius must be >= 0")
-        if radius == 0:
-            return [0]
-        return list(range(self.order))
+        return list(range(self.order if radius else 1))
 
     def enumerate_elements(self, count: int) -> list[int]:
         if count > self.order:
@@ -199,14 +199,19 @@ class FiniteGroup:
     @functools.cached_property
     def whole_table(self) -> "ProductTable":
         """``product_table`` of all the elements in index order: the keys are
-        the elements, so the products are the Cayley table and the inverses
+        the elements, so the products are ``table`` and the inverses
         ``inverses``, both shared read-only."""
         ids = np.arange(self.order)
         ids.flags.writeable = False
-        return ProductTable(self.inverses, self.cayley, ids, None)
+        return ProductTable(self.inverses, self.table, ids, None)
 
 
 GroupSpec = Union[FreeGroup, FiniteGroup]
+
+
+def sorted_elements(group: GroupSpec, elements) -> list:
+    """``elements`` in the canonical order: indices ascending, words by ``word_key``."""
+    return sorted(elements, key=None if isinstance(group, FiniteGroup) else word_key)
 
 
 class CheckedElements(list):
@@ -224,12 +229,18 @@ def scan_elements(group: GroupSpec, radius: int) -> list:
     A finite group is scanned whole whatever the radius; a free group over
     its word ball of the given radius, which must be at least 1.  The last
     few balls are kept, so the scans of one command build theirs once.  A
-    free-group ball takes ``product_table``'s level-built, shared path.
+    free-group ball takes ``product_table``'s level-built, shared path.  Too
+    many pairs are refused from a count of the ball, before it is built.
     """
     if isinstance(group, FiniteGroup):
         return CheckedElements(group, range(group.order))
     if radius < 1:
         raise MalformedDataError("free-group scans need radius >= 1")
+    # the count stops past MAX_SCAN_PAIRS levels or MAX_SCAN_PAIRS ** 2 words, a lower bound then
+    e, level, d = 1, 2 * group.rank, 0
+    while d < min(radius, MAX_SCAN_PAIRS) and e <= MAX_SCAN_PAIRS**2:
+        e, level, d = e + level, level * (2 * group.rank - 1), d + 1
+    _check_scan_pairs(e, "" if d == radius else "more than ")
     return CheckedElements(group, _ball(group, radius))
 
 
@@ -242,6 +253,14 @@ def _ball(group: FreeGroup, radius: int) -> tuple:
 MAX_SCAN_PAIRS = MAX_FINITE_ORDER**2
 # the memo keeps four canonical balls whose tables take at most this many bytes
 MAX_SHARED_BALL_BYTES = 8 << 20
+
+
+def _check_scan_pairs(e: int, prefix: str = "") -> None:
+    if e * e > MAX_SCAN_PAIRS:
+        raise MalformedDataError(
+            f"a scan over {prefix}{e} elements has {prefix}{e * e} element pairs, "
+            f"above the limit of {MAX_SCAN_PAIRS}"
+        )
 
 
 def ball_size(rank: int, radius: int) -> int:
@@ -394,11 +413,7 @@ def product_table(group: GroupSpec, elements: Sequence) -> ProductTable:
     table.  Refuses more than ``MAX_SCAN_PAIRS`` pairs.
     """
     e = len(elements)
-    if e * e > MAX_SCAN_PAIRS:
-        raise MalformedDataError(
-            f"a scan over {e} elements has {e * e} element pairs, "
-            f"above the limit of {MAX_SCAN_PAIRS}"
-        )
+    _check_scan_pairs(e)
     if isinstance(group, FiniteGroup):
         whole = list(elements) == list(range(group.order))
         return group.whole_table if whole else _product_table(group, elements, None)
@@ -419,7 +434,7 @@ def _product_table(group: GroupSpec, elements: Sequence, radius: int | None) -> 
     if isinstance(group, FiniteGroup):
         el = np.asarray(elements, dtype=np.intp).reshape(e)
         inv = group.inverses[el]
-        prod = group.cayley[el[:, None], el]
+        prod = group.table[el[:, None], el]
         size = group.order
     elif radius is not None:
         trie = WordTrie.ball(group.rank, 2 * radius)
@@ -489,16 +504,16 @@ class GroupHom:
             if imgs[0] != 0:
                 raise MalformedDataError("identity must map to identity")
             im = np.asarray(imgs)
-            if not np.array_equal(im[self.source.cayley], self.target.cayley[im][:, im]):
+            if not np.array_equal(im[self.source.table], self.target.table[im][:, im]):
                 raise MalformedDataError("images do not preserve products")
 
     def apply(self, g):
         if isinstance(self.source, FreeGroup):
             # the images are checked elements, so the table is read directly
-            table, inv, out = self.target.table, self.target._inv, 0
+            table, inv, out = self.target.table, self.target.inverses, 0
             for s in self.source.reduce_word(g):
                 x = self.images[abs(s) - 1]
-                out = table[out][x if s > 0 else inv[x]]
+                out = table.item(out, x if s > 0 else inv.item(x))
             return out
         return self.images[self.source.check_element(g)]
 
@@ -513,8 +528,8 @@ def cyclic_group(m: int) -> FiniteGroup:
     each order's table is built and checked once per process."""
     if m < 1 or m > MAX_FINITE_ORDER:
         raise MalformedDataError(f"cyclic order must be in 1..{MAX_FINITE_ORDER}")
-    table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-    return FiniteGroup(table)
+    i = np.arange(m)
+    return FiniteGroup((i[:, None] + i) % m)
 
 
 def trivial_group() -> FiniteGroup:
@@ -526,13 +541,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     na, nb = a.order, b.order
     if na * nb > MAX_FINITE_ORDER:
         raise MalformedDataError("product order exceeds supported maximum")
-    table = tuple(
-        tuple(
-            a.table[i // nb][k // nb] * nb + b.table[i % nb][k % nb]
-            for k in range(na * nb)
-        )
-        for i in range(na * nb)
-    )
+    ia, ib = np.divmod(np.arange(na * nb), nb)
+    table = a.table[ia[:, None], ia] * nb + b.table[ib[:, None], ib]
     labels = tuple(f"{a.labels[i // nb]},{b.labels[i % nb]}" for i in range(na * nb))
     return FiniteGroup(table, labels)
 
@@ -553,14 +563,7 @@ def generator_name(i: int) -> str:
 def word_to_str(spec: GroupSpec, g) -> str:
     if isinstance(spec, FiniteGroup):
         return spec.labels[spec.check_element(g)]
-    w = spec.check_element(g)
-    if not w:
-        return "e"
-    parts = []
-    for s in w:
-        name = generator_name(abs(s))
-        parts.append(name if s > 0 else f"{name}^-1")
-    return " ".join(parts)
+    return " ".join(generator_name(abs(s)) + ("" if s > 0 else "^-1") for s in spec.check_element(g)) or "e"
 
 
 def word_from_str(spec: GroupSpec, text: str):
@@ -595,7 +598,7 @@ def group_to_json(spec: GroupSpec) -> dict:
     return {
         "kind": "finite",
         "order": spec.order,
-        "table": [list(row) for row in spec.table],
+        "table": spec.table.tolist(),
         "labels": list(spec.labels),
     }
 
@@ -613,25 +616,27 @@ def group_from_json(data: dict) -> GroupSpec:
                 isinstance(row, list) and len(row) == len(table[0]) and all(type(x) is int for x in row)
                 for row in table)):
             raise MalformedDataError("finite group 'table' must be a list of equal-length lists of integers")
-        tbl = tuple(map(tuple, table))
-        order = data.get("order", len(tbl))
+        order = data.get("order", len(table))
         if type(order) is not int:
             raise MalformedDataError("finite group 'order' must be an integer")
-        if order != len(tbl):
+        if order != len(table):
             raise MalformedDataError("declared order disagrees with table size")
         labels = data.get("labels", [])
         if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
             raise MalformedDataError("finite group 'labels' must be a list of strings")
-        # per entry a tuple slot, an int object and an intp; per element a label and an inverse
-        if order * order * 48 + order * 128 <= MAX_SHARED_BALL_BYTES:
-            return _shared_group(tbl, tuple(labels))
-        return FiniteGroup(tbl, tuple(labels))
+        try:
+            tbl = np.array(table, dtype=np.intp)
+        except OverflowError as exc:
+            raise MalformedDataError("multiplication table must be n x n with entries in 0..n-1") from exc
+        return _shared_group(tbl.tobytes(), tbl.shape, tuple(labels))
     raise MalformedDataError(f"unknown group kind {data['kind']!r}")
 
 
-# one checked group per (table, labels), as many as the shared balls; a
-# table that fails its checks raises on every call
-_shared_group = functools.lru_cache(maxsize=4)(FiniteGroup)
+# one checked group per table and labels, as many as the shared balls; an entry holds the
+# table's bytes and the group's array, 16 B a table entry, so every order fits
+# MAX_SHARED_BALL_BYTES; a table that fails its checks raises on every call
+_shared_group = functools.lru_cache(maxsize=4)(
+    lambda table, shape, labels: FiniteGroup(np.frombuffer(table, dtype=np.intp).reshape(shape), labels))
 
 
 def hom_to_json(hom: GroupHom) -> dict:

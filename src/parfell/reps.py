@@ -19,13 +19,12 @@ import numpy as np
 from .actions import FinitePartialAction, validate
 from .groups import (
     CheckedElements,
-    FiniteGroup,
     FreeGroup,
     GroupSpec,
     MalformedDataError,
     UndeclaredElementError,
     product_table,
-    word_key,
+    sorted_elements,
     word_to_str,
 )
 from .matrices import (
@@ -84,9 +83,7 @@ class PartialRepFamily:
         """The declared elements: a standard model's are its action's."""
         if self.action is not None:
             return self.action.declared_elements()
-        if isinstance(self.group, FiniteGroup):
-            return sorted(self._mats)
-        return sorted(self._mats, key=word_key)
+        return sorted_elements(self.group, self._mats)
 
     def has(self, g) -> bool:
         key = self.group.check_element(g)

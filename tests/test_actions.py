@@ -606,9 +606,9 @@ def test_shared_ball_byte_cap():
     f2, f1 = pf.FreeGroup(2), pf.FreeGroup(1)
     assert _kept(f2, 4) and not _kept(f2, 5) and _kept(f1, 255)
     with pytest.raises(pf.MalformedDataError, match="element pairs"):
-        pf.product_table(f1, scan_elements(f1, 256))
+        pf.product_table(f1, f1.ball(256))
     act, kept = pf.FinitePartialAction(f1, 3, {(1,): {0: 1, 1: 2}}), groups._shared_ball_table.cache_info()
-    rows = act.map_rows(list(scan_elements(f1, 300)))
+    rows = act.map_rows(f1.ball(300))
     assert rows[-1].tolist() == [-1, -1, -1, -1] and rows[1].tolist() == [1, 2, -1, -1]
     assert act.row(()).tolist() == [0, 1, 2, -1] and act.map_rows(list(scan_elements(f1, 2)))[3].tolist() == [2, -1, -1, -1]
     assert groups._shared_ball_table.cache_info() == kept
@@ -673,6 +673,16 @@ def test_equivariance_doubled_swap(swap_action):
     report = pf.check_equivariance(emap, strict=True)
     assert report.ok and report.strict_ok
     assert report.max_defect == 0.0
+
+
+def test_equivariance_over_equal_groups_of_two_spellings(swap_action):
+    """An action on a group written as nested lists and one on the equal
+    ``cyclic_group(2)`` share their group."""
+    lists = pf.FiniteGroup([[0, 1], [1, 0]])
+    double = pf.FinitePartialAction(lists, 4, {1: {0: 1, 1: 0, 2: 3, 3: 2}})
+    emap = pf.EquivariantMap(source=double, target=swap_action, rho=(0, 1, 0, 1))
+    assert swap_action.group is pf.cyclic_group(2) and double.group is lists
+    assert pf.check_equivariance(emap, strict=True).strict_ok
 
 
 def test_equivariance_strict_failure(swap_action):

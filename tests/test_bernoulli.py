@@ -325,17 +325,15 @@ def dihedral_group(n):
 
 
 def tampered(group, entries):
-    """A copy of ``group`` whose table, as tuples and as its ``cayley``
-    array, is overwritten at ``(row, col)`` after construction, past the
-    table checks; its inverses stay the original ones."""
+    """A copy of ``group`` whose table is overwritten at ``(row, col)``
+    after construction, past the table checks; its inverses stay the
+    original ones."""
     copy = pf.FiniteGroup(group.table, group.labels)
-    table = [list(row) for row in copy.table]
+    table = np.array(copy.table)
     for (row, col), value in entries.items():
-        table[row][col] = value
-    cayley = np.array(table, dtype=np.intp)
-    cayley.flags.writeable = False
-    object.__setattr__(copy, "table", tuple(map(tuple, table)))
-    object.__setattr__(copy, "cayley", cayley)
+        table[row, col] = value
+    table.flags.writeable = False
+    object.__setattr__(copy, "table", table)
     return copy
 
 
@@ -400,6 +398,24 @@ def test_identity_check_fails_where_the_exhaustive_report_does():
         hom = pf.GroupHom(source=Z, target=tampered(z4, entries), images=images)
         report = pf.strict_equivariance_report(pf.QuotientApprox(window, hom))
         assert {v["kind"] for v in report.violations} == kinds
+
+
+def test_one_tampered_entry_reaches_every_reader():
+    """A group holds its table once, so an entry overwritten past the checks
+    reaches ``multiply``, ``GroupHom.apply``, ``QuotientApprox.map_rows``
+    and the exhaustive report alike."""
+    window = pf.BernoulliWindow.build(Z, 3)
+    z4 = pf.cyclic_group(4)
+    bad = tampered(z4, {(3, 1): 2})
+    assert (z4.multiply(3, 1), bad.multiply(3, 1)) == (0, 2)
+    homs = [pf.GroupHom(source=Z, target=target, images=(1,)) for target in (z4, bad)]
+    assert [hom.apply((1, 1, 1, 1)) for hom in homs] == [0, 2]
+    # a's row reads the table at a^-1 = 3
+    approxes = [pf.QuotientApprox(window, hom) for hom in homs]
+    good_rows, bad_rows = (approx.map_rows([(1,)]) for approx in approxes)
+    assert not np.array_equal(good_rows, bad_rows)
+    reports = [pf.strict_equivariance_report(approx) for approx in approxes]
+    assert reports[0].violations == [] and {v["kind"] for v in reports[1].violations} == {"image", "strict"}
 
 
 def test_certify_and_verify_build_no_quotient_model(monkeypatch):
@@ -476,7 +492,7 @@ def test_certify_integers_frozen():
 
 def eval_hom(hom, word):
     """The image of a reduced word, read off the target's table alone."""
-    table = hom.target.table
+    table = hom.target.table.tolist()
     out = 0
     for s in word:
         x = hom.images[abs(s) - 1]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -648,6 +649,23 @@ def test_scan_pair_limit(capsys, monkeypatch, radius, code):
             f"MalformedDataError: a scan over {words} elements has {words**2} "
             f"element pairs, above the limit of {pf.MAX_SCAN_PAIRS}"
         )
+
+
+@pytest.mark.parametrize("radius", [16, 1000000])
+def test_oversized_ball_is_refused_before_it_is_built(capsys, monkeypatch, radius):
+    """Radius 16 on free:2 would hold 86093441 words; the scan is refused
+    from a count of the ball, at once and with nothing on stderr."""
+    monkeypatch.chdir(DATA)
+    start = time.perf_counter()
+    code = main(["validate-action", "free2.json", "--radius", str(radius)])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["error"] == {
+        16: "MalformedDataError: a scan over 86093441 elements has 7412080583220481 element pairs, "
+            f"above the limit of {pf.MAX_SCAN_PAIRS}",
+        1000000: "MalformedDataError: a scan over more than 188286357653 elements has more than "
+                 f"35451752478233431668409 element pairs, above the limit of {pf.MAX_SCAN_PAIRS}",
+    }[radius]
 
 
 def _json_text(value):

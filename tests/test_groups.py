@@ -263,12 +263,13 @@ def test_ball_tables_match_the_walk(monkeypatch, rank, radius):
     """A canonical ball takes the level-built path, whose ids are the ball's
     indices, and gives the walk's keys, inverses and products."""
     group = FreeGroup(rank)
+    if ball_size(rank, radius) ** 2 > MAX_SCAN_PAIRS:
+        for scan in (lambda: scan_elements(group, radius), lambda: product_table(group, group.ball(radius))):
+            with pytest.raises(MalformedDataError, match="element pairs"):
+                scan()
+        return
     elements = scan_elements(group, radius)
     assert len(elements) == ball_size(rank, radius)
-    if len(elements) ** 2 > MAX_SCAN_PAIRS:
-        with pytest.raises(MalformedDataError, match="element pairs"):
-            product_table(group, elements)
-        return
     table, walked = product_table(group, elements), _walk_table(monkeypatch, group, elements)
     assert table.trie.size == ball_size(rank, 2 * radius) == len(table.trie.parent)
     assert table.trie.words(np.arange(table.trie.size)) == group.ball(2 * radius)
@@ -337,7 +338,7 @@ finite_groups = st.one_of(
 def test_non_abelian_tables():
     assert {name: group_from_json(data).order for name, data in NON_ABELIAN_JSON.items()} == {"S3": 6, "D4": 8, "A4": 12}
     for data in NON_ABELIAN_JSON.values():
-        table = group_from_json(data).cayley
+        table = group_from_json(data).table
         assert not np.array_equal(table, table.T)
 
 
@@ -354,7 +355,7 @@ def test_whole_group_table_is_the_relabelled_table(group, rnd):
     assert table.keys == relabelled.keys == elements
     for name in ("inv", "prod", "ids"):
         assert np.array_equal(getattr(table, name), getattr(relabelled, name)), name
-    assert table.prod is group.cayley and table.inv is group.inverses
+    assert table.prod is group.table and table.inv is group.inverses
     other = list(elements)
     rnd.shuffle(other)
     del other[rnd.randrange(len(other) + 1):]
@@ -372,11 +373,11 @@ def test_whole_group_table_is_the_relabelled_table(group, rnd):
 def test_group_arrays_are_read_only():
     group = group_from_json(NON_ABELIAN_JSON["A4"])
     whole = group.whole_table
-    for x in (group.cayley, group.inverses, whole.prod, whole.inv, whole.ids):
+    for x in (group.table, group.inverses, whole.prod, whole.inv, whole.ids):
         assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 1
-    assert group.cayley.dtype == group.inverses.dtype == np.intp
+    assert group.table.dtype == group.inverses.dtype == np.intp
     assert group.inverses.tolist() == [group.inverse(g) for g in range(group.order)]
 
 
@@ -386,7 +387,7 @@ def test_group_from_json_shares_one_group_per_table_and_labels():
     assert group_from_json(json.loads(json.dumps(data))) is group
     labelled = {**data, "labels": [f"x{i}" for i in range(8)]}
     other = group_from_json(labelled)
-    assert other is not group and other.table == group.table
+    assert other is not group and np.array_equal(other.table, group.table)
     assert group_from_json(json.loads(json.dumps(labelled))) is other
     # the JSON checks run on every call
     with pytest.raises(MalformedDataError, match="order"):
@@ -442,6 +443,9 @@ def test_product_table_pair_limit():
 
 
 def test_bad_tables_rejected():
+    for table in ([0, 1], [[0, 1]], [[[0]]]):  # not n x n
+        with pytest.raises(MalformedDataError, match="must be n x n"):
+            FiniteGroup(table)
     with pytest.raises(MalformedDataError):
         FiniteGroup(((0, 1), (1, 1)))  # not a bijection row
     with pytest.raises(MalformedDataError):
@@ -531,14 +535,78 @@ def test_word_roundtrip():
 
 
 def test_group_json_roundtrip():
-    for g in (FreeGroup(2), cyclic_group(5), symmetric_group(3)):
-        back = group_from_json(group_to_json(g))
-        assert back == g
+    non_abelian = [group_from_json(data) for data in NON_ABELIAN_JSON.values()]
+    products = [direct_product(a, b) for a in non_abelian + [cyclic_group(2)] for b in (cyclic_group(3), non_abelian[0])]
+    for g in [FreeGroup(2), symmetric_group(3), *map(cyclic_group, range(1, 13)), *non_abelian, *products]:
+        data = group_to_json(g)
+        assert group_from_json(data) == g == group_from_json(json.loads(json.dumps(data)))
+        if isinstance(g, FiniteGroup):
+            assert all(type(x) is int for row in data["table"] for x in row)
+
+
+def oracle_cyclic(m):
+    return [[(i + j) % m for j in range(m)] for i in range(m)]
+
+
+def oracle_product(a, b):
+    """The table of the direct product of tables ``a`` and ``b``, pairs a-major."""
+    na, nb = len(a), len(b)
+    return [[a[i // nb][k // nb] * nb + b[i % nb][k % nb] for k in range(na * nb)] for i in range(na * nb)]
+
+
+def test_cyclic_and_product_tables_match_the_oracles():
+    for m in range(1, 17):
+        assert cyclic_group(m).table.tolist() == oracle_cyclic(m)
+    factors = [oracle_cyclic(m) for m in range(1, 5)] + [data["table"] for data in NON_ABELIAN_JSON.values()]
+    for a, b in itertools.product(factors, repeat=2):
+        if len(a) * len(b) <= 48:
+            product = direct_product(FiniteGroup(a), FiniteGroup(b))
+            assert product.table.tolist() == oracle_product(a, b)
+            assert product.labels == tuple(f"{i},{k}" for i in range(len(a)) for k in range(len(b)))
+
+
+def test_nested_lists_and_arrays_make_one_group():
+    """A group is its labels and table values, whatever form the table came
+    in; the table is held as one read-only ``intp`` array of its own."""
+    lists = FiniteGroup([[0, 1], [1, 0]])
+    assert lists == cyclic_group(2) == FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.int8))
+    assert hash(lists) == hash(cyclic_group(2)) and len({lists, cyclic_group(2), FiniteGroup(((0, 1), (1, 0)))}) == 1
+    assert lists != FiniteGroup([[0, 1], [1, 0]], ("e", "x")) and lists != cyclic_group(3) and lists != FreeGroup(1)
+    assert lists.table.dtype == np.intp and not lists.table.flags.writeable
+    source = np.array([[0, 1], [1, 0]])
+    group = FiniteGroup(source)
+    source[0, 1] = 0
+    assert group.table.tolist() == [[0, 1], [1, 0]] and source.flags.writeable
+    assert type(group.multiply(1, 1)) is type(group.inverse(1)) is int
+
+
+@pytest.mark.parametrize("table", [
+    ((0, 1.5), (1.0, 0)),
+    ((0, 1.0), (1.0, 0)),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    ((False, True), (True, False)),
+    ((0, True), (True, 0)),
+    [[0, 1], [1, None]],
+    [["0", "1"], ["1", "0"]],
+])
+def test_non_integer_tables_are_refused(table):
+    with pytest.raises(MalformedDataError, match="^multiplication table entries must be integers$"):
+        FiniteGroup(table)
+
+
+def test_group_memo_keeps_orders_past_the_old_byte_rule():
+    """An order of 417, past the 416 that the per-entry estimate of nested
+    tuples allowed, is checked once and shared."""
+    data = {"kind": "finite", "table": oracle_cyclic(417)}
+    group = group_from_json(data)
+    assert group_from_json(json.loads(json.dumps(data))) is group and group.table.tolist() == data["table"]
 
 
 def test_group_json_rejects_garbage():
     with pytest.raises(MalformedDataError):
         group_from_json({"kind": "ring"})
+    with pytest.raises(MalformedDataError, match="entries in 0..n-1"):
+        group_from_json({"kind": "finite", "table": [[0, 1], [1, 2**70]]})
     with pytest.raises(MalformedDataError):
         group_from_json({"kind": "finite", "order": 3, "table": [[0, 1], [1, 0]]})
 

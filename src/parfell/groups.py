@@ -123,16 +123,19 @@ class FiniteGroup:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        n = len(self.table)
+        square = "multiplication table must be n x n with entries in 0..n-1"
+        try:
+            n, tbl = len(self.table), np.array(self.table)
+        except (TypeError, ValueError):  # no rows, such as an int, or rows of different lengths
+            raise MalformedDataError(square) from None
         if n == 0 or n > MAX_FINITE_ORDER:
             raise MalformedDataError(f"finite group order must be in 1..{MAX_FINITE_ORDER}")
-        tbl = np.array(self.table)
         # an array's dtype speaks for its entries; a bool among a sequence's ints does not show in it
         if tbl.dtype.kind not in "iu" or tbl.ndim == 2 and not isinstance(self.table, np.ndarray) and any(
                 type(x) is bool for row in self.table for x in row):
             raise MalformedDataError("multiplication table entries must be integers")
         if tbl.shape != (n, n) or tbl.min() < 0 or tbl.max() >= n:
-            raise MalformedDataError("multiplication table must be n x n with entries in 0..n-1")
+            raise MalformedDataError(square)
         tbl = tbl.astype(np.intp, copy=False)
         if not (np.array_equal(tbl[0], np.arange(n)) and np.array_equal(tbl[:, 0], np.arange(n))):
             raise MalformedDataError("element 0 must be the identity")
@@ -282,11 +285,11 @@ class WordTrie:
     words below its top level.
     """
 
-    def __init__(self, rank: int, capacity: int = 1) -> None:
+    def __init__(self, rank: int) -> None:
         self.rank, self.size = rank, 1
-        self.parent, self.last = np.full(capacity, -1), np.full(capacity, -1)
-        self.depth = np.zeros(capacity, dtype=np.intp)
-        self.child = np.full((capacity, 2 * rank), -1, dtype=np.intp)
+        self.parent, self.last = np.full(1, -1), np.full(1, -1)
+        self.depth = np.zeros(1, dtype=np.intp)
+        self.child = np.full((1, 2 * rank), -1, dtype=np.intp)
 
     @classmethod
     def ball(cls, rank: int, radius: int) -> "WordTrie":

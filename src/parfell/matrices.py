@@ -14,10 +14,9 @@ import numpy as np
 # The tolerance registry: every threshold that decides a result is defined
 # here and only here, and reports print all of them as ``config.tolerances``.
 AXIOM_TOL = 1e-9  # Hermitian checks; the defects and bundle-axioms decision
-CHAR_TOL = 1e-7  # extraction: commuting phi images, joint eigenvalue clusters
+CHAR_TOL = 1e-7  # extraction: commuting phi images; times 100, indicator characters
 CLUSTER_TOL = 1e-8  # eigenvalues this close share one canonical eigenbasis
 EXACT_TOL = 1e-12  # the identity is I; the covariant-rep and measure decision
-EXTRACT_HERM_TOL = 1e-6  # extraction: Hermitian check of the compressed phi images
 GAP_TOL = 1e-6  # least distance of an eigenvalue from the rounding threshold
 MATCH_TOL = 1e-6  # extraction: a moved character's distance to its image
 NORM_SLACK = 1e-13  # perturb: ||v|| may exceed 1 + eta by this much
@@ -34,7 +33,6 @@ TOLERANCES = {
     "char_tol": CHAR_TOL,
     "cluster_tol": CLUSTER_TOL,
     "exact_tol": EXACT_TOL,
-    "extract_herm_tol": EXTRACT_HERM_TOL,
     "gap_tol": GAP_TOL,
     "match_tol": MATCH_TOL,
     "norm_slack": NORM_SLACK,
@@ -196,12 +194,12 @@ def clusters(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return [(i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
 
 
-def _canonicalise(vals, vecs, cluster_tol: float, first: np.ndarray) -> None:
+def _canonicalise(vals, vecs, first: np.ndarray) -> None:
     """Canonicalise, in place, each cluster of slice ``k`` reaching column ``first[k]``."""
-    close = np.diff(vals, axis=1) <= cluster_tol
+    close = np.diff(vals, axis=1) <= CLUSTER_TOL
     reach = close & (np.arange(vals.shape[1] - 1) >= first[:, None] - 1)
     for k in np.flatnonzero(reach.any(axis=1)).tolist():
-        for i, j in clusters(vals[k], cluster_tol):
+        for i, j in clusters(vals[k], CLUSTER_TOL):
             if j - i > 1 and j > first[k]:
                 vecs[k, :, i:j] = _canonical_basis(vecs[k, :, i:j])
 
@@ -226,27 +224,27 @@ def _canonical_basis(block: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def herm_eigs(stack, herm_tol: float = AXIOM_TOL, cluster_tol: float = CLUSTER_TOL):
+def herm_eigs(stack):
     """Eigendecompositions of Hermitian matrices by one ``eigh``, values ascending.
 
-    A slice fails if ``||m - m*||`` exceeds ``herm_tol``.  Eigenvalues closer
-    than ``cluster_tol`` form a cluster, whose basis is Gram-Schmidt of the
+    A slice fails if ``||m - m*||`` exceeds ``AXIOM_TOL``.  Eigenvalues closer
+    than ``CLUSTER_TOL`` form a cluster, whose basis is Gram-Schmidt of the
     coordinate projections in coordinate order, so it depends only on the
     eigenspace.  Returns ``(values, vectors, error)``, vectors as columns.
     """
     a = _as_stack(stack)
     ok = Prefix(a.shape[0])
-    ok.cut(norms_unless_below(a - adjoints(a), herm_tol) > herm_tol,
+    ok.cut(norms_unless_below(a - adjoints(a), AXIOM_TOL) > AXIOM_TOL,
            lambda i: PreconditionError("matrix is not Hermitian within tolerance"))
     a = a[: ok.n]
     vals, vecs = np.linalg.eigh(0.5 * (a + adjoints(a)))
-    _canonicalise(vals, vecs, cluster_tol, np.zeros(ok.n, dtype=int))
+    _canonicalise(vals, vecs, np.zeros(ok.n, dtype=int))
     return vals, vecs, ok.error
 
 
-def herm_eig(m, herm_tol: float = AXIOM_TOL, cluster_tol: float = CLUSTER_TOL):
+def herm_eig(m):
     """One matrix's ``herm_eigs``: ``(values, vectors)``."""
-    vals, vecs, error = herm_eigs(_as_square(m)[None], herm_tol, cluster_tol)
+    vals, vecs, error = herm_eigs(_as_square(m)[None])
     if error is not None:
         raise error
     return vals[0], vecs[0]
@@ -313,7 +311,7 @@ def corner_inv_sqrts(w, p):
     ok.cut(singular, lambda i: PreconditionError("corner operator is singular; no inverse root"))
     m = np.searchsorted(live, ok.n)
     live, vals, vecs, top = live[:m], vals[:m], vecs[:m], top[:m]
-    _canonicalise(vals, vecs, CLUSTER_TOL, d - top)  # the root reads the top columns only
+    _canonicalise(vals, vecs, d - top)  # the root reads the top columns only
     # rank-one terms added column by column, on which the bits depend; a
     # column below a slice's rank adds 0 before its first term
     xs = np.zeros((len(live), d, d), dtype=np.complex128)

@@ -32,22 +32,18 @@ from .matrices import (
     BOUND_MARGIN,
     CHAR_TOL,
     EXACT_TOL,
-    EXTRACT_HERM_TOL,
     MATCH_TOL,
     NORM_SLACK,
     PI_TOL,
     PreconditionError,
     Prefix,
     adjoints,
-    clusters,
     corner_inv_sqrts,
     frobenius_norms,
-    herm_eig,
     nearest_projections,
     norm_bounds,
     norm_unless_below,
     norms_unless_below,
-    op_norm,
     op_norms,
 )
 
@@ -659,107 +655,96 @@ class ExtractedSystem:
     report: dict
 
 
+def _character_blocks(rep: CovariantRep) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's multiplicity and the eigenvectors of ``phi(1_x)`` above
+    1/2, as the columns of one ``(dim, sum of multiplicities)`` array in
+    point order; raises unless the ``phi`` images are indicator characters."""
+    n = rep.n
+    P = rep.phi_indicators(np.arange(n))
+    skew = np.flatnonzero(norms_unless_below(P - adjoints(P), AXIOM_TOL) > AXIOM_TOL)
+    if skew.size:
+        raise PreconditionError(f"phi(indicator {skew[0]}) is not Hermitian")
+    if rep.phi_mats is not None:  # diagonal units commute
+        for x in range(n):
+            if (norms_unless_below(P[x] @ P[x + 1 :] - P[x + 1 :] @ P[x], CHAR_TOL) > CHAR_TOL).any():
+                raise PreconditionError("phi images do not commute; no joint spectrum")
+    tol = 100 * CHAR_TOL
+    vals, vecs = np.linalg.eigh(P)
+    high = vals > 0.5
+    owner, col = np.nonzero(high)
+    blocks = vecs[owner, :, col].T
+    # a block vector's weight in another point's block is its entry there
+    weight = np.abs(blocks.conj().T @ blocks) ** 2
+    # every other eigenvalue is 0: an entry of a block vector, or of the kernel
+    at, i = np.nonzero(~high & (np.abs(vals) > tol))
+    on_block = at.size and np.linalg.norm(blocks.conj().T @ vecs[at[0], :, i[0]]) ** 2 > 0.5
+    if (np.abs(vals[high] - 1.0) > tol).any() or (weight[owner[:, None] != owner] > tol).any() or on_block:
+        raise PreconditionError("joint eigenvalue tuple is not an indicator character")
+    if at.size:
+        raise PreconditionError("joint eigenvalue tuple neither zero nor a character")
+    return high.sum(axis=1), blocks
+
+
 def extract_finite_system(
     rep: CovariantRep,
     elements: Sequence | None = None,
 ) -> ExtractedSystem:
     """Recover points, supports, and maps from a covariant representation.
 
-    Points of the recovered system are the joint spectral blocks of the
-    commuting family ``phi(indicator)``; supports and maps come from
-    conjugating those blocks by the element matrices.  The declared action
-    only supplies the default element list.  Works on exact or nearly exact
-    representations; ambiguous spectra raise.  ``CHAR_TOL`` bounds the
-    commutators and eigenvalue clusters of the ``phi`` images, and
-    ``MATCH_TOL`` a moved character's distance to its image.
+    The block of point ``x`` is the eigenspace of ``phi(1_x)`` above 1/2,
+    from one ``eigh`` over the stack; the points with a block are the
+    recovered system's, and a block's rank is the point's multiplicity.
+    The ``phi`` images must be Hermitian within ``AXIOM_TOL``, commute
+    within ``CHAR_TOL`` (diagonal units do), and be indicator characters
+    within ``100 CHAR_TOL``: eigenvalues above 1/2 are 1, no block vector
+    has an entry at another point, and every other eigenvalue, an entry of
+    a block vector or of the kernel the blocks leave, is 0.  ``v_t`` moves
+    ``x`` when ``q = v_t P_x v_t*`` is not below ``MATCH_TOL``, for the
+    block's projection ``P_x``, and then ``q`` must lie within ``MATCH_TOL``
+    of the ``P_y`` with the largest overlap ``tr(P_y q)``: the ``P_y`` are
+    orthogonal, so no other one can.  The declared action only supplies the
+    default element list.
     """
     group = rep.group
-    n, d = rep.n, rep.dim
-    P = rep.phi_indicators(np.arange(n))
-    skew = np.flatnonzero(norms_unless_below(P - adjoints(P), AXIOM_TOL) > AXIOM_TOL)
-    if skew.size:
-        raise PreconditionError(f"phi(indicator {skew[0]}) is not Hermitian")
-    for x in range(n):
-        if (norms_unless_below(P[x] @ P[x + 1 :] - P[x + 1 :] @ P[x], CHAR_TOL) > CHAR_TOL).any():
-            raise PreconditionError("phi images do not commute; no joint spectrum")
+    ranks, blocks = _character_blocks(rep)
+    rho = np.flatnonzero(ranks)
+    mults = ranks[rho]
+    cuts = np.cumsum(mults)[:-1]
+    # which recovered point each block column belongs to
+    member = np.repeat(np.eye(len(rho)), mults, axis=1)
 
-    # recursive joint block refinement
-    blocks: list[np.ndarray] = [np.eye(d, dtype=np.complex128)]
-    tuples: list[list[float]] = [[]]
-    for x in range(n):
-        new_blocks: list[np.ndarray] = []
-        new_tuples: list[list[float]] = []
-        for basis, tup in zip(blocks, tuples):
-            comp = basis.conj().T @ P[x] @ basis
-            vals, vecs = herm_eig(comp, herm_tol=EXTRACT_HERM_TOL, cluster_tol=CHAR_TOL)
-            for i, j in clusters(vals, CHAR_TOL):
-                new_blocks.append(basis @ vecs[:, i:j])
-                new_tuples.append(tup + [float(np.mean(vals[i:j]))])
-        blocks, tuples = new_blocks, new_tuples
-
-    # characters: blocks whose tuple is (near) an indicator of a source point
-    chars: list[tuple[int, np.ndarray, int]] = []  # (source point, projection, multiplicity)
-    for basis, tup in zip(blocks, tuples):
-        arr = np.asarray(tup)
-        if arr.max(initial=0.0) <= 0.5:
-            if arr.max(initial=0.0) > 100 * CHAR_TOL:
-                raise PreconditionError("joint eigenvalue tuple neither zero nor a character")
-            continue  # kernel block, not a character
-        x_star = int(np.argmax(arr))
-        rest = np.delete(arr, x_star)
-        if abs(arr[x_star] - 1.0) > 100 * CHAR_TOL or (rest.size and np.abs(rest).max() > 100 * CHAR_TOL):
-            raise PreconditionError("joint eigenvalue tuple is not an indicator character")
-        chars.append((x_star, basis @ basis.conj().T, basis.shape[1]))
-
-    # merge blocks that landed on the same character
-    merged: dict[int, tuple[np.ndarray, int]] = {}
-    for x_star, proj, mult in chars:
-        prev_proj, prev_mult = merged.get(x_star, (0, 0))
-        merged[x_star] = (prev_proj + proj, prev_mult + mult)
-    order = sorted(merged)
-    rho = tuple(order)
-    multiplicities = tuple(merged[x][1] for x in order)
-    index_of = {x: i for i, x in enumerate(order)}
-    k = len(order)
+    def projections(cols: np.ndarray) -> np.ndarray:
+        return _stack([b @ b.conj().T for b in np.split(cols, cuts, axis=1)], rep.dim)
 
     if elements is None:
         elements = rep.action.declared_elements()
     elems = _normalize_elements(group, elements)
-
-    # sources and images come from (phi, v) alone: x is a source of t when
-    # v_t moves its character somewhere, and its image is the nearest one
+    proj = projections(blocks)
     maps: dict = {}
     for t in elems:
         if t == group.identity:
             continue
-        vt = rep.v.matrix(t)
-        eta: dict[int, int] = {}
-        for x in order:
-            q = vt @ merged[x][0] @ vt.conj().T
-            if norm_unless_below(q, MATCH_TOL) <= MATCH_TOL:
-                continue
-            best, best_dist = None, np.inf
-            for y in order:
-                dist_y = op_norm(q - merged[y][0])
-                if dist_y < best_dist:
-                    best, best_dist = y, dist_y
-            if best is None or best_dist > MATCH_TOL:
-                raise PreconditionError(
-                    f"no image character within tolerance for point {x} under {word_to_str(group, t)}"
-                )
-            eta[index_of[x]] = index_of[best]
-        maps[t] = eta
+        moved_cols = rep.v.matrix(t) @ blocks
+        q = projections(moved_cols)
+        moved = np.flatnonzero(norms_unless_below(q, MATCH_TOL) > MATCH_TOL)
+        overlap = member @ (np.abs(blocks.conj().T @ moved_cols) ** 2) @ member.T
+        image = overlap[:, moved].argmax(axis=0) if moved.size else moved
+        far = np.flatnonzero(norms_unless_below(q[moved] - proj[image], MATCH_TOL) > MATCH_TOL)
+        if far.size:
+            raise PreconditionError(f"no image character within tolerance for point "
+                                    f"{rho[moved[far[0]]]} under {word_to_str(group, t)}")
+        maps[t] = dict(zip(moved.tolist(), image.tolist()))
 
-    action = FinitePartialAction(group, k, maps)
-    radius = 1
-    if isinstance(group, FreeGroup):
-        radius = max((len(t) for t in elems), default=1)
+    action = FinitePartialAction(group, len(rho), maps)
+    # a free group's scans need radius >= 1, even for the identity alone
+    radius = max([1, *map(len, elems)]) if isinstance(group, FreeGroup) else 1
     report = validate(action, radius=radius)
     if not report.ok:
         raise PreconditionError("extracted data does not satisfy the axioms")
+    multiplicities = tuple(mults.tolist())
     diag = {
-        "points": k,
+        "points": len(rho),
         "multiplicities": list(multiplicities),
         "validation_ok": report.ok,
     }
-    return ExtractedSystem(action=action, rho=rho, multiplicities=multiplicities, report=diag)
+    return ExtractedSystem(action=action, rho=tuple(rho.tolist()), multiplicities=multiplicities, report=diag)

@@ -443,7 +443,7 @@ def test_product_table_pair_limit():
 
 
 def test_bad_tables_rejected():
-    for table in ([0, 1], [[0, 1]], [[[0]]]):  # not n x n
+    for table in ([0, 1], [[0, 1]], [[[0]]], [[0, 1], [1]], 5):  # not n x n
         with pytest.raises(MalformedDataError, match="must be n x n"):
             FiniteGroup(table)
     with pytest.raises(MalformedDataError):

@@ -19,6 +19,9 @@ from conftest import (
     symmetric_group,
 )
 from parfell import reps
+from parfell.matrices import (
+    AXIOM_TOL, CHAR_TOL, MATCH_TOL, adjoints, clusters, norm_unless_below, norms_unless_below,
+)
 from test_actions import partial_injections, partial_maps, table_action
 
 
@@ -1022,3 +1025,205 @@ def test_extract_random_round_trip():
         assert ext.rho == tuple(range(act.n))
         assert all(m == 1 for m in ext.multiplicities)
         assert all(ext.action.element_map(t) == act.element_map(t) for t in act.declared_elements())
+
+
+# extraction by the joint refinement of every phi image and the matching of
+# each moved character against every character, the reference for the
+# per-point blocks; bare eigh stands for herm_eig, whose canonical cluster
+# bases change no span and so no projection
+def ref_extract(rep, elements=None):
+    group = rep.group
+    n, d = rep.n, rep.dim
+    P = rep.phi_indicators(np.arange(n))
+    skew = np.flatnonzero(norms_unless_below(P - adjoints(P), AXIOM_TOL) > AXIOM_TOL)
+    if skew.size:
+        raise pf.PreconditionError(f"phi(indicator {skew[0]}) is not Hermitian")
+    for x in range(n):
+        if (norms_unless_below(P[x] @ P[x + 1 :] - P[x + 1 :] @ P[x], CHAR_TOL) > CHAR_TOL).any():
+            raise pf.PreconditionError("phi images do not commute; no joint spectrum")
+    blocks, tuples = [np.eye(d, dtype=np.complex128)], [[]]
+    for x in range(n):
+        new_blocks, new_tuples = [], []
+        for basis, tup in zip(blocks, tuples):
+            comp = basis.conj().T @ P[x] @ basis
+            vals, vecs = np.linalg.eigh(0.5 * (comp + comp.conj().T))
+            for i, j in clusters(vals, CHAR_TOL):
+                new_blocks.append(basis @ vecs[:, i:j])
+                new_tuples.append(tup + [float(np.mean(vals[i:j]))])
+        blocks, tuples = new_blocks, new_tuples
+    merged = {}
+    for basis, tup in zip(blocks, tuples):
+        arr = np.asarray(tup)
+        if arr.max(initial=0.0) <= 0.5:
+            if arr.max(initial=0.0) > 100 * CHAR_TOL:
+                raise pf.PreconditionError("joint eigenvalue tuple neither zero nor a character")
+            continue
+        x_star = int(np.argmax(arr))
+        rest = np.delete(arr, x_star)
+        if abs(arr[x_star] - 1.0) > 100 * CHAR_TOL or (rest.size and np.abs(rest).max() > 100 * CHAR_TOL):
+            raise pf.PreconditionError("joint eigenvalue tuple is not an indicator character")
+        proj, mult = merged.get(x_star, (0, 0))
+        merged[x_star] = (proj + basis @ basis.conj().T, mult + basis.shape[1])
+    order = sorted(merged)
+    index_of = {x: i for i, x in enumerate(order)}
+    elems = reps._normalize_elements(group, rep.action.declared_elements() if elements is None else elements)
+    maps = {}
+    for t in elems:
+        if t == group.identity:
+            continue
+        vt = rep.v.matrix(t)
+        eta = {}
+        for x in order:
+            q = vt @ merged[x][0] @ vt.conj().T
+            if norm_unless_below(q, MATCH_TOL) <= MATCH_TOL:
+                continue
+            dist = [pf.op_norm(q - merged[y][0]) for y in order]
+            best = int(np.argmin(dist))
+            if dist[best] > MATCH_TOL:
+                raise pf.PreconditionError(f"no image character within tolerance for point {x} "
+                                           f"under {pf.word_to_str(group, t)}")
+            eta[index_of[x]] = best
+        maps[t] = eta
+    action = pf.FinitePartialAction(group, len(order), maps)
+    radius = max([1, *map(len, elems)]) if isinstance(group, pf.FreeGroup) else 1
+    if not pf.validate(action, radius=radius).ok:
+        raise pf.PreconditionError("extracted data does not satisfy the axioms")
+    mults = tuple(merged[x][1] for x in order)
+    return pf.ExtractedSystem(action, tuple(order), mults, {})
+
+
+def extraction_outcome(extract, rep, elems):
+    """``(rho, multiplicities, maps)``, or the exception class raised."""
+    try:
+        ext = extract(rep, elements=elems)
+    except (pf.PreconditionError, pf.MalformedDataError) as err:
+        return type(err)
+    return ext.rho, ext.multiplicities, {t: ext.action.element_map(t).as_dict() for t in elems}
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+def model_with_multiplicity(act, mult, kernel, u):
+    """``phi(1_z)`` and ``v_t`` of the standard model tensored with ``I_mult``
+    and padded with ``kernel`` coordinates that every image but the
+    identity's kills, conjugated by ``u``."""
+    rep = pf.std_covariant_rep(act)
+    d = act.n * mult + kernel
+
+    def lift(m):
+        out = np.zeros((d, d), dtype=complex)
+        out[: act.n * mult, : act.n * mult] = np.kron(m, np.eye(mult))
+        return u @ out @ u.conj().T
+
+    phi = np.stack([lift(rep.phi_indicator(z)) for z in range(act.n)])
+    elems = [act.group.identity, *act.declared_elements()]
+    mats = {t: lift(rep.v.matrix(t)) for t in elems}
+    mats[act.group.identity] = np.eye(d)
+    return phi, mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["exact", "noisy", "conjugated", "off"]))
+def test_extraction_matches_the_joint_refinement(seed, kind):
+    """Per-point blocks and largest-overlap matching decide as the joint
+    refinement and all-pairs matching do: the same ``rho``, multiplicities
+    and maps, or the same exception class."""
+    rng = np.random.default_rng(seed)
+    act = random_valid_action(rng, max_points=6)
+    elems = act.declared_elements()
+    if kind == "exact":
+        rep = pf.std_covariant_rep(act)
+    else:
+        mult, kernel = (int(rng.integers(1, 3)), int(rng.integers(0, 3))) if kind == "conjugated" else (1, 0)
+        d = act.n * mult + kernel
+        u = random_unitary(rng, d) if kind == "conjugated" else np.eye(d)
+        phi, mats = model_with_multiplicity(act, mult, kernel, u)
+        if kind == "noisy":  # Hermitian noise on phi, any noise on v, both far below the tolerances
+            phi = phi + float(rng.choice([0.0, 1e-11, 1e-10])) * np.stack([random_hermitian(rng, d) for _ in phi])
+            eps = float(rng.choice([1e-10, 1e-9, 1e-8, 1e-7]))
+            mats = {t: m + (eps * rng.normal(size=(d, d)) if t != act.group.identity else 0) for t, m in mats.items()}
+        if kind == "off" and d > 1:  # v_t turns by theta between two coordinates, off the characters
+            t = elems[int(rng.integers(0, len(elems)))]
+            a, b = rng.choice(d, size=2, replace=False)
+            theta = float(rng.choice([1e-9, 1e-5, 0.3, np.pi / 4, np.pi / 2]))
+            turn = np.eye(d, dtype=complex)
+            turn[[a, a, b, b], [a, b, a, b]] = [np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)]
+            mats[t] = turn @ mats[t]
+        rep = pf.CovariantRep(act, phi, pf.PartialRepFamily(act.group, d, mats=mats))
+    want = extraction_outcome(ref_extract, rep, elems)
+    assert extraction_outcome(pf.extract_finite_system, rep, elems) == want
+    if kind in ("exact", "noisy"):
+        assert want[0] == tuple(range(act.n)), want
+
+
+def swap_rep(phi, v1):
+    """A covariant rep of the swap of two points with ``phi`` and ``v_1``."""
+    act = pf.FinitePartialAction(pf.cyclic_group(2), 2, {1: {0: 1, 1: 0}})
+    phi = np.asarray(phi, dtype=complex)
+    d = phi.shape[1]
+    return pf.CovariantRep(act, phi, pf.PartialRepFamily(act.group, d, mats={0: np.eye(d), 1: v1}))
+
+
+SWAP3 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("phi, v1, message", [
+    ([e(0, 1), e(1, 1)], e(0, 1) + e(1, 0), r"phi\(indicator 0\) is not Hermitian"),
+    ([e(0, 0), e(0, 1) + e(1, 0)], e(0, 1) + e(1, 0), "phi images do not commute; no joint spectrum"),
+    ([np.diag([1, 0, 0.3]), np.diag([0, 1, 0])], SWAP3, "joint eigenvalue tuple neither zero nor a character"),
+    ([np.diag([0.7, 0]), e(1, 1)], e(0, 1) + e(1, 0), "joint eigenvalue tuple is not an indicator character"),
+    ([e(0, 0), np.diag([0.3, 1])], e(0, 1) + e(1, 0), "joint eigenvalue tuple is not an indicator character"),
+    ([np.diag([1, 0, 0]), np.diag([1, 1, 0])], SWAP3, "joint eigenvalue tuple is not an indicator character"),
+    ([e(0, 0), e(1, 1)], (e(0, 1) + e(1, 0) + e(0, 0)) / np.sqrt(2), "no image character within tolerance for point 0 under 1"),
+    ([e(0, 0), e(1, 1)], e(1, 0), "extracted data does not satisfy the axioms"),
+])
+def test_extraction_single_faults(phi, v1, message):
+    """Each check fires alone on a rep with one fault, as in the reference."""
+    rep = swap_rep(phi, v1)
+    for extract in (pf.extract_finite_system, ref_extract):
+        with pytest.raises(pf.PreconditionError, match=f"^{message}$"):
+            extract(rep)
+
+
+def test_extraction_rejects_a_negative_kernel_entry():
+    # phi(1_0) is -0.3 on the third coordinate, which no block holds; the
+    # reference read only the largest entry of that joint eigenvalue tuple
+    rep = swap_rep([np.diag([1, 0, -0.3]), np.diag([0, 1, 0])], SWAP3)
+    assert ref_extract(rep).multiplicities == (1, 1)
+    with pytest.raises(pf.PreconditionError, match="^joint eigenvalue tuple neither zero nor a character$"):
+        pf.extract_finite_system(rep)
+
+
+def test_extraction_on_the_identity_alone_validates_at_radius_one():
+    act = pf.action_from_json(json.loads((Path(__file__).parent / "data" / "free2.json").read_text()))
+    rep = pf.std_covariant_rep(act)
+    # the identity names no letter map, so the recovered action misses them
+    with pytest.raises(pf.PreconditionError, match="does not satisfy the axioms"):
+        pf.extract_finite_system(rep, elements=[()])
+    assert act.same_data(pf.extract_finite_system(rep).action)
+
+
+def test_standard_model_extraction_forms_no_commutator():
+    # diagonal units commute: no pairwise check, so no n^2 commutator stack
+    n = 120
+    act = pf.FinitePartialAction(pf.cyclic_group(2), n, {1: {z: z ^ 1 for z in range(n)}})
+    calls = []
+    real = reps.norms_unless_below
+
+    def counted(stack, tol):
+        calls.append(len(stack))
+        return real(stack, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reps, "norms_unless_below", counted)
+        ext = pf.extract_finite_system(pf.std_covariant_rep(act))
+    assert act.same_data(ext.action) and ext.multiplicities == (1,) * n
+    assert len(calls) == 3, calls

@@ -1,8 +1,7 @@
 """Dense-matrix primitives: norms, spectral rounding, corner inverse roots.
 
 Matrices are square complex arrays, one at a time or as a ``(k, d, d)``
-stack.  Eigenbases within degenerate eigenspaces are canonicalised so
-downstream constructions are reproducible across runs.
+stack.
 """
 
 from __future__ import annotations
@@ -15,13 +14,11 @@ import numpy as np
 # here and only here, and reports print all of them as ``config.tolerances``.
 AXIOM_TOL = 1e-9  # Hermitian checks; the defects and bundle-axioms decision
 CHAR_TOL = 1e-7  # extraction: commuting phi images; times 100, indicator characters
-CLUSTER_TOL = 1e-8  # eigenvalues this close share one canonical eigenbasis
 EXACT_TOL = 1e-12  # the identity is I; the covariant-rep and measure decision
 GAP_TOL = 1e-6  # least distance of an eigenvalue from the rounding threshold
 MATCH_TOL = 1e-6  # extraction: a moved character's distance to its image
 NORM_SLACK = 1e-13  # perturb: ||v|| may exceed 1 + eta by this much
 PI_TOL = 1e-10  # the perturb certificate's bound on ||u u* u - u||
-PIVOT_TOL = 1e-10  # least pivot norm in a canonical eigenbasis
 POSITIVITY_TOL = 1e-12  # bundle-axioms: least entry of a* a is at least minus this
 PROJECTION_TOL = 1e-8  # corner inverse roots: p = p* = p^2 within this
 ROUNDING_THRESHOLD = 0.5  # nearest projections keep the eigenvalues above this
@@ -31,13 +28,11 @@ SPECTRAL_TOL = 1e-9  # corner inverse roots: residual of X (W*W) X = P
 TOLERANCES = {
     "axiom_tol": AXIOM_TOL,
     "char_tol": CHAR_TOL,
-    "cluster_tol": CLUSTER_TOL,
     "exact_tol": EXACT_TOL,
     "gap_tol": GAP_TOL,
     "match_tol": MATCH_TOL,
     "norm_slack": NORM_SLACK,
     "pi_tol": PI_TOL,
-    "pivot_tol": PIVOT_TOL,
     "positivity_tol": POSITIVITY_TOL,
     "projection_tol": PROJECTION_TOL,
     "rounding_threshold": ROUNDING_THRESHOLD,
@@ -152,6 +147,9 @@ def norms_unless_below(stack, tol: float) -> np.ndarray:
     bounds = frobenius_norms(a)
     odd = ~((1e-140 < bounds) & (bounds < 1e140))
     if odd.any():
+        # a slice of exact zeros keeps its bound 0; one whose squares
+        # underflow to 0 still needs norm_bounds
+        odd &= a.any(axis=(1, 2))
         bounds[odd] = norm_bounds(a[odd])
     out = np.zeros(a.shape[0])
     need = np.flatnonzero(~(bounds * (1.0 + BOUND_MARGIN) < tol))
@@ -188,49 +186,11 @@ class Prefix:
         return out
 
 
-def clusters(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """``(i, j)`` for each run ``vals[i:j]`` of values within ``tol`` of the last."""
-    cuts = [0, *(np.flatnonzero(~(np.diff(vals) <= tol)) + 1).tolist(), len(vals)]
-    return [(i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
-
-
-def _canonicalise(vals, vecs, first: np.ndarray) -> None:
-    """Canonicalise, in place, each cluster of slice ``k`` reaching column ``first[k]``."""
-    close = np.diff(vals, axis=1) <= CLUSTER_TOL
-    reach = close & (np.arange(vals.shape[1] - 1) >= first[:, None] - 1)
-    for k in np.flatnonzero(reach.any(axis=1)).tolist():
-        for i, j in clusters(vals[k], CLUSTER_TOL):
-            if j - i > 1 and j > first[k]:
-                vecs[k, :, i:j] = _canonical_basis(vecs[k, :, i:j])
-
-
-def _canonical_basis(block: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of span(block) via coordinate pivots."""
-    d, k = block.shape
-    proj = block @ block.conj().T
-    basis: list[np.ndarray] = []
-    for j in range(d):
-        v = proj[:, j].copy()
-        for b in basis:
-            v -= b * (b.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > PIVOT_TOL:
-            basis.append(v / norm)
-        if len(basis) == k:
-            break
-    if len(basis) != k:
-        # fall back to the backend basis; spans agree either way
-        return block
-    return np.column_stack(basis)
-
-
 def herm_eigs(stack):
     """Eigendecompositions of Hermitian matrices by one ``eigh``, values ascending.
 
-    A slice fails if ``||m - m*||`` exceeds ``AXIOM_TOL``.  Eigenvalues closer
-    than ``CLUSTER_TOL`` form a cluster, whose basis is Gram-Schmidt of the
-    coordinate projections in coordinate order, so it depends only on the
-    eigenspace.  Returns ``(values, vectors, error)``, vectors as columns.
+    A slice fails if ``||m - m*||`` exceeds ``AXIOM_TOL``.  Returns
+    ``(values, vectors, error)``, vectors as columns.
     """
     a = _as_stack(stack)
     ok = Prefix(a.shape[0])
@@ -238,7 +198,6 @@ def herm_eigs(stack):
            lambda i: PreconditionError("matrix is not Hermitian within tolerance"))
     a = a[: ok.n]
     vals, vecs = np.linalg.eigh(0.5 * (a + adjoints(a)))
-    _canonicalise(vals, vecs, np.zeros(ok.n, dtype=int))
     return vals, vecs, ok.error
 
 
@@ -304,14 +263,13 @@ def corner_inv_sqrts(w, p):
     ranks = np.rint(np.trace(p, axis1=1, axis2=2).real).astype(int)
     live = np.flatnonzero(ranks > 0)  # a rank-0 corner has the root 0
     # the corner is exactly Hermitian, so herm_eigs' check would pass
-    vals, vecs = np.linalg.eigh(0.5 * (corner[live] + adjoints(corner[live])))
+    vals, vecs = np.linalg.eigh(corner[live])
     top = ranks[live]
     singular = np.zeros(len(p), dtype=bool)
     singular[live] = vals[np.arange(len(live)), d - top] <= SINGULAR_TOL * vals.max(1, initial=1.0)
     ok.cut(singular, lambda i: PreconditionError("corner operator is singular; no inverse root"))
     m = np.searchsorted(live, ok.n)
     live, vals, vecs, top = live[:m], vals[:m], vecs[:m], top[:m]
-    _canonicalise(vals, vecs, d - top)  # the root reads the top columns only
     # rank-one terms added column by column, on which the bits depend; a
     # column below a slice's rank adds 0 before its first term
     xs = np.zeros((len(live), d, d), dtype=np.complex128)

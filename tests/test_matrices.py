@@ -1,4 +1,4 @@
-"""Matrix primitives: norms, canonical eigenbases, rounding, corner roots."""
+"""Matrix primitives: norms, eigenbases, rounding, corner roots."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from parfell.matrices import (
     herm_eigs,
     nearest_projections,
     norm_unless_below,
+    norms_unless_below,
 )
+from parfell import matrices
 
 
 def e(i, j, d=2):
@@ -93,6 +95,20 @@ def test_norm_unless_below_decides_as_op_norm(a, factor):
     assert got == norm or (got == 0.0 and norm < tol)
 
 
+def test_norms_unless_below_bounds_no_slice_of_exact_zeros(monkeypatch):
+    # an exact-zero slice is settled by its Frobenius bound 0; a slice whose
+    # squares underflow to 0 still reaches norm_bounds and, against a tiny
+    # tolerance, the SVD
+    bounded = []
+    real = matrices.norm_bounds
+    monkeypatch.setattr(matrices, "norm_bounds", lambda a: bounded.append(len(a)) or real(a))
+    stack = np.zeros((2, 3, 3), dtype=complex)
+    stack[1] = 1e-170 * np.eye(3)
+    got = norms_unless_below(stack, 1e-300)
+    assert bounded == [1]
+    assert got[0] == 0.0 and got[1] == pytest.approx(1e-170, rel=1e-12)
+
+
 def test_norm_bounds_direct_and_scaled_paths_agree():
     # every slice in range takes the direct path; one slice of 1e-100 sends
     # the whole stack through the scaled one
@@ -135,20 +151,6 @@ def test_herm_eig_reconstructs():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(pf.PreconditionError):
         pf.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_herm_eig_degenerate_basis_is_canonical():
-    # identity has a fully degenerate spectrum; basis must be coordinates
-    vals, vecs = pf.herm_eig(np.eye(3, dtype=complex))
-    assert np.allclose(vals, 1.0)
-    assert np.allclose(vecs, np.eye(3), atol=1e-12)
-
-    # rank-2 projector spanning coordinates 0 and 2
-    proj = np.diag([1.0, 0.0, 1.0]).astype(complex)
-    vals, vecs = pf.herm_eig(proj)
-    top = vecs[:, 1:]
-    assert np.allclose(np.abs(top[:, 0]), [1, 0, 0], atol=1e-12)
-    assert np.allclose(np.abs(top[:, 1]), [0, 0, 1], atol=1e-12)
 
 
 def test_herm_eig_deterministic_across_runs():
@@ -233,6 +235,16 @@ def test_corner_inv_sqrt_singular_corner():
         pf.corner_inv_sqrt(np.zeros((2, 2)), e(0, 0))
 
 
+def test_corner_inv_sqrt_near_singular_corner():
+    # the top eigenvalue 2.5e-9 lies within 1e-8 of the kernel's zero, and
+    # the root still reads its own eigenvector
+    w = np.diag([1.0, 5e-5, 0.0]).astype(complex)
+    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    x = pf.corner_inv_sqrt(w, p)
+    np.testing.assert_allclose(x, np.diag([1.0, 2e4, 0.0]), rtol=1e-12, atol=1e-12)
+    assert pf.op_norm(x @ w.conj().T @ w @ x - p) <= SPECTRAL_TOL
+
+
 def test_corner_inv_sqrt_rejects_non_projection():
     with pytest.raises(pf.PreconditionError):
         pf.corner_inv_sqrt(np.eye(2), np.diag([0.5, 0.0]).astype(complex))
@@ -283,45 +295,18 @@ def test_unitary_and_projection_are_partial_isometries():
 # ---------------------------------------------------------------------------
 # the stacked spectral functions, slice by slice against one-matrix references
 
-# herm_eig, _canonical_basis, nearest_projection and corner_inv_sqrt as they
-# were written for one matrix at a time, before each became the one-slice
-# case of its stacked version; kept verbatim apart from the names.
+# herm_eig, nearest_projection and corner_inv_sqrt as they were written for
+# one matrix at a time, before each became the one-slice case of its stacked
+# version; kept verbatim apart from the names, and with the eigenvectors that
+# eigh returns.
 
 
-def ref_herm_eig(m, herm_tol=AXIOM_TOL, cluster_tol=1e-8):
+def ref_herm_eig(m, herm_tol=AXIOM_TOL):
     a = np.asarray(m, dtype=np.complex128)
     if norm_unless_below(a - a.conj().T, herm_tol) > herm_tol:
         raise pf.PreconditionError("matrix is not Hermitian within tolerance")
     a = 0.5 * (a + a.conj().T)
-    vals, vecs = np.linalg.eigh(a)
-    d = a.shape[0]
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and vals[j] - vals[j - 1] <= cluster_tol:
-            j += 1
-        if j - i > 1:
-            vecs[:, i:j] = ref_canonical_basis(vecs[:, i:j])
-        i = j
-    return vals, vecs
-
-
-def ref_canonical_basis(block):
-    d, k = block.shape
-    proj = block @ block.conj().T
-    basis = []
-    for j in range(d):
-        v = proj[:, j].copy()
-        for b in basis:
-            v -= b * (b.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-10:
-            basis.append(v / norm)
-        if len(basis) == k:
-            break
-    if len(basis) != k:
-        return block
-    return np.column_stack(basis)
+    return np.linalg.eigh(a)
 
 
 def ref_nearest_projection(q, threshold=0.5, gap_tol=GAP_TOL):
@@ -430,9 +415,9 @@ CORNER_KINDS = ["random", "unitary", "boundary", "singular", "rank0", "not_proje
 
 def corner_case(rng, d, kind):
     """``(w, p)`` for corner_inv_sqrt.  ``unitary`` gives a corner equal to
-    ``p``: a degenerate top cluster above a zero cluster.  ``boundary`` puts
-    the lowest top eigenvalue within the cluster tolerance of the zeros
-    below it.  The rest are a singular corner, a rank-0 ``p`` and a ``p``
+    ``p``: a degenerate top eigenvalue above a degenerate zero.  ``boundary``
+    puts the lowest top eigenvalue, 2.5e-9, within 1e-8 of the zeros below
+    it.  The rest are a singular corner, a rank-0 ``p`` and a ``p``
     that is not a projection."""
     rank = int(rng.integers(1, d + 1))
     if kind == "rank0":

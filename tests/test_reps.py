@@ -20,7 +20,7 @@ from conftest import (
 )
 from parfell import reps
 from parfell.matrices import (
-    AXIOM_TOL, CHAR_TOL, MATCH_TOL, adjoints, clusters, norm_unless_below, norms_unless_below,
+    AXIOM_TOL, CHAR_TOL, MATCH_TOL, adjoints, norm_unless_below, norms_unless_below,
 )
 from test_actions import partial_injections, partial_maps, table_action
 
@@ -1027,10 +1027,15 @@ def test_extract_random_round_trip():
         assert all(ext.action.element_map(t) == act.element_map(t) for t in act.declared_elements())
 
 
+def ref_clusters(vals, tol):
+    """``(i, j)`` for each run ``vals[i:j]`` of values within ``tol`` of the last."""
+    cuts = [0, *(np.flatnonzero(~(np.diff(vals) <= tol)) + 1).tolist(), len(vals)]
+    return [(i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
+
+
 # extraction by the joint refinement of every phi image and the matching of
 # each moved character against every character, the reference for the
-# per-point blocks; bare eigh stands for herm_eig, whose canonical cluster
-# bases change no span and so no projection
+# per-point blocks
 def ref_extract(rep, elements=None):
     group = rep.group
     n, d = rep.n, rep.dim
@@ -1047,7 +1052,7 @@ def ref_extract(rep, elements=None):
         for basis, tup in zip(blocks, tuples):
             comp = basis.conj().T @ P[x] @ basis
             vals, vecs = np.linalg.eigh(0.5 * (comp + comp.conj().T))
-            for i, j in clusters(vals, CHAR_TOL):
+            for i, j in ref_clusters(vals, CHAR_TOL):
                 new_blocks.append(basis @ vecs[:, i:j])
                 new_tuples.append(tup + [float(np.mean(vals[i:j]))])
         blocks, tuples = new_blocks, new_tuples
